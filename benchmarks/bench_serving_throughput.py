@@ -116,7 +116,6 @@ def test_serving_throughput(serving_setup, benchmark):
                     enable_batching=enabled,
                     num_workers=8,
                     queue_capacity=256,
-                    batch_wait_ms=0.5,
                 )
             )
             try:

@@ -574,27 +574,17 @@ class ByteCard(CountEstimator, NdvEstimator):
         )
 
     @staticmethod
-    def _batching_config(config, max_batch_size, batch_wait_ms):
-        """Apply micro-batch knob overrides to a (possibly None) config.
-
-        Defaults (see :class:`repro.serving.ServingConfig`): batches of up
-        to 16 queries flushed after at most 1.0 ms -- the batch >= 16
-        regime where the fused BN kernels reach their measured speedups.
-        """
-        if max_batch_size is None and batch_wait_ms is None:
+    def _batching_config(config, max_batch_size):
+        """Apply a ``max_batch_size`` override to a (possibly None) config."""
+        if max_batch_size is None:
             return config
         import dataclasses
 
         from repro.serving import ServingConfig
 
-        if config is None:
-            config = ServingConfig()
-        overrides = {}
-        if max_batch_size is not None:
-            overrides["max_batch_size"] = max_batch_size
-        if batch_wait_ms is not None:
-            overrides["batch_wait_ms"] = batch_wait_ms
-        return dataclasses.replace(config, **overrides)
+        return dataclasses.replace(
+            config or ServingConfig(), max_batch_size=max_batch_size
+        )
 
     def fleet(
         self,
@@ -603,7 +593,6 @@ class ByteCard(CountEstimator, NdvEstimator):
         serving_config=None,
         fleet_config=None,
         max_batch_size: int | None = None,
-        batch_wait_ms: float | None = None,
     ):
         """A multi-process serving fleet warm-started from this instance.
 
@@ -622,18 +611,16 @@ class ByteCard(CountEstimator, NdvEstimator):
         ``fleet_config`` overrides ``n_workers`` when provided.  Close the
         router (it is a context manager) to reap the worker processes.
 
-        ``max_batch_size`` / ``batch_wait_ms`` override the workers'
-        micro-batch sizing (defaults 16 queries / 1.0 ms) without building
-        a full :class:`~repro.serving.ServingConfig` by hand.
+        ``max_batch_size`` overrides the workers' micro-batch cap (default
+        16 queries) without building a full
+        :class:`~repro.serving.ServingConfig` by hand.
         """
         import tempfile
 
         from repro.fleet import FleetConfig, FleetRouter
         from repro.forge.store import ArtifactStore
 
-        serving_config = self._batching_config(
-            serving_config, max_batch_size, batch_wait_ms
-        )
+        serving_config = self._batching_config(serving_config, max_batch_size)
         if store_dir is None:
             store_dir = tempfile.mkdtemp(prefix="bytecard-fleet-")
         store = ArtifactStore(store_dir, metrics=self.obs)
@@ -657,7 +644,6 @@ class ByteCard(CountEstimator, NdvEstimator):
         config=None,
         feedback=None,
         max_batch_size: int | None = None,
-        batch_wait_ms: float | None = None,
     ):
         """Wrap this ByteCard in a concurrent :class:`EstimationService`.
 
@@ -669,14 +655,14 @@ class ByteCard(CountEstimator, NdvEstimator):
         :meth:`enable_feedback`): served estimates -- cache hits included --
         are then noted as pending pairs for the executor to complete.
 
-        ``max_batch_size`` / ``batch_wait_ms`` override the micro-batcher's
-        sizing knobs (defaults 16 queries / 1.0 ms flush) on top of
-        whatever ``config`` carries -- larger batches feed the fused BN
-        kernels wider evidence tensors at the cost of flush latency.
+        ``max_batch_size`` overrides the micro-batcher's cap (default 16
+        queries) on top of whatever ``config`` carries -- under concurrent
+        load, larger batches feed the fused BN kernels wider evidence
+        tensors.
         """
         from repro.serving import EstimationService
 
-        config = self._batching_config(config, max_batch_size, batch_wait_ms)
+        config = self._batching_config(config, max_batch_size)
         return EstimationService(
             estimator=self,
             fallback_count=self._traditional_count,

@@ -36,13 +36,13 @@ class ServingConfig:
     enable_plan_cache: bool = True
     #: maximum cached plan-artifact scopes (LRU beyond this)
     plan_cache_entries: int = 1024
-    #: flush a micro-batch once it holds this many requests
+    #: most requests one micro-batch takes from those queued behind the
+    #: previous batch of their key (batches form from load, not a timer)
     max_batch_size: int = 16
-    #: ... or once the oldest member waited this long (milliseconds)
-    batch_wait_ms: float = 1.0
-    #: worker threads evaluating learned estimates
+    #: worker threads evaluating learned estimates for requests that carry
+    #: a deadline (deadline-free requests compute on their caller's thread)
     num_workers: int = 4
-    #: admission bound: requests queued beyond the workers; a full queue
+    #: admission bound: requests admitted beyond the workers; a full queue
     #: rejects to the traditional estimator instead of growing
     queue_capacity: int = 64
     #: latency samples kept for the quantile snapshot (ring buffer)
@@ -57,8 +57,6 @@ class ServingConfig:
             raise SchemaError("max_batch_size must be >= 1")
         if self.plan_cache_entries < 1:
             raise SchemaError("plan_cache_entries must be >= 1")
-        if self.batch_wait_ms < 0:
-            raise SchemaError("batch_wait_ms must be >= 0")
         if self.num_workers < 1:
             raise SchemaError("num_workers must be >= 1")
         if self.queue_capacity < 0:

@@ -19,6 +19,11 @@ Request path::
                    |                |        v               v
                    +----------------+---- traditional fallback (recorded)
 
+A request without a deadline has nothing to time out, so after admission it
+computes on the thread that brought it (:meth:`WorkerPool.run_inline`); only
+requests that carry a deadline cross into the pool's worker threads, where
+the caller can abandon the wait.
+
 The cache stamp is taken *before* inference starts, so an estimate computed
 against a model generation that got swapped mid-flight is never inserted as
 current (see :mod:`repro.serving.cache`).
@@ -33,6 +38,7 @@ hung worker thread rather than wedging interpreter exit.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from concurrent.futures import CancelledError as FutureCancelledError
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -56,6 +62,8 @@ from repro.serving.workers import WorkerPool
 from repro.sql.query import AggKind, CardQuery
 
 _UNSET = object()
+#: the caller-thread path times its compute where it runs, not the wait
+_NO_SPAN = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,9 @@ class EstimationCore:
         self.config = config or ServingConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self.tracer = Tracer(self.registry)
-        self.stats_collector = StatsCollector(self.config.latency_window)
+        self.stats_collector = StatsCollector(
+            self.config.latency_window, registry=self.registry
+        )
         # Surface the always-on per-path latency rings through the export.
         for hist in self.stats_collector.path_histograms.values():
             self.registry.adopt(hist)
@@ -153,7 +163,6 @@ class EstimationCore:
             self.batcher = MicroBatcher(
                 batch_fn=self.strategy.estimate_count_batch,
                 max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.batch_wait_ms,
                 on_batch=self.stats_collector.record_batch,
                 key_fn=self._batch_key,
             )
@@ -225,7 +234,23 @@ class EstimationCore:
                     fingerprint=fingerprint, strategy=scope,
                 )
         stamp = self.cache.stamp(query.tables) if self.cache is not None else None
-        future = self.pool.try_submit(compute)
+        deadline = self._deadline_s(deadline_ms)
+        compute_span = self.tracer.span(
+            "serve.batch" if batched else "serve.model", sink=stages
+        )
+        if deadline is None:
+            # Nothing can time out, so the request computes on the thread
+            # that brought it -- admitted and counted by the pool like a
+            # pooled one, minus the queue and two cross-thread wake-ups.
+            def on_caller() -> float:
+                with compute_span:
+                    return compute()
+
+            future = self.pool.run_inline(on_caller)
+            wait_span = _NO_SPAN
+        else:
+            future = self.pool.try_submit(compute)
+            wait_span = compute_span
         if future is None:
             self.stats_collector.record_fallback("rejected")
             self.registry.counter(
@@ -237,13 +262,11 @@ class EstimationCore:
                 value, "fallback-rejected", start, stages=stages, task=task,
                 query=query, fingerprint=fingerprint, strategy=scope,
             )
-        deadline = self._deadline_s(deadline_ms)
         remaining = None
         if deadline is not None:
             remaining = max(0.0, deadline - (self.clock.now() - start))
-        compute_span = "serve.batch" if batched else "serve.model"
         try:
-            with self.tracer.span(compute_span, sink=stages):
+            with wait_span:
                 value = float(future.result(timeout=remaining))
         except FutureTimeoutError:
             self.stats_collector.record_fallback("timeouts")

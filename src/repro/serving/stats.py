@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.metrics.quantiles import quantile
-from repro.obs.metrics import Histogram, HistogramSnapshot
+from repro.obs.metrics import Histogram, HistogramSnapshot, MetricsRegistry
 
 #: the serving paths that get their own latency histogram
 LATENCY_PATHS = ("cache", "batch", "model", "fallback")
@@ -72,8 +72,19 @@ class ServiceStats:
 class StatsCollector:
     """Thread-safe counter accumulation for one service."""
 
-    def __init__(self, latency_window: int = 4096):
+    def __init__(
+        self, latency_window: int = 4096, registry: MetricsRegistry | None = None
+    ):
         self._lock = threading.Lock()
+        if registry is None:
+            registry = MetricsRegistry(enabled=False)
+        # Registered at 0 up front: a fleet worker's batching is only
+        # observable through its exported registry, and an absent series
+        # would read as "batching off", not "no batch yet".
+        self._batches_total = registry.counter("serving_batches_total")
+        self._batched_requests_total = registry.counter(
+            "serving_batched_requests_total"
+        )
         self._counts = {
             "requests": 0,
             "cache_hits": 0,
@@ -112,6 +123,8 @@ class StatsCollector:
         with self._lock:
             self._counts["batches"] += 1
             self._counts["batched_requests"] += occupancy
+        self._batches_total.inc()
+        self._batched_requests_total.inc(occupancy)
 
     def record_latency(self, seconds: float, path: str | None = None) -> None:
         with self._lock:

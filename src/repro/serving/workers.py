@@ -1,7 +1,8 @@
 """The worker pool: bounded concurrency with admission control.
 
 A small thread pool with a hard cap on the number of *admitted* requests
-(running + queued).  When the bound is reached, :meth:`WorkerPool.try_submit`
+(running + queued, whether on a worker or inline on their caller's thread via
+:meth:`WorkerPool.run_inline`).  When the bound is reached, admission
 returns ``None`` instead of queueing -- the service answers such requests
 with the traditional estimator immediately, which is the paper's degradation
 contract: under a traffic spike the optimizer must keep planning (with
@@ -70,24 +71,56 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    def _admit(self, task: tuple[Future, Callable[[], object]] | None) -> bool:
+        """Take a slot and count one admitted task; queue it when given."""
+        if self._refusing or self._shutdown:
+            return False
+        if not self._slots.acquire(blocking=False):
+            return False
+        with self._lock:
+            if self._shutdown or self._refusing:
+                self._slots.release()
+                return False
+            self._active += 1
+            if task is not None:
+                self._queue.append(task)
+                self._work.notify()
+        return True
+
     def try_submit(
         self, fn: Callable[..., T], *args, **kwargs
     ) -> Future | None:
         """Submit ``fn`` if a slot is free; ``None`` means *rejected*."""
-        if self._refusing or self._shutdown:
+        future: Future = Future()
+        if not self._admit((future, lambda: fn(*args, **kwargs))):
             return None
-        if not self._slots.acquire(blocking=False):
+        return future
+
+    def run_inline(self, fn: Callable[[], T]) -> Future | None:
+        """Admit ``fn`` like :meth:`try_submit`, but run it here and now.
+
+        For callers with nothing to time out: the task holds a slot and is
+        seen by :meth:`refuse_new` / :meth:`drain` like any pooled one, but
+        executes on the calling thread -- no queue, no cross-thread wake-up.
+        The returned future is already resolved (``None``: *rejected*).
+        """
+        if not self._admit(None):
             return None
         future: Future = Future()
-        task = (future, lambda: fn(*args, **kwargs))
-        with self._lock:
-            if self._shutdown or self._refusing:
-                self._slots.release()
-                return None
-            self._queue.append(task)
-            self._active += 1
-            self._work.notify()
+        self._resolve(future, fn)
         return future
+
+    def _resolve(self, future: Future, thunk: Callable[[], object]) -> None:
+        try:
+            if future.set_running_or_notify_cancel():
+                try:
+                    result = thunk()
+                except BaseException as exc:
+                    future.set_exception(exc)
+                else:
+                    future.set_result(result)
+        finally:
+            self._finish_one()
 
     def _run(self) -> None:
         while True:
@@ -100,16 +133,7 @@ class WorkerPool:
                     return
                 else:  # pragma: no cover - spurious wakeup
                     continue
-            try:
-                if future.set_running_or_notify_cancel():
-                    try:
-                        result = thunk()
-                    except BaseException as exc:
-                        future.set_exception(exc)
-                    else:
-                        future.set_result(result)
-            finally:
-                self._finish_one()
+            self._resolve(future, thunk)
 
     def _finish_one(self) -> None:
         self._slots.release()

@@ -105,7 +105,10 @@ def tokenize(sql: str) -> list[Token]:
                 j += 1
             word = sql[i:j]
             upper = word.upper()
-            if upper in KEYWORDS:
+            # After a qualifier dot the word names a column ("tags.Count"),
+            # whatever keyword it happens to spell.
+            after_dot = bool(tokens) and tokens[-1].type is TokenType.DOT
+            if upper in KEYWORDS and not after_dot:
                 tokens.append(Token(TokenType.KEYWORD, upper, i))
             else:
                 tokens.append(Token(TokenType.IDENT, word, i))

@@ -542,22 +542,21 @@ class TestByteCardWiring:
         # The rebuilt FactorJoin shares the facade-owned cache instance.
         assert bytecard._factorjoin.evidence_cache is cache
 
-    def test_serve_micro_batch_knobs(self, bytecard):
-        with bytecard.serve(max_batch_size=32, batch_wait_ms=2.5) as service:
+    def test_serve_micro_batch_knob(self, bytecard):
+        with bytecard.serve(max_batch_size=32) as service:
             assert service.config.max_batch_size == 32
-            assert service.config.batch_wait_ms == 2.5
+            assert service.batcher.max_batch_size == 32
 
     def test_serve_defaults_documented_values(self, bytecard):
         with bytecard.serve() as service:
             assert service.config.max_batch_size == 16
-            assert service.config.batch_wait_ms == 1.0
 
     def test_batching_config_preserves_other_fields(self, bytecard):
         from repro.serving import ServingConfig
 
         config = ServingConfig(deadline_ms=None, num_workers=3)
-        updated = bytecard._batching_config(config, 64, None)
+        updated = bytecard._batching_config(config, 64)
         assert updated.max_batch_size == 64
         assert updated.num_workers == 3
-        assert updated.batch_wait_ms == config.batch_wait_ms
-        assert bytecard._batching_config(config, None, None) is config
+        assert updated.deadline_ms is None
+        assert bytecard._batching_config(config, None) is config

@@ -131,7 +131,6 @@ class TestServedByteCard:
                 deadline_ms=None,
                 num_workers=NUM_THREADS,
                 queue_capacity=256,
-                batch_wait_ms=0.5,
             )
         )
         mismatches: list[str] = []

@@ -213,6 +213,79 @@ class TestRequestPath:
         assert 0.0 < stats.p50_latency <= stats.p90_latency <= stats.p99_latency
 
 
+class ThreadRecorder(Doubler):
+    """Doubler that records which thread entered it, plain and batched."""
+
+    def __init__(self, delay_s: float = 0.0):
+        super().__init__(delay_s)
+        self.idents: list[int] = []
+
+    def estimate_count(self, query: CardQuery) -> float:
+        self.idents.append(threading.get_ident())
+        return super().estimate_count(query)
+
+    def estimate_count_batch(self, key, queries):
+        return [self.estimate_count(query) for query in queries]
+
+
+class TestExecutingThread:
+    """A request with nothing to time out is served by the thread that
+    brought it; only requests that carry a deadline cross into the pool."""
+
+    @pytest.mark.parametrize("enable_batching", [False, True])
+    def test_no_deadline_computes_on_the_caller(self, enable_batching):
+        model = ThreadRecorder()
+        with make_service(model, enable_batching=enable_batching) as service:
+            served = service.estimate_count_detail(make_query(5.0))
+            overridden = service.estimate_count_detail(make_query(6.0), deadline_ms=None)
+            stats = service.stats()
+        assert served.source == overridden.source == "model"
+        assert served.batched is enable_batching
+        assert (served.value, overridden.value) == (10.0, 12.0)
+        assert model.idents == [threading.get_ident()] * 2
+        assert stats.rejected == 0 and stats.timeouts == 0 and stats.fallbacks == 0
+        assert stats.batches == (2 if enable_batching else 0)
+
+    def test_no_deadline_ndv_computes_on_the_caller(self):
+        idents: list[int] = []
+
+        class Ndv(Constant):
+            def estimate_ndv(self, query: CardQuery) -> float:
+                idents.append(threading.get_ident())
+                return 7.0
+
+        ndv_query = CardQuery(
+            tables=("t",), agg=AggSpec(AggKind.COUNT_DISTINCT, "t", "c")
+        )
+        with make_service(Ndv(1.0)) as service:
+            assert service.estimate_ndv(ndv_query) == 7.0
+        assert idents == [threading.get_ident()]
+
+    def test_deadline_computes_on_a_pool_worker(self):
+        model = ThreadRecorder()
+        with make_service(model, deadline_ms=5_000.0) as service:
+            served = service.estimate_count_detail(make_query(5.0))
+        assert served.source == "model" and served.value == 10.0
+        assert len(model.idents) == 1
+        assert model.idents[0] != threading.get_ident()
+
+    def test_inline_request_records_its_compute_stage_once(self):
+        with make_service(ThreadRecorder(), enable_batching=True) as service:
+            miss = service.estimate_count_detail(make_query(5.0))
+        assert [s.name for s in miss.stages] == ["serve.cache_lookup", "serve.batch"]
+
+    def test_inline_error_still_degrades_with_provenance(self):
+        with make_service(Broken()) as service:
+            detail = service.estimate_count_detail(make_query(5.0))
+            assert service.pool.drain(timeout=0)  # the slot was given back
+        assert detail.source == "fallback-error"
+        assert [s.name for s in detail.stages] == [
+            "serve.cache_lookup",
+            "serve.model",
+            "serve.fallback",
+        ]
+
+
 class TestPathLatencies:
     """Regression: latencies used to land in one shared ring, so sub-ms
     cache hits drowned the model-path distribution.  They are now recorded
@@ -269,6 +342,30 @@ class TestPathLatencies:
         assert 'serving_requests_total{task="count"} 2' in text
 
 
+class TestBatchCountersInRegistry:
+    def test_preregistered_at_zero_then_follow_the_stats(self):
+        from repro.obs import MetricsRegistry, export_json
+
+        registry = MetricsRegistry()
+        service = EstimationService(
+            ThreadRecorder(),
+            Constant(FALLBACK),
+            config=ServingConfig(deadline_ms=None),
+            registry=registry,
+        )
+        with service:
+            counters = export_json(registry)["counters"]
+            assert counters["serving_batches_total"] == 0
+            assert counters["serving_batched_requests_total"] == 0
+            for value in (1.0, 2.0, 2.0):
+                service.estimate_count(make_query(value))
+            counters = export_json(registry)["counters"]
+            stats = service.stats()
+        assert stats.batches == 2 and stats.batched_requests == 2
+        assert counters["serving_batches_total"] == stats.batches
+        assert counters["serving_batched_requests_total"] == stats.batched_requests
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -276,7 +373,6 @@ class TestConfigValidation:
             {"deadline_ms": 0.0},
             {"cache_entries": 0},
             {"max_batch_size": 0},
-            {"batch_wait_ms": -1.0},
             {"num_workers": 0},
             {"queue_capacity": -1},
             {"latency_window": 0},

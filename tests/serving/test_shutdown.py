@@ -78,6 +78,31 @@ class TestWorkerPool:
         assert queued.cancelled()
         hang.set()  # release the daemon thread
 
+    def test_run_inline_runs_here_and_holds_a_slot_meanwhile(self):
+        pool = WorkerPool(num_workers=1, queue_capacity=0)
+        seen: list[object] = []
+
+        def task():
+            seen.append(threading.get_ident())
+            # The only slot is ours: nothing else is admitted meanwhile,
+            # and a drain sees the inline task as in flight.
+            seen.append(pool.try_submit(lambda: 1))
+            seen.append(pool.run_inline(lambda: 1))
+            seen.append(pool.drain(timeout=0))
+            return 42
+
+        future = pool.run_inline(task)
+        assert future is not None and future.done() and future.result() == 42
+        assert seen == [threading.get_ident(), None, None, False]
+        # ... and it was given back, on success and on failure alike.
+        failed = pool.run_inline(lambda: 1 / 0)
+        assert failed is not None
+        assert isinstance(failed.exception(), ZeroDivisionError)
+        assert pool.drain(timeout=0)
+        pool.refuse_new()
+        assert pool.run_inline(lambda: 1) is None
+        assert pool.close(timeout=5)
+
     def test_shutdown_idempotent(self):
         pool = WorkerPool(num_workers=1)
         assert pool.close(timeout=1)
@@ -101,9 +126,7 @@ class TestMicroBatcherClose:
             release.wait(timeout=30.0)
             return [1.0] * len(queries)
 
-        batcher = MicroBatcher(
-            batch_fn=slow_batch, max_batch_size=8, max_wait_ms=30.0
-        )
+        batcher = MicroBatcher(batch_fn=slow_batch, max_batch_size=8)
         results: dict[str, object] = {}
 
         def leader():
@@ -121,9 +144,9 @@ class TestMicroBatcherClose:
         leader_t = threading.Thread(target=leader, daemon=True)
         leader_t.start()
         assert entered.wait(timeout=5.0)
-        # The leader is inside batch_fn with its batch already drained; a
-        # new request for the same key becomes a *stranded* follower (its
-        # leader-wait would block on a queue nobody will ever execute).
+        # The leader is inside batch_fn, so its key is busy: a new request
+        # for the same key queues behind it as a true follower, which only
+        # the leader's hand-off -- or close() -- can ever wake.
         follower_t = threading.Thread(target=follower, daemon=True)
         follower_t.start()
         deadline = time.monotonic() + 5.0
@@ -134,8 +157,10 @@ class TestMicroBatcherClose:
         follower_t.join(timeout=5.0)
         assert not follower_t.is_alive()
         assert isinstance(results["follower"], EstimationError)
+        assert batcher.pending_count() == 0
         release.set()
         leader_t.join(timeout=5.0)
+        # The executing batch is not close()'s to fail: it finishes normally.
         assert results["leader"] == 1.0
 
 
@@ -162,6 +187,35 @@ class TestServiceClose:
         after = service.estimate_count_detail(query)
         assert after.source == "fallback-rejected"
         assert after.value == 99.0
+
+    def test_inline_request_is_admitted_drained_and_refused_like_a_pooled_one(self):
+        blocker = Blocker()
+        service = EstimationService(
+            blocker,
+            Constant(7.0),
+            config=ServingConfig(deadline_ms=None, enable_cache=False),
+        )
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(
+                service.estimate_count_detail(make_query(3.0))
+            ),
+            daemon=True,
+        )
+        thread.start()
+        assert blocker.entered.wait(timeout=5.0)
+        # The request runs on its caller's thread, yet the pool counts it.
+        assert service.pool.drain(timeout=0) is False
+        service.pool.refuse_new()
+        refused = service.estimate_count_detail(make_query(4.0))
+        assert refused.source == "fallback-rejected" and refused.value == 7.0
+        assert blocker.calls == 1
+        blocker.release.set()
+        assert service.close(timeout=5.0) is True
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert results[0].source == "model" and results[0].value == 6.0
+        assert service.stats().rejected == 1
 
     def test_close_bounded_with_hung_model(self):
         blocker = Blocker()

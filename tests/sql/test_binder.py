@@ -39,6 +39,42 @@ def catalog():
     return catalog
 
 
+class TestKeywordNamedColumn:
+    """STATS has ``tags.Count``: a column that spells a keyword."""
+
+    @pytest.fixture()
+    def tags_catalog(self, catalog):
+        catalog.register(
+            Table.from_arrays(
+                "tags", {"Id": np.arange(20), "Count": np.arange(20) * 3}
+            )
+        )
+        return catalog
+
+    def test_parse_print_parse_round_trip(self, tags_catalog):
+        from repro.serving.fingerprint import query_fingerprint
+
+        sql = (
+            "SELECT COUNT(*) FROM tags t JOIN posts p ON t.Id = p.id "
+            "WHERE t.Count >= 12 AND t.Count < 40 AND p.score > 0"
+        )
+        first = bind_sql(sql, tags_catalog)
+        assert [(p.table, p.column) for p in first.predicates if p.table == "tags"] == [
+            ("tags", "Count"),
+            ("tags", "Count"),
+        ]
+        printed = first.to_sql()
+        assert "tags.Count" in printed
+        again = bind_sql(printed, tags_catalog)
+        assert query_fingerprint(again) == query_fingerprint(first)
+        assert again.to_sql() == printed
+
+    def test_count_distinct_of_the_count_column(self, tags_catalog):
+        q = bind_sql("SELECT COUNT(DISTINCT tags.Count) FROM tags", tags_catalog)
+        assert q.agg.kind is AggKind.COUNT_DISTINCT and q.agg.column == "Count"
+        assert bind_sql(q.to_sql(), tags_catalog).agg == q.agg
+
+
 class TestTableResolution:
     def test_alias_binding(self, catalog):
         q = bind_sql("SELECT COUNT(*) FROM users u WHERE u.age > 30", catalog)

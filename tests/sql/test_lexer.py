@@ -21,6 +21,12 @@ class TestBasics:
         assert token.type is TokenType.IDENT
         assert token.text == "myTable"
 
+    def test_keyword_spelling_after_a_dot_is_a_column_name(self):
+        tokens = tokenize("SELECT COUNT(*) FROM tags WHERE tags.Count > 3")
+        assert tokens[1].is_keyword("COUNT")
+        dotted = tokens[-4]
+        assert (dotted.type, dotted.text) == (TokenType.IDENT, "Count")
+
     def test_eof_always_last(self):
         assert tokenize("")[-1].type is TokenType.EOF
 
