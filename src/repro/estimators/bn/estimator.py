@@ -3,18 +3,19 @@
 Wraps one :class:`TreeBayesNet` per table behind the :class:`CountEstimator`
 interface.  OR-groups are handled the way the paper describes: "ByteCard
 uses the inclusion-exclusion principle to transform OR-ed queries to AND-ed
-formats before calculating selectivities".
+formats before calculating selectivities" -- the AND-ed terms of a whole
+batch of queries are the columns of one sweep of the table's inference
+context.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
-from repro.estimators.bn.kernels import EvidenceCache, KernelPlan, resolve_backend
+from repro.estimators.bn.kernels import EvidenceCache
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
 from repro.sql.query import CardQuery, TablePredicate
 from repro.storage.catalog import Catalog
@@ -28,15 +29,13 @@ class BNCountEstimator(CountEstimator):
     def __init__(
         self,
         models: dict[str, TreeBayesNet],
-        kernel: str | None = None,
         evidence_cache: EvidenceCache | None = None,
     ):
         self.models = dict(models)
-        #: resolved kernel backend ("numpy"/"numba"/"off"); see REPRO_BN_KERNEL
-        self.kernel_backend = resolve_backend(kernel)
-        self.evidence_cache = evidence_cache
-        self._kernel_plans: dict[str, KernelPlan] = {}
-        self._kernel_lock = threading.Lock()
+        #: compiled predicate -> bin-mask vectors (a private cache by default)
+        self.evidence_cache: EvidenceCache = (
+            evidence_cache if evidence_cache is not None else EvidenceCache()
+        )
 
     @classmethod
     def train(
@@ -64,104 +63,68 @@ class BNCountEstimator(CountEstimator):
         except KeyError:
             raise EstimationError(f"no BN model for table {table!r}") from None
 
-    def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (None when the kernel is off)."""
-        if self.kernel_backend == "off":
-            return None
-        plan = self._kernel_plans.get(table)
-        if plan is None:
-            with self._kernel_lock:
-                plan = self._kernel_plans.get(table)
-                if plan is None:
-                    plan = KernelPlan(
-                        self.model_for(table).init_context(),
-                        backend=self.kernel_backend,
-                    )
-                    self._kernel_plans[table] = plan
-        return plan
-
     # ------------------------------------------------------------------
-    def table_selectivity(self, query: CardQuery, table: str) -> float:
-        """Selectivity of all predicates (incl. OR-groups) on ``table``."""
+    def _selectivities(
+        self, table: str, queries: list[CardQuery]
+    ) -> list[float]:
+        """Selectivity of each query's predicates (incl. OR-groups) on ``table``.
+
+        Every conjunctive term of the batch -- a plain query is one term,
+        an OR-group query one per inclusion-exclusion subset -- is a column
+        of one upward sweep fed from the evidence cache.
+        """
         model = self.model_for(table)
-        base = [p for p in query.predicates if p.table == table]
-        groups = table_or_groups(query, table)
-        return _selectivity_with_or_groups(model, base, groups)
+        swept = iter(
+            model.selectivities(
+                [
+                    term
+                    for query in queries
+                    for term in or_expansion_term_predicates(
+                        query.predicates, query.or_groups
+                    )
+                ],
+                self.evidence_cache.vector,
+            ).tolist()
+        )
+        # The expansion asks for its terms in exactly the order they were
+        # listed (and swept), so each evaluation is the next column.
+        def next_column(_term: Sequence[TablePredicate]) -> float:
+            return next(swept)
+
+        return [
+            _selectivity_with_or_groups(
+                model, query.predicates, query.or_groups, next_column
+            )
+            for query in queries
+        ]
 
     def selectivity(self, query: CardQuery) -> float:
-        if not query.is_single_table():
-            raise EstimationError(
-                "BNCountEstimator handles single tables; use FactorJoin for joins"
-            )
-        return self.table_selectivity(query, query.tables[0])
+        _require_single_table(query)
+        return self._selectivities(query.tables[0], [query])[0]
 
     def estimate_count(self, query: CardQuery) -> float:
-        if not query.is_single_table():
-            raise EstimationError(
-                "BNCountEstimator handles single tables; use FactorJoin for joins"
-            )
-        table = query.tables[0]
-        return self.table_selectivity(query, table) * self.model_for(table).total_rows
+        _require_single_table(query)
+        return self.estimate_count_batch(query.tables[0], [query])[0]
 
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
     ) -> list[float]:
         """Estimate a batch of single-table COUNT queries on one table.
 
-        All plain conjunctive queries share one batched sum-product pass --
-        a fused :class:`KernelPlan` upward sweep fed from the evidence
-        cache when the kernel is on (bitwise identical to
-        :meth:`TreeBayesNet.estimate_rows_batch`), the context's
-        ``selectivity_batch`` otherwise; queries carrying OR-groups take
-        the scalar inclusion-exclusion path.  Results align with the input
-        order.
+        One sweep serves the whole batch (:meth:`_selectivities`);
+        results align with the input order.
         """
-        model = self.model_for(table)
-        results: list[float | None] = [None] * len(queries)
-        plain_indexes: list[int] = []
-        plain_predicates: list[list[TablePredicate]] = []
-        for i, query in enumerate(queries):
+        for query in queries:
             if not query.is_single_table() or query.tables[0] != table:
                 raise EstimationError(
                     f"batch for table {table!r} received query on "
                     f"{query.tables!r}"
                 )
-            if query.or_groups:
-                results[i] = self.estimate_count(query)
-            else:
-                plain_indexes.append(i)
-                plain_predicates.append(list(query.predicates))
-        if plain_indexes:
-            rows = self._rows_batch(model, plain_predicates)
-            for i, estimate in zip(plain_indexes, rows):
-                results[i] = float(estimate)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    def _rows_batch(
-        self, model: TreeBayesNet, predicate_lists: list[list[TablePredicate]]
-    ):
-        plan = self.kernel_plan_for(model.table_name)
-        if plan is None:
-            return model.estimate_rows_batch(predicate_lists)
-        cache = self.evidence_cache
-        packs = plan.ones_packs(len(predicate_lists))
-        for b, predicates in enumerate(predicate_lists):
-            for pred in predicates:
-                if pred.table != model.table_name:
-                    raise EstimationError(
-                        f"predicate on {pred.table!r} given to BN of "
-                        f"{model.table_name!r}"
-                    )
-                index = model.column_index(pred.column)
-                discretizer = model.discretizers[pred.column]
-                vector = (
-                    cache.vector(discretizer, pred)
-                    if cache is not None
-                    else discretizer.evidence(pred)
-                )
-                plan.apply_evidence(packs, index, b, vector)
-        return plan.selectivities_packs(packs) * model.total_rows
+        total_rows = self.model_for(table).total_rows
+        return [
+            selectivity * total_rows
+            for selectivity in self._selectivities(table, queries)
+        ]
 
     def estimation_overhead(self, query: CardQuery) -> float:
         # One tree message pass: linear in nodes, tiny constants.
@@ -171,6 +134,13 @@ class BNCountEstimator(CountEstimator):
     @property
     def nbytes(self) -> int:
         return sum(model.nbytes for model in self.models.values())
+
+
+def _require_single_table(query: CardQuery) -> None:
+    if not query.is_single_table():
+        raise EstimationError(
+            "BNCountEstimator handles single tables; use FactorJoin for joins"
+        )
 
 
 def table_or_groups(
@@ -192,9 +162,9 @@ def table_or_groups(
 
 def _selectivity_with_or_groups(
     model: TreeBayesNet,
-    base: list[TablePredicate],
-    groups: list[list[TablePredicate]],
-    selectivity_fn: Callable[[list[TablePredicate]], float] | None = None,
+    base: Sequence[TablePredicate],
+    groups: Sequence[Sequence[TablePredicate]],
+    selectivity_fn: Callable[[Sequence[TablePredicate]], float] | None = None,
 ) -> float:
     """Inclusion-exclusion over OR-groups, evaluated by the BN.
 
@@ -203,10 +173,11 @@ def _selectivity_with_or_groups(
     is exponential in the number of OR-groups, which is fine for the 1-2
     groups real queries carry (the paper applies the same transform).
 
-    ``selectivity_fn`` substitutes the per-term evaluator -- shared-belief
-    inference plans inject a memoizing wrapper here so each distinct
-    conjunctive term is inferred at most once per plan, while the expansion
-    structure (term order, per-level clipping) stays exactly the naive one.
+    ``selectivity_fn`` substitutes the per-term evaluator (default: one
+    ``model.selectivity`` sweep per term) -- the estimators sweep every term
+    of :func:`or_expansion_term_predicates` as one batch and pass a lookup
+    here, so the expansion structure (term order, per-level clipping) is
+    the same whoever evaluates the terms.
     """
     if selectivity_fn is None:
         selectivity_fn = model.selectivity
@@ -220,38 +191,30 @@ def _selectivity_with_or_groups(
         sign = (-1.0) ** (size + 1)
         for subset in combinations(first, size):
             total += sign * _selectivity_with_or_groups(
-                model, base + list(subset), rest, selectivity_fn
+                model, (*base, *subset), rest, selectivity_fn
             )
     return float(min(max(total, 0.0), 1.0))
 
 
 def or_expansion_term_predicates(
-    base: list[TablePredicate],
-    groups: list[list[TablePredicate]],
+    base: Sequence[TablePredicate],
+    groups: Sequence[Sequence[TablePredicate]],
 ) -> list[tuple[TablePredicate, ...]]:
     """Every conjunctive term :func:`_selectivity_with_or_groups` evaluates.
 
     Mirrors the expansion recursion exactly -- same subset enumeration,
-    same ``base + subset`` concatenation order -- so the returned tuples
-    are the memo keys ``TableInferencePlan.term_selectivity`` will look up.
-    This is what lets the fused inference kernel pre-seed every term of a
-    scope in the same batched pass that fills its beliefs.
+    same ``base + subset`` concatenation order (just ``base`` when there
+    are no groups) -- so the returned tuples are the keys its per-term
+    evaluator will be asked for, and all of them can ride in one sweep.
     """
-    terms: list[tuple[TablePredicate, ...]] = []
-
-    def recurse(
-        acc: list[TablePredicate], rest: list[list[TablePredicate]]
-    ) -> None:
-        if not rest:
-            terms.append(tuple(acc))
-            return
-        first, tail = rest[0], rest[1:]
-        for size in range(1, len(first) + 1):
-            for subset in combinations(first, size):
-                recurse(acc + list(subset), tail)
-
-    if groups:
-        recurse(list(base), list(groups))
+    terms = [tuple(base)]
+    for group in groups:
+        subsets = [
+            subset
+            for size in range(1, len(group) + 1)
+            for subset in combinations(group, size)
+        ]
+        terms = [term + subset for term in terms for subset in subsets]
     return terms
 
 

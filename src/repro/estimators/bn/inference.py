@@ -1,11 +1,12 @@
-"""Variable-elimination (sum-product) inference over an immutable context.
+"""Sum-product inference over an immutable, compiled context.
 
 :class:`BNInferenceContext` is the reproduction of the paper's
 ``initContext`` output for the single-table model: the tree with its CPDs is
 flattened into topologically-indexed, read-only arrays ("Root
-Identification" and "CPD Indexing" in Section 5.1), after which
-``selectivity``/``beliefs`` perform no allocation-shared mutation and can be
-called concurrently from many query threads without locking.
+Identification" and "CPD Indexing" in Section 5.1) and a per-node sweep
+schedule, after which :meth:`~BNInferenceContext.selectivities` and
+:meth:`~BNInferenceContext.beliefs` mutate nothing shared and can be called
+concurrently from many query threads without locking.
 
 Inference is the standard two-pass sum-product on a tree:
 
@@ -17,12 +18,14 @@ Inference is the standard two-pass sum-product on a tree:
 The probability of the evidence -- the query's selectivity -- is the root's
 belief total.
 
-Both passes also come in batched form (``selectivity_batch`` /
-``beliefs_batch``): evidence vectors become ``(bins, B)`` matrices, one
-column per query, and the tree messages become matrix products, so the
-Python/dispatch overhead of variable elimination is paid once for the whole
-batch.  The downward pass combines sibling messages with prefix/suffix
-running products, keeping it linear in the number of children.
+Evidence is always a ``(bins, B)`` matrix per node, one column per query, so
+messages are matrix products and the Python dispatch of the sweep is paid
+once per batch; a single query is ``B = 1``.  Sibling messages of the
+downward pass are combined with prefix/suffix running products, keeping it
+linear in the number of children.  Every product consumes the same operands
+in the same order whatever ``B`` is, so two sweeps of equal width over equal
+evidence are bitwise equal; across widths BLAS may block the GEMMs
+differently and results agree to rounding (``rtol=1e-12``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.errors import ModelError
 
 
 class BNInferenceContext:
-    """Frozen, topologically-indexed tree BN ready for lock-free inference."""
+    """Frozen, topologically-indexed tree BN compiled for lock-free sweeps."""
 
     def __init__(
         self,
@@ -50,8 +53,40 @@ class BNInferenceContext:
         self.cpds = cpds
         self.num_nodes = parents.size
         self.root = int(order[0])
+        #: bins per node (a CPD's last axis)
+        self.bins = tuple(int(cpd.shape[-1]) for cpd in cpds)
         for array in (self.order, self.parents, *self.cpds):
             array.setflags(write=False)
+        # The sweep schedule, one entry per node.  Upward, leaves first:
+        # (node, its children, its CPD -- None for the root, which sends no
+        # message).  Downward, root first: (parent, its (child, CPD^T)
+        # pairs).  The transpose stays a *view*: a contiguous transposed
+        # copy makes BLAS pick another kernel and changes the low bits.
+        nodes = [int(node) for node in order]
+        self._upward = tuple(
+            (node, children[node], None if node == self.root else cpds[node])
+            for node in reversed(nodes)
+        )
+        self._downward = tuple(
+            (node, tuple((child, cpds[child].T) for child in children[node]))
+            for node in nodes
+            if children[node]
+        )
+        #: ``(C, 1)`` root CPD column; broadcasts over the batch
+        self._root_column = cpds[self.root][:, None]
+        # Beliefs under no evidence are a pure function of the model, so
+        # they are swept once here and served to every unfiltered scope.
+        beliefs, probabilities = self.beliefs(
+            [np.ones((bins, 1)) for bins in self.bins]
+        )
+        prior = tuple(np.ascontiguousarray(matrix[:, 0]) for matrix in beliefs)
+        for vector in prior:
+            vector.setflags(write=False)
+        #: per-node ``P(node = c)`` vectors and their (root) total
+        self.prior: tuple[tuple[np.ndarray, ...], float] = (
+            prior,
+            float(probabilities[0]),
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -87,8 +122,12 @@ class BNInferenceContext:
             cpd = frozen_cpds[node]
             if parent < 0 and cpd.ndim != 1:
                 raise ModelError("root CPD must be 1-D")
-            if parent >= 0 and cpd.ndim != 2:
-                raise ModelError(f"node {node} CPD must be 2-D")
+            if parent >= 0 and (
+                cpd.ndim != 2 or cpd.shape[0] != frozen_cpds[parent].shape[-1]
+            ):
+                raise ModelError(
+                    f"node {node} CPD must be 2-D with one row per parent bin"
+                )
         return cls(
             order=np.asarray(order, dtype=np.int64),
             parents=parents.copy(),
@@ -98,8 +137,7 @@ class BNInferenceContext:
 
     # ------------------------------------------------------------------
     def bin_count(self, node: int) -> int:
-        cpd = self.cpds[node]
-        return int(cpd.shape[-1])
+        return self.bins[node]
 
     @property
     def nbytes(self) -> int:
@@ -108,169 +146,87 @@ class BNInferenceContext:
     def _check_evidence(self, evidence: Sequence[np.ndarray]) -> None:
         if len(evidence) != self.num_nodes:
             raise ModelError(
-                f"expected {self.num_nodes} evidence vectors, got {len(evidence)}"
-            )
-        for node, vec in enumerate(evidence):
-            if vec.shape != (self.bin_count(node),):
-                raise ModelError(
-                    f"evidence for node {node} has shape {vec.shape}, "
-                    f"expected ({self.bin_count(node)},)"
-                )
-
-    def _check_evidence_batch(self, evidence: Sequence[np.ndarray]) -> int:
-        if len(evidence) != self.num_nodes:
-            raise ModelError(
                 f"expected {self.num_nodes} evidence matrices, got {len(evidence)}"
             )
-        batch = evidence[0].shape[1] if evidence else 0
-        for node, mat in enumerate(evidence):
-            if mat.ndim != 2 or mat.shape != (self.bin_count(node), batch):
-                raise ModelError(
-                    f"evidence for node {node} has shape {mat.shape}, "
-                    f"expected ({self.bin_count(node)}, {batch})"
-                )
-        return batch
+        batch = evidence[0].shape[-1]
+        shapes = [matrix.shape for matrix in evidence]
+        if batch < 1 or shapes != [(bins, batch) for bins in self.bins]:
+            raise ModelError(
+                f"evidence shapes {shapes} are not (bins, B >= 1) matrices "
+                f"over bins {list(self.bins)}"
+            )
 
     # ------------------------------------------------------------------
-    def _sweep_up(
+    def _upward_pass(
         self, evidence: Sequence[np.ndarray]
-    ) -> tuple[list[np.ndarray | None], list[np.ndarray]]:
-        """Upward messages and combined local factors, leaves-first.
+    ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+        """Leaves-to-root pass: local factors and messages per node.
 
-        ``up[i]`` is node ``i``'s message over the *parent's* bins (``None``
-        for the root); ``local[i]`` is ``e_i * prod_j m_j`` over ``i``'s own
-        bins.  Childless nodes alias their (float64) evidence directly --
-        nothing downstream writes into a local factor, so the copy the old
-        implementation made per node is pure overhead.  Works unchanged on
-        ``(bins,)`` vectors and ``(bins, B)`` batch matrices.
+        ``local[i]`` is ``e_i * prod_j m_j`` over ``i``'s own bins and
+        ``messages[i]`` is node ``i``'s message over its *parent's* bins
+        (``None`` for the root).  Childless nodes alias their evidence --
+        nothing downstream writes into a local factor -- and a parent's
+        first child message allocates the product fresh, so the caller's
+        evidence is never written.
         """
-        up: list[np.ndarray | None] = [None] * self.num_nodes
-        local: list[np.ndarray] = [np.empty(0)] * self.num_nodes
-        for node in self.order[::-1]:
-            node = int(node)
-            vec = evidence[node]
-            combined: np.ndarray | None = None
-            for child in self.children[node]:
-                message = up[child]
-                assert message is not None
-                if combined is None:
-                    combined = vec * message
-                else:
-                    combined *= message
-            if combined is None:
-                combined = (
-                    vec if vec.dtype == np.float64 else vec.astype(np.float64)
-                )
-            local[node] = combined
-            parent = int(self.parents[node])
-            if parent >= 0:
-                up[node] = self.cpds[node] @ combined
-        return up, local
+        local: list[np.ndarray] = list(evidence)
+        messages: list[np.ndarray | None] = [None] * self.num_nodes
+        for node, kids, cpd in self._upward:
+            if kids:
+                combined = evidence[node] * messages[kids[0]]
+                for child in kids[1:]:
+                    combined *= messages[child]
+                local[node] = combined
+            if cpd is not None:
+                messages[node] = cpd @ local[node]
+        return local, messages
 
-    def _sweep_down(
-        self,
-        up: list[np.ndarray | None],
-        local: list[np.ndarray],
-        evidence: Sequence[np.ndarray],
-        batched: bool,
-    ) -> list[np.ndarray]:
-        """Per-node beliefs from the root-to-leaves pass.
+    def selectivities(self, evidence: Sequence[np.ndarray]) -> np.ndarray:
+        """``(B,)`` evidence probabilities from the upward pass alone.
 
-        Sibling messages are combined with prefix/suffix running products,
-        so a node with ``k`` children costs ``O(k)`` vector multiplies
-        instead of the ``O(k^2)`` of the naive all-but-one loop.
+        ``evidence[i]`` has shape ``(bins_i, B)``: one column per query.
+        Bitwise equal to the probabilities :meth:`beliefs` returns for the
+        same evidence; callers that need no per-node beliefs skip the
+        downward pass.
         """
-        down: list[np.ndarray] = [np.empty(0)] * self.num_nodes
-        beliefs: list[np.ndarray] = [np.empty(0)] * self.num_nodes
-        root_cpd = self.cpds[self.root]
-        down[self.root] = root_cpd[:, None] if batched else root_cpd
-        beliefs[self.root] = down[self.root] * local[self.root]
-        for node in self.order:
-            node = int(node)
-            kids = self.children[node]
-            if not kids:
-                continue
-            # Everything at the node except each child's own message.
-            base = down[node] * evidence[node]
-            messages = [up[child] for child in kids]
-            prefixes: list[np.ndarray | None] = [None] * len(kids)
-            acc: np.ndarray | None = None
-            for i, message in enumerate(messages):
-                prefixes[i] = acc
-                assert message is not None
-                acc = message if acc is None else acc * message
-            suffix: np.ndarray | None = None
-            for i in range(len(kids) - 1, -1, -1):
-                context_vec = base
-                if prefixes[i] is not None:
-                    context_vec = context_vec * prefixes[i]
-                if suffix is not None:
-                    context_vec = context_vec * suffix
-                child = kids[i]
-                if batched:
-                    down[child] = self.cpds[child].T @ context_vec
-                else:
-                    down[child] = context_vec @ self.cpds[child]
-                beliefs[child] = down[child] * local[child]
-                message = messages[i]
-                assert message is not None
-                suffix = message if suffix is None else message * suffix
-        return beliefs
-
-    # ------------------------------------------------------------------
-    def selectivity(self, evidence: Sequence[np.ndarray]) -> float:
-        """P(evidence): the fraction of rows satisfying all evidence."""
         self._check_evidence(evidence)
-        _up, local = self._sweep_up(evidence)
-        root_belief = self.cpds[self.root] * local[self.root]
-        return float(np.clip(root_belief.sum(), 0.0, 1.0))
-
-    def selectivity_batch(self, evidence: Sequence[np.ndarray]) -> np.ndarray:
-        """P(evidence) for a whole batch of queries in one upward pass.
-
-        ``evidence[i]`` has shape ``(bins_i, B)``: one evidence column per
-        query in the batch.  The sum-product messages become matrix products
-        (``cpds[node] @ local`` maps ``(bins, B)`` to ``(parent_bins, B)``),
-        so the per-query Python/dispatch overhead of variable elimination is
-        paid once for the batch -- this is what the serving tier's
-        micro-batcher amortizes.  Returns a ``(B,)`` selectivity vector.
-        """
-        self._check_evidence_batch(evidence)
-        _up, local = self._sweep_up(evidence)
-        root_belief = self.cpds[self.root][:, None] * local[self.root]
+        local, _messages = self._upward_pass(evidence)
+        root_belief = self._root_column * local[self.root]
         return np.clip(root_belief.sum(axis=0), 0.0, 1.0)
 
     def beliefs(
         self, evidence: Sequence[np.ndarray]
-    ) -> tuple[list[np.ndarray], float]:
-        """Joint vectors ``b_i(c) = P(i = c, evidence)`` plus P(evidence)."""
-        self._check_evidence(evidence)
-        up, local = self._sweep_up(evidence)
-        beliefs = self._sweep_down(up, local, evidence, batched=False)
-        probability = float(np.clip(beliefs[self.root].sum(), 0.0, 1.0))
-        return beliefs, probability
-
-    def beliefs_batch(
-        self, evidence: Sequence[np.ndarray]
     ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-node joint matrices plus the P(evidence) vector for a batch.
+        """Per-node joint matrices plus the ``(B,)`` P(evidence) vector.
 
-        ``evidence[i]`` has shape ``(bins_i, B)``; the result's ``i``-th
-        entry has the same shape, column ``b`` holding what
-        :meth:`beliefs` would return for query ``b`` alone.  One batched
-        two-pass sum-product replaces ``B`` scalar ones -- the join-query
-        analogue of :meth:`selectivity_batch`, feeding the shared-belief
-        inference plans of the FactorJoin path.
+        Entry ``i`` of the result has ``evidence[i]``'s shape; its column
+        ``b`` holds ``P(i = c, evidence column b)`` for every bin ``c``.
         """
-        self._check_evidence_batch(evidence)
-        up, local = self._sweep_up(evidence)
-        beliefs = self._sweep_down(up, local, evidence, batched=True)
+        self._check_evidence(evidence)
+        local, messages = self._upward_pass(evidence)
+        down: list[np.ndarray | None] = [None] * self.num_nodes
+        beliefs: list[np.ndarray] = [np.empty(0)] * self.num_nodes
+        down[self.root] = self._root_column
+        beliefs[self.root] = self._root_column * local[self.root]
+        for node, kids in self._downward:
+            # Everything at the node except each child's own message.
+            base = down[node] * evidence[node]
+            # suffixes[r] = product of the messages of children r+1.., so a
+            # node with k children costs O(k) multiplies, not O(k^2).
+            suffixes: list[np.ndarray | None] = [None] * len(kids)
+            running: np.ndarray | None = None
+            for rank in range(len(kids) - 1, 0, -1):
+                message = messages[kids[rank][0]]
+                running = message if running is None else running * message
+                suffixes[rank - 1] = running
+            prefix: np.ndarray | None = None
+            for (child, cpd_t), suffix in zip(kids, suffixes):
+                context = base if prefix is None else base * prefix
+                if suffix is not None:
+                    context = context * suffix
+                message = messages[child]
+                prefix = message if prefix is None else prefix * message
+                down[child] = cpd_t @ context
+                beliefs[child] = down[child] * local[child]
         probabilities = np.clip(beliefs[self.root].sum(axis=0), 0.0, 1.0)
         return beliefs, probabilities
-
-    def marginal_with_evidence(
-        self, node: int, evidence: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """``P(node = c, evidence)`` for every bin ``c`` of ``node``."""
-        beliefs, _probability = self.beliefs(evidence)
-        return beliefs[node]

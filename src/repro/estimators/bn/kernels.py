@@ -1,630 +1,23 @@
-"""Fused cross-query BN inference kernels (compiled level-packed sweeps).
+"""Compiled predicate evidence feeding the BN inference context.
 
-:class:`BNInferenceContext` already batches the two-pass sum-product over a
-``(bins, B)`` evidence matrix per node, but both sweeps still walk the tree
-node by node in Python: one ``cpds[node] @ local`` GEMM dispatch per node,
-one prefix/suffix sibling loop per parent.  For the shallow, narrow trees
-Chow-Liu produces that Python dispatch dominates the arithmetic.
-
-:class:`KernelPlan` compiles a model's tree once into a *level-packed*
-layout and replaces the per-node walk with a handful of stacked GEMMs:
-
-* nodes are grouped by ``(depth level, parent_bins, own_bins)`` -- grouping
-  by exact CPD shape (instead of zero-padding a level to a common shape)
-  keeps every stacked ``np.matmul`` bitwise identical to the per-node
-  2-D products it replaces, with no masking arithmetic;
-* each group's CPDs live in one contiguous ``(k, P, C)`` tensor; the upward
-  messages of a whole group are one ``np.matmul(cpd_pack, local_pack)`` and
-  the downward messages one ``np.matmul(cpd_pack.transpose(0, 2, 1),
-  context_pack)`` -- the transpose *view* matters: a contiguous transposed
-  copy changes BLAS kernel selection and breaks bit-identity at B=1;
-* sibling prefix/suffix products become precompiled gather/scatter multiply
-  instructions over ones-initialized accumulators (multiplying by an exact
-  1.0 is bitwise neutral, so ragged fanouts need no conditionals).
-
-The result of :meth:`KernelPlan.run` is bit-identical to
-:meth:`BNInferenceContext.beliefs_batch` by construction (same operands,
-same multiplication order, commuted only where IEEE multiplication commutes
-bitwise) and is pinned so by property tests.
-
-Evidence assembly is fed by :class:`EvidenceCache`: a generation-stamped
-``predicate -> bin-mask vector`` cache so repeated query templates skip the
-per-predicate Python bin loops of :meth:`Discretizer.evidence`.  Model
-refreshes bump the owning table's generation exactly like the serving
-tier's estimate/plan caches.
-
-Backend selection (``REPRO_BN_KERNEL``):
-
-* ``numpy`` (default, also ``""``/``on``/``1``): pure-NumPy kernels;
-* ``numba``: jit-compiled scatter/gather multiply loops when numba is
-  importable, silently falling back to ``numpy`` when it is not (the
-  jitted loops perform the same IEEE elementwise multiplies, so results
-  stay bitwise identical);
-* ``off`` (also ``0``/``none``/``disabled``): disable the kernel path
-  entirely -- estimators fall back to the PR 5 shared-plans pipeline.
+:class:`EvidenceCache` is a generation-stamped ``predicate -> bin-mask
+vector`` cache, so repeated query templates skip the per-predicate Python
+bin loops of :meth:`Discretizer.evidence`.  Model refreshes bump the owning
+table's generation exactly like the serving tier's estimate/plan caches.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.errors import ModelError
 from repro.estimators.bn.discretize import Discretizer
-from repro.estimators.bn.inference import BNInferenceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import TablePredicate
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-except ImportError:  # pragma: no cover - the common case in CI images
-    numba = None
-
-HAVE_NUMBA = numba is not None
-
-#: environment variable selecting the kernel backend
-BACKEND_ENV = "REPRO_BN_KERNEL"
-
-
-def resolve_backend(mode: str | None = None) -> str:
-    """Normalize a backend request (argument wins over ``REPRO_BN_KERNEL``).
-
-    Returns one of ``"numpy"``, ``"numba"``, ``"off"``.  Asking for numba
-    without numba installed degrades to ``"numpy"`` rather than failing --
-    the flag is a fast-path hint, not a hard dependency.
-    """
-    raw = mode if mode is not None else os.environ.get(BACKEND_ENV, "")
-    value = raw.strip().lower()
-    if value in ("", "numpy", "on", "1", "default"):
-        return "numpy"
-    if value in ("off", "0", "none", "disabled"):
-        return "off"
-    if value == "numba":
-        return "numba" if HAVE_NUMBA else "numpy"
-    raise ValueError(f"unknown {BACKEND_ENV} backend {raw!r}")
-
-
-# ----------------------------------------------------------------------
-# Scatter/gather multiply primitives (the only backend-dependent ops).
-# Both perform the same IEEE elementwise multiplies on the same operands,
-# so switching backends never changes a single bit of the result.
-# ----------------------------------------------------------------------
-def _numpy_scatter_multiply(
-    dst: np.ndarray,
-    dst_slots: np.ndarray,
-    src: np.ndarray,
-    src_slots: np.ndarray,
-) -> None:
-    dst[dst_slots] *= src[src_slots]
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @numba.njit(cache=True)
-    def _numba_scatter_multiply(dst, dst_slots, src, src_slots):
-        for i in range(dst_slots.size):
-            dst[dst_slots[i]] *= src[src_slots[i]]
-
-else:
-    _numba_scatter_multiply = None
-
-
-class _FlatSchedule:
-    """Degenerate-group schedule: every shape group holds exactly one node.
-
-    Chow-Liu trees over real tables rarely put two same-shaped CPDs on one
-    level (bin counts are data-driven and almost always distinct), so the
-    stacked ``(k, P, C)`` GEMMs degenerate to ``k = 1`` and the gather /
-    scatter machinery around them -- pack copies, single-slot fancy
-    indexing, ones-initialized accumulators -- becomes pure overhead.  This
-    schedule precompiles the same sweep as straight 2-D ops per node:
-
-    * upward: one ``cpd @ local`` GEMM per non-root group plus one
-      elementwise multiply per edge (the first multiply into a parent
-      allocates ``evidence * message`` instead of copying the evidence);
-    * downward: sibling prefix/suffix products chain plain multiplies,
-      skipping the neutral ``* 1.0`` terms entirely (bitwise no-ops).
-
-    Every operation consumes the same IEEE operands in the same order as
-    the grouped sweep, so results stay bit-identical; the property tests
-    pin both paths against :meth:`BNInferenceContext.beliefs_batch`.
-    """
-
-    __slots__ = ("cpd", "cpd_t", "up_gemms", "up_mults", "down")
-
-    def __init__(self, plan: "KernelPlan"):
-        groups = plan.groups
-        self.cpd = [
-            None if grp.cpd_pack is None else grp.cpd_pack[0] for grp in groups
-        ]
-        self.cpd_t = [
-            None if grp.cpd_pack_t is None else grp.cpd_pack_t[0]
-            for grp in groups
-        ]
-        # Upward: GEMM groups per level, then (dst, src, fresh) multiplies
-        # in the exact sorted-bucket order of the grouped scatter pass.
-        # ``fresh`` marks the first message into a parent's local factor.
-        self.up_gemms: list[list[int]] = [
-            list(plan.groups_at_level[level])
-            for level in range(plan.depth + 1)
-        ]
-        self.up_mults: list[list[tuple[int, int, bool]]] = []
-        for level in range(plan.depth + 1):
-            seen: set[int] = set()
-            mults: list[tuple[int, int, bool]] = []
-            for dst_g, _d, src_g, _s in plan.up_scatter[level]:
-                mults.append((dst_g, src_g, dst_g not in seen))
-                seen.add(dst_g)
-            self.up_mults.append(mults)
-        # Downward: per level, (parent group, child groups in rank order).
-        self.down: list[list[tuple[int, list[int]]]] = []
-        for level in range(plan.depth):
-            entries: list[tuple[int, list[int]]] = []
-            for g, ranks in plan.down_schedule[level]:
-                entries.append((g, [sources[0][0] for _ps, sources in ranks]))
-            self.down.append(entries)
-
-
-class _Group:
-    """One (level, parent_bins, bins) shape group of tree nodes."""
-
-    __slots__ = ("level", "nodes", "parent_bins", "bins", "cpd_pack", "cpd_pack_t")
-
-    def __init__(
-        self,
-        level: int,
-        nodes: np.ndarray,
-        parent_bins: int,
-        bins: int,
-        cpd_pack: np.ndarray | None,
-    ):
-        self.level = level
-        self.nodes = nodes
-        self.parent_bins = parent_bins
-        self.bins = bins
-        self.cpd_pack = cpd_pack
-        # Transpose VIEW (required for bit-identity with per-node ``A.T @ x``).
-        self.cpd_pack_t = None if cpd_pack is None else cpd_pack.transpose(0, 2, 1)
-
-
-class KernelRun:
-    """Results of one kernel invocation: per-node belief packs + P(evidence)."""
-
-    def __init__(
-        self,
-        plan: "KernelPlan",
-        beliefs: list[np.ndarray],
-        probabilities: np.ndarray,
-        batch: int,
-    ):
-        self.plan = plan
-        self._beliefs = beliefs
-        #: ``(B,)`` clipped root-belief totals -- one selectivity per column
-        self.probabilities = probabilities
-        self.batch = batch
-        self._transposed: dict[int, np.ndarray] = {}
-
-    def beliefs_matrix(self, node: int) -> np.ndarray:
-        """``(bins, B)`` belief matrix of one node (a view into the packs)."""
-        plan = self.plan
-        pack = self._beliefs[plan.group_of[node]]
-        if pack.ndim == 2:  # flat schedule: one node per group, 2-D packs
-            return pack
-        return pack[plan.slot_of[node]]
-
-    def beliefs_list(self) -> list[np.ndarray]:
-        """Per-node belief matrices in node order -- the
-        :meth:`BNInferenceContext.beliefs_batch` result shape."""
-        return [self.beliefs_matrix(node) for node in range(self.plan.num_nodes)]
-
-    def probability(self, column: int) -> float:
-        return float(self.probabilities[column])
-
-    def scope_beliefs(self, column: int) -> list[np.ndarray]:
-        """Per-node contiguous belief columns for one evidence column.
-
-        Each node's ``(bins, B)`` matrix is transposed into a contiguous
-        ``(B, bins)`` buffer once per run (cached), after which every
-        column's vector is a zero-copy contiguous row view -- the same
-        float values ``np.ascontiguousarray(matrix[:, column])`` would
-        copy, without the per-scope copies.
-        """
-        out: list[np.ndarray] = []
-        for node in range(self.plan.num_nodes):
-            buf = self._transposed.get(node)
-            if buf is None:
-                buf = np.ascontiguousarray(self.beliefs_matrix(node).T)
-                buf.setflags(write=False)
-                self._transposed[node] = buf
-            out.append(buf[column])
-        return out
-
-
-class KernelPlan:
-    """A model's tree compiled for fused cross-query sum-product sweeps.
-
-    Compile once per (model, process); :meth:`run` / :meth:`run_packs` are
-    then lock-free and may be called concurrently from many threads.
-    """
-
-    def __init__(
-        self,
-        context: BNInferenceContext,
-        backend: str = "numpy",
-        flat: bool | None = None,
-    ):
-        if backend == "numba" and not HAVE_NUMBA:
-            backend = "numpy"
-        if backend not in ("numpy", "numba"):
-            raise ValueError(f"unknown kernel backend {backend!r}")
-        self.backend = backend
-        self.context = context
-        n = context.num_nodes
-        self.num_nodes = n
-        self.root = context.root
-
-        depth = np.zeros(n, dtype=np.int64)
-        for node in map(int, context.order[1:]):
-            depth[node] = depth[int(context.parents[node])] + 1
-        self.depth = int(depth.max()) if n else 0
-
-        # -- shape groups ----------------------------------------------
-        self.group_of = np.zeros(n, dtype=np.int64)
-        self.slot_of = np.zeros(n, dtype=np.int64)
-        raw_groups: list[dict] = []
-        group_index: dict[tuple[int, int, int], int] = {}
-        root_cpd = context.cpds[self.root]
-        raw_groups.append(
-            {"level": 0, "nodes": [self.root], "parent_bins": 0, "bins": int(root_cpd.shape[0])}
-        )
-        for node in map(int, context.order[1:]):
-            cpd = context.cpds[node]
-            key = (int(depth[node]), int(cpd.shape[0]), int(cpd.shape[1]))
-            g = group_index.get(key)
-            if g is None:
-                g = group_index[key] = len(raw_groups)
-                raw_groups.append(
-                    {"level": key[0], "nodes": [], "parent_bins": key[1], "bins": key[2]}
-                )
-            self.group_of[node] = g
-            self.slot_of[node] = len(raw_groups[g]["nodes"])
-            raw_groups[g]["nodes"].append(node)
-        self.groups: list[_Group] = []
-        for g, info in enumerate(raw_groups):
-            nodes = np.asarray(info["nodes"], dtype=np.int64)
-            if g == 0:
-                pack = None
-            else:
-                pack = np.ascontiguousarray(
-                    np.stack([context.cpds[int(nd)] for nd in nodes], axis=0)
-                )
-                pack.setflags(write=False)
-            self.groups.append(
-                _Group(info["level"], nodes, info["parent_bins"], info["bins"], pack)
-            )
-        self.groups_at_level: list[list[int]] = [[] for _ in range(self.depth + 1)]
-        for g, grp in enumerate(self.groups):
-            self.groups_at_level[grp.level].append(g)
-        #: ``(C, 1)`` root CPD column; broadcasts over the batch downward
-        self.root_cpd_col = root_cpd[:, None]
-
-        # -- upward scatter: child messages into parent locals ----------
-        # One instruction per (rank, parent group, child group), emitted in
-        # ascending child-rank order so the in-place multiplies hit each
-        # parent's local factor in exactly _sweep_up's sequence.
-        up_buckets: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
-        for node in map(int, context.order[1:]):
-            parent = int(context.parents[node])
-            rank = context.children[parent].index(node)
-            key = (int(depth[node]), rank, int(self.group_of[parent]), int(self.group_of[node]))
-            dst, src = up_buckets.setdefault(key, ([], []))
-            dst.append(int(self.slot_of[parent]))
-            src.append(int(self.slot_of[node]))
-        self.up_scatter: list[list[tuple[int, np.ndarray, int, np.ndarray]]] = [
-            [] for _ in range(self.depth + 1)
-        ]
-        for key in sorted(up_buckets):
-            level, _rank, dst_g, src_g = key
-            dst, src = up_buckets[key]
-            self.up_scatter[level].append(
-                (
-                    dst_g,
-                    np.asarray(dst, dtype=np.int64),
-                    src_g,
-                    np.asarray(src, dtype=np.int64),
-                )
-            )
-
-        # -- downward schedule: per parent group, per child rank ---------
-        # ``ranks[r] = (parent_slots, sources)`` where parent_slots are the
-        # group slots of parents with fanout > r, and sources split their
-        # rank-r children by child group: (child_group, child_slots,
-        # positions-within-parent_slots).
-        self.down_schedule: list[list[tuple[int, list[tuple[np.ndarray, list]]]]] = [
-            [] for _ in range(self.depth)
-        ]
-        for level in range(self.depth):
-            for g in self.groups_at_level[level]:
-                grp = self.groups[g]
-                fanouts = [len(context.children[int(nd)]) for nd in grp.nodes]
-                max_rank = max(fanouts, default=0)
-                if max_rank == 0:
-                    continue
-                ranks: list[tuple[np.ndarray, list]] = []
-                for rank in range(max_rank):
-                    parent_slots: list[int] = []
-                    by_child_group: dict[int, tuple[list[int], list[int]]] = {}
-                    for slot, nd in enumerate(map(int, grp.nodes)):
-                        kids = context.children[nd]
-                        if len(kids) <= rank:
-                            continue
-                        position = len(parent_slots)
-                        parent_slots.append(slot)
-                        child = kids[rank]
-                        h = int(self.group_of[child])
-                        cslots, positions = by_child_group.setdefault(h, ([], []))
-                        cslots.append(int(self.slot_of[child]))
-                        positions.append(position)
-                    sources = [
-                        (
-                            h,
-                            np.asarray(cslots, dtype=np.int64),
-                            np.asarray(positions, dtype=np.int64),
-                        )
-                        for h, (cslots, positions) in sorted(by_child_group.items())
-                    ]
-                    ranks.append((np.asarray(parent_slots, dtype=np.int64), sources))
-                self.down_schedule[level].append((g, ranks))
-
-        # Groups whose local factors receive child messages (scatter
-        # destinations) need a private copy of their evidence pack; all
-        # other groups -- leaves, the bulk of a Chow-Liu tree -- can alias
-        # the evidence directly, exactly like _sweep_up's childless nodes.
-        scatter_dsts = {
-            dst_g
-            for level_instrs in self.up_scatter
-            for dst_g, _d, _s, _ss in level_instrs
-        }
-        self.needs_local_copy = [g in scatter_dsts for g in range(len(self.groups))]
-
-        # When every shape group is a single node (the norm for real
-        # models, whose bin counts rarely collide) the stacked GEMMs buy
-        # nothing and a flat 2-D schedule is strictly cheaper.  ``flat``
-        # overrides the auto-detection so tests can pin either path.
-        if flat is None:
-            flat = all(grp.nodes.size == 1 for grp in self.groups)
-        elif flat and any(grp.nodes.size != 1 for grp in self.groups):
-            raise ModelError(
-                "flat kernel schedule requires single-node shape groups"
-            )
-        self.flat = bool(flat)
-        self._flat = _FlatSchedule(self) if self.flat else None
-
-    # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        return int(
-            sum(g.cpd_pack.nbytes for g in self.groups if g.cpd_pack is not None)
-        )
-
-    def ones_packs(self, batch: int) -> list[np.ndarray]:
-        """Fresh all-ones evidence packs for a ``batch``-column invocation."""
-        if batch < 1:
-            raise ModelError("kernel batch must be >= 1")
-        if self.flat:
-            return [np.ones((grp.bins, batch)) for grp in self.groups]
-        return [
-            np.ones((grp.nodes.size, grp.bins, batch)) for grp in self.groups
-        ]
-
-    def apply_evidence(
-        self,
-        packs: list[np.ndarray],
-        node: int,
-        column: int,
-        vector: np.ndarray,
-    ) -> None:
-        """Multiply one predicate's bin-mask into one evidence column."""
-        if self.flat:
-            packs[self.group_of[node]][:, column] *= vector
-        else:
-            packs[self.group_of[node]][self.slot_of[node], :, column] *= vector
-
-    # ------------------------------------------------------------------
-    def run(self, evidence: Sequence[np.ndarray]) -> KernelRun:
-        """Batched beliefs from per-node ``(bins, B)`` evidence matrices.
-
-        Same contract as :meth:`BNInferenceContext.beliefs_batch`; the
-        per-node matrices are scattered into the level packs and swept.
-        """
-        batch = self.context._check_evidence_batch(evidence)
-        if batch < 1:
-            raise ModelError("kernel batch must be >= 1")
-        if self.flat:
-            # One node per group: the 2-D matrices ARE the packs (no copy).
-            return self.run_packs(
-                [
-                    np.asarray(evidence[int(grp.nodes[0])], dtype=np.float64)
-                    for grp in self.groups
-                ]
-            )
-        packs = [
-            np.empty((grp.nodes.size, grp.bins, batch)) for grp in self.groups
-        ]
-        for node in range(self.num_nodes):
-            packs[self.group_of[node]][self.slot_of[node]] = evidence[node]
-        return self.run_packs(packs)
-
-    def _up_grouped(self, ev_packs: list[np.ndarray]):
-        """Grouped upward sweep: per-group local factors and messages."""
-        scatter_multiply = (
-            _numba_scatter_multiply
-            if self.backend == "numba" and _numba_scatter_multiply is not None
-            else _numpy_scatter_multiply
-        )
-        # Local factors start as (copies of) the evidence; child messages
-        # are multiplied in below, in child-rank order.  Only scatter
-        # destinations are ever written, so the rest alias the evidence.
-        local = [
-            pack.copy() if copy else pack
-            for pack, copy in zip(ev_packs, self.needs_local_copy)
-        ]
-        msgs: list[np.ndarray | None] = [None] * len(self.groups)
-        # Deepest level first; one stacked GEMM per shape group.
-        for level in range(self.depth, 0, -1):
-            for g in self.groups_at_level[level]:
-                grp = self.groups[g]
-                msgs[g] = np.matmul(grp.cpd_pack, local[g])
-            for dst_g, dst_slots, src_g, src_slots in self.up_scatter[level]:
-                scatter_multiply(local[dst_g], dst_slots, msgs[src_g], src_slots)
-        return scatter_multiply, local, msgs
-
-    def _up_flat(self, ev: list[np.ndarray]):
-        """Flat upward sweep: per-node 2-D local factors and messages."""
-        sched = self._flat
-        assert sched is not None
-        cpd = sched.cpd
-        # Leaves alias the evidence; a parent's first message allocates
-        # the ``evidence * message`` product fresh.
-        local: list[np.ndarray] = list(ev)
-        msgs: list[np.ndarray | None] = [None] * len(self.groups)
-        for level in range(self.depth, 0, -1):
-            for g in sched.up_gemms[level]:
-                msgs[g] = cpd[g] @ local[g]
-            for dst_g, src_g, fresh in sched.up_mults[level]:
-                if fresh:
-                    local[dst_g] = ev[dst_g] * msgs[src_g]
-                else:
-                    local[dst_g] *= msgs[src_g]
-        return local, msgs
-
-    def selectivities_packs(self, ev_packs: list[np.ndarray]) -> np.ndarray:
-        """``(B,)`` evidence probabilities from the upward sweep alone.
-
-        Bitwise identical to :meth:`BNInferenceContext.selectivity_batch`
-        on the same stacked evidence -- the single-table COUNT batch path
-        needs no per-node beliefs, so the downward sweep is skipped.
-        """
-        if self.flat:
-            local, _msgs = self._up_flat(ev_packs)
-            root_belief = self.root_cpd_col * local[0]
-        else:
-            _sm, local, _msgs = self._up_grouped(ev_packs)
-            root_belief = self.root_cpd_col * local[0][0]
-        return np.clip(root_belief.sum(axis=0), 0.0, 1.0)
-
-    def run_packs(self, ev_packs: list[np.ndarray]) -> KernelRun:
-        """The fused two-pass sweep over pre-assembled evidence packs.
-
-        ``ev_packs`` is consumed read-only, so callers may reuse packs
-        (belief matrices of childless nodes may alias them).
-        """
-        if self.flat:
-            return self._run_packs_flat(ev_packs)
-        batch = int(ev_packs[0].shape[2])
-        scatter_multiply, local, msgs = self._up_grouped(ev_packs)
-
-        # Downward: root to leaves; sibling products via ones-neutral
-        # prefix/suffix accumulators (multiplying by exactly 1.0 is bitwise
-        # neutral, so ragged fanouts need no conditionals).
-        down: list[np.ndarray | None] = [None] * len(self.groups)
-        beliefs: list[np.ndarray] = [np.empty(0)] * len(self.groups)
-        down[0] = self.root_cpd_col  # (C, 1) broadcasts over the batch
-        beliefs[0] = down[0] * local[0]
-        for level in range(self.depth):
-            ctx: dict[int, np.ndarray] = {
-                h: np.empty(
-                    (self.groups[h].nodes.size, self.groups[h].parent_bins, batch)
-                )
-                for h in self.groups_at_level[level + 1]
-            }
-            for g, ranks in self.down_schedule[level]:
-                base = down[g] * ev_packs[g]
-                suffix_acc = np.ones_like(base)
-                suffixes: list[np.ndarray] = []
-                for parent_slots, sources in reversed(ranks):
-                    suffixes.append(suffix_acc[parent_slots])
-                    for h, child_slots, positions in sources:
-                        scatter_multiply(
-                            suffix_acc, parent_slots[positions], msgs[h], child_slots
-                        )
-                suffixes.reverse()
-                prefix_acc = np.ones_like(base)
-                for (parent_slots, sources), suffix in zip(ranks, suffixes):
-                    ctx_rows = base[parent_slots] * prefix_acc[parent_slots]
-                    ctx_rows *= suffix
-                    for h, child_slots, positions in sources:
-                        ctx[h][child_slots] = ctx_rows[positions]
-                        scatter_multiply(
-                            prefix_acc, parent_slots[positions], msgs[h], child_slots
-                        )
-            for h in self.groups_at_level[level + 1]:
-                grp = self.groups[h]
-                down[h] = np.matmul(grp.cpd_pack_t, ctx[h])
-                beliefs[h] = down[h] * local[h]
-
-        probabilities = np.clip(beliefs[0][0].sum(axis=0), 0.0, 1.0)
-        return KernelRun(self, beliefs, probabilities, batch)
-
-    def _run_packs_flat(self, ev: list[np.ndarray]) -> KernelRun:
-        """The same sweep over 2-D per-node packs (single-node groups).
-
-        Bit-identical to the grouped sweep: the grouped path's single-slot
-        gathers/scatters are plain elementwise ops here, its ones-neutral
-        accumulator multiplies are skipped outright (``x * 1.0`` is bitwise
-        ``x``), and ``matmul`` on a ``(1, P, C)`` stack equals the 2-D
-        product of its only slice.
-        """
-        sched = self._flat
-        assert sched is not None
-        batch = int(ev[0].shape[1])
-        cpd_t = sched.cpd_t
-        n_groups = len(self.groups)
-        local, msgs = self._up_flat(ev)
-
-        down: list[np.ndarray | None] = [None] * n_groups
-        beliefs: list[np.ndarray] = [np.empty(0)] * n_groups
-        down[0] = self.root_cpd_col  # (C, 1) broadcasts over the batch
-        beliefs[0] = down[0] * local[0]
-        for level in range(self.depth):
-            for g, child_groups in sched.down[level]:
-                base = down[g] * ev[g]
-                m = len(child_groups)
-                if m == 1:
-                    h = child_groups[0]
-                    down[h] = cpd_t[h] @ base
-                    beliefs[h] = down[h] * local[h]
-                    continue
-                # suffixes[r] = msgs[c_{m-1}] * ... * msgs[c_{r+1}]
-                # (descending-rank left-associated, as in the grouped pass)
-                suffixes: list[np.ndarray | None] = [None] * m
-                acc: np.ndarray | None = None
-                for r in range(m - 1, 0, -1):
-                    mh = msgs[child_groups[r]]
-                    acc = mh if acc is None else acc * mh
-                    suffixes[r - 1] = acc
-                prefix: np.ndarray | None = None
-                for r, h in enumerate(child_groups):
-                    context = base if prefix is None else base * prefix
-                    suffix = suffixes[r]
-                    if suffix is not None:
-                        context = context * suffix
-                    mh = msgs[h]
-                    prefix = mh if prefix is None else prefix * mh
-                    down[h] = cpd_t[h] @ context
-                    beliefs[h] = down[h] * local[h]
-
-        probabilities = np.clip(beliefs[0].sum(axis=0), 0.0, 1.0)
-        return KernelRun(self, beliefs, probabilities, batch)
-
-
-# ----------------------------------------------------------------------
-# Compiled evidence
-# ----------------------------------------------------------------------
 #: (global_generation, table_generation) at insert time
 _Stamp = tuple[int, int]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.estimators.bn.inference import BNInferenceContext
 
 MISSING = -1
 
@@ -116,9 +117,10 @@ def learn_parameters(
     previous_loglike = -np.inf
     for _ in range(max_em_iterations):
         tables = _mle_counts(complete, parents, bin_counts)
+        context = BNInferenceContext.from_structure(parents, cpds)
         loglike = 0.0
         for row in incomplete:
-            filled, row_loglike = _expected_fill(row, parents, bin_counts, cpds)
+            filled, row_loglike = _expected_fill(row, bin_counts, context)
             loglike += row_loglike
             for node in range(d):
                 parent = int(parents[node])
@@ -135,30 +137,27 @@ def learn_parameters(
 
 def _expected_fill(
     row: np.ndarray,
-    parents: np.ndarray,
     bin_counts: list[int],
-    cpds: list[np.ndarray],
+    context: BNInferenceContext,
 ) -> tuple[list[np.ndarray], float]:
     """Posterior bin distribution of every variable for one row.
 
     Observed variables get a one-hot; missing variables get their posterior
     given the observed ones, computed by sum-product on the tree.
     """
-    from repro.estimators.bn.inference import BNInferenceContext
-
     d = row.size
     evidence: list[np.ndarray] = []
     for node in range(d):
-        vec = np.ones(bin_counts[node]) if row[node] == MISSING else None
-        if vec is None:
-            vec = np.zeros(bin_counts[node])
+        if row[node] == MISSING:
+            vec = np.ones((bin_counts[node], 1))
+        else:
+            vec = np.zeros((bin_counts[node], 1))
             vec[int(row[node])] = 1.0
         evidence.append(vec)
-    context = BNInferenceContext.from_structure(parents, cpds)
-    beliefs, probability = context.beliefs(evidence)
+    beliefs, probabilities = context.beliefs(evidence)
     filled = []
     for node in range(d):
-        belief = beliefs[node]
+        belief = beliefs[node][:, 0]
         total = belief.sum()
         filled.append(belief / total if total > 0 else np.ones_like(belief) / belief.size)
-    return filled, float(np.log(max(probability, 1e-300)))
+    return filled, float(np.log(max(probabilities[0], 1e-300)))

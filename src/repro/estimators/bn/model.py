@@ -9,6 +9,7 @@ dependency captured by a 1-D (root) or 2-D CPD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from repro.estimators.bn.inference import BNInferenceContext
 from repro.estimators.bn.learning import learn_parameters
 from repro.sql.query import TablePredicate
 from repro.storage.table import Table
+
+#: ``(discretizer, predicate) -> bin-mask vector``
+EvidenceVector = Callable[[Discretizer, TablePredicate], np.ndarray]
 
 
 @dataclass
@@ -60,41 +64,18 @@ class TreeBayesNet:
 
     # ------------------------------------------------------------------
     def evidence_for(
-        self, predicates: list[TablePredicate]
+        self,
+        predicate_lists: Sequence[Sequence[TablePredicate]],
+        vector: EvidenceVector = Discretizer.evidence,
     ) -> list[np.ndarray]:
-        """Per-node evidence vectors for a conjunction of predicates."""
-        context = self.init_context()
-        evidence = [
-            np.ones(context.bin_count(i)) for i in range(len(self.columns))
-        ]
-        for pred in predicates:
-            if pred.table != self.table_name:
-                raise EstimationError(
-                    f"predicate on {pred.table!r} given to BN of {self.table_name!r}"
-                )
-            index = self.column_index(pred.column)
-            evidence[index] = evidence[index] * self.discretizers[
-                pred.column
-            ].evidence(pred)
-        return evidence
+        """Per-node ``(bins, B)`` evidence matrices, one column per conjunction.
 
-    def selectivity(self, predicates: list[TablePredicate]) -> float:
-        """P(all predicates) under the model."""
-        context = self.init_context()
-        if not predicates:
-            return 1.0
-        return context.selectivity(self.evidence_for(predicates))
-
-    def stacked_evidence_for(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> list[np.ndarray]:
-        """Per-node ``(bins, B)`` evidence matrices, one column per query."""
-        context = self.init_context()
+        ``vector(discretizer, predicate)`` supplies each predicate's
+        bin-mask; estimators pass :meth:`EvidenceCache.vector` so repeated
+        predicates skip the per-bin loop.
+        """
         batch = len(predicate_lists)
-        stacked = [
-            np.ones((context.bin_count(i), batch))
-            for i in range(len(self.columns))
-        ]
+        evidence = [np.ones((bins, batch)) for bins in self.init_context().bins]
         for b, predicates in enumerate(predicate_lists):
             for pred in predicates:
                 if pred.table != self.table_name:
@@ -102,64 +83,55 @@ class TreeBayesNet:
                         f"predicate on {pred.table!r} given to BN of "
                         f"{self.table_name!r}"
                     )
-                index = self.column_index(pred.column)
-                stacked[index][:, b] *= self.discretizers[pred.column].evidence(
-                    pred
+                evidence[self.column_index(pred.column)][:, b] *= vector(
+                    self.discretizers[pred.column], pred
                 )
-        return stacked
+        return evidence
 
-    def selectivity_batch(
-        self, predicate_lists: list[list[TablePredicate]]
+    def selectivities(
+        self,
+        predicate_lists: Sequence[Sequence[TablePredicate]],
+        vector: EvidenceVector = Discretizer.evidence,
     ) -> np.ndarray:
-        """P(all predicates) for many conjunctions in one inference pass.
+        """P(all predicates) of every conjunction from one upward sweep.
 
-        Evidence columns of the whole batch are stacked per node so the
-        sum-product runs once with matrix messages; see
-        :meth:`BNInferenceContext.selectivity_batch`.
+        An empty conjunction is exactly 1.0 and takes no column of the
+        sweep (all-ones evidence would return the CPDs' round-off instead).
         """
-        context = self.init_context()
-        if not predicate_lists:
-            return np.empty(0)
-        return context.selectivity_batch(
-            self.stacked_evidence_for(predicate_lists)
+        filtered = [preds for preds in predicate_lists if preds]
+        if not filtered:
+            return np.ones(len(predicate_lists))
+        swept = self.init_context().selectivities(
+            self.evidence_for(filtered, vector)
         )
+        if len(filtered) == len(predicate_lists):
+            return swept  # the common case: nothing to scatter around
+        out = np.ones(len(predicate_lists))
+        out[[bool(preds) for preds in predicate_lists]] = swept
+        return out
 
-    def beliefs_for(
-        self, predicates: list[TablePredicate]
-    ) -> tuple[list[np.ndarray], float]:
-        """All per-column joint vectors plus P(predicates) in ONE pass.
+    def selectivity(self, predicates: Sequence[TablePredicate]) -> float:
+        """P(all predicates) under the model."""
+        return float(self.selectivities([predicates])[0])
 
-        ``beliefs[i][c] = P(column_i in bin c, predicates)`` and the float is
-        the conjunction's selectivity (the root belief total).  This is the
-        primitive behind shared-belief inference plans: every join-key
-        :meth:`distribution` and the local selectivity of one (table,
-        predicates) scope come out of a single two-pass sum-product.
-        """
-        context = self.init_context()
-        return context.beliefs(self.evidence_for(predicates))
-
-    def beliefs_batch(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Batched :meth:`beliefs_for`: column ``b`` of each ``(bins, B)``
-        matrix holds the beliefs of ``predicate_lists[b]``."""
-        context = self.init_context()
-        if not predicate_lists:
-            return [], np.empty(0)
-        return context.beliefs_batch(
-            self.stacked_evidence_for(predicate_lists)
-        )
-
-    def estimate_rows_batch(
-        self, predicate_lists: list[list[TablePredicate]]
-    ) -> np.ndarray:
-        return self.selectivity_batch(predicate_lists) * self.total_rows
-
-    def estimate_rows(self, predicates: list[TablePredicate]) -> float:
+    def estimate_rows(self, predicates: Sequence[TablePredicate]) -> float:
         return self.selectivity(predicates) * self.total_rows
 
+    def beliefs_for(
+        self, predicates: Sequence[TablePredicate]
+    ) -> tuple[list[np.ndarray], float]:
+        """All per-column joint vectors plus P(predicates) in ONE sweep.
+
+        ``beliefs[i][c] = P(column_i in bin c, predicates)`` and the float is
+        the conjunction's selectivity (the root belief total).
+        """
+        beliefs, probabilities = self.init_context().beliefs(
+            self.evidence_for([predicates])
+        )
+        return [matrix[:, 0] for matrix in beliefs], float(probabilities[0])
+
     def distribution(
-        self, column: str, predicates: list[TablePredicate]
+        self, column: str, predicates: Sequence[TablePredicate]
     ) -> np.ndarray:
         """``P(column in bin, predicates)`` over the column's bins.
 
@@ -167,9 +139,8 @@ class TreeBayesNet:
         key discretized on join-bucket boundaries, the result is the
         filtered per-bucket probability mass.
         """
-        context = self.init_context()
-        index = self.column_index(column)
-        return context.marginal_with_evidence(index, self.evidence_for(predicates))
+        beliefs, _probability = self.beliefs_for(predicates)
+        return beliefs[self.column_index(column)]
 
 
 def fit_tree_bn(

@@ -16,12 +16,12 @@ Two inference modes are provided:
   frequencies, giving the upper-bound flavour of the original paper.
 
 Join queries run through **shared-belief inference plans**
-(:mod:`repro.estimators.factorjoin.plans`): one two-pass ``beliefs()``
-variable elimination per (table, predicate set) serves every join-key
-distribution, the local selectivity, and the OR-group correction of that
-scope -- bit-identical to the naive one-pass-per-call-site path, which is
-kept available as :meth:`estimate_count_unshared` for verification and
-benchmarking.
+(:mod:`repro.estimators.factorjoin.plans`): per table, one sweep of the
+model's :class:`~repro.estimators.bn.inference.BNInferenceContext` carries
+a column for every distinct (table, predicate set) scope of the batch plus
+one per OR-expansion term, and every join-key distribution, local
+selectivity and OR-group correction is read from it.  A single query is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
 from repro.estimators.bn.estimator import (
     BNCountEstimator,
-    _selectivity_with_or_groups,
     or_expansion_term_predicates,
     or_expansion_terms,
     table_or_groups,
 )
-from repro.estimators.bn.kernels import EvidenceCache, KernelPlan, resolve_backend
+from repro.estimators.bn.kernels import EvidenceCache
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
 from repro.estimators.factorjoin.buckets import JoinBucketizer
 from repro.estimators.factorjoin.plans import (
@@ -63,11 +62,20 @@ from repro.storage.catalog import Catalog
 #: only at the division sites leaves all other arithmetic untouched.
 SELECTIVITY_FLOOR = 1e-12
 
-#: OR expansions beyond this many conjunctive terms are left to the
-#: memoized on-demand path rather than folded into a kernel invocation --
-#: real queries carry 1-2 small groups, so this only guards pathological
-#: batches from blowing up the evidence tensor width.
+#: A scope's OR expansion rides in its table's sweep up to this many
+#: conjunctive terms; wider expansions are swept on their own, this many
+#: columns at a time.  Real queries carry 1-2 small groups, so this only
+#: guards pathological batches from blowing up the evidence width.
 MAX_FOLDED_TERMS = 32
+
+#: One evidence column of a table sweep: the plan's own scope (``None``)
+#: or one conjunctive term of its OR expansion.
+_SweepColumn = tuple[TableInferencePlan, tuple[TablePredicate, ...] | None]
+
+
+def _filtered(query: CardQuery) -> bool:
+    """Whether estimating ``query`` takes a sweep column at all."""
+    return bool(query.predicates or query.or_groups)
 
 
 class FactorJoinEstimator(CountEstimator):
@@ -92,7 +100,6 @@ class FactorJoinEstimator(CountEstimator):
         metrics: MetricsRegistry | None = None,
         plan_cache: ArtifactSource | None = None,
         evidence_cache: EvidenceCache | None = None,
-        kernel: str | None = None,
     ):
         if mode not in ("expected", "bound"):
             raise ValueError(f"unknown inference mode {mode!r}")
@@ -104,33 +111,15 @@ class FactorJoinEstimator(CountEstimator):
         #: cross-query (table, predicate-fingerprint) artifact store; the
         #: serving tier installs its generation-invalidated cache here
         self.plan_cache = plan_cache
-        #: fused-kernel backend: "numpy" / "numba" / "off"; ``None`` reads
-        #: the REPRO_BN_KERNEL environment variable (NumPy by default)
-        self.kernel_backend = resolve_backend(kernel)
-        #: per-table compiled kernel plans, built lazily on first use; the
-        #: models dict is immutable for the estimator's lifetime, so plans
-        #: never go stale (model refreshes rebuild the whole estimator)
-        self._kernel_plans: dict[str, KernelPlan] = {}
-        #: per-table prior beliefs (all-ones evidence) -- unfiltered scopes
-        #: of join-fan tables recur in every batch and their beliefs never
-        #: change, so they are inferred once and served from here
-        self._prior_beliefs: dict[str, tuple[list[np.ndarray], float]] = {}
-        self._kernel_lock = threading.Lock()
         #: compiled predicate->bin-mask vectors; ByteCard hands in its
         #: loader-invalidated instance so the cache survives estimator
-        #: rebuilds across model refreshes
-        self.evidence_cache = (
+        #: rebuilds across model refreshes (a private one by default)
+        self.evidence_cache: EvidenceCache = (
             evidence_cache
             if evidence_cache is not None
             else EvidenceCache(registry=self.metrics)
         )
-        self._bn = BNCountEstimator(
-            models, kernel=self.kernel_backend, evidence_cache=self.evidence_cache
-        )
-        # Both the single-table batch path and the join priming path walk
-        # the same per-table trees; share one compiled-plan dict so each
-        # table's kernel is built (and counted) once.
-        self._bn._kernel_plans = self._kernel_plans
+        self._bn = BNCountEstimator(models, evidence_cache=self.evidence_cache)
         self._local = threading.local()
         if self.metrics.enabled:
             # Pre-register so dashboards (and pass-ratio deltas) see zeros
@@ -139,7 +128,15 @@ class FactorJoinEstimator(CountEstimator):
             self.metrics.counter("bn_passes_saved_total")
             self.metrics.counter("bn_kernel_batches_total")
             self.metrics.counter("bn_kernel_queries_total")
-            self.metrics.histogram("bn_kernel_build_seconds")
+        # The sweep schedule is compiled with the model's inference context,
+        # once per model generation: a model the loader already initialised
+        # (every table a refresh() left untouched) is not compiled again.
+        build_seconds = self.metrics.histogram("bn_kernel_build_seconds")
+        for model in models.values():
+            if model.context is None:
+                start = time.perf_counter()
+                model.init_context()
+                build_seconds.observe(time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -192,90 +189,39 @@ class FactorJoinEstimator(CountEstimator):
         """Install (or clear) the cross-query plan artifact cache."""
         self.plan_cache = cache
 
-    def install_evidence_cache(self, cache: EvidenceCache | None) -> None:
-        """Install (or clear) the compiled predicate-evidence cache."""
+    def install_evidence_cache(self, cache: EvidenceCache) -> None:
+        """Replace the compiled predicate-evidence cache."""
         self.evidence_cache = cache
         self._bn.evidence_cache = cache
-
-    def kernel_plan_for(self, table: str) -> KernelPlan | None:
-        """The table's compiled kernel plan (``None`` when the path is off).
-
-        Compiled once per table per estimator; build time lands in the
-        ``bn_kernel_build_seconds`` histogram.
-        """
-        if self.kernel_backend == "off":
-            return None
-        plan = self._kernel_plans.get(table)
-        if plan is None:
-            with self._kernel_lock:
-                plan = self._kernel_plans.get(table)
-                if plan is None:
-                    start = time.perf_counter()
-                    plan = KernelPlan(
-                        self.model_for(table).init_context(),
-                        backend=self.kernel_backend,
-                    )
-                    self.metrics.histogram("bn_kernel_build_seconds").observe(
-                        time.perf_counter() - start
-                    )
-                    self._kernel_plans[table] = plan
-        return plan
 
     @property
     def last_pass_stats(self) -> PassStats | None:
         """Pass accounting of this thread's most recent join estimate."""
         return getattr(self._local, "last_stats", None)
 
-    def _record_pass_stats(self, stats: PassStats | None) -> None:
+    def _record_pass_stats(self, stats: PassStats) -> None:
         self._local.last_stats = stats
-        if stats is None:
-            return
         if stats.executed:
             self.metrics.counter("bn_passes_total").inc(stats.executed)
         if stats.saved:
             self.metrics.counter("bn_passes_saved_total").inc(stats.saved)
 
+    def _count_sweep(self, columns: int) -> None:
+        if columns and self.metrics.enabled:
+            self.metrics.counter("bn_kernel_batches_total").inc()
+            self.metrics.counter("bn_kernel_queries_total").inc(columns)
+
     def selectivity(self, query: CardQuery) -> float:
         if not query.is_single_table():
             raise EstimationError("selectivity() is defined for single tables")
         self._local.last_stats = None
-        return self._bn.table_selectivity(query, query.tables[0])
+        self._count_sweep(_filtered(query))
+        return self._bn.selectivity(query)
 
     def estimate_count(self, query: CardQuery) -> float:
         if query.is_single_table():
-            self._local.last_stats = None
-            return self._bn.estimate_count(query)
-        plans = QueryInferencePlans(
-            self.model_for, query, source=self.plan_cache
-        )
-        estimate = self._estimate_join(query, plans)
-        self._record_pass_stats(plans.stats)
-        return estimate
-
-    def estimate_count_unshared(self, query: CardQuery) -> float:
-        """The naive one-pass-per-call-site path, kept verbatim.
-
-        Exists so tests and ``bench_join_inference_latency`` can verify the
-        shared-plan path is bit-identical and measure what it saves.
-        """
-        if query.is_single_table():
-            return self._bn.estimate_count(query)
-        tree = build_join_tree(query)
-        root = query.tables[0]
-        total = self._root_estimate(query, tree, root, None)
-        return float(max(total, 0.0))
-
-    def naive_pass_count(self, query: CardQuery) -> int:
-        """BN passes :meth:`estimate_count_unshared` runs for ``query``."""
-        if query.is_single_table():
-            table = query.tables[0]
-            groups = table_or_groups(query, table)
-            if groups:
-                return or_expansion_terms(groups)
-            return 1 if any(p.table == table for p in query.predicates) else 0
-        plans = QueryInferencePlans(self.model_for, query)
-        self._root_estimate(query, build_join_tree(query), query.tables[0], plans)
-        return plans.stats.requested
+            return self.estimate_count_batch(query.tables[0], [query])[0]
+        return self.estimate_join_batch([query])[0]
 
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
@@ -288,26 +234,17 @@ class FactorJoinEstimator(CountEstimator):
         """
         if any(not query.is_single_table() for query in queries):
             return self.estimate_join_batch(queries)
-        results = self._bn.estimate_count_batch(table, queries)
-        if self.kernel_backend != "off":
-            # The plain (no OR-group) slice of the batch ran as one fused
-            # kernel sweep inside the BN estimator; account for it here,
-            # where the metrics registry lives.
-            plain = sum(1 for query in queries if not query.or_groups)
-            if plain:
-                self.metrics.counter("bn_kernel_batches_total").inc()
-                self.metrics.counter("bn_kernel_queries_total").inc(plain)
-        return results
+        self._local.last_stats = None
+        self._count_sweep(sum(map(_filtered, queries)))
+        return self._bn.estimate_count_batch(table, queries)
 
     def estimate_join_batch(self, queries: list[CardQuery]) -> list[float]:
         """Estimate a batch of join COUNT queries with shared plans.
 
         All queries share one artifact source, so identical (table,
-        predicates) scopes are inferred once for the whole batch; every
-        table's pending scopes (plus their OR-expansion terms) are primed
-        by a single fused :class:`KernelPlan` sweep -- or, with the kernel
-        off, by one ``beliefs_batch`` pass per table covering >= 2 scopes.
-        Results align with input order.
+        predicates) scopes are inferred once for the whole batch, and every
+        table's pending scopes (plus their OR-expansion terms) are filled
+        by a single sweep.  Results align with input order.
         """
         if not queries:
             return []
@@ -318,36 +255,25 @@ class FactorJoinEstimator(CountEstimator):
         plans_list: list[QueryInferencePlans | None] = [
             None
             if query.is_single_table()
-            else QueryInferencePlans(
-                self.model_for, query, source=source, stats=stats
-            )
+            else QueryInferencePlans(self.model_for, query, source, stats)
             for query in queries
         ]
-        self._prime_batched_beliefs(plans_list, stats)
+        self._prime(plans_list, stats)
         results: list[float] = []
         for query, plans in zip(queries, plans_list):
             if plans is None:
-                results.append(self._bn.estimate_count(query))
+                results.append(self.estimate_count(query))
             else:
                 results.append(self._estimate_join(query, plans))
         self._record_pass_stats(stats)
         return results
 
-    def _prime_batched_beliefs(
+    def _prime(
         self,
         plans_list: list[QueryInferencePlans | None],
         stats: PassStats,
     ) -> None:
-        """One fused kernel invocation per table's pending scopes.
-
-        With the kernel path on (the default), *every* table with at least
-        one pending scope is primed by a single :class:`KernelPlan` sweep
-        that also folds in lone scopes and the conjunctive terms of each
-        scope's OR expansion -- one pass per table per micro-batch.  With
-        ``REPRO_BN_KERNEL=off`` the PR 5 behavior is preserved verbatim:
-        one ``beliefs_batch`` per table covering >= 2 pending scopes,
-        lone scopes left to their scalar on-demand pass.
-        """
+        """Fill every scope the batch will read: one sweep per table."""
         pending: dict[str, dict[int, TableInferencePlan]] = {}
         for plans in plans_list:
             if plans is None:
@@ -357,128 +283,106 @@ class FactorJoinEstimator(CountEstimator):
                 if plan.artifacts.beliefs is None:
                     pending.setdefault(table, {})[id(plan.artifacts)] = plan
         for table, scopes in pending.items():
-            table_plans = list(scopes.values())
-            kernel = self.kernel_plan_for(table)
-            if kernel is not None:
-                self._prime_with_kernel(table, kernel, table_plans, stats)
-                continue
-            if len(table_plans) < 2:
-                continue  # a lone scope gains nothing from a batched pass
-            bases = [plan.base for plan in table_plans]
-            node_beliefs, probabilities = self.model_for(table).beliefs_batch(
-                bases
-            )
-            stats.executed += 1
-            for column, plan in enumerate(table_plans):
-                artifacts = plan.artifacts
-                with artifacts.lock:
-                    if artifacts.beliefs is None:
-                        artifacts.probability = float(probabilities[column])
-                        artifacts.beliefs = [
-                            np.ascontiguousarray(matrix[:, column])
-                            for matrix in node_beliefs
-                        ]
+            self._prime_table(table, list(scopes.values()), stats)
 
-    def _table_prior(
-        self, table: str, kernel: KernelPlan, stats: PassStats
-    ) -> tuple[list[np.ndarray], float]:
-        """The table's prior beliefs (all-ones evidence), inferred once."""
-        prior = self._prior_beliefs.get(table)
-        if prior is None:
-            with self._kernel_lock:
-                prior = self._prior_beliefs.get(table)
-                if prior is None:
-                    run = kernel.run_packs(kernel.ones_packs(1))
-                    stats.executed += 1
-                    if self.metrics.enabled:
-                        self.metrics.counter("bn_kernel_batches_total").inc()
-                        self.metrics.counter("bn_kernel_queries_total").inc()
-                    prior = (run.scope_beliefs(0), run.probability(0))
-                    self._prior_beliefs[table] = prior
-        return prior
-
-    def _prime_with_kernel(
+    def _prime_table(
         self,
         table: str,
-        kernel: KernelPlan,
         table_plans: list[TableInferencePlan],
         stats: PassStats,
     ) -> None:
-        """Fill every pending scope of ``table`` from one kernel sweep.
+        """Fill every pending scope of ``table``.
 
-        Each scope contributes one evidence column; scopes with OR-groups
-        contribute one extra column per conjunctive expansion term, whose
-        probabilities pre-seed the plan's term memo -- so the downstream
-        inclusion-exclusion walk runs without a single further BN pass.
-        The whole invocation counts as one executed pass in ``stats``
-        (that is what actually ran), which is exactly how
-        ``PassStats.saved`` credits the folded lone scopes and terms.
+        Each filtered scope contributes one evidence column, each OR-group
+        scope one more per conjunctive expansion term, and the lot is one
+        sweep -- which counts as one executed pass in ``stats`` (that is
+        what actually ran), so ``PassStats.saved`` credits the folded
+        scopes and terms.  Unfiltered scopes take no column: their beliefs
+        are the model's prior, swept once when its context was built.
         """
         model = self.model_for(table)
-        specs: list[tuple[TableInferencePlan, tuple[TablePredicate, ...] | None]] = []
+        table_sweep: list[_SweepColumn] = []
+        own_sweeps: list[list[_SweepColumn]] = []
+        for plan in table_plans:
+            if plan.base:
+                table_sweep.append((plan, None))
+            if plan.or_groups:
+                seeded = plan.artifacts.terms
+                terms = [
+                    (plan, term)
+                    for term in or_expansion_term_predicates(
+                        plan.base, plan.or_groups
+                    )
+                    if term not in seeded
+                ]
+                if len(terms) <= MAX_FOLDED_TERMS:
+                    table_sweep.extend(terms)
+                else:
+                    own_sweeps.extend(
+                        terms[start : start + MAX_FOLDED_TERMS]
+                        for start in range(0, len(terms), MAX_FOLDED_TERMS)
+                    )
+        # Term-only sweeps first, prior fills last: a scope's ``beliefs``
+        # must be the last thing another thread sharing it sees appear.
+        for columns in (*own_sweeps, table_sweep):
+            if columns:
+                self._sweep(model, columns, stats)
+        beliefs, probability = model.init_context().prior
         for plan in table_plans:
             if not plan.base:
-                # Unfiltered scope: its beliefs are the table's prior,
-                # identical in every batch -- serve the cached pass.
-                beliefs, probability = self._table_prior(table, kernel, stats)
                 artifacts = plan.artifacts
                 with artifacts.lock:
                     if artifacts.beliefs is None:
                         artifacts.probability = probability
-                        artifacts.beliefs = list(beliefs)
-            else:
-                specs.append((plan, None))  # the scope's own beliefs column
-            if plan.or_groups:
-                terms = or_expansion_term_predicates(plan.base, plan.or_groups)
-                if len(terms) <= MAX_FOLDED_TERMS:
-                    seeded = plan.artifacts.terms
-                    specs.extend(
-                        (plan, term) for term in terms if term not in seeded
-                    )
-        if not specs:
-            return
-        cache = self.evidence_cache
-        discretizers = model.discretizers
-        packs = kernel.ones_packs(len(specs))
-        for column, (plan, term) in enumerate(specs):
-            predicates = plan.base if term is None else term
-            for pred in predicates:
-                if pred.table != table:
-                    raise EstimationError(
-                        f"predicate on {pred.table!r} in scope of {table!r}"
-                    )
-                discretizer = discretizers[pred.column]
-                vector = (
-                    cache.vector(discretizer, pred)
-                    if cache is not None
-                    else discretizer.evidence(pred)
-                )
-                kernel.apply_evidence(
-                    packs, model.column_index(pred.column), column, vector
-                )
-        run = kernel.run_packs(packs)
+                        artifacts.beliefs = beliefs
+
+    def _sweep(
+        self,
+        model: TreeBayesNet,
+        columns: list[_SweepColumn],
+        stats: PassStats,
+    ) -> None:
+        """One sweep of ``model``'s context; results filled into the plans.
+
+        Two-pass when any column is a scope (which needs per-node beliefs),
+        upward-only when all are OR terms (which need only probabilities).
+        """
+        context = model.init_context()
+        evidence = model.evidence_for(
+            [plan.base if term is None else term for plan, term in columns],
+            self.evidence_cache.vector,
+        )
+        rows: list[np.ndarray] = []
+        if any(term is None for _plan, term in columns):
+            beliefs, probabilities = context.beliefs(evidence)
+            # (B, bins) per node: each scope's vectors are contiguous rows.
+            rows = [np.ascontiguousarray(matrix.T) for matrix in beliefs]
+            for buffer in rows:
+                buffer.setflags(write=False)
+        else:
+            probabilities = context.selectivities(evidence)
         stats.executed += 1
-        if self.metrics.enabled:
-            self.metrics.counter("bn_kernel_batches_total").inc()
-            self.metrics.counter("bn_kernel_queries_total").inc(len(specs))
-        for column, (plan, term) in enumerate(specs):
+        self._count_sweep(len(columns))
+        # Terms before scopes: ``beliefs`` is the last field of a scope
+        # that another thread sharing its artifacts sees appear.
+        for column, (plan, term) in sorted(
+            enumerate(columns), key=lambda item: item[1][1] is None
+        ):
             artifacts = plan.artifacts
-            if term is None:
-                with artifacts.lock:
-                    if artifacts.beliefs is None:
-                        artifacts.probability = run.probability(column)
-                        artifacts.beliefs = run.scope_beliefs(column)
-            else:
-                with artifacts.lock:
-                    artifacts.terms.setdefault(term, run.probability(column))
+            probability = float(probabilities[column])
+            with artifacts.lock:
+                if term is not None:
+                    artifacts.terms.setdefault(term, probability)
+                elif artifacts.beliefs is None:
+                    artifacts.probability = probability
+                    artifacts.beliefs = [buffer[column] for buffer in rows]
 
     def _estimate_join(
         self, query: CardQuery, plans: QueryInferencePlans
     ) -> float:
         start = time.perf_counter()
         tree = build_join_tree(query)
-        root = query.tables[0]
-        total = self._root_estimate(query, tree, root, plans)
+        total = self._root_estimate(tree, query.tables[0], plans)
         self.metrics.histogram("bn_join_inference_seconds").observe(
             time.perf_counter() - start
         )
@@ -503,92 +407,48 @@ class FactorJoinEstimator(CountEstimator):
     # Factor-graph propagation
     # ------------------------------------------------------------------
     def _filtered_distribution(
-        self,
-        query: CardQuery,
-        table: str,
-        column: str,
-        plans: QueryInferencePlans | None,
+        self, table: str, column: str, plans: QueryInferencePlans
     ) -> np.ndarray:
         """``P(column in bucket AND local predicates)`` via the table's BN."""
-        if plans is not None:
-            plan = plans.plan_for(table)
-            distribution = plan.distribution(column)
-            factor = plan.or_factor()
-            if factor != 1.0:
-                distribution = distribution * factor
-            return np.maximum(distribution, 0.0)
-        model = self.model_for(table)
-        predicates = [p for p in query.predicates if p.table == table]
-        distribution = model.distribution(column, predicates)
-        distribution = distribution * self._or_group_factor(query, table, predicates)
+        plan = plans.plan_for(table)
+        distribution = plan.distribution(column)
+        factor = plan.or_factor()
+        if factor != 1.0:
+            distribution = distribution * factor
         return np.maximum(distribution, 0.0)
-
-    def _local_selectivity(
-        self, query: CardQuery, table: str, plans: QueryInferencePlans | None
-    ) -> float:
-        if plans is not None:
-            return plans.plan_for(table).table_selectivity()
-        return self._bn.table_selectivity(query, table)
-
-    def _or_group_factor(
-        self, query: CardQuery, table: str, base: list[TablePredicate]
-    ) -> float:
-        """Correction factor for OR-groups on ``table``.
-
-        The bucket distribution is computed under the AND predicates only;
-        OR-groups scale it by their conditional selectivity (assumed
-        independent of the join key's bucket).
-        """
-        groups = table_or_groups(query, table)
-        if not groups:
-            return 1.0
-        model = self.model_for(table)
-        with_groups = _selectivity_with_or_groups(model, base, groups)
-        without_groups = model.selectivity(base)
-        if without_groups <= 0.0:
-            return 0.0
-        return with_groups / without_groups
 
     def _subtree_weights(
         self,
-        query: CardQuery,
         tree: JoinTree,
         table: str,
         parent_join: JoinCondition,
-        plans: QueryInferencePlans | None,
+        plans: QueryInferencePlans,
     ) -> np.ndarray:
         """Per-bucket tuple weights of ``table``'s subtree, keyed on the
-        column joining ``table`` to its parent."""
-        if plans is not None:
-            return plans.subtree_weights(
-                table,
-                parent_join,
-                lambda: self._subtree_weights_impl(
-                    query, tree, table, parent_join, plans
-                ),
-            )
-        return self._subtree_weights_impl(query, tree, table, parent_join, None)
+        column joining ``table`` to its parent (memoized per query)."""
+        return plans.subtree_weights(
+            table,
+            parent_join,
+            lambda: self._subtree_weights_impl(tree, table, parent_join, plans),
+        )
 
     def _subtree_weights_impl(
         self,
-        query: CardQuery,
         tree: JoinTree,
         table: str,
         parent_join: JoinCondition,
-        plans: QueryInferencePlans | None,
+        plans: QueryInferencePlans,
     ) -> np.ndarray:
         parent_column = parent_join.side_for(table)
         rows = len(self.catalog.table(table))
-        weights = rows * self._filtered_distribution(
-            query, table, parent_column, plans
-        )
+        weights = rows * self._filtered_distribution(table, parent_column, plans)
         selectivity = max(
-            self._local_selectivity(query, table, plans), SELECTIVITY_FLOOR
+            plans.plan_for(table).table_selectivity(), SELECTIVITY_FLOOR
         )
 
         for child, join in tree[table]:
             own_column = join.side_for(table)
-            child_weights = self._subtree_weights(query, tree, child, join, plans)
+            child_weights = self._subtree_weights(tree, child, join, plans)
             multiplier = self._fanout_multiplier(child, join, child_weights)
             if own_column == parent_column:
                 weights = weights * multiplier
@@ -596,9 +456,7 @@ class FactorJoinEstimator(CountEstimator):
                 # Different join key: marginalize the multiplier over the
                 # key's filtered distribution (conditional independence of
                 # join keys given the filters -- FactorJoin's reduced form).
-                key_dist = self._filtered_distribution(
-                    query, table, own_column, plans
-                )
+                key_dist = self._filtered_distribution(table, own_column, plans)
                 conditional = key_dist / selectivity
                 scalar = float(np.sum(conditional * multiplier))
                 weights = weights * scalar
@@ -625,16 +483,12 @@ class FactorJoinEstimator(CountEstimator):
         )
 
     def _root_estimate(
-        self,
-        query: CardQuery,
-        tree: JoinTree,
-        root: str,
-        plans: QueryInferencePlans | None,
+        self, tree: JoinTree, root: str, plans: QueryInferencePlans
     ) -> float:
         """Combine the root's children; bucket-wise over the dominant key."""
         children = tree[root]
         rows = len(self.catalog.table(root))
-        selectivity = self._local_selectivity(query, root, plans)
+        selectivity = plans.plan_for(root).table_selectivity()
         if not children:
             return rows * selectivity
         # Group children by the root-side join column.
@@ -644,23 +498,19 @@ class FactorJoinEstimator(CountEstimator):
         # The column with the most children is handled bucket-wise; the rest
         # contribute scalar multipliers via their filtered distributions.
         keyed_column = max(by_column, key=lambda c: len(by_column[c]))
-        weights = rows * self._filtered_distribution(
-            query, root, keyed_column, plans
-        )
+        weights = rows * self._filtered_distribution(root, keyed_column, plans)
         local_selectivity = max(selectivity, SELECTIVITY_FLOOR)
         for child, join in by_column[keyed_column]:
-            child_weights = self._subtree_weights(query, tree, child, join, plans)
+            child_weights = self._subtree_weights(tree, child, join, plans)
             weights = weights * self._fanout_multiplier(child, join, child_weights)
         scalar = 1.0
         for column, group in by_column.items():
             if column == keyed_column:
                 continue
-            key_dist = self._filtered_distribution(query, root, column, plans)
+            key_dist = self._filtered_distribution(root, column, plans)
             conditional = key_dist / local_selectivity
             for child, join in group:
-                child_weights = self._subtree_weights(
-                    query, tree, child, join, plans
-                )
+                child_weights = self._subtree_weights(tree, child, join, plans)
                 multiplier = self._fanout_multiplier(child, join, child_weights)
                 scalar *= float(np.sum(conditional * multiplier))
         return float(weights.sum() * scalar)

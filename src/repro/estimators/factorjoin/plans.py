@@ -1,41 +1,29 @@
-"""Shared-belief inference plans: one BN pass per (table, predicates).
+"""Shared-belief inference plans: one BN sweep per (table, predicates).
 
-The naive FactorJoin path re-runs a full two-pass ``beliefs()`` variable
-elimination for every ``_filtered_distribution`` call, again for
-``_local_selectivity``, and twice more per OR-group call site -- for the
-same table and the same predicate set within one query.  A single
-``beliefs()`` pass already yields *every* node's joint vector at once, so
-all of those consumers can be served from one pass per (table,
-AND-predicates) scope:
+One two-pass sweep yields *every* node's joint vector at once, so all the
+consumers of one (table, AND-predicates) scope within a join query -- and
+across the queries of a batch -- read from a single sweep column:
 
 * join-key filtered distributions, for every key the query touches;
 * the local AND selectivity (the root belief total comes free);
-* OR-group inclusion-exclusion terms, each inferred at most once per plan
-  instead of once per call site.
+* OR-group inclusion-exclusion terms, swept as extra columns beside it.
 
-:class:`TableInferencePlan` owns one such scope.  Its results live in a
-:class:`PlanArtifacts` container that can be shared across queries (via the
-serving tier's generation-invalidated plan cache) and across threads -- the
+:class:`TableInferencePlan` is the reader of one such scope.  Its results
+live in a :class:`PlanArtifacts` container that the estimator fills before
+any plan reads it and that can be shared across queries (via the serving
+tier's generation-invalidated plan cache) and across threads -- the
 container is lock-guarded and filled at most once.
-
-Bit-identity: the beliefs pass and the upward-only selectivity pass share
-one sweep implementation (:meth:`BNInferenceContext._sweep_up`), so the
-plan-served probability and every plan-served distribution are *bitwise*
-equal to what the naive per-call-site path produces.  The OR-group
-expansion reuses the naive recursion verbatim, only swapping the per-term
-evaluator for a memoizing one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Hashable, Protocol
+from typing import Callable, Hashable, Protocol, Sequence
 
 import numpy as np
 
 from repro.estimators.bn.estimator import (
     _selectivity_with_or_groups,
-    or_expansion_terms,
     table_or_groups,
 )
 from repro.estimators.bn.model import TreeBayesNet
@@ -43,7 +31,7 @@ from repro.sql.query import CardQuery, JoinCondition, TablePredicate
 
 
 class PassStats:
-    """BN inference passes requested (naive cost) vs actually executed."""
+    """BN passes requested (one per consumer read) vs sweeps actually run."""
 
     __slots__ = ("requested", "executed")
 
@@ -69,7 +57,8 @@ class PlanArtifacts:
 
     Instances may be shared by many plans (cross-query cache hits) and many
     threads; every field except ``lock`` is written under ``lock`` and only
-    transitions empty -> filled, so readers can check-then-lock cheaply.
+    transitions empty -> filled.  ``beliefs`` is written last: a scope whose
+    ``beliefs`` is set is complete and may be read without further checks.
     """
 
     __slots__ = (
@@ -83,11 +72,11 @@ class PlanArtifacts:
 
     def __init__(self):
         self.lock = threading.Lock()
-        #: per-column joint vectors from the one beliefs pass (None = not run)
-        self.beliefs: list[np.ndarray] | None = None
-        #: P(base predicates) -- the root belief total of that same pass
+        #: per-column joint vectors of the scope's sweep column (None = not run)
+        self.beliefs: Sequence[np.ndarray] | None = None
+        #: P(base predicates) -- the root belief total of that same column
         self.probability: float = 0.0
-        #: memoized OR-expansion term selectivities keyed by predicate tuple
+        #: OR-expansion term selectivities keyed by predicate tuple
         self.terms: dict[tuple[TablePredicate, ...], float] = {}
         #: inclusion-exclusion result over the OR-groups (None = not run)
         self.or_selectivity: float | None = None
@@ -148,9 +137,11 @@ class PlanArtifactSource:
 class TableInferencePlan:
     """One table's shared-belief scope within a query (or a batch).
 
-    Every consumer method bumps ``stats.requested`` by what the naive path
-    would have spent there; ``stats.executed`` counts the passes that
-    actually ran, so ``stats.saved`` is the amortization win.
+    A reader: the estimator fills ``artifacts`` (beliefs, probability and
+    every OR-expansion term) before the factor-graph walk starts.  Every
+    consumer method bumps ``stats.requested`` by the passes a
+    sweep-per-read design would spend there; ``stats.executed`` counts the
+    sweeps that actually ran, so ``stats.saved`` is the amortization win.
     """
 
     def __init__(
@@ -159,57 +150,34 @@ class TableInferencePlan:
         base: list[TablePredicate],
         or_groups: list[list[TablePredicate]],
         stats: PassStats,
-        artifacts: PlanArtifacts | None = None,
+        artifacts: PlanArtifacts,
     ):
         self.model = model
         self.base = list(base)
         self.or_groups = [list(group) for group in or_groups]
         self.stats = stats
-        self.artifacts = artifacts if artifacts is not None else PlanArtifacts()
+        self.artifacts = artifacts
 
-    # -- the one pass -------------------------------------------------
-    def _ensure_beliefs(self) -> PlanArtifacts:
-        artifacts = self.artifacts
-        if artifacts.beliefs is None:
-            with artifacts.lock:
-                if artifacts.beliefs is None:
-                    beliefs, probability = self.model.beliefs_for(self.base)
-                    self.stats.executed += 1
-                    artifacts.probability = probability
-                    artifacts.beliefs = beliefs
-        return artifacts
-
-    # -- consumers ----------------------------------------------------
     def distribution(self, column: str) -> np.ndarray:
-        """``P(column in bin, base predicates)``; naive cost: one pass."""
+        """``P(column in bin, base predicates)``; one read."""
         self.stats.requested += 1
-        artifacts = self._ensure_beliefs()
-        assert artifacts.beliefs is not None
-        return artifacts.beliefs[self.model.column_index(column)]
+        beliefs = self.artifacts.beliefs
+        assert beliefs is not None, "scope read before it was primed"
+        return beliefs[self.model.column_index(column)]
 
     def and_selectivity(self) -> float:
-        """``P(base predicates)`` -- free once the beliefs pass ran."""
+        """``P(base predicates)``; an empty conjunction is exactly 1.0."""
         if not self.base:
-            # model.selectivity([]) short-circuits to 1.0 without a pass.
             return 1.0
         self.stats.requested += 1
-        return self._ensure_beliefs().probability
+        return self.artifacts.probability
 
     def term_selectivity(
         self, predicates: tuple[TablePredicate, ...]
     ) -> float:
-        """One memoized conjunctive term of the OR expansion."""
+        """One conjunctive term of the OR expansion; one read."""
         self.stats.requested += 1
-        artifacts = self.artifacts
-        value = artifacts.terms.get(predicates)
-        if value is None:
-            value = self.model.selectivity(list(predicates))
-            with artifacts.lock:
-                if predicates not in artifacts.terms:
-                    self.stats.executed += 1
-                    artifacts.terms[predicates] = value
-                value = artifacts.terms[predicates]
-        return value
+        return self.artifacts.terms[predicates]
 
     def table_selectivity(self) -> float:
         """Selectivity including OR-groups (memoized inclusion-exclusion)."""
@@ -217,12 +185,12 @@ class TableInferencePlan:
             return self.and_selectivity()
         artifacts = self.artifacts
         if artifacts.or_selectivity is not None:
-            # The naive path would have re-run the whole expansion here.
+            # A sweep-per-read design re-runs the whole expansion here.
             self.stats.requested += artifacts.or_term_count
             return artifacts.or_selectivity
         calls = 0
 
-        def term(predicates: list[TablePredicate]) -> float:
+        def term(predicates: Sequence[TablePredicate]) -> float:
             nonlocal calls
             calls += 1
             return self.term_selectivity(tuple(predicates))
@@ -237,7 +205,12 @@ class TableInferencePlan:
         return value
 
     def or_factor(self) -> float:
-        """OR-group correction: with-groups over AND-only selectivity."""
+        """OR-group correction: with-groups over AND-only selectivity.
+
+        The bucket distribution is computed under the AND predicates only;
+        OR-groups scale it by their conditional selectivity (assumed
+        independent of the join key's bucket).
+        """
         if not self.or_groups:
             return 1.0
         with_groups = self.table_selectivity()
@@ -245,12 +218,6 @@ class TableInferencePlan:
         if without_groups <= 0.0:
             return 0.0
         return with_groups / without_groups
-
-    def naive_pass_cost(self) -> int:
-        """Passes the naive path pays to evaluate this scope's selectivity."""
-        if self.or_groups:
-            return or_expansion_terms(self.or_groups)
-        return 1 if self.base else 0
 
 
 class QueryInferencePlans:
@@ -266,13 +233,13 @@ class QueryInferencePlans:
         self,
         model_for: Callable[[str], TreeBayesNet],
         query: CardQuery,
-        source: ArtifactSource | None = None,
-        stats: PassStats | None = None,
+        source: ArtifactSource,
+        stats: PassStats,
     ):
         self.query = query
         self._model_for = model_for
         self._source = source
-        self.stats = stats if stats is not None else PassStats()
+        self.stats = stats
         self._plans: dict[str, TableInferencePlan] = {}
         self._subtree: dict[
             tuple[str, tuple[tuple[str, str], tuple[str, str]]], np.ndarray
@@ -284,13 +251,12 @@ class QueryInferencePlans:
             model = self._model_for(table)
             base = [p for p in self.query.predicates if p.table == table]
             or_groups = table_or_groups(self.query, table)
-            artifacts = (
-                self._source.artifacts_for(table, base, or_groups)
-                if self._source is not None
-                else None
-            )
             plan = TableInferencePlan(
-                model, base, or_groups, self.stats, artifacts
+                model,
+                base,
+                or_groups,
+                self.stats,
+                self._source.artifacts_for(table, base, or_groups),
             )
             self._plans[table] = plan
         return plan

@@ -4,7 +4,7 @@ Single-table COUNT estimates against the same BN repeat the identical
 variable-elimination setup (evidence construction, topological message
 scheduling); :class:`MicroBatcher` answers requests that pile up behind a
 running inference pass with **one** batched sum-product pass
-(:meth:`TreeBayesNet.selectivity_batch`), amortizing that setup the way the
+(:meth:`TreeBayesNet.selectivities`), amortizing that setup the way the
 paper's Inference Engine amortizes ``initContext``.
 
 The protocol is work-conserving: at most one batch per key executes at a

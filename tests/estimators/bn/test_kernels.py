@@ -1,28 +1,21 @@
-"""Fused BN inference kernels: bit-identity, evidence cache, accounting.
+"""Evidence cache, and the estimators' use of the one inference sweep.
 
-The tentpole invariant mirrors the PR 5 plan tests one level down: a
-:class:`KernelPlan` sweep -- flat or grouped, any batch width, any tree
-shape -- must be **bitwise** identical to ``beliefs`` / ``beliefs_batch``
-on the same evidence.  Around that core, these tests pin the evidence
+The sum-product itself is pinned against the enumerate-the-joint oracle in
+``test_inference.py``.  These tests pin what sits around it: the evidence
 cache's generation semantics (including invalidation through a real
-``ModelLoader.refresh()``), the lone-scope / OR-term folding accounting,
-and the clean numba degradation when numba is absent.
+``ModelLoader.refresh()``), the scope / OR-term folding and its pass
+accounting, the prior beliefs served from the context, the exported
+metrics, and that a refresh keeps the contexts of untouched tables.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.estimators.bn.discretize import Discretizer
-from repro.estimators.bn.inference import BNInferenceContext
-from repro.estimators.bn.kernels import (
-    BACKEND_ENV,
-    HAVE_NUMBA,
-    EvidenceCache,
-    KernelPlan,
-    resolve_backend,
-)
-from repro.estimators.factorjoin import FactorJoinEstimator, PassStats
+from repro.estimators.bn.estimator import _selectivity_with_or_groups
+from repro.estimators.bn.kernels import EvidenceCache
+from repro.estimators.factorjoin import FactorJoinEstimator
+from repro.estimators.factorjoin.estimator import MAX_FOLDED_TERMS
 from repro.obs import MetricsRegistry, export_json
 from repro.sql.query import (
     CardQuery,
@@ -31,229 +24,6 @@ from repro.sql.query import (
     TablePredicate,
 )
 from repro.workloads.generator import WorkloadSpec, generate_workload
-
-
-# ----------------------------------------------------------------------
-# Random-tree scaffolding
-# ----------------------------------------------------------------------
-def _random_context(rng, n, bin_low=2, bin_high=40):
-    """A random rooted tree BN with data-free CPDs."""
-    bins = [int(rng.integers(bin_low, bin_high)) for _ in range(n)]
-    parents = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
-    cpds = []
-    for i in range(n):
-        if parents[i] < 0:
-            p = rng.random(bins[i]) + 0.01
-            cpds.append(p / p.sum())
-        else:
-            m = rng.random((bins[parents[i]], bins[i])) + 0.01
-            cpds.append(m / m.sum(axis=1, keepdims=True))
-    return BNInferenceContext.from_structure(np.asarray(parents), cpds)
-
-
-def _random_evidence(rng, context, batch):
-    return [
-        np.clip(rng.random((context.bin_count(i), batch)), 0.05, 1.0)
-        for i in range(context.num_nodes)
-    ]
-
-
-def _star_chain_context(bins_list):
-    """Node 0 fans out to 1..k, then a chain hangs off node 1 (ragged)."""
-    n = len(bins_list)
-    parents = [-1] + [0] * min(3, n - 1) + [1] * max(0, n - 4)
-    parents = parents[:n]
-    cpds = []
-    rng = np.random.default_rng(5)
-    for i in range(n):
-        if parents[i] < 0:
-            p = rng.random(bins_list[i]) + 0.01
-            cpds.append(p / p.sum())
-        else:
-            m = rng.random((bins_list[parents[i]], bins_list[i])) + 0.01
-            cpds.append(m / m.sum(axis=1, keepdims=True))
-    return BNInferenceContext.from_structure(np.asarray(parents), cpds)
-
-
-# ----------------------------------------------------------------------
-# Backend resolution
-# ----------------------------------------------------------------------
-class TestResolveBackend:
-    @pytest.mark.parametrize("alias", ["", "numpy", "on", "1", "default"])
-    def test_numpy_aliases(self, alias):
-        assert resolve_backend(alias) == "numpy"
-
-    @pytest.mark.parametrize("alias", ["off", "0", "none", "disabled", "OFF"])
-    def test_off_aliases(self, alias):
-        assert resolve_backend(alias) == "off"
-
-    def test_numba_degrades_without_numba(self):
-        resolved = resolve_backend("numba")
-        assert resolved == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_environment_variable_consulted(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "off")
-        assert resolve_backend() == "off"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert resolve_backend() == "numpy"
-
-
-# ----------------------------------------------------------------------
-# Kernel bit-identity (the tentpole property)
-# ----------------------------------------------------------------------
-class TestKernelBitIdentity:
-    def test_random_trees_bitwise_vs_beliefs_batch(self):
-        rng = np.random.default_rng(7)
-        flat_seen = grouped_seen = 0
-        for trial in range(60):
-            n = int(rng.integers(1, 12))
-            # Narrow bin ranges force shape collisions (grouped stacking);
-            # wide ranges make every shape unique (flat schedule).
-            context = (
-                _random_context(rng, n)
-                if trial % 2
-                else _random_context(rng, n, 3, 6)
-            )
-            plan = KernelPlan(context)
-            if plan.flat:
-                flat_seen += 1
-            else:
-                grouped_seen += 1
-            for batch in (1, 2, 7, 16):
-                evidence = _random_evidence(rng, context, batch)
-                ref_beliefs, ref_probs = context.beliefs_batch(evidence)
-                run = plan.run([e.copy() for e in evidence])
-                for node in range(n):
-                    assert np.array_equal(
-                        ref_beliefs[node], run.beliefs_matrix(node)
-                    ), (trial, batch, node, plan.flat)
-                assert np.array_equal(ref_probs, run.probabilities)
-        assert flat_seen and grouped_seen  # both layouts exercised
-
-    def test_batch_of_one_bitwise_vs_scalar_beliefs(self):
-        rng = np.random.default_rng(13)
-        for trial in range(40):
-            context = _random_context(rng, int(rng.integers(1, 10)))
-            plan = KernelPlan(context)
-            evidence = _random_evidence(rng, context, 1)
-            scalar_beliefs, scalar_prob = context.beliefs(
-                [e[:, 0] for e in evidence]
-            )
-            run = plan.run(evidence)
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    scalar_beliefs[node], run.beliefs_matrix(node)[:, 0]
-                )
-            assert scalar_prob == run.probability(0)
-
-    def test_flat_and_grouped_schedules_agree_bitwise(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            context = _random_context(rng, int(rng.integers(2, 10)))
-            flat_plan = KernelPlan(context)
-            if not flat_plan.flat:
-                continue  # needs single-node groups to compare both
-            grouped_plan = KernelPlan(context, flat=False)
-            evidence = _random_evidence(rng, context, 5)
-            flat_run = flat_plan.run([e.copy() for e in evidence])
-            grouped_run = grouped_plan.run([e.copy() for e in evidence])
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    flat_run.beliefs_matrix(node),
-                    grouped_run.beliefs_matrix(node),
-                )
-            assert np.array_equal(
-                flat_run.probabilities, grouped_run.probabilities
-            )
-
-    def test_ragged_star_chain_tree(self):
-        context = _star_chain_context([4, 7, 4, 4, 9, 3, 9])
-        plan = KernelPlan(context)
-        rng = np.random.default_rng(3)
-        for batch in (1, 6):
-            evidence = _random_evidence(rng, context, batch)
-            ref_beliefs, ref_probs = context.beliefs_batch(evidence)
-            run = plan.run([e.copy() for e in evidence])
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    ref_beliefs[node], run.beliefs_matrix(node)
-                )
-            assert np.array_equal(ref_probs, run.probabilities)
-
-    def test_selectivities_bitwise_vs_selectivity_batch(self):
-        rng = np.random.default_rng(31)
-        for trial in range(30):
-            context = _random_context(rng, int(rng.integers(1, 10)))
-            plan = KernelPlan(context)
-            batch = int(rng.integers(1, 9))
-            evidence = _random_evidence(rng, context, batch)
-            reference = context.selectivity_batch(evidence)
-            packs = plan.ones_packs(batch)
-            for node in range(context.num_nodes):
-                for column in range(batch):
-                    plan.apply_evidence(
-                        packs, node, column, evidence[node][:, column]
-                    )
-            assert np.array_equal(
-                reference, plan.selectivities_packs(packs)
-            ), (trial, plan.flat)
-
-    def test_scope_beliefs_columns_match_matrices(self):
-        rng = np.random.default_rng(41)
-        context = _random_context(rng, 6)
-        plan = KernelPlan(context)
-        evidence = _random_evidence(rng, context, 4)
-        run = plan.run(evidence)
-        for column in range(4):
-            vectors = run.scope_beliefs(column)
-            for node, vector in enumerate(vectors):
-                assert np.array_equal(
-                    vector, run.beliefs_matrix(node)[:, column]
-                )
-                assert not vector.flags.writeable
-
-    def test_flat_override_rejected_on_stacked_shapes(self):
-        # Two same-shaped siblings share a group; forcing flat must fail.
-        parents = np.asarray([-1, 0, 0])
-        rng = np.random.default_rng(1)
-        root = rng.random(4) + 0.1
-        kid = rng.random((4, 4)) + 0.1
-        context = BNInferenceContext.from_structure(
-            parents,
-            [root / root.sum(), *(2 * [kid / kid.sum(axis=1, keepdims=True)])],
-        )
-        assert not KernelPlan(context).flat
-        with pytest.raises(ModelError):
-            KernelPlan(context, flat=True)
-
-    def test_empty_batch_rejected(self):
-        context = _random_context(np.random.default_rng(2), 3)
-        with pytest.raises(ModelError):
-            KernelPlan(context).ones_packs(0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaParity:  # pragma: no cover - exercised only with numba
-    def test_numba_backend_bitwise_vs_numpy(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            context = _random_context(rng, int(rng.integers(2, 10)), 3, 6)
-            evidence = _random_evidence(rng, context, 8)
-            numpy_run = KernelPlan(context, backend="numpy", flat=False).run(
-                [e.copy() for e in evidence]
-            )
-            numba_run = KernelPlan(context, backend="numba", flat=False).run(
-                [e.copy() for e in evidence]
-            )
-            for node in range(context.num_nodes):
-                assert np.array_equal(
-                    numpy_run.beliefs_matrix(node),
-                    numba_run.beliefs_matrix(node),
-                )
 
 
 # ----------------------------------------------------------------------
@@ -362,14 +132,6 @@ def fj_kernel(trained, kernel_registry):
         trained.models,
         trained.bucketizer,
         metrics=kernel_registry,
-        kernel="numpy",
-    )
-
-
-@pytest.fixture(scope="module")
-def fj_off(trained):
-    return FactorJoinEstimator(
-        trained.catalog, trained.models, trained.bucketizer, kernel="off"
     )
 
 
@@ -406,51 +168,67 @@ def _chain_query(reputation, score):
     )
 
 
+def _or_group(table, column, values):
+    return tuple(
+        TablePredicate(table, column, PredicateOp.GE, float(v)) for v in values
+    )
+
+
 class TestEstimatorIntegration:
-    def test_join_batch_matches_plans_path(self, fj_kernel, fj_off, join_batch):
+    def test_join_batch_matches_one_at_a_time(self, fj_kernel, join_batch):
         assert join_batch
-        kernel_results = fj_kernel.estimate_join_batch(join_batch)
-        off_results = fj_off.estimate_join_batch(join_batch)
-        # Kernel invocations fold OR-terms and priors into wider GEMMs, so
-        # widths (hence BLAS blocking, hence low bits) may differ from the
-        # plans path; values agree to fp noise.
+        batched = fj_kernel.estimate_join_batch(join_batch)
+        # A batch folds more scopes and OR-terms into each table's sweep,
+        # so GEMM widths (hence BLAS blocking, hence low bits) differ from
+        # the one-query sweeps; values agree to fp noise.
         np.testing.assert_allclose(
-            kernel_results, off_results, rtol=1e-9, atol=0.0
+            batched,
+            [fj_kernel.estimate_count(query) for query in join_batch],
+            rtol=1e-9,
+            atol=0.0,
         )
 
-    def test_join_batch_bitwise_when_widths_match(self, fj_kernel, fj_off):
-        # Every table carries two filtered scopes and no OR groups: the
-        # kernel assembles exactly the same evidence widths as the PR 5
-        # beliefs_batch pass, so results must be *bitwise* identical.
-        batch = [_chain_query(10.0, 40.0), _chain_query(25.0, 15.0)]
-        assert fj_kernel.estimate_join_batch(batch) == (
-            fj_off.estimate_join_batch(batch)
-        )
-
-    def test_single_query_join_matches_batch_of_one(self, fj_kernel, join_batch):
+    def test_single_query_join_is_a_batch_of_one(self, fj_kernel, join_batch):
         for query in join_batch[:6]:
             (batched,) = fj_kernel.estimate_join_batch([query])
-            assert batched == pytest.approx(
-                fj_kernel.estimate_count(query), rel=1e-9
-            )
+            assert batched == fj_kernel.estimate_count(query)
 
-    def test_single_table_batch_bitwise(self, fj_kernel, fj_off, stats):
+    def test_single_table_batch_matches_one_at_a_time(self, fj_kernel):
         queries = [
             CardQuery(
                 tables=("posts",),
                 predicates=(
                     TablePredicate("posts", "Score", PredicateOp.GE, float(v)),
                 ),
+                # every third query carries an OR group (two more columns)
+                or_groups=(_or_group("posts", "ViewCount", (100, 500)),) * (v % 3 == 0),
             )
             for v in range(-2, 8)
         ]
-        assert fj_kernel.estimate_count_batch("posts", queries) == (
-            fj_off.estimate_count_batch("posts", queries)
+        batched = fj_kernel.estimate_count_batch("posts", queries)
+        np.testing.assert_allclose(
+            batched,
+            [fj_kernel.estimate_count(query) for query in queries],
+            rtol=1e-12,
         )
+        for query in queries:
+            assert fj_kernel.estimate_count_batch("posts", [query]) == [
+                fj_kernel.estimate_count(query)
+            ]
 
-    def test_lone_scopes_and_terms_fold_into_one_pass(
-        self, fj_kernel, fj_off
-    ):
+    def test_predicate_free_count_is_exactly_total_rows(self, fj_kernel):
+        # All-ones evidence would return the CPDs' round-off instead
+        # (postHistory: 4499.999999999999), so such scopes take no sweep.
+        for table, model in fj_kernel.models.items():
+            query = CardQuery(tables=(table,))
+            assert (
+                fj_kernel.estimate_count_batch(table, [query])
+                == [fj_kernel.estimate_count(query)]
+                == [model.total_rows]
+            ), table
+            assert fj_kernel.selectivity(query) == 1.0
+
+    def test_lone_scopes_and_terms_fold_into_one_pass(self, fj_kernel):
         query = _chain_query(10.0, 40.0)
         query = CardQuery(
             tables=query.tables,
@@ -463,20 +241,47 @@ class TestEstimatorIntegration:
                 ),
             ),
         )
-        fj_kernel.estimate_join_batch([query])
-        kernel_stats = fj_kernel.last_pass_stats
-        fj_off.estimate_join_batch([query])
-        off_stats = fj_off.last_pass_stats
-        # One kernel invocation per table, OR terms folded: 3 executed
-        # passes, with the expansion's extra terms all accounted as saved.
-        assert kernel_stats.executed == len(query.tables)
-        assert kernel_stats.requested == off_stats.requested
-        assert kernel_stats.executed < off_stats.executed
-        assert kernel_stats.saved > off_stats.saved
+        fj_kernel.estimate_count(query)
+        stats = fj_kernel.last_pass_stats
+        # One sweep per table, OR terms folded: 3 executed passes, with the
+        # expansion's three terms (read at several call sites) all saved.
+        assert stats.executed == len(query.tables)
+        assert stats.requested > stats.executed + 3
+        assert stats.saved == stats.requested - stats.executed
 
-    def test_unfiltered_scope_served_from_prior_cache(self, trained):
+    def test_wide_or_expansion_folds_in_chunks(self, fj_kernel):
+        groups = (
+            _or_group("posts", "ViewCount", (100, 500, 2000)),
+            _or_group("posts", "Score", (1, 5, 20)),
+            _or_group("posts", "AnswerCount", (1, 2)),
+        )
+        base = _chain_query(10.0, 40.0)
+        query = CardQuery(
+            tables=base.tables,
+            joins=base.joins,
+            predicates=base.predicates,
+            or_groups=groups,
+        )
+        terms = 7 * 7 * 3
+        assert terms > MAX_FOLDED_TERMS
+        estimate = fj_kernel.estimate_count(query)
+        stats = fj_kernel.last_pass_stats
+        # One sweep per table plus the expansion's own <= 32-column sweeps.
+        assert stats.executed == len(query.tables) + -(-terms // MAX_FOLDED_TERMS)
+        # Same inclusion-exclusion, one scalar sweep per term.
+        model = fj_kernel.model_for("posts")
+        posts_base = [p for p in query.predicates if p.table == "posts"]
+        with_groups = _selectivity_with_or_groups(
+            model, posts_base, [list(group) for group in groups]
+        )
+        plain = fj_kernel.estimate_count(base)
+        assert estimate == pytest.approx(
+            plain * with_groups / model.selectivity(posts_base), rel=1e-9
+        )
+
+    def test_unfiltered_scope_served_from_context_prior(self, trained):
         fj = FactorJoinEstimator(
-            trained.catalog, trained.models, trained.bucketizer, kernel="numpy"
+            trained.catalog, trained.models, trained.bucketizer
         )
         query = CardQuery(
             tables=("users", "posts"),
@@ -486,13 +291,16 @@ class TestEstimatorIntegration:
             ),
         )
         first = fj.estimate_join_batch([query])
-        assert "users" in fj._prior_beliefs
-        # First batch: one kernel pass for posts, one prior pass for users.
-        assert fj.last_pass_stats.executed == 2
-        second = fj.estimate_join_batch([query])
-        assert first == second
-        # Later batches reuse the cached prior; only posts runs again.
+        # users is unfiltered: no sweep, its beliefs are the prior the
+        # context swept when it was built; only posts runs.
         assert fj.last_pass_stats.executed == 1
+        assert fj.estimate_join_batch([query]) == first
+        assert fj.last_pass_stats.executed == 1
+        users = fj.model_for("users")
+        prior_beliefs, _probability = users.init_context().prior
+        assert np.array_equal(
+            users.distribution("Id", []), prior_beliefs[users.column_index("Id")]
+        )
 
     def test_kernel_metrics_exported(self, fj_kernel, kernel_registry):
         exported = export_json(kernel_registry)
@@ -505,8 +313,25 @@ class TestEstimatorIntegration:
         assert "bn_kernel_build_seconds" in exported["histograms"]
         assert counters["evidence_cache_misses_total"] > 0
 
-    def test_kernel_plans_shared_with_bn_batch_path(self, fj_kernel):
-        assert fj_kernel._bn._kernel_plans is fj_kernel._kernel_plans
+    def test_every_sweep_is_counted(self, trained):
+        registry = MetricsRegistry()
+        fj = FactorJoinEstimator(
+            trained.catalog, trained.models, trained.bucketizer, metrics=registry
+        )
+        single = CardQuery(
+            tables=("posts",),
+            predicates=(TablePredicate("posts", "Score", PredicateOp.GE, 5.0),),
+        )
+        fj.estimate_count(single)
+        fj.selectivity(single)
+        fj.estimate_count_batch("posts", [single, single])
+        fj.estimate_count(CardQuery(tables=("posts",)))  # no sweep
+        assert registry.get("bn_kernel_batches_total").value == 3
+        assert registry.get("bn_kernel_queries_total").value == 4
+        fj.estimate_count(_chain_query(10.0, 40.0))
+        assert registry.get("bn_kernel_batches_total").value == 6
+        assert registry.get("bn_kernel_queries_total").value == 7
+        assert fj.last_pass_stats.executed == 3
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +366,22 @@ class TestByteCardWiring:
         assert cache.hits == hits_before
         # The rebuilt FactorJoin shares the facade-owned cache instance.
         assert bytecard._factorjoin.evidence_cache is cache
+
+    def test_refresh_keeps_contexts_of_untouched_tables(self, bytecard, aeolus):
+        before = {
+            table: model.context
+            for table, model in bytecard._factorjoin.models.items()
+        }
+        assert all(context is not None for context in before.values())
+        changed = sorted(before)[0]
+        # Republish one table: only its inference schedule is recompiled.
+        bytecard.forge_service.train_count_models(aeolus, tables=[changed])
+        bytecard.refresh()
+        after = bytecard._factorjoin.models
+        assert after[changed].context is not before[changed]
+        for table, context in before.items():
+            if table != changed:
+                assert after[table].context is context, table
 
     def test_serve_micro_batch_knob(self, bytecard):
         with bytecard.serve(max_batch_size=32) as service:

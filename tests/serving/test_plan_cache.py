@@ -4,7 +4,7 @@ Covers the :class:`PlanDistributionCache` in isolation (canonical
 fingerprint keying, generation bumps, LRU bounds), installed into a real
 FactorJoin estimator (second identical query runs zero BN passes, bumps
 force re-inference), under a concurrent worker pool with mid-flight
-generation bumps (results must stay bit-identical to the unshared path),
+generation bumps (results must stay bit-identical to the uncached path),
 and wired up by :class:`EstimationService` through the loader-refresh
 listener.
 """
@@ -118,11 +118,11 @@ class TestInvalidation:
 
 class TestEstimatorIntegration:
     def test_second_identical_query_runs_zero_passes(self, stats_fj):
+        query = join_query(P_REP)
+        baseline = stats_fj.estimate_count(query)  # no cache installed yet
         cache = PlanDistributionCache()
         stats_fj.install_plan_cache(cache)
         try:
-            query = join_query(P_REP)
-            baseline = stats_fj.estimate_count_unshared(query)
             assert stats_fj.estimate_count(query) == baseline
             assert stats_fj.last_pass_stats.executed > 0
             assert stats_fj.estimate_count(query) == baseline
@@ -132,15 +132,14 @@ class TestEstimatorIntegration:
             stats_fj.install_plan_cache(None)
 
     def test_bump_forces_reinference(self, stats_fj):
+        query = join_query(P_REP)
+        baseline = stats_fj.estimate_count(query)  # no cache installed yet
         cache = PlanDistributionCache()
         stats_fj.install_plan_cache(cache)
         try:
-            query = join_query(P_REP)
             stats_fj.estimate_count(query)
             cache.bump_tables(["users", "posts"])
-            assert stats_fj.estimate_count(query) == (
-                stats_fj.estimate_count_unshared(query)
-            )
+            assert stats_fj.estimate_count(query) == baseline
             assert stats_fj.last_pass_stats.executed > 0
         finally:
             stats_fj.install_plan_cache(None)
@@ -152,7 +151,8 @@ class TestEstimatorIntegration:
             join_query(P_REP, P_VIEWS, name="q-both"),
             join_query(name="q-none"),
         ]
-        expected = {q.name: stats_fj.estimate_count_unshared(q) for q in queries}
+        # Computed before the cache is installed: every scope swept afresh.
+        expected = {q.name: stats_fj.estimate_count(q) for q in queries}
         cache = PlanDistributionCache()
         stats_fj.install_plan_cache(cache)
         stop = threading.Event()
