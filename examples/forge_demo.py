@@ -14,7 +14,7 @@ Walks the loop `repro.forge` adds around the core framework:
 3. one monitor pass gates the table, imposes the traditional fallback, and
    -- through the assessment listener -- schedules a background retrain;
 4. a forge worker retrains, persists a new artifact version, hot-swaps it
-   via a loader generation bump (invalidating the serving cache), and the
+   through ``ByteCard.refresh()`` (invalidating the serving cache), and the
    re-assessment lifts the fallback;
 5. roll the model back one version and forward again, hot-swapping both
    ways;

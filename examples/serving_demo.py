@@ -14,8 +14,9 @@ critical path):
    inference passes;
 3. issue a request under an impossibly tight deadline -- the service
    degrades to the traditional estimator and records the fallback;
-4. refresh the Model Loader mid-serving -- the affected cache entries are
-   invalidated by generation, never served stale;
+4. refresh ByteCard's models mid-serving -- once the rebuilt estimators
+   are installed the affected cache entries are invalidated by generation,
+   never served stale;
 5. drive a full ``EngineSession`` through the service.
 """
 
@@ -89,11 +90,11 @@ def main() -> None:
           f"degraded={detail.degraded}")
     print(f"  fallbacks recorded: {service.stats().fallbacks}")
 
-    print("== 4. loader refresh invalidates cached estimates ==")
+    print("== 4. a model refresh invalidates cached estimates ==")
     before = service.stats().cache_invalidations
     table = queries[0].tables[0]
     bytecard.forge_service.train_count_models(bundle, tables=[table])
-    bytecard.loader.refresh()
+    bytecard.refresh()
     service.estimate_count(queries[0])  # recomputed against the new model
     after = service.stats().cache_invalidations
     print(f"  invalidations: {before} -> {after}")

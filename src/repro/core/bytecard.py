@@ -7,11 +7,17 @@ and run the Model Monitor to establish fallback decisions.  The resulting
 object is a :class:`CountEstimator` *and* :class:`NdvEstimator` with the
 paper's fallback semantics: queries touching a gated table are served by
 the traditional estimator instead.
+
+The facade owns the model-keyed evidence and plan caches every rebuilt
+estimator shares, and is the one source of "answers changed" events
+(:meth:`ByteCard.add_invalidation_listener`, which the serving tier's
+estimate cache subscribes to).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.config import ByteCardConfig
 from repro.core.engine import BNInferenceEngine, RBXInferenceEngine
@@ -26,9 +32,9 @@ from repro.datasets.base import DatasetBundle
 from repro.engine.session import EstimatorSuite
 from repro.errors import EstimationError, ModelError
 from repro.estimators.base import CountEstimator, NdvEstimator
-from repro.estimators.bn.kernels import EvidenceCache
-from repro.estimators.bn.model import TreeBayesNet
+from repro.estimators.bn.model import TreeBayesNet, new_evidence_cache
 from repro.estimators.factorjoin.estimator import FactorJoinEstimator
+from repro.estimators.factorjoin.plans import new_plan_cache
 from repro.estimators.rbx.estimator import RBXNdvEstimator
 from repro.estimators.traditional.hyperloglog import SketchNdvEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
@@ -74,19 +80,17 @@ class ByteCard(CountEstimator, NdvEstimator):
         # Serving state, assembled by refresh().
         self._factorjoin: FactorJoinEstimator | None = None
         self._rbx: RBXNdvEstimator | None = None
-        # Cross-query shared-belief plan cache; installed by the serving
-        # tier, re-threaded into every FactorJoin rebuild by refresh().
-        self._plan_cache = None
-        # Compiled predicate -> bin-mask vectors feeding the BN inference
-        # kernels; owned here so it survives refresh() rebuilds, with
-        # staleness handled by per-table generations (bumped below when the
-        # loader swaps a table's BN).
-        self._evidence_cache = EvidenceCache(registry=self.obs)
+        #: predicate -> bin-mask vectors and cross-query plan scopes, handed
+        #: to every FactorJoin estimator refresh() builds; entries are keyed
+        #: by the BN they came from, so nothing has to invalidate them
+        self.evidence_cache = new_evidence_cache(self.obs)
+        self.plan_cache = new_plan_cache(self.obs)
+        self._invalidation_listeners: list[Callable] = []
         #: runtime feedback ring (:meth:`enable_feedback`): observed
         #: (estimate, actual) pairs from the execution path, consumed by the
         #: monitor and ranked on by the forge's retrain priorities
         self.feedback_log = None
-        self.fallback_tables: set[str] = set()
+        self._fallback_tables: frozenset[str] = frozenset()
         self.monitor_reports: list[MonitorReport] = []
         #: named strategy registry (:meth:`strategies`), built lazily
         self._strategies = None
@@ -104,7 +108,6 @@ class ByteCard(CountEstimator, NdvEstimator):
             max_total_bytes=self.config.max_total_bytes,
             metrics=self.obs,
         )
-        self.loader.add_refresh_listener(self._invalidate_evidence)
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -184,24 +187,26 @@ class ByteCard(CountEstimator, NdvEstimator):
             )
         raise ModelError(f"no inference engine for model kind {kind!r}")
 
-    def _invalidate_evidence(self, report) -> None:
-        """Drop compiled evidence vectors of tables whose BN changed.
+    def add_invalidation_listener(
+        self, listener: Callable[[frozenset[str] | None], None]
+    ) -> None:
+        """Call ``listener(tables)`` whenever answers on ``tables`` may have
+        changed (``None``: on every table) -- after :meth:`refresh` has
+        installed the rebuilt estimators, and when a table's fallback gate
+        flips."""
+        self._invalidation_listeners.append(listener)
 
-        Evidence bin-masks depend only on the BN discretizers, so only
-        ``bn`` swaps bump; shard models ("table@shardN") serve their base
-        table, exactly like the serving tier's estimate/plan caches.
-        """
-        tables = {
-            name.split("@", 1)[0]
-            for kind, name in report.changed_keys()
-            if kind == "bn"
-        }
-        if tables:
-            self._evidence_cache.bump_tables(tables)
+    def _invalidate(self, tables: frozenset[str] | None) -> None:
+        for listener in self._invalidation_listeners:
+            listener(tables)
 
     def refresh(self) -> None:
-        """One Model Loader pass, then reassemble the serving estimators."""
-        self.loader.refresh()
+        """One Model Loader pass, then reassemble the serving estimators.
+
+        Invalidation listeners run last, so a request that sees the new
+        cache generation also sees the new estimators.
+        """
+        report = self.loader.refresh()
         models: dict[str, TreeBayesNet] = {}
         for kind, name in self.loader.loaded_keys():
             if kind != "bn" or "@shard" in name:
@@ -222,17 +227,14 @@ class ByteCard(CountEstimator, NdvEstimator):
                 models,
                 bucketizer,
                 metrics=self.obs,
-                plan_cache=self._plan_cache,
-                evidence_cache=self._evidence_cache,
+                plan_cache=self.plan_cache,
+                evidence_cache=self.evidence_cache,
             )
         universal = self.loader.get("rbx", "universal")
         if isinstance(universal, RBXInferenceEngine) and universal.network is not None:
-            rbx = RBXNdvEstimator.__new__(RBXNdvEstimator)
-            rbx.catalog = self.catalog
-            rbx.model = universal.network
-            rbx.calibrated = {}
-            rbx._samples = self._rbx_samples
-            self._rbx = rbx
+            rbx = RBXNdvEstimator(
+                self.catalog, universal.network, samples=self._rbx_samples
+            )
             # Install any published per-column calibrated weights.
             for kind, name in self.loader.loaded_keys():
                 if kind == "rbx" and name != "universal" and "." in name:
@@ -241,6 +243,9 @@ class ByteCard(CountEstimator, NdvEstimator):
                     if engine.network is not None:
                         table, column = name.split(".", 1)
                         rbx.install_calibrated(table, column, engine.network)
+            self._rbx = rbx
+        if report.changed_keys():
+            self._invalidate(report.changed_tables())
 
     # ------------------------------------------------------------------
     # Monitoring and calibration
@@ -277,13 +282,27 @@ class ByteCard(CountEstimator, NdvEstimator):
         report = self.monitor.assess_count_model(
             table, self._factorjoin, strategy="learned"
         )
-        if report.passed:
-            self.fallback_tables.discard(table)
-        else:
-            # Failed *or* untested (passed is None): an unassessed model
-            # must not serve as if it had been vetted.
-            self.fallback_tables.add(table)
+        # Failed *or* untested (passed is None): an unassessed model must
+        # not serve as if it had been vetted.
+        self.set_fallback(table, not report.passed)
         return report
+
+    @property
+    def fallback_tables(self) -> frozenset[str]:
+        """Tables gated onto the traditional estimator (see :meth:`set_fallback`)."""
+        return self._fallback_tables
+
+    def set_fallback(self, table: str, fallback: bool) -> None:
+        """Gate ``table`` onto (or lift it off) the traditional estimator.
+
+        The one writer of :attr:`fallback_tables`: a flip invalidates the
+        table's cached answers, a no-op notifies nobody.
+        """
+        gated = self._fallback_tables
+        gated = gated | {table} if fallback else gated - {table}
+        if gated != self._fallback_tables:
+            self._fallback_tables = gated
+            self._invalidate(frozenset((table,)))
 
     def enable_feedback(self, capacity: int = 4096):
         """Create (or return) the runtime cardinality feedback log.
@@ -315,10 +334,8 @@ class ByteCard(CountEstimator, NdvEstimator):
         report = self.monitor.assess_from_feedback(table)
         if report is None:
             return None
-        if report.passed:
-            self.fallback_tables.discard(table)
-        elif report.passed is False:
-            self.fallback_tables.add(table)
+        if report.passed is not None:
+            self.set_fallback(table, not report.passed)
         self.monitor_reports.append(report)
         return report
 
@@ -384,7 +401,7 @@ class ByteCard(CountEstimator, NdvEstimator):
     # Serving (CountEstimator / NdvEstimator)
     # ------------------------------------------------------------------
     def _needs_fallback(self, query: CardQuery) -> bool:
-        return any(t in self.fallback_tables for t in query.tables)
+        return any(t in self._fallback_tables for t in query.tables)
 
     def estimate_count(self, query: CardQuery) -> float:
         if self._factorjoin is None:
@@ -398,32 +415,6 @@ class ByteCard(CountEstimator, NdvEstimator):
 
     #: join COUNT batches route through FactorJoin's shared-plan path
     supports_join_batching = True
-
-    def install_plan_cache(self, cache) -> None:
-        """Install the serving tier's cross-query plan-artifact cache.
-
-        Kept on the facade (not just the current FactorJoin instance)
-        because :meth:`refresh` rebuilds the estimator: the cache must
-        survive model swaps, with staleness handled by its generations.
-        """
-        self._plan_cache = cache
-        if self._factorjoin is not None:
-            self._factorjoin.install_plan_cache(cache)
-
-    def install_evidence_cache(self, cache: EvidenceCache) -> None:
-        """Replace the compiled predicate-evidence cache (tests, tuning).
-
-        Mirrors :meth:`install_plan_cache`: the cache lives on the facade
-        so it survives :meth:`refresh` rebuilds, and the loader listener
-        keeps bumping the new instance's table generations.
-        """
-        self._evidence_cache = cache
-        if self._factorjoin is not None:
-            self._factorjoin.install_evidence_cache(cache)
-
-    @property
-    def evidence_cache(self) -> EvidenceCache:
-        return self._evidence_cache
 
     @property
     def last_pass_stats(self):
@@ -448,7 +439,7 @@ class ByteCard(CountEstimator, NdvEstimator):
         for query in queries:
             tables.update(query.tables)
         if any(
-            t in self.fallback_tables or t not in self._factorjoin.models
+            t in self._fallback_tables or t not in self._factorjoin.models
             for t in tables
         ):
             return [self._traditional_count.estimate_count(q) for q in queries]
@@ -648,9 +639,10 @@ class ByteCard(CountEstimator, NdvEstimator):
         """Wrap this ByteCard in a concurrent :class:`EstimationService`.
 
         The service keeps the traditional estimators as its deadline/error
-        fallbacks and subscribes to this instance's Model Loader, so a
-        ``refresh()`` that swaps models invalidates the affected cached
-        estimates.  ``config`` is a :class:`repro.serving.ServingConfig`.
+        fallbacks and subscribes to this instance's invalidations, so a
+        ``refresh()`` that swaps models or a fallback gate that flips
+        invalidates the affected cached estimates.  ``config`` is a
+        :class:`repro.serving.ServingConfig`.
         ``feedback`` defaults to this instance's :attr:`feedback_log` (see
         :meth:`enable_feedback`): served estimates -- cache hits included --
         are then noted as pending pairs for the executor to complete.
@@ -668,7 +660,7 @@ class ByteCard(CountEstimator, NdvEstimator):
             fallback_count=self._traditional_count,
             fallback_ndv=self._traditional_ndv,
             config=config,
-            loader=self.loader,
+            invalidations=self,
             registry=self.obs,
             feedback=feedback if feedback is not None else self.feedback_log,
         )

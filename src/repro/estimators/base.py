@@ -13,7 +13,7 @@ the two task ABCs it defines :class:`EstimationStrategy` -- the formal
 protocol the optimizer and the serving core speak.  Historically those
 consumers probed estimators with ``getattr`` for optional capabilities
 (``selectivity_detail``, ``estimate_count_batch``, ``shard_selectivity``,
-``install_plan_cache``, ``last_pass_stats``); the protocol makes every one
+``last_pass_stats``); the protocol makes every one
 of those probes an explicit method or capability flag, so a new estimator
 is a drop-in rather than an edit across layers.  Existing duck-typed
 estimators are adapted with :func:`repro.estimators.strategy.as_strategy`,
@@ -109,8 +109,6 @@ class EstimationStrategy(CountEstimator):
       :attr:`supports_join_batching` -- the micro-batcher's hooks;
     * ``shard_selectivity`` + :attr:`supports_shard_routing` -- routing to
       shard-specialized models when pruning pins a partition;
-    * ``install_plan_cache`` + :attr:`supports_plan_cache` -- the shared
-      inference-plan cache;
     * :attr:`last_pass_stats` -- BN pass accounting for provenance;
     * ``cache_scope`` -- the strategy identity mixed into serving cache
       keys, so estimates produced under different strategies (an A/B run,
@@ -130,8 +128,6 @@ class EstimationStrategy(CountEstimator):
     supports_join_batching: bool = False
     #: ``shard_selectivity`` can answer for pinned partitions
     supports_shard_routing: bool = False
-    #: ``install_plan_cache`` wires up a shared inference-plan cache
-    supports_plan_cache: bool = False
 
     #: the catalog the strategy estimates over (None when not table-backed)
     catalog = None
@@ -158,10 +154,6 @@ class EstimationStrategy(CountEstimator):
     ) -> float | None:
         """Selectivity from a shard-specialized model, or None."""
         return None
-
-    # -- plan-cache integration ----------------------------------------
-    def install_plan_cache(self, cache) -> None:
-        """Install a shared inference-plan cache (no-op by default)."""
 
     @property
     def last_pass_stats(self):

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
-from repro.estimators.bn.kernels import EvidenceCache
 from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
 from repro.sql.query import CardQuery, TablePredicate
 from repro.storage.catalog import Catalog
+from repro.utils.lru import GenerationLRU
 
 
 class BNCountEstimator(CountEstimator):
@@ -29,13 +29,12 @@ class BNCountEstimator(CountEstimator):
     def __init__(
         self,
         models: dict[str, TreeBayesNet],
-        evidence_cache: EvidenceCache | None = None,
+        evidence_cache: GenerationLRU | None = None,
     ):
         self.models = dict(models)
-        #: compiled predicate -> bin-mask vectors (a private cache by default)
-        self.evidence_cache: EvidenceCache = (
-            evidence_cache if evidence_cache is not None else EvidenceCache()
-        )
+        #: compiled predicate -> bin-mask vectors (see ``new_evidence_cache``);
+        #: without one every predicate's mask is rebuilt per sweep
+        self.evidence_cache = evidence_cache
 
     @classmethod
     def train(
@@ -83,7 +82,7 @@ class BNCountEstimator(CountEstimator):
                         query.predicates, query.or_groups
                     )
                 ],
-                self.evidence_cache.vector,
+                self.evidence_cache,
             ).tolist()
         )
         # The expansion asks for its terms in exactly the order they were

@@ -30,11 +30,15 @@ differently and results agree to rounding (``rtol=1e-12``).
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
+
+#: process-wide, because one cache may serve contexts of many estimators
+_TOKENS = itertools.count(1)
 
 
 class BNInferenceContext:
@@ -47,6 +51,10 @@ class BNInferenceContext:
         children: tuple[tuple[int, ...], ...],
         cpds: tuple[np.ndarray, ...],
     ):
+        #: never reused across contexts: caches of values derived from this
+        #: model (evidence masks, plan beliefs) put it in their keys, so an
+        #: entry built from a replaced model can never match again
+        self.token = next(_TOKENS)
         self.order = order
         self.parents = parents
         self.children = children

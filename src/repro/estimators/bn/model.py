@@ -9,7 +9,7 @@ dependency captured by a 1-D (root) or 2-D CPD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,11 +18,22 @@ from repro.estimators.bn.chow_liu import chow_liu_tree, mutual_information_matri
 from repro.estimators.bn.discretize import Discretizer
 from repro.estimators.bn.inference import BNInferenceContext
 from repro.estimators.bn.learning import learn_parameters
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import TablePredicate
 from repro.storage.table import Table
+from repro.utils.lru import GenerationLRU
 
-#: ``(discretizer, predicate) -> bin-mask vector``
-EvidenceVector = Callable[[Discretizer, TablePredicate], np.ndarray]
+
+def new_evidence_cache(registry: MetricsRegistry | None = None) -> GenerationLRU:
+    """A ``(context token, predicate) -> read-only bin-mask`` cache of 8192
+    masks, mirrored as ``evidence_cache_*_total`` when given a registry."""
+    return GenerationLRU(8192, registry, prefix="evidence_cache")
+
+
+def _read_only_mask(discretizer: Discretizer, pred: TablePredicate) -> np.ndarray:
+    mask = np.ascontiguousarray(discretizer.evidence(pred), dtype=np.float64)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass
@@ -66,16 +77,18 @@ class TreeBayesNet:
     def evidence_for(
         self,
         predicate_lists: Sequence[Sequence[TablePredicate]],
-        vector: EvidenceVector = Discretizer.evidence,
+        cache: GenerationLRU | None = None,
     ) -> list[np.ndarray]:
         """Per-node ``(bins, B)`` evidence matrices, one column per conjunction.
 
-        ``vector(discretizer, predicate)`` supplies each predicate's
-        bin-mask; estimators pass :meth:`EvidenceCache.vector` so repeated
-        predicates skip the per-bin loop.
+        With a ``cache`` (see :func:`new_evidence_cache`) each predicate's
+        bin-mask is built once per model: keyed by ``(context token,
+        predicate)``, so repeated predicates skip the per-bin loop and a
+        replaced model never reads its predecessor's masks.
         """
+        context = self.init_context()
         batch = len(predicate_lists)
-        evidence = [np.ones((bins, batch)) for bins in self.init_context().bins]
+        evidence = [np.ones((bins, batch)) for bins in context.bins]
         for b, predicates in enumerate(predicate_lists):
             for pred in predicates:
                 if pred.table != self.table_name:
@@ -83,15 +96,22 @@ class TreeBayesNet:
                         f"predicate on {pred.table!r} given to BN of "
                         f"{self.table_name!r}"
                     )
-                evidence[self.column_index(pred.column)][:, b] *= vector(
-                    self.discretizers[pred.column], pred
-                )
+                node = self.column_index(pred.column)
+                discretizer = self.discretizers[pred.column]
+                if cache is None:
+                    mask = discretizer.evidence(pred)
+                else:
+                    mask = cache.get_or_create(
+                        (context.token, pred),
+                        lambda: _read_only_mask(discretizer, pred),
+                    )
+                evidence[node][:, b] *= mask
         return evidence
 
     def selectivities(
         self,
         predicate_lists: Sequence[Sequence[TablePredicate]],
-        vector: EvidenceVector = Discretizer.evidence,
+        cache: GenerationLRU | None = None,
     ) -> np.ndarray:
         """P(all predicates) of every conjunction from one upward sweep.
 
@@ -101,9 +121,7 @@ class TreeBayesNet:
         filtered = [preds for preds in predicate_lists if preds]
         if not filtered:
             return np.ones(len(predicate_lists))
-        swept = self.init_context().selectivities(
-            self.evidence_for(filtered, vector)
-        )
+        swept = self.init_context().selectivities(self.evidence_for(filtered, cache))
         if len(filtered) == len(predicate_lists):
             return swept  # the common case: nothing to scatter around
         out = np.ones(len(predicate_lists))

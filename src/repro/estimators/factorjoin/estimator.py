@@ -39,11 +39,11 @@ from repro.estimators.bn.estimator import (
     or_expansion_terms,
     table_or_groups,
 )
-from repro.estimators.bn.kernels import EvidenceCache
-from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn
+from repro.estimators.bn.model import TreeBayesNet, fit_tree_bn, new_evidence_cache
 from repro.estimators.factorjoin.buckets import JoinBucketizer
 from repro.estimators.factorjoin.plans import (
     ArtifactSource,
+    CachedArtifactSource,
     PassStats,
     PlanArtifactSource,
     QueryInferencePlans,
@@ -53,6 +53,7 @@ from repro.estimators.jointree import JoinTree, build_join_tree
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition, TablePredicate
 from repro.storage.catalog import Catalog
+from repro.utils.lru import GenerationLRU
 
 #: Floor applied to local selectivities before they are used as divisors
 #: when conditioning a join-key distribution.  One constant for both
@@ -98,8 +99,8 @@ class FactorJoinEstimator(CountEstimator):
         bucketizer: JoinBucketizer,
         mode: str = "expected",
         metrics: MetricsRegistry | None = None,
-        plan_cache: ArtifactSource | None = None,
-        evidence_cache: EvidenceCache | None = None,
+        plan_cache: GenerationLRU | None = None,
+        evidence_cache: GenerationLRU | None = None,
     ):
         if mode not in ("expected", "bound"):
             raise ValueError(f"unknown inference mode {mode!r}")
@@ -108,16 +109,18 @@ class FactorJoinEstimator(CountEstimator):
         self.bucketizer = bucketizer
         self.mode = mode
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        #: cross-query (table, predicate-fingerprint) artifact store; the
-        #: serving tier installs its generation-invalidated cache here
+        # Both caches key their entries by model (context token), so
+        # ByteCard hands every rebuilt estimator the same instances.
+        #: cross-query plan scopes (none: scopes are shared per batch only)
         self.plan_cache = plan_cache
-        #: compiled predicate->bin-mask vectors; ByteCard hands in its
-        #: loader-invalidated instance so the cache survives estimator
-        #: rebuilds across model refreshes (a private one by default)
-        self.evidence_cache: EvidenceCache = (
+        self._shared_source = (
+            None if plan_cache is None else CachedArtifactSource(plan_cache)
+        )
+        #: compiled predicate->bin-mask vectors (a private cache by default)
+        self.evidence_cache = (
             evidence_cache
             if evidence_cache is not None
-            else EvidenceCache(registry=self.metrics)
+            else new_evidence_cache(self.metrics)
         )
         self._bn = BNCountEstimator(models, evidence_cache=self.evidence_cache)
         self._local = threading.local()
@@ -185,15 +188,6 @@ class FactorJoinEstimator(CountEstimator):
         except KeyError:
             raise EstimationError(f"no model for table {table!r}") from None
 
-    def install_plan_cache(self, cache: ArtifactSource | None) -> None:
-        """Install (or clear) the cross-query plan artifact cache."""
-        self.plan_cache = cache
-
-    def install_evidence_cache(self, cache: EvidenceCache) -> None:
-        """Replace the compiled predicate-evidence cache."""
-        self.evidence_cache = cache
-        self._bn.evidence_cache = cache
-
     @property
     def last_pass_stats(self) -> PassStats | None:
         """Pass accounting of this thread's most recent join estimate."""
@@ -249,9 +243,7 @@ class FactorJoinEstimator(CountEstimator):
         if not queries:
             return []
         stats = PassStats()
-        source: ArtifactSource = (
-            self.plan_cache if self.plan_cache is not None else PlanArtifactSource()
-        )
+        source: ArtifactSource = self._shared_source or PlanArtifactSource()
         plans_list: list[QueryInferencePlans | None] = [
             None
             if query.is_single_table()
@@ -350,7 +342,7 @@ class FactorJoinEstimator(CountEstimator):
         context = model.init_context()
         evidence = model.evidence_for(
             [plan.base if term is None else term for plan, term in columns],
-            self.evidence_cache.vector,
+            self.evidence_cache,
         )
         rows: list[np.ndarray] = []
         if any(term is None for _plan, term in columns):

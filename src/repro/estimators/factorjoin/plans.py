@@ -10,9 +10,9 @@ across the queries of a batch -- read from a single sweep column:
 
 :class:`TableInferencePlan` is the reader of one such scope.  Its results
 live in a :class:`PlanArtifacts` container that the estimator fills before
-any plan reads it and that can be shared across queries (via the serving
-tier's generation-invalidated plan cache) and across threads -- the
-container is lock-guarded and filled at most once.
+any plan reads it and that can be shared across queries (via a plan cache,
+:class:`CachedArtifactSource`) and across threads -- the container is
+lock-guarded and filled at most once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from repro.estimators.bn.estimator import (
     table_or_groups,
 )
 from repro.estimators.bn.model import TreeBayesNet
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition, TablePredicate
+from repro.utils.lru import GenerationLRU
 
 
 class PassStats:
@@ -84,37 +86,19 @@ class PlanArtifacts:
         self.or_term_count: int = 0
 
 
-def plan_key(
-    table: str,
-    base: list[TablePredicate],
-    or_groups: list[list[TablePredicate]],
-) -> Hashable:
-    """Exact-identity key of one plan scope (order-sensitive, hashable)."""
-    return (
-        table,
-        tuple(base),
-        tuple(tuple(group) for group in or_groups),
-    )
-
-
 class ArtifactSource(Protocol):
     """Anything that can hand out shared artifacts for a plan scope."""
 
     def artifacts_for(
         self,
-        table: str,
+        model: TreeBayesNet,
         base: list[TablePredicate],
         or_groups: list[list[TablePredicate]],
     ) -> PlanArtifacts: ...
 
 
 class PlanArtifactSource:
-    """Process-local artifact store with no invalidation.
-
-    Used to share plan scopes across the queries of one micro-batch; the
-    serving tier's :class:`~repro.serving.plan_cache.PlanDistributionCache`
-    is the cross-query, generation-invalidated variant of the same protocol.
-    """
+    """Artifacts shared across the queries of one batch, then dropped."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -122,16 +106,51 @@ class PlanArtifactSource:
 
     def artifacts_for(
         self,
-        table: str,
+        model: TreeBayesNet,
         base: list[TablePredicate],
         or_groups: list[list[TablePredicate]],
     ) -> PlanArtifacts:
-        key = plan_key(table, base, or_groups)
+        # exact identity: order-sensitive, unlike the plan cache's key
+        key = (model.table_name, tuple(base), tuple(map(tuple, or_groups)))
         with self._lock:
             artifacts = self._artifacts.get(key)
             if artifacts is None:
                 artifacts = self._artifacts[key] = PlanArtifacts()
             return artifacts
+
+
+def new_plan_cache(registry: MetricsRegistry | None = None) -> GenerationLRU:
+    """A cross-query plan cache of 1024 scopes, mirrored as ``plan_cache_*_total``."""
+    return GenerationLRU(1024, registry, prefix="plan_cache")
+
+
+class CachedArtifactSource:
+    """Artifacts shared across queries through a plan cache.
+
+    A scope is keyed by its model's context token plus the canonical
+    predicate fingerprint, so two queries filtering a table the same way
+    share one set of belief vectors, and a scope built from a replaced
+    model can never be handed out again.
+    """
+
+    def __init__(self, cache: GenerationLRU):
+        # Imported here: the serving package imports the estimators.
+        from repro.serving.fingerprint import table_scope_fingerprint
+
+        self.cache = cache
+        self._fingerprint = table_scope_fingerprint
+
+    def artifacts_for(
+        self,
+        model: TreeBayesNet,
+        base: list[TablePredicate],
+        or_groups: list[list[TablePredicate]],
+    ) -> PlanArtifacts:
+        key = (
+            model.init_context().token,
+            self._fingerprint(model.table_name, base, or_groups),
+        )
+        return self.cache.get_or_create(key, PlanArtifacts)
 
 
 class TableInferencePlan:
@@ -256,7 +275,7 @@ class QueryInferencePlans:
                 base,
                 or_groups,
                 self.stats,
-                self._source.artifacts_for(table, base, or_groups),
+                self._source.artifacts_for(model, base, or_groups),
             )
             self._plans[table] = plan
         return plan

@@ -42,17 +42,23 @@ class RBXNdvEstimator(NdvEstimator):
         model: MLP,
         sample_rows: int = DEFAULT_SAMPLE_ROWS,
         seed: int = 11,
+        samples: dict[str, Table] | None = None,
     ):
+        """``samples`` hands in prebuilt per-table row samples (the Model
+        Loader's); otherwise ``sample_rows`` rows per table are drawn."""
         self.catalog = catalog
         self.model = model
         #: calibrated weights installed per (table, column) by the Monitor
         self.calibrated: dict[tuple[str, str], MLP] = {}
-        self._samples: dict[str, Table] = {}
-        for table_name in catalog.table_names():
-            table = catalog.table(table_name)
-            rng = derive_rng(seed, "rbx-sample", table_name)
-            take = min(sample_rows, len(table))
-            self._samples[table_name] = table.sample(take, rng)
+        if samples is None:
+            samples = {
+                name: catalog.table(name).sample(
+                    min(sample_rows, len(catalog.table(name))),
+                    derive_rng(seed, "rbx-sample", name),
+                )
+                for name in catalog.table_names()
+            }
+        self._samples = samples
 
     # ------------------------------------------------------------------
     def sample_for(self, table: str) -> Table:

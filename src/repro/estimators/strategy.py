@@ -87,9 +87,8 @@ class EstimatorStrategy(EstimationStrategy):
     Capability discovery happens **here, once, at construction** -- the
     probes the optimizer and serving core used to run per call are folded
     into the protocol's explicit flags.  Optional methods of the underlying
-    estimator (``shard_selectivity``, ``estimate_count_batch``,
-    ``install_plan_cache``) are bound straight through as instance
-    attributes, so identities like
+    estimator (``shard_selectivity``, ``estimate_count_batch``) are bound
+    straight through as instance attributes, so identities like
     ``strategy.shard_selectivity == bytecard.shard_selectivity`` hold.
     """
 
@@ -113,10 +112,6 @@ class EstimatorStrategy(EstimationStrategy):
         self.supports_shard_routing = callable(shard_fn)
         if self.supports_shard_routing:
             self.shard_selectivity = shard_fn
-        install_fn = getattr(estimator, "install_plan_cache", None)
-        self.supports_plan_cache = callable(install_fn)
-        if self.supports_plan_cache:
-            self.install_plan_cache = install_fn
 
     # -- plain task interface ------------------------------------------
     def estimate_count(self, query: CardQuery) -> float:
@@ -216,7 +211,6 @@ class StrategyChain(EstimationStrategy):
         self.supports_shard_routing = any(
             link.supports_shard_routing for link in links
         )
-        self.supports_plan_cache = any(link.supports_plan_cache for link in links)
 
     def _note_fallthrough(self, link: EstimationStrategy) -> None:
         self.registry.counter(
@@ -310,12 +304,6 @@ class StrategyChain(EstimationStrategy):
             if value is not None:
                 return value
         return None
-
-    # -- plan-cache integration ----------------------------------------
-    def install_plan_cache(self, cache) -> None:
-        for link in self.links:
-            if link.supports_plan_cache:
-                link.install_plan_cache(cache)
 
     @property
     def last_pass_stats(self):
@@ -469,9 +457,6 @@ class StrategyRouter(EstimationStrategy):
         self.supports_shard_routing = (
             self.supports_shard_routing or strategy.supports_shard_routing
         )
-        self.supports_plan_cache = (
-            self.supports_plan_cache or strategy.supports_plan_cache
-        )
         self._chains.clear()
         return strategy
 
@@ -604,11 +589,6 @@ class StrategyRouter(EstimationStrategy):
         self, table: str, shard: int, query: CardQuery
     ) -> float | None:
         return self.chain_for(query).shard_selectivity(table, shard, query)
-
-    def install_plan_cache(self, cache) -> None:
-        for strategy in self._strategies.values():
-            if strategy.supports_plan_cache:
-                strategy.install_plan_cache(cache)
 
     def estimation_overhead(self, query: CardQuery) -> float:
         return self.chain_for(query).estimation_overhead(query)

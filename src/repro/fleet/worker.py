@@ -64,13 +64,14 @@ def worker_main(
             config=spec.bytecard_config,
             run_monitor=False,
         )
-        bytecard.fallback_tables = set(spec.fallback_tables)
+        for table in spec.fallback_tables:
+            bytecard.set_fallback(table, True)
         core = EstimationCore(
             estimator=bytecard,
             fallback_count=bytecard._traditional_count,
             fallback_ndv=bytecard._traditional_ndv,
             config=spec.serving_config,
-            loader=bytecard.loader,
+            invalidations=bytecard,
             registry=bytecard.obs,
         )
     except Exception as exc:

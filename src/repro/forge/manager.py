@@ -10,8 +10,8 @@ only approximated:
         -> ModelForgeService training  (isolated worker thread)
         -> ModelRegistry publish       (fresh timestamp)
         -> ArtifactStore.put           (atomic, checksummed, versioned)
-        -> ModelLoader.refresh         (validate + hot-swap, generation bump)
-        -> serving-cache invalidation  (loader listener in EstimationService)
+        -> ByteCard.refresh            (validate + hot-swap, estimators rebuilt)
+        -> serving-cache invalidation  (ByteCard notifies after the swap)
         -> ModelMonitor re-assessment  (fallback lifted only when it passes)
 
 A query thread never blocks on any of this: training runs in the forge

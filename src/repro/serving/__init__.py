@@ -8,11 +8,10 @@ warehouse under heavy traffic with strict latency budgets:
 
 * :mod:`repro.serving.service`     -- the request pipeline: deadline
   enforcement, degradation to traditional estimators, per-request detail;
-* :mod:`repro.serving.cache`       -- fingerprint-keyed LRU estimate cache
-  with generation-based invalidation driven by Model Loader refreshes;
-* :mod:`repro.serving.plan_cache`  -- cross-query cache of shared-belief
-  plan artifacts (one BN pass per (table, predicate-fingerprint) scope),
-  invalidated by the same loader generations;
+* :mod:`repro.serving.core`        -- the pipeline itself, including the
+  fingerprint-keyed estimate cache (a generation-stamped
+  :class:`~repro.utils.lru.GenerationLRU` bumped by the ByteCard facade
+  after model swaps and fallback-gate flips);
 * :mod:`repro.serving.batching`    -- the micro-batcher amortizing one BN
   sum-product pass over concurrent same-table COUNT requests;
 * :mod:`repro.serving.workers`     -- the bounded worker pool with
@@ -25,11 +24,9 @@ warehouse under heavy traffic with strict latency budgets:
 """
 
 from repro.serving.batching import MicroBatcher
-from repro.serving.cache import EstimateCache
 from repro.serving.config import ServingConfig
 from repro.serving.core import EstimationCore
 from repro.serving.fingerprint import query_fingerprint, table_scope_fingerprint
-from repro.serving.plan_cache import PlanDistributionCache
 from repro.serving.service import EstimationService, ServedEstimate
 from repro.serving.stats import ServiceStats, StatsCollector
 from repro.serving.workers import WorkerPool
@@ -41,8 +38,6 @@ __all__ = [
     "ServingConfig",
     "ServiceStats",
     "StatsCollector",
-    "EstimateCache",
-    "PlanDistributionCache",
     "MicroBatcher",
     "WorkerPool",
     "query_fingerprint",

@@ -31,11 +31,6 @@ class ServingConfig:
     #: extend micro-batching to join COUNT queries sharing a table set
     #: (only used when the estimator advertises ``supports_join_batching``)
     enable_join_batching: bool = True
-    #: share (table, predicate-fingerprint) belief artifacts across queries
-    #: (only used when the estimator exposes ``install_plan_cache``)
-    enable_plan_cache: bool = True
-    #: maximum cached plan-artifact scopes (LRU beyond this)
-    plan_cache_entries: int = 1024
     #: most requests one micro-batch takes from those queued behind the
     #: previous batch of their key (batches form from load, not a timer)
     max_batch_size: int = 16
@@ -55,8 +50,6 @@ class ServingConfig:
             raise SchemaError("cache_entries must be >= 1")
         if self.max_batch_size < 1:
             raise SchemaError("max_batch_size must be >= 1")
-        if self.plan_cache_entries < 1:
-            raise SchemaError("plan_cache_entries must be >= 1")
         if self.num_workers < 1:
             raise SchemaError("num_workers must be >= 1")
         if self.queue_capacity < 0:

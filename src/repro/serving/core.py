@@ -24,9 +24,11 @@ computes on the thread that brought it (:meth:`WorkerPool.run_inline`); only
 requests that carry a deadline cross into the pool's worker threads, where
 the caller can abandon the wait.
 
-The cache stamp is taken *before* inference starts, so an estimate computed
-against a model generation that got swapped mid-flight is never inserted as
-current (see :mod:`repro.serving.cache`).
+The facade bumps the estimate cache's generations
+(:meth:`EstimationCore.invalidate`) after a refresh installs its rebuilt
+estimators and when a fallback gate flips; the stamp is taken *before*
+inference starts, so an answer from a superseded model or gate is never
+inserted as current.
 
 Shutdown is drain-ordered and bounded (:meth:`EstimationCore.close`): stop
 admitting (new requests degrade to the fallback, they are still answered),
@@ -45,7 +47,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.loader import ModelLoader, RefreshReport
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.estimators.strategy import as_strategy
@@ -53,13 +54,12 @@ from repro.feedback import FeedbackLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord, Tracer
 from repro.serving.batching import MicroBatcher, default_batch_key
-from repro.serving.cache import EstimateCache
 from repro.serving.config import ServingConfig
 from repro.serving.fingerprint import query_fingerprint, request_fingerprint
-from repro.serving.plan_cache import PlanDistributionCache
 from repro.serving.stats import ServiceStats, StatsCollector
 from repro.serving.workers import WorkerPool
 from repro.sql.query import AggKind, CardQuery
+from repro.utils.lru import GenerationLRU
 
 _UNSET = object()
 #: the caller-thread path times its compute where it runs, not the wait
@@ -103,12 +103,15 @@ class EstimationCore:
         fallback_count: CountEstimator,
         fallback_ndv: NdvEstimator | None = None,
         config: ServingConfig | None = None,
-        loader: ModelLoader | None = None,
+        invalidations=None,
         registry: MetricsRegistry | None = None,
         feedback: FeedbackLog | None = None,
         clock=None,
     ):
-        """``clock`` (a :class:`repro.utils.clock.Clock`) supplies the
+        """``invalidations`` (normally the ByteCard behind ``estimator``)
+        gets :meth:`invalidate` subscribed via ``add_invalidation_listener``.
+
+        ``clock`` (a :class:`repro.utils.clock.Clock`) supplies the
         request timestamps and deadline arithmetic; the default system
         clock preserves ``time.perf_counter`` semantics.  Under a simulated
         clock the configured deadline still bounds the *real* wait on the
@@ -137,19 +140,10 @@ class EstimationCore:
         for hist in self.stats_collector.path_histograms.values():
             self.registry.adopt(hist)
         self.cache = (
-            EstimateCache(self.config.cache_entries)
+            GenerationLRU(self.config.cache_entries)
             if self.config.enable_cache
             else None
         )
-        # Cross-query shared-belief plan cache: installed into the estimator
-        # when it supports inference plans (ByteCard / FactorJoin), bumped by
-        # the same loader refreshes that bump the estimate cache.
-        self.plan_cache: PlanDistributionCache | None = None
-        if self.config.enable_plan_cache and self.strategy.supports_plan_cache:
-            self.plan_cache = PlanDistributionCache(
-                self.config.plan_cache_entries, registry=self.registry
-            )
-            self.strategy.install_plan_cache(self.plan_cache)
         self.pool = WorkerPool(
             num_workers=self.config.num_workers,
             queue_capacity=self.config.queue_capacity,
@@ -166,37 +160,23 @@ class EstimationCore:
                 on_batch=self.stats_collector.record_batch,
                 key_fn=self._batch_key,
             )
-        if loader is not None:
-            loader.add_refresh_listener(self.on_loader_refresh)
+        if invalidations is not None:
+            invalidations.add_invalidation_listener(self.invalidate)
 
     # ------------------------------------------------------------------
     # Model lifecycle integration
     # ------------------------------------------------------------------
-    def on_loader_refresh(self, report: RefreshReport) -> None:
-        """Invalidate cached estimates (and plan artifacts) for tables whose
-        models changed."""
-        caches = [c for c in (self.cache, self.plan_cache) if c is not None]
-        if not caches:
+    def invalidate(self, tables: frozenset[str] | None) -> None:
+        """Invalidate cached estimates touching ``tables`` (all if None)."""
+        if self.cache is None:
             return
-        tables: set[str] = set()
-        bump_everything = False
-        for kind, name in report.changed_keys():
-            if kind == "bn":
-                # Shard models ("table@shardN") serve their base table.
-                tables.add(name.split("@", 1)[0])
-            else:
-                # RBX (universal or per-column) influences NDV answers for
-                # any table; the coarse global bump keeps correctness.
-                bump_everything = True
-        if bump_everything:
-            for cache in caches:
-                cache.bump_all()
+        if tables is None:
+            self.cache.bump_all()
             self.registry.counter(
                 "serving_cache_generation_bumps_total", scope="all"
             ).inc()
         elif tables:
-            for cache in caches:
-                cache.bump_tables(tables)
+            self.cache.bump_tables(tables)
             self.registry.counter(
                 "serving_cache_generation_bumps_total", scope="tables"
             ).inc(len(tables))
@@ -303,7 +283,7 @@ class EstimationCore:
 
     def _cache_late_result(self, key, stamp, future: Future) -> None:
         """A timed-out estimate still warms the cache once it completes --
-        unless a loader refresh made its stamp stale in the meantime."""
+        unless an invalidation made its stamp stale in the meantime."""
         if self.cache is None or stamp is None:
             return
         cache = self.cache

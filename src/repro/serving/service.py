@@ -20,7 +20,6 @@ transports.
 
 from __future__ import annotations
 
-from repro.core.loader import ModelLoader, RefreshReport
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.obs.metrics import MetricsRegistry
@@ -43,7 +42,7 @@ class EstimationService(CountEstimator, NdvEstimator):
         fallback_count: CountEstimator,
         fallback_ndv: NdvEstimator | None = None,
         config: ServingConfig | None = None,
-        loader: ModelLoader | None = None,
+        invalidations=None,
         registry: MetricsRegistry | None = None,
         feedback=None,
         clock=None,
@@ -53,7 +52,7 @@ class EstimationService(CountEstimator, NdvEstimator):
             fallback_count=fallback_count,
             fallback_ndv=fallback_ndv,
             config=config,
-            loader=loader,
+            invalidations=invalidations,
             registry=registry,
             feedback=feedback,
             clock=clock,
@@ -91,10 +90,6 @@ class EstimationService(CountEstimator, NdvEstimator):
         return self.core.cache
 
     @property
-    def plan_cache(self):
-        return self.core.plan_cache
-
-    @property
     def batcher(self):
         return self.core.batcher
 
@@ -109,9 +104,6 @@ class EstimationService(CountEstimator, NdvEstimator):
     @property
     def tracer(self):
         return self.core.tracer
-
-    def _on_loader_refresh(self, report: RefreshReport) -> None:
-        self.core.on_loader_refresh(report)
 
     # ------------------------------------------------------------------
     # COUNT serving

@@ -98,7 +98,7 @@ class TestDriftDetection:
     def test_fallback_serves_during_outage(self, built):
         """While a table is gated, estimates equal the traditional path and
         never raise."""
-        built.fallback_tables.add("clicks")
+        built.set_fallback("clicks", True)
         try:
             query = CardQuery(
                 tables=("clicks",),
@@ -109,4 +109,4 @@ class TestDriftDetection:
             expected = built._traditional_count.estimate_count(query)
             assert built.estimate_count(query) == expected
         finally:
-            built.fallback_tables.discard("clicks")
+            built.set_fallback("clicks", False)

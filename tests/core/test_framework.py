@@ -281,7 +281,7 @@ class TestByteCardFacade:
     def test_fallback_on_gated_table(self, built, aeolus):
         """Force a table onto the fallback list: estimates must equal the
         traditional estimator's."""
-        built.fallback_tables.add("ads")
+        built.set_fallback("ads", True)
         try:
             q = CardQuery(
                 tables=("ads",),
@@ -291,7 +291,7 @@ class TestByteCardFacade:
             )
             assert built.estimate_count(q) == built._traditional_count.estimate_count(q)
         finally:
-            built.fallback_tables.discard("ads")
+            built.set_fallback("ads", False)
 
     def test_suite_integrates_with_engine(self, built, aeolus):
         from repro.engine import EngineSession

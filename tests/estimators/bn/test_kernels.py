@@ -2,18 +2,17 @@
 
 The sum-product itself is pinned against the enumerate-the-joint oracle in
 ``test_inference.py``.  These tests pin what sits around it: the evidence
-cache's generation semantics (including invalidation through a real
-``ModelLoader.refresh()``), the scope / OR-term folding and its pass
-accounting, the prior beliefs served from the context, the exported
-metrics, and that a refresh keeps the contexts of untouched tables.
+cache's model keying (a reloaded BN never reads its predecessor's masks,
+checked through a real ``ByteCard.refresh()``), the scope / OR-term folding
+and its pass accounting, the prior beliefs served from the context, the
+exported metrics, and that a refresh keeps the contexts of untouched tables.
 """
 
 import numpy as np
 import pytest
 
-from repro.estimators.bn.discretize import Discretizer
 from repro.estimators.bn.estimator import _selectivity_with_or_groups
-from repro.estimators.bn.kernels import EvidenceCache
+from repro.estimators.bn.model import fit_tree_bn, new_evidence_cache
 from repro.estimators.factorjoin import FactorJoinEstimator
 from repro.estimators.factorjoin.estimator import MAX_FOLDED_TERMS
 from repro.obs import MetricsRegistry, export_json
@@ -23,90 +22,78 @@ from repro.sql.query import (
     PredicateOp,
     TablePredicate,
 )
+from repro.storage import Table
+from repro.utils.lru import GenerationLRU
 from repro.workloads.generator import WorkloadSpec, generate_workload
 
 
 # ----------------------------------------------------------------------
 # Evidence cache semantics
 # ----------------------------------------------------------------------
-def _discretizer(values, max_bins=8):
-    return Discretizer(np.asarray(values, dtype=np.float64), max_bins=max_bins)
+def _tiny_bn(max_bins=8):
+    table = Table.from_arrays(
+        "t", {"c": np.arange(100), "d": np.arange(100) % 7}
+    )
+    return fit_tree_bn(table, ["c", "d"], max_bins=max_bins)
 
 
 def _pred(table="t", column="c", op=PredicateOp.LE, value=3.0):
     return TablePredicate(table, column, op, value)
 
 
+def _cached_mask(cache, model, pred):
+    """Look ``pred`` up through the model's evidence path; return its mask."""
+    model.evidence_for([[pred]], cache)
+    return cache.get((model.init_context().token, pred))
+
+
 class TestEvidenceCache:
     def test_hit_miss_counting_and_bitwise_vectors(self):
         registry = MetricsRegistry()
-        cache = EvidenceCache(registry=registry)
-        disc = _discretizer(np.arange(100))
+        cache = new_evidence_cache(registry)
+        model = _tiny_bn()
         pred = _pred()
-        first = cache.vector(disc, pred)
-        assert np.array_equal(first, disc.evidence(pred))
-        second = cache.vector(disc, pred)
-        assert second is first  # the very same immutable array
-        assert (cache.hits, cache.misses) == (1, 1)
+        cached = model.evidence_for([[pred]], cache)
+        uncached = model.evidence_for([[pred]])
+        assert all(np.array_equal(a, b) for a, b in zip(cached, uncached))
+        first = cache.get((model.context.token, pred))
+        assert np.array_equal(first, model.discretizers["c"].evidence(pred))
+        assert _cached_mask(cache, model, pred) is first  # the same array
+        # evidence_for missed then hit; the two direct gets above hit too
+        assert (cache.hits, cache.misses) == (3, 1)
         counters = export_json(registry)["counters"]
-        assert counters["evidence_cache_hits_total"] == 1
+        assert counters["evidence_cache_hits_total"] == 3
         assert counters["evidence_cache_misses_total"] == 1
-        assert counters["evidence_cache_invalidations_total"] == 0
+        assert "evidence_cache_invalidations_total" not in counters
 
     def test_vectors_are_read_only(self):
-        cache = EvidenceCache()
-        vector = cache.vector(_discretizer(np.arange(50)), _pred())
+        vector = _cached_mask(new_evidence_cache(), _tiny_bn(), _pred())
         with pytest.raises(ValueError):
             vector[0] = 9.0
 
-    def test_bump_tables_invalidates_only_that_table(self):
-        cache = EvidenceCache()
-        disc = _discretizer(np.arange(100))
-        pred_t = _pred(table="t")
-        pred_u = _pred(table="u")
-        cache.vector(disc, pred_t)
-        cache.vector(disc, pred_u)
-        cache.bump_tables(["t"])
-        cache.vector(disc, pred_t)
-        cache.vector(disc, pred_u)
-        assert cache.invalidations == 1
-        assert cache.misses == 3  # t twice, u once
-        assert cache.hits == 1  # u's second lookup
-
-    def test_bump_all_invalidates_everything(self):
-        cache = EvidenceCache()
-        disc = _discretizer(np.arange(100))
-        preds = [_pred(table=name) for name in ("a", "b")]
-        for pred in preds:
-            cache.vector(disc, pred)
-        cache.bump_all()
-        for pred in preds:
-            cache.vector(disc, pred)
-        assert cache.invalidations == 2 and cache.hits == 0
-
     def test_stale_on_bin_count_mismatch(self):
-        cache = EvidenceCache()
+        cache = new_evidence_cache()
         pred = _pred()
-        cache.vector(_discretizer(np.arange(100), max_bins=8), pred)
-        # Same predicate, refreshed model with a different grid: the cached
-        # vector's length no longer matches and must not be served.
-        refreshed = _discretizer(np.arange(100), max_bins=4)
-        vector = cache.vector(refreshed, pred)
-        assert vector.size == refreshed.num_bins
-        assert cache.invalidations == 1
+        fine = _cached_mask(cache, _tiny_bn(max_bins=8), pred)
+        # Same predicate, a reloaded model with a different grid: its own
+        # token keys its own mask, the old vector is never served to it.
+        refreshed = _tiny_bn(max_bins=4)
+        coarse = _cached_mask(cache, refreshed, pred)
+        assert coarse.size == refreshed.discretizers["c"].num_bins != fine.size
+        assert cache.misses == 2 and cache.invalidations == 0
 
     def test_lru_eviction(self):
-        cache = EvidenceCache(max_entries=2)
-        disc = _discretizer(np.arange(100))
+        cache = GenerationLRU(max_entries=2)
+        model = _tiny_bn()
         a, b, c = (_pred(value=float(v)) for v in (1.0, 2.0, 5.0))
-        cache.vector(disc, a)
-        cache.vector(disc, b)
-        cache.vector(disc, a)  # refresh a's recency
-        cache.vector(disc, c)  # evicts b
+        model.evidence_for([[a]], cache)
+        model.evidence_for([[b]], cache)
+        model.evidence_for([[a]], cache)  # refresh a's recency
+        model.evidence_for([[c]], cache)  # evicts b
         assert cache.evictions == 1 and len(cache) == 2
-        cache.vector(disc, a)
+        model.evidence_for([[a]], cache)
         assert cache.hits == 2  # a still resident
-        cache.vector(disc, b)
+        model.evidence_for([[b]], cache)
         assert cache.misses == 4  # b was the evictee
 
 
@@ -335,7 +322,7 @@ class TestEstimatorIntegration:
 
 
 # ----------------------------------------------------------------------
-# ByteCard wiring: loader-refresh invalidation, micro-batch knobs
+# ByteCard wiring: model-keyed caches across refresh, micro-batch knobs
 # ----------------------------------------------------------------------
 class TestByteCardWiring:
     @pytest.fixture(scope="class")
@@ -351,21 +338,21 @@ class TestByteCardWiring:
         cache = bytecard.evidence_cache
         table = next(iter(bytecard._factorjoin.models))
         model = bytecard._factorjoin.models[table]
-        column = model.columns[0]
-        pred = TablePredicate(table, column, PredicateOp.GE, 0.0)
-        disc = model.discretizers[column]
-        cache.vector(disc, pred)
-        assert cache.vector(disc, pred) is not None
-        hits_before = cache.hits
-        invalidations_before = cache.invalidations
-        # Republish + loader refresh: the changed BN bumps its table.
+        pred = TablePredicate(table, model.columns[0], PredicateOp.GE, 0.0)
+        model.evidence_for([[pred]], cache)
+        model.evidence_for([[pred]], cache)
+        hits_before, misses_before = cache.hits, cache.misses
+        # Republish + refresh: the reloaded BN is a new model with a new
+        # token, so the old mask can never be read for it again.
         bytecard.forge_service.train_count_models(aeolus)
         bytecard.refresh()
-        cache.vector(disc, pred)
-        assert cache.invalidations > invalidations_before
-        assert cache.hits == hits_before
-        # The rebuilt FactorJoin shares the facade-owned cache instance.
+        reloaded = bytecard._factorjoin.models[table]
+        assert reloaded.context.token != model.context.token
+        reloaded.evidence_for([[pred]], cache)
+        assert (cache.hits, cache.misses) == (hits_before, misses_before + 1)
+        # The rebuilt FactorJoin shares the facade-owned caches.
         assert bytecard._factorjoin.evidence_cache is cache
+        assert bytecard._factorjoin.plan_cache is bytecard.plan_cache
 
     def test_refresh_keeps_contexts_of_untouched_tables(self, bytecard, aeolus):
         before = {

@@ -54,9 +54,6 @@ class Full(CountEstimator):
     name = "full"
     supports_join_batching = True
 
-    def __init__(self):
-        self.installed_cache = None
-
     def estimate_count(self, query):
         return 42.0
 
@@ -74,9 +71,6 @@ class Full(CountEstimator):
 
     def shard_selectivity(self, table, shard, query):
         return 0.125
-
-    def install_plan_cache(self, cache):
-        self.installed_cache = cache
 
 
 class Failing(CountEstimator):
@@ -113,7 +107,6 @@ def test_adapter_capability_flags_bare():
     assert not strategy.supports_batching
     assert not strategy.supports_join_batching
     assert not strategy.supports_shard_routing
-    assert not strategy.supports_plan_cache
     assert strategy.cache_scope(single()) == "bare"
     # Defaults synthesize details with "direct" provenance.
     assert strategy.selectivity_detail(single()) == EstimateDetail(0.5, "direct")
@@ -128,12 +121,9 @@ def test_adapter_capability_flags_full():
     assert strategy.supports_batching
     assert strategy.supports_join_batching
     assert strategy.supports_shard_routing
-    assert strategy.supports_plan_cache
     # Optional methods are bound straight through (identity holds).
     assert strategy.shard_selectivity == estimator.shard_selectivity
     assert strategy.estimate_count_batch == estimator.estimate_count_batch
-    strategy.install_plan_cache("cache-sentinel")
-    assert estimator.installed_cache == "cache-sentinel"
     # Duck-typed (value, source) detail results are normalized.
     assert strategy.selectivity_detail(single()) == EstimateDetail(0.25, "cache")
 

@@ -205,13 +205,20 @@ class TestMidFlightRefresh:
         loader.refresh()
 
         versioned = Versioned()
+        listeners = []
+
+        class Facade:
+            """ByteCard's half of the contract: swap, then notify."""
+
+            add_invalidation_listener = staticmethod(listeners.append)
+
         service = EstimationService(
             versioned,
             Fallback(),
             config=ServingConfig(
                 deadline_ms=None, num_workers=4, queue_capacity=256
             ),
-            loader=loader,
+            invalidations=Facade(),
         )
         floor = {"version": versioned.version}
         stale: list[tuple[float, int]] = []
@@ -221,10 +228,12 @@ class TestMidFlightRefresh:
         def refresher() -> None:
             try:
                 for _ in range(15):
-                    versioned.version += 1
                     registry.publish("bn", "t", blob)  # newer timestamp
                     report = loader.refresh()
                     assert report.loaded  # the swap actually happened
+                    versioned.version += 1
+                    for listener in listeners:
+                        listener(report.changed_tables())
                     floor["version"] = versioned.version
                     time.sleep(0.002)
             except Exception as exc:  # pragma: no cover - failure path

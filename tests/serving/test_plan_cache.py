@@ -1,32 +1,32 @@
-"""Cross-query plan-artifact cache: keying, invalidation, service wiring.
+"""Cross-query plan-artifact cache: keying, bounds, estimator use, wiring.
 
-Covers the :class:`PlanDistributionCache` in isolation (canonical
-fingerprint keying, generation bumps, LRU bounds), installed into a real
-FactorJoin estimator (second identical query runs zero BN passes, bumps
-force re-inference), under a concurrent worker pool with mid-flight
-generation bumps (results must stay bit-identical to the uncached path),
-and wired up by :class:`EstimationService` through the loader-refresh
-listener.
+Covers the plan cache (a :class:`GenerationLRU` behind
+:class:`CachedArtifactSource`) in isolation -- canonical fingerprint plus
+model-token keying, LRU bounds, mirrored counters -- then installed into a
+real FactorJoin estimator (a second identical query runs zero BN passes, a
+replaced model forces re-inference), under a concurrent worker pool with
+mid-flight model swaps (results must stay bit-identical to the uncached
+path), and the shard-key mapping the serving estimate cache is bumped by.
 """
 
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.loader import RefreshReport
 from repro.estimators.factorjoin import FactorJoinEstimator
+from repro.estimators.factorjoin.plans import CachedArtifactSource, new_plan_cache
 from repro.obs import MetricsRegistry
-from repro.serving import (
-    EstimationService,
-    PlanDistributionCache,
-    ServingConfig,
-)
+from repro.serving import EstimationService, ServingConfig
 from repro.sql.query import (
     CardQuery,
     JoinCondition,
     PredicateOp,
     TablePredicate,
 )
+from repro.utils.lru import GenerationLRU
 
 P_REP = TablePredicate("users", "Reputation", PredicateOp.GE, 10.0)
 P_VIEWS = TablePredicate("users", "Views", PredicateOp.LE, 100.0)
@@ -35,6 +35,33 @@ P_VIEWS = TablePredicate("users", "Views", PredicateOp.LE, 100.0)
 @pytest.fixture(scope="module")
 def stats_fj(stats):
     return FactorJoinEstimator.train(stats.catalog, stats.filter_columns)
+
+
+@pytest.fixture(scope="module")
+def users(stats_fj):
+    return stats_fj.model_for("users")
+
+
+@pytest.fixture(scope="module")
+def posts(stats_fj):
+    return stats_fj.model_for("posts")
+
+
+def replaced(models):
+    """The same BNs as freshly loaded models: new contexts, new tokens."""
+    return {
+        name: dataclasses.replace(model, context=None)
+        for name, model in models.items()
+    }
+
+
+def cached_estimator(stats_fj, cache, models=None):
+    return FactorJoinEstimator(
+        stats_fj.catalog,
+        models if models is not None else stats_fj.models,
+        stats_fj.bucketizer,
+        plan_cache=cache,
+    )
 
 
 def join_query(*user_predicates: TablePredicate, name: str = "") -> CardQuery:
@@ -47,126 +74,114 @@ def join_query(*user_predicates: TablePredicate, name: str = "") -> CardQuery:
 
 
 class TestCacheKeying:
-    def test_reordered_predicates_share_artifacts(self):
-        cache = PlanDistributionCache()
-        first = cache.artifacts_for("users", [P_REP, P_VIEWS], [])
-        second = cache.artifacts_for("users", [P_VIEWS, P_REP], [])
+    def test_reordered_predicates_share_artifacts(self, users):
+        source = CachedArtifactSource(new_plan_cache())
+        first = source.artifacts_for(users, [P_REP, P_VIEWS], [])
+        second = source.artifacts_for(users, [P_VIEWS, P_REP], [])
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1
+        assert source.cache.hits == 1 and source.cache.misses == 1
 
-    def test_distinct_scopes_distinct_artifacts(self):
-        cache = PlanDistributionCache()
-        assert cache.artifacts_for("users", [P_REP], []) is not (
-            cache.artifacts_for("users", [P_VIEWS], [])
+    def test_distinct_scopes_distinct_artifacts(self, users, posts):
+        source = CachedArtifactSource(new_plan_cache())
+        assert source.artifacts_for(users, [P_REP], []) is not (
+            source.artifacts_for(users, [P_VIEWS], [])
         )
-        assert cache.artifacts_for("users", [P_REP], []) is not (
-            cache.artifacts_for("posts", [P_REP], [])
+        assert source.artifacts_for(users, [P_REP], []) is not (
+            source.artifacts_for(posts, [P_REP], [])
         )
 
-    def test_or_groups_participate_in_key(self):
-        cache = PlanDistributionCache()
-        plain = cache.artifacts_for("users", [P_REP], [])
-        with_group = cache.artifacts_for("users", [P_REP], [(P_VIEWS,)])
+    def test_or_groups_participate_in_key(self, users):
+        source = CachedArtifactSource(new_plan_cache())
+        plain = source.artifacts_for(users, [P_REP], [])
+        with_group = source.artifacts_for(users, [P_REP], [(P_VIEWS,)])
         assert plain is not with_group
-        assert cache.artifacts_for("users", [P_REP], [(P_VIEWS,)]) is with_group
+        assert source.artifacts_for(users, [P_REP], [(P_VIEWS,)]) is with_group
 
 
 class TestInvalidation:
-    def test_bump_tables_mints_fresh_artifacts(self):
-        cache = PlanDistributionCache()
-        users = cache.artifacts_for("users", [P_REP], [])
-        posts = cache.artifacts_for("posts", [], [])
-        cache.bump_tables(["users"])
-        assert cache.artifacts_for("users", [P_REP], []) is not users
-        assert cache.artifacts_for("posts", [], []) is posts
-        assert cache.invalidations == 1
+    def test_replaced_model_never_matches_old_scopes(self, users, posts):
+        source = CachedArtifactSource(new_plan_cache())
+        old_users = source.artifacts_for(users, [P_REP], [])
+        old_posts = source.artifacts_for(posts, [], [])
+        new_users = replaced({"users": users})["users"]
+        assert source.artifacts_for(new_users, [P_REP], []) is not old_users
+        assert source.artifacts_for(posts, [], []) is old_posts
+        # Keyed by model: nothing to bump, so nothing is ever invalidated.
+        assert source.cache.invalidations == 0
 
-    def test_bump_all_invalidates_everything(self):
-        cache = PlanDistributionCache()
-        users = cache.artifacts_for("users", [P_REP], [])
-        posts = cache.artifacts_for("posts", [], [])
-        cache.bump_all()
-        assert cache.artifacts_for("users", [P_REP], []) is not users
-        assert cache.artifacts_for("posts", [], []) is not posts
+    def test_lru_eviction_respects_bound(self, users, posts):
+        source = CachedArtifactSource(GenerationLRU(max_entries=2))
+        first = source.artifacts_for(users, [P_REP], [])
+        source.artifacts_for(users, [P_VIEWS], [])
+        source.artifacts_for(posts, [], [])  # evicts the oldest entry
+        assert len(source.cache) == 2
+        assert source.artifacts_for(users, [P_REP], []) is not first
 
-    def test_lru_eviction_respects_bound(self):
-        cache = PlanDistributionCache(max_entries=2)
-        first = cache.artifacts_for("users", [P_REP], [])
-        cache.artifacts_for("users", [P_VIEWS], [])
-        cache.artifacts_for("posts", [], [])  # evicts the oldest entry
-        assert len(cache) == 2
-        assert cache.artifacts_for("users", [P_REP], []) is not first
+    def test_clear_and_len(self, users):
+        source = CachedArtifactSource(new_plan_cache())
+        source.artifacts_for(users, [P_REP], [])
+        assert len(source.cache) == 1
+        source.cache.clear()
+        assert len(source.cache) == 0
 
-    def test_clear_and_len(self):
-        cache = PlanDistributionCache()
-        cache.artifacts_for("users", [P_REP], [])
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_counters_mirrored_to_registry(self):
+    def test_counters_mirrored_to_registry(self, users):
         registry = MetricsRegistry()
-        cache = PlanDistributionCache(registry=registry)
-        cache.artifacts_for("users", [P_REP], [])
-        cache.artifacts_for("users", [P_REP], [])
-        cache.bump_all()
-        cache.artifacts_for("users", [P_REP], [])
+        source = CachedArtifactSource(new_plan_cache(registry))
+        source.artifacts_for(users, [P_REP], [])
+        source.artifacts_for(users, [P_REP], [])
+        source.artifacts_for(users, [P_VIEWS], [])
         assert registry.get("plan_cache_hits_total").value == 1
         assert registry.get("plan_cache_misses_total").value == 2
-        assert registry.get("plan_cache_invalidations_total").value == 1
+        # A model-keyed cache never invalidates: the series does not exist.
+        assert registry.get("plan_cache_invalidations_total") is None
 
 
 class TestEstimatorIntegration:
     def test_second_identical_query_runs_zero_passes(self, stats_fj):
         query = join_query(P_REP)
-        baseline = stats_fj.estimate_count(query)  # no cache installed yet
-        cache = PlanDistributionCache()
-        stats_fj.install_plan_cache(cache)
-        try:
-            assert stats_fj.estimate_count(query) == baseline
-            assert stats_fj.last_pass_stats.executed > 0
-            assert stats_fj.estimate_count(query) == baseline
-            assert stats_fj.last_pass_stats.executed == 0
-            assert stats_fj.last_pass_stats.saved > 0
-        finally:
-            stats_fj.install_plan_cache(None)
+        baseline = stats_fj.estimate_count(query)  # no plan cache
+        fj = cached_estimator(stats_fj, new_plan_cache())
+        assert fj.estimate_count(query) == baseline
+        assert fj.last_pass_stats.executed > 0
+        assert fj.estimate_count(query) == baseline
+        assert fj.last_pass_stats.executed == 0
+        assert fj.last_pass_stats.saved > 0
 
-    def test_bump_forces_reinference(self, stats_fj):
+    def test_new_model_forces_reinference(self, stats_fj):
         query = join_query(P_REP)
-        baseline = stats_fj.estimate_count(query)  # no cache installed yet
-        cache = PlanDistributionCache()
-        stats_fj.install_plan_cache(cache)
-        try:
-            stats_fj.estimate_count(query)
-            cache.bump_tables(["users", "posts"])
-            assert stats_fj.estimate_count(query) == baseline
-            assert stats_fj.last_pass_stats.executed > 0
-        finally:
-            stats_fj.install_plan_cache(None)
+        baseline = stats_fj.estimate_count(query)  # no plan cache
+        cache = new_plan_cache()
+        cached_estimator(stats_fj, cache).estimate_count(query)
+        # A refresh rebuilds the estimator over reloaded models but hands it
+        # the same cache: the old scopes must not be served to the new BNs.
+        rebuilt = cached_estimator(stats_fj, cache, replaced(stats_fj.models))
+        assert rebuilt.estimate_count(query) == baseline
+        assert rebuilt.last_pass_stats.executed > 0
 
-    def test_concurrent_estimates_with_midflight_bumps(self, stats_fj):
+    def test_concurrent_estimates_across_model_swaps(self, stats_fj):
         queries = [
             join_query(P_REP, name="q-rep"),
             join_query(P_VIEWS, name="q-views"),
             join_query(P_REP, P_VIEWS, name="q-both"),
             join_query(name="q-none"),
         ]
-        # Computed before the cache is installed: every scope swept afresh.
+        # Computed without a plan cache: every scope swept afresh.
         expected = {q.name: stats_fj.estimate_count(q) for q in queries}
-        cache = PlanDistributionCache()
-        stats_fj.install_plan_cache(cache)
+        cache = new_plan_cache()
+        current = {"fj": cached_estimator(stats_fj, cache)}
         stop = threading.Event()
 
-        def bumper():
+        def swapper():
             while not stop.is_set():
-                cache.bump_tables(["users"])
-                cache.bump_all()
+                current["fj"] = cached_estimator(
+                    stats_fj, cache, replaced(stats_fj.models)
+                )
 
         def worker(index: int):
             query = queries[index % len(queries)]
-            return query.name, stats_fj.estimate_count(query)
+            return query.name, current["fj"].estimate_count(query)
 
-        thread = threading.Thread(target=bumper)
+        thread = threading.Thread(target=swapper)
         thread.start()
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -174,66 +189,19 @@ class TestEstimatorIntegration:
         finally:
             stop.set()
             thread.join()
-            stats_fj.install_plan_cache(None)
         for name, value in outcomes:
             assert value == expected[name], name
 
 
-class _StubReport:
-    def __init__(self, keys):
-        self._keys = keys
-
-    def changed_keys(self):
-        return list(self._keys)
-
-
 class TestServiceWiring:
-    def _service(self, stats_fj, **overrides) -> EstimationService:
-        config = ServingConfig(
-            deadline_ms=None, enable_batching=False, num_workers=2, **overrides
-        )
-        return EstimationService(stats_fj, stats_fj, config=config)
-
-    def test_service_installs_plan_cache(self, stats_fj):
-        service = self._service(stats_fj)
-        try:
-            assert service.plan_cache is not None
-            assert stats_fj.plan_cache is service.plan_cache
-        finally:
-            service.close()
-            stats_fj.install_plan_cache(None)
-
-    def test_plan_cache_disabled_by_config(self, stats_fj):
-        service = self._service(stats_fj, enable_plan_cache=False)
-        try:
-            assert service.plan_cache is None
-            assert stats_fj.plan_cache is None
-        finally:
-            service.close()
-
-    def test_loader_refresh_bumps_plan_cache(self, stats_fj):
-        service = self._service(stats_fj)
-        try:
-            cache = service.plan_cache
-            users = cache.artifacts_for("users", [P_REP], [])
-            posts = cache.artifacts_for("posts", [], [])
-            service._on_loader_refresh(_StubReport([("bn", "users")]))
-            assert cache.artifacts_for("users", [P_REP], []) is not users
-            assert cache.artifacts_for("posts", [], []) is posts
-            # RBX changes are table-agnostic: everything is bumped.
-            service._on_loader_refresh(_StubReport([("rbx", "universal")]))
-            assert cache.artifacts_for("posts", [], []) is not posts
-        finally:
-            service.close()
-            stats_fj.install_plan_cache(None)
-
     def test_sharded_bn_key_bumps_base_table(self, stats_fj):
-        service = self._service(stats_fj)
-        try:
-            cache = service.plan_cache
-            users = cache.artifacts_for("users", [P_REP], [])
-            service._on_loader_refresh(_StubReport([("bn", "users@shard2")]))
-            assert cache.artifacts_for("users", [P_REP], []) is not users
-        finally:
-            service.close()
-            stats_fj.install_plan_cache(None)
+        report = RefreshReport(loaded=[("bn", "users@shard2")])
+        assert report.changed_tables() == {"users"}
+        assert RefreshReport(loaded=[("rbx", "universal")]).changed_tables() is None
+        config = ServingConfig(deadline_ms=None, enable_batching=False, num_workers=2)
+        with EstimationService(stats_fj, stats_fj, config=config) as service:
+            query = CardQuery(tables=("users",), predicates=(P_REP,))
+            service.estimate_count(query)
+            assert service.estimate_count_detail(query).source == "cache"
+            service.core.invalidate(report.changed_tables())
+            assert service.estimate_count_detail(query).source == "model"
