@@ -18,7 +18,6 @@ from repro.engine.config import EngineConfig, CLUSTER_SETUP
 from repro.engine.hash_table import SimulatedHashTable
 from repro.engine.readers import ReaderKind, ScanResult, single_stage_scan, multi_stage_scan
 from repro.engine.partitioned import partition_refuted, partitioned_scan, prune_partitions
-from repro.engine.join import hash_join_tree
 from repro.engine.aggregation import AggregationResult, hash_aggregate
 from repro.engine.optimizer import Optimizer, PhysicalPlan
 from repro.engine.executor import QueryResult, Executor
@@ -36,7 +35,6 @@ __all__ = [
     "partition_refuted",
     "partitioned_scan",
     "prune_partitions",
-    "hash_join_tree",
     "AggregationResult",
     "hash_aggregate",
     "Optimizer",

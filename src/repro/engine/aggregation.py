@@ -103,9 +103,8 @@ def hash_aggregate(
             )
         values = catalog.table(table_name).column(column).values[tuples[table_name]]
         key_rows.append(values.astype(np.int64))
-    stacked = np.stack(key_rows)
     # Composite keys -> one integer id per distinct combination.
-    uniques, inverse = np.unique(stacked, axis=1, return_inverse=True)
+    first_index, inverse = _group_rows(key_rows)
     table.insert_stream(inverse)
     values = _aggregate_values(catalog, query, tuples, inverse, table.distinct)
 
@@ -121,8 +120,28 @@ def hash_aggregate(
         ),
         presize_clamped=presize_clamped,
         values=values,
-        group_keys=uniques,
+        group_keys=np.stack([keys[first_index] for keys in key_rows]),
     )
+
+
+def _group_rows(key_rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(first row of each group, group id of each row)``, groups in
+    lexicographic key order -- a column-wise ``np.unique`` of the stacked
+    keys, without its structured sort.  Keys are dense-ranked one by one and
+    folded in most-significant-first, re-densified after each key so the
+    folded ids stay below ``rows ** 2``.
+    """
+    _, first_index, inverse = np.unique(
+        key_rows[0], return_index=True, return_inverse=True
+    )
+    for values in key_rows[1:]:
+        uniques, ranks = np.unique(values, return_inverse=True)
+        folded = inverse.reshape(-1) * uniques.size + ranks.reshape(-1)
+        _, first_index, inverse = np.unique(
+            folded, return_index=True, return_inverse=True
+        )
+    # ``inverse``'s shape has changed across numpy 2.x releases.
+    return first_index, inverse.reshape(-1)
 
 
 def _aggregate_values(
@@ -150,10 +169,9 @@ def _aggregate_values(
         tuples[query.agg.table]
     ].astype(np.float64)
     if kind is AggKind.COUNT_DISTINCT:
-        pairs = np.stack([group_ids.astype(np.int64), target])
-        distinct_pairs = np.unique(pairs, axis=1)
+        first_index, _ = _group_rows([group_ids, target])
         return np.bincount(
-            distinct_pairs[0].astype(np.int64), minlength=num_groups
+            group_ids[first_index], minlength=num_groups
         ).astype(np.float64)
     if kind is AggKind.SUM or kind is AggKind.AVG:
         sums = np.zeros(num_groups, dtype=np.float64)

@@ -19,7 +19,7 @@ import numpy as np
 from repro.engine.aggregation import AggregationResult, hash_aggregate
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.config import EngineConfig
-from repro.engine.join import JoinExecution, hash_join_step, hash_join_tree
+from repro.engine.join import JoinExecution, hash_join_step
 from repro.engine.optimizer import Optimizer, PhysicalPlan
 from repro.engine.partitioned import partitioned_scan
 from repro.engine.readers import ReaderKind, ScanResult
@@ -122,21 +122,9 @@ class Executor:
 
         scanned_rows = {name: scan.row_indices for name, scan in scans.items()}
         stage_start = time.perf_counter()
-        adaptive_replans = 0
-        if capture or self.config.adaptive_replan_factor > 0:
-            join_exec, adaptive_replans = self._execute_joins_stepwise(
-                query, plan, scanned_rows, capture
-            )
-        else:
-            # The historical single-call path: zero added work when the
-            # feedback loop and adaptivity are both off.
-            join_exec = hash_join_tree(
-                self.catalog,
-                query,
-                scanned_rows,
-                plan.join_order,
-                max_intermediate_rows=self.config.max_intermediate_rows,
-            )
+        join_exec, adaptive_replans = self._execute_joins(
+            query, plan, scanned_rows, capture
+        )
         stage_timings["join"] = time.perf_counter() - stage_start
 
         aggregation: AggregationResult | None = None
@@ -189,7 +177,7 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Runtime feedback capture + adaptive join driver
+    # Runtime feedback capture + the join driver
     # ------------------------------------------------------------------
     def _capture_scan_feedback(
         self,
@@ -246,18 +234,19 @@ class Executor:
                 strategy=strategy,
             )
 
-    def _execute_joins_stepwise(
+    def _execute_joins(
         self,
         query: CardQuery,
         plan: PhysicalPlan,
         scanned_rows: dict[str, np.ndarray],
         capture: bool,
     ) -> tuple[JoinExecution, int]:
-        """Drive the joins one step at a time.
+        """Drive the joins one step at a time -- the only join driver.
 
         After every step the actual intermediate cardinality is known; it is
-        (a) recorded as join feedback and (b) compared against the plan's
-        per-step estimate -- when the deviation exceeds
+        (a) recorded as join feedback when ``capture`` is on and (b) when
+        adaptivity is on, compared against the plan's per-step estimate --
+        when the deviation exceeds
         ``config.adaptive_replan_factor`` the remaining order is re-ranked
         on observed scan cardinalities (a valid linearization is preserved:
         every re-ranked step still connects to the joined prefix).

@@ -1,10 +1,14 @@
 """Hash-join execution over scanned row sets.
 
-Joins are executed along the optimizer's chosen order: each step joins one
-new table into the accumulated intermediate result (arrays of row indices,
-one per joined table -- classic late-materialized join representation).
-Intermediate tuple counts are accumulated for the CPU cost model; an
-explicit cap guards against runaway materialization.
+Joins run in the optimizer's chosen order: each step joins one new table
+into the accumulated intermediate result (arrays of row indices, one per
+joined table -- late materialization).  A step's "hash table" is the new
+table's rows stably sorted by join key -- counting-sorted when the keys are
+integers spanning at most 65,536 values, ``argsort`` otherwise -- and all
+probe rows' matches are expanded in one gather, so a step's Python cost does
+not grow with its rows.  The cost model still charges a hash build and probe
+per row and materialization per intermediate tuple; an explicit cap guards
+against runaway materialization.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.sql.query import CardQuery, JoinCondition
+from repro.sql.query import JoinCondition
 from repro.storage.catalog import Catalog
+
+_DENSE_SPAN = 1 << 16  # widest integer key range of the uint16 counting sort
 
 
 @dataclass
@@ -37,34 +43,29 @@ class JoinExecution:
         return int(next(iter(self.tuples.values())).size)
 
 
-def hash_join_tree(
-    catalog: Catalog,
-    query: CardQuery,
-    scanned: dict[str, np.ndarray],
-    join_order: list[JoinCondition],
-    max_intermediate_rows: int = 30_000_000,
-) -> JoinExecution:
-    """Execute the query's joins in the given order.
-
-    ``scanned`` maps each table to its surviving row indices; ``join_order``
-    must be a linearization where every condition connects a new table to
-    the already-joined prefix (the optimizer guarantees this).
+def _build_probe(build_keys: np.ndarray, probe_keys: np.ndarray):
+    """``(order, lo, counts)``: ``order`` stably sorts ``build_keys``, and
+    probe row ``i`` matches build rows ``order[lo[i] : lo[i] + counts[i]]``.
     """
-    if not query.joins:
-        table = query.tables[0]
-        return JoinExecution(tuples={table: scanned[table]})
-    if len(join_order) != len(query.joins):
-        raise ExecutionError(
-            f"join order has {len(join_order)} steps for {len(query.joins)} joins"
-        )
-
-    first = join_order[0]
-    start_table = first.left_table
-    execution = JoinExecution(tuples={start_table: scanned[start_table]})
-
-    for join in join_order:
-        hash_join_step(catalog, execution, join, scanned, max_intermediate_rows)
-    return execution
+    if build_keys.size and build_keys.dtype.kind == probe_keys.dtype.kind == "i":
+        build_keys = build_keys.astype(np.int64, copy=False)
+        probe_keys = probe_keys.astype(np.int64, copy=False)
+        low, high = build_keys.min(), build_keys.max()
+        span = int(high) - int(low) + 1
+        if span <= _DENSE_SPAN:
+            shifted = (build_keys - low).astype(np.uint16)
+            order = np.argsort(shifted, kind="stable")
+            # Slot ``span`` is the empty run every out-of-range probe hits.
+            run_counts = np.bincount(shifted, minlength=span + 1)
+            run_starts = np.cumsum(run_counts) - run_counts
+            inside = (probe_keys >= low) & (probe_keys <= high)
+            slot = np.where(inside, probe_keys - low, span)
+            return order, run_starts[slot], run_counts[slot]
+    order = np.argsort(build_keys, kind="stable")
+    sorted_keys = build_keys[order]
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    hi = np.searchsorted(sorted_keys, probe_keys, side="right")
+    return order, lo, hi - lo
 
 
 def hash_join_step(
@@ -76,11 +77,9 @@ def hash_join_step(
 ) -> int:
     """Join one new table into the accumulated execution, **in place**.
 
-    The single-step building block of :func:`hash_join_tree`, exposed so
-    the executor can drive joins step by step -- observing each step's
-    actual intermediate cardinality (runtime feedback) and re-ranking the
-    remaining order when an actual deviates wildly from its estimate
-    (adaptive replanning).  Returns the step's output row count.
+    The executor drives joins step by step, observing each step's actual
+    cardinality (runtime feedback, adaptive replanning).  Returns the step's
+    output row count.
     """
     joined_tables = set(execution.tuples)
     left, right = join.tables()
@@ -103,30 +102,22 @@ def hash_join_step(
     ]
 
     # Build on the new table's rows, probe with the intermediate.
-    order = np.argsort(new_keys, kind="stable")
-    sorted_rows = new_rows[order]
-    sorted_keys = new_keys[order]
-    lo = np.searchsorted(sorted_keys, old_keys, side="left")
-    hi = np.searchsorted(sorted_keys, old_keys, side="right")
-    counts = hi - lo
+    order, lo, counts = _build_probe(new_keys, old_keys)
     out_rows = int(counts.sum())
     if out_rows > max_intermediate_rows:
         raise ExecutionError(
             f"intermediate join result of {out_rows} rows exceeds the "
             f"cap of {max_intermediate_rows}"
         )
+    # Output row j of probe i's run takes build position lo[i] + j - starts[i].
+    starts = np.cumsum(counts) - counts
+    take = np.arange(out_rows) - np.repeat(starts - lo, counts)
     repeat_index = np.repeat(np.arange(old_keys.size), counts)
-    if old_keys.size:
-        take = np.concatenate(
-            [np.arange(a, b) for a, b in zip(lo, hi)]
-        ).astype(np.int64)
-    else:
-        take = np.empty(0, dtype=np.int64)
 
     execution.tuples = {
         table: rows[repeat_index] for table, rows in execution.tuples.items()
     }
-    execution.tuples[new_table] = sorted_rows[take]
+    execution.tuples[new_table] = new_rows[order[take]]
     execution.build_rows += int(new_rows.size)
     execution.probe_rows += int(old_keys.size)
     execution.intermediate_sizes.append(out_rows)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import hash_join_tree, hash_aggregate
+from repro.engine import Executor, PhysicalPlan, hash_aggregate
+from repro.engine.join import JoinExecution, hash_join_step
 from repro.errors import ExecutionError
 from repro.sql.query import CardQuery, JoinCondition
 from repro.storage import Catalog, Table
@@ -38,6 +39,15 @@ def join_catalog():
     return catalog
 
 
+def _join_all(catalog, query, scanned, order, max_intermediate_rows=30_000_000):
+    """Drive ``hash_join_step`` over ``order`` from its first left table."""
+    start = order[0].left_table if order else query.tables[0]
+    execution = JoinExecution(tuples={start: scanned[start]})
+    for join in order:
+        hash_join_step(catalog, execution, join, scanned, max_intermediate_rows)
+    return execution
+
+
 def _scanned(catalog, query):
     return {
         t: np.flatnonzero(table_mask(catalog.table(t), query))
@@ -51,7 +61,7 @@ class TestHashJoin:
             tables=("dim", "fact"),
             joins=(JoinCondition("dim", "id", "fact", "dim_id"),),
         )
-        execution = hash_join_tree(
+        execution = _join_all(
             join_catalog, query, _scanned(join_catalog, query), list(query.joins)
         )
         assert execution.result_rows == true_count(join_catalog, query)
@@ -64,7 +74,7 @@ class TestHashJoin:
                 JoinCondition("dim", "id", "fact2", "dim_id"),
             ),
         )
-        execution = hash_join_tree(
+        execution = _join_all(
             join_catalog, query, _scanned(join_catalog, query), list(query.joins)
         )
         assert execution.result_rows == true_count(join_catalog, query)
@@ -74,7 +84,7 @@ class TestHashJoin:
             tables=("dim", "fact"),
             joins=(JoinCondition("dim", "id", "fact", "dim_id"),),
         )
-        execution = hash_join_tree(
+        execution = _join_all(
             join_catalog, query, _scanned(join_catalog, query), list(query.joins)
         )
         dim_keys = join_catalog.table("dim").column("id").values[
@@ -87,7 +97,7 @@ class TestHashJoin:
 
     def test_single_table_passthrough(self, join_catalog):
         query = CardQuery(tables=("dim",))
-        execution = hash_join_tree(
+        execution = _join_all(
             join_catalog, query, _scanned(join_catalog, query), []
         )
         assert execution.result_rows == 100
@@ -98,7 +108,7 @@ class TestHashJoin:
             joins=(JoinCondition("dim", "id", "fact", "dim_id"),),
         )
         with pytest.raises(ExecutionError):
-            hash_join_tree(
+            _join_all(
                 join_catalog,
                 query,
                 _scanned(join_catalog, query),
@@ -114,13 +124,9 @@ class TestHashJoin:
                 JoinCondition("dim", "id", "fact2", "dim_id"),
             ),
         )
-        with pytest.raises(ExecutionError):
-            hash_join_tree(
-                join_catalog,
-                query,
-                _scanned(join_catalog, query),
-                list(query.joins)[:1],  # wrong length
-            )
+        plan = PhysicalPlan(query=query, join_order=list(query.joins)[:1])
+        with pytest.raises(ExecutionError, match="1 steps for 2 joins"):
+            Executor(join_catalog).execute(plan)
 
     def test_intermediate_sizes_recorded(self, join_catalog):
         query = CardQuery(
@@ -130,7 +136,7 @@ class TestHashJoin:
                 JoinCondition("dim", "id", "fact2", "dim_id"),
             ),
         )
-        execution = hash_join_tree(
+        execution = _join_all(
             join_catalog, query, _scanned(join_catalog, query), list(query.joins)
         )
         assert len(execution.intermediate_sizes) == 2
@@ -146,7 +152,7 @@ class TestHashAggregate:
         )
 
     def _tuples(self, catalog, query):
-        return hash_join_tree(
+        return _join_all(
             catalog, query, _scanned(catalog, query), list(query.joins)
         ).tuples
 
