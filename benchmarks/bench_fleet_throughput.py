@@ -135,13 +135,7 @@ def _replay(router, requests: list[CardQuery]) -> tuple[float, list]:
 def test_fleet_throughput_scales_with_workers(fleet_setup):
     bytecard, requests = fleet_setup
     outcomes: dict[str, dict] = {}
-    # Micro-batching is disabled so both configurations evaluate every
-    # request individually: batch composition depends on arrival timing,
-    # and shared-batch evaluation accumulates floats in a different order
-    # -- which would break the bit-identity comparison below.
-    serving = ServingConfig(
-        deadline_ms=None, enable_batching=False, num_workers=NUM_CLIENTS
-    )
+    serving = ServingConfig(deadline_ms=None, num_workers=NUM_CLIENTS)
     for label, n_workers in (("single", 1), ("fleet", FLEET_WORKERS)):
         router = bytecard.fleet(
             n_workers=n_workers,

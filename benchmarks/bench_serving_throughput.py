@@ -1,11 +1,11 @@
-"""Serving-tier throughput: cache + micro-batching vs. raw estimator calls.
+"""Serving-tier throughput: the estimate cache vs. raw estimator calls.
 
 A concurrent workload replay (8 client threads, a repeated-query request
 stream, as a warehouse's plan cache misses would produce) is answered by an
-:class:`EstimationService` twice: once with the estimate cache and the
-micro-batcher enabled, once with both disabled (every request an individual
-inference call).  The enabled configuration must sustain at least 2x the
-throughput on this repeated workload -- the serving tier's reason to exist.
+:class:`EstimationService` twice: once with the estimate cache enabled, once
+with it disabled (every request an individual inference call).  The cached
+configuration must sustain at least 2x the throughput on this repeated
+workload -- the serving tier's reason to exist.
 
 ``test_metrics_export_smoke`` additionally drives every instrumented
 subsystem and fails if the unified export is missing any required series;
@@ -113,7 +113,6 @@ def test_serving_throughput(serving_setup, benchmark):
                 ServingConfig(
                     deadline_ms=None,
                     enable_cache=enabled,
-                    enable_batching=enabled,
                     num_workers=8,
                     queue_capacity=256,
                 )
@@ -135,13 +134,12 @@ def test_serving_throughput(serving_setup, benchmark):
                 f"{stats.p50_latency * 1e3:8.3f}",
                 f"{stats.p99_latency * 1e3:8.3f}",
                 f"{stats.cache_hit_rate:6.2%}",
-                f"{stats.mean_batch_occupancy:5.2f}",
                 f"{stats.fallbacks}",
             ]
         )
     table = render_grid(
-        "Serving throughput: cache + micro-batching vs. raw estimator calls",
-        ["config", "req/s", "p50 ms", "p99 ms", "hit rate", "batch occ", "fallbacks"],
+        "Serving throughput: estimate cache vs. raw estimator calls",
+        ["config", "req/s", "p50 ms", "p99 ms", "hit rate", "fallbacks"],
         rows,
     )
     record_table("serving_throughput", table)

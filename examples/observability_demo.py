@@ -9,7 +9,7 @@ Walks the full deployment with observability on (the default):
 1. build ByteCard on AEOLUS -- the Model Loader and Model Monitor record
    load/evict/generation events and per-model Q-Error drift as they run;
 2. serve a workload through the concurrent tier -- latencies split per
-   path (cache / batch / model / fallback), spans time each stage;
+   path (cache / model / fallback), spans time each stage;
 3. run GROUP BY queries through an ``EngineSession`` -- the optimizer logs
    per-decision timings with estimate provenance, the executor logs
    scan/join/resize/pre-sizing counters;

@@ -1,4 +1,4 @@
-"""The serving tier: cache, micro-batching, deadlines, and refresh safety.
+"""The serving tier: cache, deadlines, and refresh safety.
 
 Run with::
 
@@ -10,8 +10,7 @@ critical path):
 
 1. build ByteCard on AEOLUS and wrap it in an ``EstimationService``;
 2. replay a repeated workload from 8 threads -- equivalent requests share
-   one cached entry, concurrent same-table requests share batched BN
-   inference passes;
+   one cached entry, so only the first of them runs BN inference;
 3. issue a request under an impossibly tight deadline -- the service
    degrades to the traditional estimator and records the fallback;
 4. refresh ByteCard's models mid-serving -- once the rebuilt estimators
@@ -72,8 +71,7 @@ def main() -> None:
     print(f"  requests       : {stats.requests}  "
           f"({stats.requests / elapsed:,.0f} req/s)")
     print(f"  cache hit rate : {stats.cache_hit_rate:.1%}")
-    print(f"  batches        : {stats.batches} "
-          f"(mean occupancy {stats.mean_batch_occupancy:.1f})")
+    print(f"  model calls    : {stats.cache_misses}")
     print(f"  p99 latency    : {stats.p99_latency * 1e3:.3f} ms")
 
     print("== 3. deadline miss degrades to the traditional estimator ==")

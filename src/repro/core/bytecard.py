@@ -413,9 +413,6 @@ class ByteCard(CountEstimator, NdvEstimator):
             return self._traditional_count.estimate_count(query)
         return self._factorjoin.estimate_count(query)
 
-    #: join COUNT batches route through FactorJoin's shared-plan path
-    supports_join_batching = True
-
     @property
     def last_pass_stats(self):
         """Pass accounting of this thread's last join estimate (or None)."""
@@ -426,12 +423,13 @@ class ByteCard(CountEstimator, NdvEstimator):
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
     ) -> list[float]:
-        """Batched COUNT estimates (the micro-batcher's hook).
+        """A direct batched call into the ``(bins, B)`` sweep: each query
+        is one column (:meth:`estimate_count` answers the batch of one).
 
-        ``table`` is the micro-batch key: a table name for single-table
-        batches, the batcher's synthetic join key otherwise.  Any query
-        touching a gated or unmodeled table sends the whole batch to the
-        traditional estimator, mirroring :meth:`estimate_count`.
+        Single-table batches must all be on ``table``; a batch holding any
+        join goes through FactorJoin's shared-plan path.  Any query touching
+        a gated or unmodeled table sends the whole batch to the traditional
+        estimator, mirroring :meth:`estimate_count`.
         """
         if self._factorjoin is None:
             return [self._traditional_count.estimate_count(q) for q in queries]
@@ -564,26 +562,12 @@ class ByteCard(CountEstimator, NdvEstimator):
             default_risk_tag=risk_tag,
         )
 
-    @staticmethod
-    def _batching_config(config, max_batch_size):
-        """Apply a ``max_batch_size`` override to a (possibly None) config."""
-        if max_batch_size is None:
-            return config
-        import dataclasses
-
-        from repro.serving import ServingConfig
-
-        return dataclasses.replace(
-            config or ServingConfig(), max_batch_size=max_batch_size
-        )
-
     def fleet(
         self,
         n_workers: int = 2,
         store_dir=None,
         serving_config=None,
         fleet_config=None,
-        max_batch_size: int | None = None,
     ):
         """A multi-process serving fleet warm-started from this instance.
 
@@ -601,17 +585,12 @@ class ByteCard(CountEstimator, NdvEstimator):
 
         ``fleet_config`` overrides ``n_workers`` when provided.  Close the
         router (it is a context manager) to reap the worker processes.
-
-        ``max_batch_size`` overrides the workers' micro-batch cap (default
-        16 queries) without building a full
-        :class:`~repro.serving.ServingConfig` by hand.
         """
         import tempfile
 
         from repro.fleet import FleetConfig, FleetRouter
         from repro.forge.store import ArtifactStore
 
-        serving_config = self._batching_config(serving_config, max_batch_size)
         if store_dir is None:
             store_dir = tempfile.mkdtemp(prefix="bytecard-fleet-")
         store = ArtifactStore(store_dir, metrics=self.obs)
@@ -630,12 +609,7 @@ class ByteCard(CountEstimator, NdvEstimator):
             registry=self.obs,
         )
 
-    def serve(
-        self,
-        config=None,
-        feedback=None,
-        max_batch_size: int | None = None,
-    ):
+    def serve(self, config=None, feedback=None):
         """Wrap this ByteCard in a concurrent :class:`EstimationService`.
 
         The service keeps the traditional estimators as its deadline/error
@@ -646,15 +620,9 @@ class ByteCard(CountEstimator, NdvEstimator):
         ``feedback`` defaults to this instance's :attr:`feedback_log` (see
         :meth:`enable_feedback`): served estimates -- cache hits included --
         are then noted as pending pairs for the executor to complete.
-
-        ``max_batch_size`` overrides the micro-batcher's cap (default 16
-        queries) on top of whatever ``config`` carries -- under concurrent
-        load, larger batches feed the fused BN kernels wider evidence
-        tensors.
         """
         from repro.serving import EstimationService
 
-        config = self._batching_config(config, max_batch_size)
         return EstimationService(
             estimator=self,
             fallback_count=self._traditional_count,

@@ -13,8 +13,8 @@ paper:
   models are evicted.
 
 The loader also maintains a **generation counter**: every refresh pass that
-changes the serving set (loads or evicts at least one model) bumps it and
-notifies registered listeners with the pass's :class:`RefreshReport`.
+changes the serving set (loads or evicts at least one model) bumps it, and
+every pass returns a :class:`RefreshReport`.
 :meth:`RefreshReport.changed_tables` says which tables' answers that can
 change; :meth:`ByteCard.refresh <repro.core.bytecard.ByteCard.refresh>`
 passes it on to the serving tier's estimate cache once the rebuilt
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.engine import CardEstInferenceEngine
 from repro.core.registry import ModelRegistry
@@ -109,7 +108,6 @@ class ModelLoader:
         self._tick = 0
         self._seq = 0
         self._generation = 0
-        self._listeners: list[Callable[[RefreshReport], None]] = []
         #: guards the loaded-model map only; held for dict ops, never
         #: across deserialization or validation
         self._lock = threading.Lock()
@@ -129,12 +127,6 @@ class ModelLoader:
         """Bumped whenever a refresh pass loads or evicts any model."""
         return self._generation
 
-    def add_refresh_listener(
-        self, listener: Callable[[RefreshReport], None]
-    ) -> None:
-        """Register a callback invoked after every state-changing refresh."""
-        self._listeners.append(listener)
-
     # ------------------------------------------------------------------
     def refresh(self) -> RefreshReport:
         """One loader pass over everything the registry holds.
@@ -145,11 +137,7 @@ class ModelLoader:
         are swapped in under the lock at the end of the pass.
         """
         with self._refresh_lock:
-            report = self._refresh_pass()
-        if report.loaded or report.evicted:
-            for listener in self._listeners:
-                listener(report)
-        return report
+            return self._refresh_pass()
 
     def _refresh_pass(self) -> RefreshReport:
         report = RefreshReport()

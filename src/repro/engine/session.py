@@ -46,8 +46,8 @@ class EngineSession:
 
         With ``service`` (a :class:`repro.serving.EstimationService`), the
         optimizer consults the serving tier -- estimates come through its
-        cache, batcher, and deadline-fallback pipeline instead of raw
-        estimator calls.
+        cache and deadline-fallback pipeline instead of raw estimator
+        calls.
 
         With ``strategy`` (an
         :class:`repro.estimators.base.EstimationStrategy` -- a routed

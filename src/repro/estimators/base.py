@@ -12,10 +12,9 @@ This module is the single home of the estimator-facing contracts.  Beyond
 the two task ABCs it defines :class:`EstimationStrategy` -- the formal
 protocol the optimizer and the serving core speak.  Historically those
 consumers probed estimators with ``getattr`` for optional capabilities
-(``selectivity_detail``, ``estimate_count_batch``, ``shard_selectivity``,
-``last_pass_stats``); the protocol makes every one
-of those probes an explicit method or capability flag, so a new estimator
-is a drop-in rather than an edit across layers.  Existing duck-typed
+(``selectivity_detail``, ``shard_selectivity``, ``last_pass_stats``); the
+protocol makes every one of those probes an explicit method or capability
+flag, so a new estimator is a drop-in rather than an edit across layers.  Existing duck-typed
 estimators are adapted with :func:`repro.estimators.strategy.as_strategy`,
 the one remaining (and deliberate) home of capability discovery.
 """
@@ -105,8 +104,6 @@ class EstimationStrategy(CountEstimator):
       (inherited from :class:`CountEstimator`);
     * ``selectivity_detail`` / ``estimate_count_detail`` -- the same
       answers with provenance, for plan-decision accounting;
-    * ``estimate_count_batch`` + :attr:`supports_batching` /
-      :attr:`supports_join_batching` -- the micro-batcher's hooks;
     * ``shard_selectivity`` + :attr:`supports_shard_routing` -- routing to
       shard-specialized models when pruning pins a partition;
     * :attr:`last_pass_stats` -- BN pass accounting for provenance;
@@ -122,10 +119,6 @@ class EstimationStrategy(CountEstimator):
     #: per-strategy Q-Error series, and A/B reports
     strategy_id: str = "strategy"
 
-    #: the estimator benefits from ``estimate_count_batch`` micro-batching
-    supports_batching: bool = False
-    #: join queries may be micro-batched (shared-plan inference)
-    supports_join_batching: bool = False
     #: ``shard_selectivity`` can answer for pinned partitions
     supports_shard_routing: bool = False
 
@@ -140,13 +133,6 @@ class EstimationStrategy(CountEstimator):
     def estimate_count_detail(self, query: CardQuery) -> EstimateDetail:
         """COUNT estimate plus provenance; default answers in-line."""
         return EstimateDetail(float(self.estimate_count(query)), "direct")
-
-    # -- batching -------------------------------------------------------
-    def estimate_count_batch(
-        self, table: str, queries: list[CardQuery]
-    ) -> list[float]:
-        """Batched COUNT estimates; default degenerates to a loop."""
-        return [float(self.estimate_count(query)) for query in queries]
 
     # -- shard routing --------------------------------------------------
     def shard_selectivity(

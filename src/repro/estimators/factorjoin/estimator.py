@@ -89,9 +89,6 @@ class FactorJoinEstimator(CountEstimator):
 
     name = "bytecard"
 
-    #: join COUNT queries sharing a table set may be micro-batched
-    supports_join_batching = True
-
     def __init__(
         self,
         catalog: Catalog,
@@ -220,11 +217,11 @@ class FactorJoinEstimator(CountEstimator):
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
     ) -> list[float]:
-        """Batched COUNT estimation for one micro-batch key.
+        """Batched COUNT estimation: one column per query.
 
-        Single-table batches go straight to the table's BN; join batches
-        (the micro-batcher keys them on the sorted table set) run through
-        :meth:`estimate_join_batch` so their plans share belief passes.
+        Single-table batches (all on ``table``) go straight to the table's
+        BN; a batch holding any join runs through :meth:`estimate_join_batch`
+        so its plans share belief passes.
         """
         if any(not query.is_single_table() for query in queries):
             return self.estimate_join_batch(queries)

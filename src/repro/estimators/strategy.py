@@ -86,9 +86,9 @@ class EstimatorStrategy(EstimationStrategy):
 
     Capability discovery happens **here, once, at construction** -- the
     probes the optimizer and serving core used to run per call are folded
-    into the protocol's explicit flags.  Optional methods of the underlying
-    estimator (``shard_selectivity``, ``estimate_count_batch``) are bound
-    straight through as instance attributes, so identities like
+    into the protocol's explicit flags.  The optional ``shard_selectivity``
+    of the underlying estimator is bound straight through as an instance
+    attribute, so identities like
     ``strategy.shard_selectivity == bytecard.shard_selectivity`` hold.
     """
 
@@ -101,13 +101,6 @@ class EstimatorStrategy(EstimationStrategy):
             estimator, "selectivity_detail", None
         )
         self._count_detail_fn = getattr(estimator, "estimate_count_detail", None)
-        batch_fn = getattr(estimator, "estimate_count_batch", None)
-        self.supports_batching = callable(batch_fn)
-        if self.supports_batching:
-            self.estimate_count_batch = batch_fn
-        self.supports_join_batching = bool(
-            getattr(estimator, "supports_join_batching", False)
-        )
         shard_fn = getattr(estimator, "shard_selectivity", None)
         self.supports_shard_routing = callable(shard_fn)
         if self.supports_shard_routing:
@@ -204,10 +197,6 @@ class StrategyChain(EstimationStrategy):
         self.catalog = next(
             (link.catalog for link in links if link.catalog is not None), None
         )
-        self.supports_batching = any(link.supports_batching for link in links)
-        #: join batches are answered by whichever link takes the batch; the
-        #: head decides whether batching joins is worthwhile at all
-        self.supports_join_batching = links[0].supports_join_batching
         self.supports_shard_routing = any(
             link.supports_shard_routing for link in links
         )
@@ -275,19 +264,6 @@ class StrategyChain(EstimationStrategy):
             if index == 0:
                 return detail
             return EstimateDetail(detail.value, f"fallback-{link.strategy_id}")
-        raise self._exhausted(last)
-
-    # -- batching -------------------------------------------------------
-    def estimate_count_batch(
-        self, table: str, queries: list[CardQuery]
-    ) -> list[float]:
-        last: Exception | None = None
-        for link in self.links:
-            try:
-                return link.estimate_count_batch(table, queries)
-            except (EstimationError, NotImplementedError) as exc:
-                last = exc
-                self._note_fallthrough(link)
         raise self._exhausted(last)
 
     # -- shard routing --------------------------------------------------
@@ -450,10 +426,6 @@ class StrategyRouter(EstimationStrategy):
         self._strategies[strategy.strategy_id] = strategy
         if self.catalog is None and strategy.catalog is not None:
             self.catalog = strategy.catalog
-        self.supports_batching = self.supports_batching or strategy.supports_batching
-        self.supports_join_batching = (
-            self.supports_join_batching or strategy.supports_join_batching
-        )
         self.supports_shard_routing = (
             self.supports_shard_routing or strategy.supports_shard_routing
         )
@@ -575,15 +547,6 @@ class StrategyRouter(EstimationStrategy):
 
     def estimate_count_detail(self, query: CardQuery) -> EstimateDetail:
         return self.chain_for(query).estimate_count_detail(query)
-
-    def estimate_count_batch(
-        self, table: str, queries: list[CardQuery]
-    ) -> list[float]:
-        if not queries:
-            return []
-        # One batch, one route: micro-batches group by table scope, so the
-        # first query's class is representative of the whole batch.
-        return self.chain_for(queries[0]).estimate_count_batch(table, queries)
 
     def shard_selectivity(
         self, table: str, shard: int, query: CardQuery

@@ -179,7 +179,7 @@ class WorkerClient:
         self, task: str, query, deadline_token=DEADLINE_FROM_CONFIG
     ) -> tuple[int, Future]:
         """Dispatch one estimate; the future resolves to the ``res`` tuple
-        ``(value, source, latency_s, batched)``."""
+        ``(value, source, latency_s)``."""
         return self._submit("est", (task, query, deadline_token))
 
     def abandon(self, req_id: int) -> None:

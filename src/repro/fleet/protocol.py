@@ -18,7 +18,7 @@ kind       sender   payload
                     (use the worker's configured deadline -- an ``_UNSET``
                     sentinel cannot cross a pickle boundary), a float
                     (milliseconds) or ``None`` (no deadline)
-``res``     worker  ``(value, source, latency_s, batched)``
+``res``     worker  ``(value, source, latency_s)``
 ``err``     worker  error string -- the request raised
 ``ping``    router  ``None``
 ``pong``    worker  ``None``

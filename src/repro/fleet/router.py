@@ -367,7 +367,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
                     )
                 self._note_success(owner)
                 self._bump("hedges_wasted")
-                value, source, _wlat, _batched = payload
+                value, source, _wlat = payload
                 return self._finish(
                     task, value, source, owner, start, hedged=True
                 )
@@ -397,7 +397,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
                 task, fallback(query), "fallback-error", owner, start
             )
         self._note_success(owner)
-        value, source, _wlat, _batched = payload
+        value, source, _wlat = payload
         return self._finish(task, value, source, owner, start)
 
     # ------------------------------------------------------------------

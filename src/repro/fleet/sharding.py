@@ -4,9 +4,9 @@ Each fleet worker warm-starts the *full* model set from the artifact store
 (models are small; loading everything is what makes restart re-warm
 trivial), but requests are routed by **shard ownership** so that a given
 table's -- or a given join scope's -- traffic always lands on the same
-worker.  Ownership is what makes the per-worker estimate caches, plan
-caches, and micro-batches effective: repeated fingerprints hit a warm
-cache instead of spreading cold across the fleet.
+worker.  Ownership is what makes the per-worker estimate and plan caches
+effective: repeated fingerprints hit a warm cache instead of spreading cold
+across the fleet.
 
 The ring uses SHA-1 points, not Python's builtin ``hash`` --
 ``PYTHONHASHSEED`` randomizes the latter per process, and the router and

@@ -107,9 +107,7 @@ def worker_main(
             else:
                 raise EstimationError(f"unknown estimation task {task!r}")
             conn.send(
-                "res",
-                req_id,
-                (served.value, served.source, served.latency_s, served.batched),
+                "res", req_id, (served.value, served.source, served.latency_s)
             )
         except ConnectionClosed:
             pass

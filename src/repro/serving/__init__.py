@@ -1,5 +1,5 @@
-"""The serving tier: concurrent estimation with batching, caching, and
-deadline-aware fallback.
+"""The serving tier: concurrent estimation with caching and deadline-aware
+fallback.
 
 Wraps a :class:`~repro.core.bytecard.ByteCard` (or any estimator pair)
 behind an in-process :class:`EstimationService` -- the reproduction of the
@@ -12,8 +12,6 @@ warehouse under heavy traffic with strict latency budgets:
   fingerprint-keyed estimate cache (a generation-stamped
   :class:`~repro.utils.lru.GenerationLRU` bumped by the ByteCard facade
   after model swaps and fallback-gate flips);
-* :mod:`repro.serving.batching`    -- the micro-batcher amortizing one BN
-  sum-product pass over concurrent same-table COUNT requests;
 * :mod:`repro.serving.workers`     -- the bounded worker pool with
   admission control (reject-to-fallback, never unbounded queueing);
 * :mod:`repro.serving.fingerprint` -- canonical query fingerprints (order-
@@ -23,7 +21,6 @@ warehouse under heavy traffic with strict latency budgets:
 * :mod:`repro.serving.config`      -- the service's tunables.
 """
 
-from repro.serving.batching import MicroBatcher
 from repro.serving.config import ServingConfig
 from repro.serving.core import EstimationCore
 from repro.serving.fingerprint import query_fingerprint, table_scope_fingerprint
@@ -38,7 +35,6 @@ __all__ = [
     "ServingConfig",
     "ServiceStats",
     "StatsCollector",
-    "MicroBatcher",
     "WorkerPool",
     "query_fingerprint",
     "table_scope_fingerprint",

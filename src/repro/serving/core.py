@@ -1,9 +1,9 @@
 """The transport-agnostic estimation core shared by every serving surface.
 
-:class:`EstimationCore` is the cache / micro-batch / deadline-fallback
-pipeline that used to live inside :class:`EstimationService` -- extracted so
-the *same* object (same caches, same batching protocol, same degradation
-contract, same stats) serves requests regardless of how they arrive:
+:class:`EstimationCore` is the cache / deadline-fallback pipeline that used
+to live inside :class:`EstimationService` -- extracted so the *same* object
+(same caches, same degradation contract, same stats) serves requests
+regardless of how they arrive:
 
 * in-process -- :class:`repro.serving.service.EstimationService` wraps a
   core behind the :class:`CountEstimator`/:class:`NdvEstimator` interface
@@ -14,15 +14,17 @@ contract, same stats) serves requests regardless of how they arrive:
 
 Request path::
 
-    request -> fingerprint -> cache? -> admission -> [micro-batch] -> model
-                   |            hit ^        | full          | deadline/error
-                   |                |        v               v
+    request -> fingerprint -> cache? -> admission -> model
+                   |            hit ^        | full     | deadline/error
+                   |                |        v          v
                    +----------------+---- traditional fallback (recorded)
 
-A request without a deadline has nothing to time out, so after admission it
-computes on the thread that brought it (:meth:`WorkerPool.run_inline`); only
-requests that carry a deadline cross into the pool's worker threads, where
-the caller can abandon the wait.
+A COUNT miss computes through ``strategy.estimate_count(query)`` -- one
+column of the model's inference context, nothing else.  A request without a
+deadline has nothing to time out, so after admission it computes on the
+thread that brought it (:meth:`WorkerPool.run_inline`); only requests that
+carry a deadline cross into the pool's worker threads, where the caller can
+abandon the wait.
 
 The facade bumps the estimate cache's generations
 (:meth:`EstimationCore.invalidate`) after a refresh installs its rebuilt
@@ -32,9 +34,8 @@ inserted as current.
 
 Shutdown is drain-ordered and bounded (:meth:`EstimationCore.close`): stop
 admitting (new requests degrade to the fallback, they are still answered),
-wait out in-flight work up to the timeout, close the micro-batcher (failing
-anything a hung leader stranded), then tear down the pool -- abandoning a
-hung worker thread rather than wedging interpreter exit.
+wait out in-flight work up to the timeout, then tear down the pool --
+abandoning a hung worker thread rather than wedging interpreter exit.
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ from repro.estimators.strategy import as_strategy
 from repro.feedback import FeedbackLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord, Tracer
-from repro.serving.batching import MicroBatcher, default_batch_key
 from repro.serving.config import ServingConfig
 from repro.serving.fingerprint import query_fingerprint, request_fingerprint
 from repro.serving.stats import ServiceStats, StatsCollector
 from repro.serving.workers import WorkerPool
-from repro.sql.query import AggKind, CardQuery
+from repro.sql.query import CardQuery
 from repro.utils.lru import GenerationLRU
 
 _UNSET = object()
@@ -75,8 +75,6 @@ class ServedEstimate:
     #: "fallback-rejected"
     source: str
     latency_s: float
-    #: the answer came through the same-table micro-batcher
-    batched: bool = False
     #: per-stage timings of this request (request-scoped trace)
     stages: tuple[SpanRecord, ...] = ()
 
@@ -86,16 +84,14 @@ class ServedEstimate:
 
     @property
     def path(self) -> str:
-        """The latency-accounting path: cache | batch | model | fallback."""
+        """The latency-accounting path: cache | model | fallback."""
         if self.source == "cache":
             return "cache"
-        if self.degraded:
-            return "fallback"
-        return "batch" if self.batched else "model"
+        return "fallback" if self.degraded else "model"
 
 
 class EstimationCore:
-    """Cache + micro-batch + deadline-fallback pipeline, transport-free."""
+    """Cache + deadline-fallback pipeline, transport-free."""
 
     def __init__(
         self,
@@ -118,7 +114,7 @@ class EstimationCore:
         worker future -- virtual time does not advance while blocking.
         """
         self.estimator = estimator
-        #: the protocol view of the estimator -- capability flags and the
+        #: the protocol view of the estimator -- every learned answer and the
         #: per-query cache scope come from here, never from getattr probes
         self.strategy = as_strategy(estimator)
         self.fallback_count = fallback_count
@@ -133,9 +129,7 @@ class EstimationCore:
         self.config = config or ServingConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self.tracer = Tracer(self.registry)
-        self.stats_collector = StatsCollector(
-            self.config.latency_window, registry=self.registry
-        )
+        self.stats_collector = StatsCollector(self.config.latency_window)
         # Surface the always-on per-path latency rings through the export.
         for hist in self.stats_collector.path_histograms.values():
             self.registry.adopt(hist)
@@ -148,18 +142,6 @@ class EstimationCore:
             num_workers=self.config.num_workers,
             queue_capacity=self.config.queue_capacity,
         )
-        self._join_batching = (
-            self.config.enable_join_batching
-            and self.strategy.supports_join_batching
-        )
-        self.batcher: MicroBatcher | None = None
-        if self.config.enable_batching and self.strategy.supports_batching:
-            self.batcher = MicroBatcher(
-                batch_fn=self.strategy.estimate_count_batch,
-                max_batch_size=self.config.max_batch_size,
-                on_batch=self.stats_collector.record_batch,
-                key_fn=self._batch_key,
-            )
         if invalidations is not None:
             invalidations.add_invalidation_listener(self.invalidate)
 
@@ -196,7 +178,6 @@ class EstimationCore:
         compute: Callable[[], float],
         fallback: Callable[[CardQuery], float],
         deadline_ms=_UNSET,
-        batched: bool = False,
     ) -> ServedEstimate:
         start = self.clock.now()
         self.stats_collector.increment("requests")
@@ -215,9 +196,7 @@ class EstimationCore:
                 )
         stamp = self.cache.stamp(query.tables) if self.cache is not None else None
         deadline = self._deadline_s(deadline_ms)
-        compute_span = self.tracer.span(
-            "serve.batch" if batched else "serve.model", sink=stages
-        )
+        compute_span = self.tracer.span("serve.model", sink=stages)
         if deadline is None:
             # Nothing can time out, so the request computes on the thread
             # that brought it -- admitted and counted by the pool like a
@@ -277,7 +256,7 @@ class EstimationCore:
         if self.cache is not None and stamp is not None:
             self.cache.put(key, value, stamp)
         return self._finish(
-            value, "model", start, batched=batched, stages=stages, task=task,
+            value, "model", start, stages=stages, task=task,
             query=query, fingerprint=fingerprint, strategy=scope,
         )
 
@@ -299,7 +278,6 @@ class EstimationCore:
         value: float,
         source: str,
         start: float,
-        batched: bool = False,
         stages: list[SpanRecord] | None = None,
         task: str | None = None,
         query: CardQuery | None = None,
@@ -311,7 +289,6 @@ class EstimationCore:
             value=float(value),
             source=source,
             latency_s=latency,
-            batched=batched,
             stages=tuple(stages) if stages else (),
         )
         self.stats_collector.record_latency(latency, path=estimate.path)
@@ -330,40 +307,16 @@ class EstimationCore:
             )
         return estimate
 
-    def _batch_key(self, query: CardQuery) -> str:
-        """Micro-batch grouping: single-table queries by table, join queries
-        by their (sorted) table set, so one leader primes shared plans."""
-        if query.is_single_table():
-            return default_batch_key(query)
-        return "join::" + "|".join(sorted(query.tables))
-
-    def _batchable(self, query: CardQuery) -> bool:
-        if (
-            self.batcher is None
-            or query.agg.kind is not AggKind.COUNT
-            or query.group_by
-        ):
-            return False
-        return query.is_single_table() or self._join_batching
-
     # ------------------------------------------------------------------
     # COUNT serving
     # ------------------------------------------------------------------
     def serve_count(self, query: CardQuery, deadline_ms=_UNSET) -> ServedEstimate:
-        batched = self._batchable(query)
-        if batched:
-            batcher = self.batcher
-            assert batcher is not None
-            compute: Callable[[], float] = lambda: batcher.estimate(query)
-        else:
-            compute = lambda: self.strategy.estimate_count(query)
         return self._serve(
             query,
             "count",
-            compute,
+            lambda: self.strategy.estimate_count(query),
             self.fallback_count.estimate_count,
             deadline_ms,
-            batched=batched,
         )
 
     # ------------------------------------------------------------------
@@ -450,9 +403,7 @@ class EstimationCore:
         1. Stop admitting learned-path work -- requests arriving from now
            on are still *answered*, via the fallback-rejected path.
         2. Wait (up to ``timeout``) for in-flight requests to finish.
-        3. Close the micro-batcher: if the drain timed out, queued batch
-           followers are failed so their callers unblock into the fallback.
-        4. Tear down the pool, cancelling the queue when the drain failed;
+        3. Tear down the pool, cancelling the queue when the drain failed;
            a hung worker thread is abandoned (daemon), never joined forever.
 
         Returns ``True`` when everything drained within the budget.
@@ -460,8 +411,6 @@ class EstimationCore:
         start = time.monotonic()
         self.pool.refuse_new()
         drained = self.pool.drain(timeout)
-        if self.batcher is not None:
-            self.batcher.close()
         remaining = None
         if timeout is not None:
             remaining = max(0.0, timeout - (time.monotonic() - start))

@@ -8,10 +8,10 @@ deadline, errors out, or the service is saturated.  Every degradation is
 recorded, mirroring how the production Inference Engine "falls back to
 traditional estimators" rather than stalling the planner.
 
-The pipeline itself (cache -> admission -> micro-batch -> model, with the
-traditional fallback on every degradation edge) lives in the
-transport-agnostic :class:`repro.serving.core.EstimationCore`; this class
-is the **in-process transport**: it binds a core to the
+The pipeline itself (cache -> admission -> model, with the traditional
+fallback on every degradation edge) lives in the transport-agnostic
+:class:`repro.serving.core.EstimationCore`; this class is the
+**in-process transport**: it binds a core to the
 :class:`CountEstimator`/:class:`NdvEstimator` interface the optimizer and
 the engine session call directly.  The :mod:`repro.fleet` workers bind the
 same core to a frame-based IPC loop instead -- one pipeline, two
@@ -88,10 +88,6 @@ class EstimationService(CountEstimator, NdvEstimator):
     @property
     def cache(self):
         return self.core.cache
-
-    @property
-    def batcher(self):
-        return self.core.batcher
 
     @property
     def pool(self):

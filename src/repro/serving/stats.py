@@ -5,12 +5,12 @@ Every counter is maintained under one lock by :class:`StatsCollector`;
 that benchmarks and the Model Monitor can introspect without racing the
 serving threads.
 
-Latency is recorded **per serving path** (cache / batch / model /
-fallback) in bounded :class:`repro.obs.Histogram` rings: a single shared
-ring would let sub-microsecond cache hits dominate p99 and hide the model
-path's tail, which is the quantity FactorJoin-style deployments actually
-watch.  The aggregate p50/p90/p99 fields are kept for compatibility and
-still cover every request.
+Latency is recorded **per serving path** (cache / model / fallback) in
+bounded :class:`repro.obs.Histogram` rings: a single shared ring would let
+sub-microsecond cache hits dominate p99 and hide the model path's tail,
+which is the quantity FactorJoin-style deployments actually watch.  The
+aggregate p50/p90/p99 fields are kept for compatibility and still cover
+every request.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.metrics.quantiles import quantile
-from repro.obs.metrics import Histogram, HistogramSnapshot, MetricsRegistry
+from repro.obs.metrics import Histogram, HistogramSnapshot
 
 #: the serving paths that get their own latency histogram
-LATENCY_PATHS = ("cache", "batch", "model", "fallback")
+LATENCY_PATHS = ("cache", "model", "fallback")
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class ServiceStats:
     cache_misses: int = 0
     #: cache entries dropped lazily due to a generation bump
     cache_invalidations: int = 0
-    #: micro-batches executed
-    batches: int = 0
-    #: requests answered through a micro-batch
-    batched_requests: int = 0
     #: deadline-exceeded requests (answered by the fallback estimator)
     timeouts: int = 0
     #: learned-path errors (answered by the fallback estimator)
@@ -56,42 +52,30 @@ class ServiceStats:
     p50_latency: float = 0.0
     p90_latency: float = 0.0
     p99_latency: float = 0.0
-    #: per-path latency snapshots: cache / batch / model / fallback
+    #: per-path latency snapshots: cache / model / fallback
     path_latencies: Mapping[str, HistogramSnapshot] = field(default_factory=dict)
+
+    # Not fields: nothing batches requests together, so both are always 0.
+    # Kept only because benchmarks/ledger/layers.py still reads them.
+    batches = 0
+    batched_requests = 0
 
     @property
     def cache_hit_rate(self) -> float:
         looked_up = self.cache_hits + self.cache_misses
         return self.cache_hits / looked_up if looked_up else 0.0
 
-    @property
-    def mean_batch_occupancy(self) -> float:
-        return self.batched_requests / self.batches if self.batches else 0.0
-
 
 class StatsCollector:
     """Thread-safe counter accumulation for one service."""
 
-    def __init__(
-        self, latency_window: int = 4096, registry: MetricsRegistry | None = None
-    ):
+    def __init__(self, latency_window: int = 4096):
         self._lock = threading.Lock()
-        if registry is None:
-            registry = MetricsRegistry(enabled=False)
-        # Registered at 0 up front: a fleet worker's batching is only
-        # observable through its exported registry, and an absent series
-        # would read as "batching off", not "no batch yet".
-        self._batches_total = registry.counter("serving_batches_total")
-        self._batched_requests_total = registry.counter(
-            "serving_batched_requests_total"
-        )
         self._counts = {
             "requests": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "cache_invalidations": 0,
-            "batches": 0,
-            "batched_requests": 0,
             "timeouts": 0,
             "errors": 0,
             "rejected": 0,
@@ -118,13 +102,6 @@ class StatsCollector:
         with self._lock:
             self._counts[reason] += 1
             self._counts["fallbacks"] += 1
-
-    def record_batch(self, occupancy: int) -> None:
-        with self._lock:
-            self._counts["batches"] += 1
-            self._counts["batched_requests"] += occupancy
-        self._batches_total.inc()
-        self._batched_requests_total.inc(occupancy)
 
     def record_latency(self, seconds: float, path: str | None = None) -> None:
         with self._lock:

@@ -3,8 +3,8 @@
 :class:`StreamDriver` merges the pre-generated arrival and ingest streams
 into one virtual-time event loop and plays it against the full stack:
 
-* queries are served through the estimation service (cache, micro-batch,
-  admission, deadline fallback) *and* executed through an
+* queries are served through the estimation service (cache, admission,
+  deadline fallback) *and* executed through an
   :class:`~repro.engine.session.EngineSession` with feedback capture on,
   so every event both measures the served estimate's Q-Error against the
   actual result and deposits runtime evidence in the feedback log;

@@ -279,18 +279,6 @@ class TestLoaderBookkeeping:
         loader.refresh()
         assert loader.generation == 2
 
-    def test_refresh_listener_receives_changed_keys(self, small_catalog, bn_blob):
-        blob, _model = bn_blob
-        registry = ModelRegistry()
-        registry.publish("bn", "t", blob)
-        loader = self._loader(small_catalog, registry)
-        events = []
-        loader.add_refresh_listener(lambda report: events.append(report.changed_keys()))
-        loader.refresh()
-        assert events == [[("bn", "t")]]
-        loader.refresh()  # no change: listener must stay quiet
-        assert len(events) == 1
-
 
 class TestRefusalObservability:
     """Refused loads carry a reason category and a labeled obs counter."""

@@ -203,7 +203,7 @@ class TestServiceBackedSession:
             bytecard_suite.count_estimator,
             SelingerEstimator(imdb.catalog),
             bytecard_suite.ndv_estimator,
-            ServingConfig(deadline_ms=None, enable_batching=False),
+            ServingConfig(deadline_ms=None),
         ) as service:
             served_session = EngineSession(imdb.catalog, service=service)
             assert served_session.service is service

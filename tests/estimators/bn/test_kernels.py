@@ -370,21 +370,9 @@ class TestByteCardWiring:
             if table != changed:
                 assert after[table].context is context, table
 
-    def test_serve_micro_batch_knob(self, bytecard):
-        with bytecard.serve(max_batch_size=32) as service:
-            assert service.config.max_batch_size == 32
-            assert service.batcher.max_batch_size == 32
-
     def test_serve_defaults_documented_values(self, bytecard):
-        with bytecard.serve() as service:
-            assert service.config.max_batch_size == 16
-
-    def test_batching_config_preserves_other_fields(self, bytecard):
         from repro.serving import ServingConfig
 
-        config = ServingConfig(deadline_ms=None, num_workers=3)
-        updated = bytecard._batching_config(config, 64)
-        assert updated.max_batch_size == 64
-        assert updated.num_workers == 3
-        assert updated.deadline_ms is None
-        assert bytecard._batching_config(config, None) is config
+        with bytecard.serve() as service:
+            assert service.config == ServingConfig()
+            assert service.config.deadline_ms == 5.0

@@ -52,7 +52,6 @@ class Full(CountEstimator):
     """Estimator advertising every optional capability."""
 
     name = "full"
-    supports_join_batching = True
 
     def estimate_count(self, query):
         return 42.0
@@ -65,9 +64,6 @@ class Full(CountEstimator):
 
     def estimate_count_detail(self, query):
         return (42.0, "model")
-
-    def estimate_count_batch(self, table, queries):
-        return [42.0] * len(queries)
 
     def shard_selectivity(self, table, shard, query):
         return 0.125
@@ -104,8 +100,6 @@ def test_adapter_capability_flags_bare():
     strategy = as_strategy(Bare())
     assert isinstance(strategy, EstimationStrategy)
     assert strategy.strategy_id == "bare"
-    assert not strategy.supports_batching
-    assert not strategy.supports_join_batching
     assert not strategy.supports_shard_routing
     assert strategy.cache_scope(single()) == "bare"
     # Defaults synthesize details with "direct" provenance.
@@ -118,12 +112,9 @@ def test_adapter_capability_flags_bare():
 def test_adapter_capability_flags_full():
     estimator = Full()
     strategy = as_strategy(estimator)
-    assert strategy.supports_batching
-    assert strategy.supports_join_batching
     assert strategy.supports_shard_routing
-    # Optional methods are bound straight through (identity holds).
+    # The optional method is bound straight through (identity holds).
     assert strategy.shard_selectivity == estimator.shard_selectivity
-    assert strategy.estimate_count_batch == estimator.estimate_count_batch
     # Duck-typed (value, source) detail results are normalized.
     assert strategy.selectivity_detail(single()) == EstimateDetail(0.25, "cache")
 

@@ -87,40 +87,33 @@ class TestFleetServing:
         # Worker-side serving counters survive the IPC snapshot + merge.
         assert "serving_requests_total" in text
 
-    def test_worker_side_batching_shows_in_the_merged_metrics(
+    def test_worker_side_model_misses_show_in_the_merged_metrics(
         self, fleet, fleet_bundle
     ):
         from repro.workloads import aeolus_online
 
-        def batch_counters() -> dict[tuple[str, str], float]:
-            counters = fleet.metrics_json()["counters"]
-            # Pre-registered: present for every worker even before a batch.
-            return {
-                (name, worker): counters[f'{name}{{worker="{worker}"}}']
-                for name in ("serving_batches_total", "serving_batched_requests_total")
-                for worker in ("0", "1")
-            }
+        def model_counts() -> dict[str, int]:
+            histograms = fleet.metrics_json()["histograms"]
+            counts = {"0": 0, "1": 0}
+            for ident, snapshot in histograms.items():
+                if ident.startswith("serving_request_seconds{") and (
+                    'path="model"' in ident
+                ):
+                    for worker in counts:
+                        if f'worker="{worker}"' in ident:
+                            counts[worker] += snapshot["count"]
+            return counts
 
-        before = batch_counters()
+        before = model_counts()
         expected = {"0": 0, "1": 0}
         for query in aeolus_online(fleet_bundle, num_queries=12, seed=977).queries:
             routed = fleet.estimate_count_detail(query)
-            if routed.source == "model" and not query.group_by:
+            if routed.source == "model":
                 expected[str(routed.worker)] += 1
         assert sum(expected.values()) > 0
-        after = batch_counters()
+        after = model_counts()
         for worker, requests in expected.items():
-            batched = (
-                after["serving_batched_requests_total", worker]
-                - before["serving_batched_requests_total", worker]
-            )
-            batches = (
-                after["serving_batches_total", worker]
-                - before["serving_batches_total", worker]
-            )
-            assert batched == requests
-            # Occupancy (batched / batches) is at least one request per batch.
-            assert (1 <= batches <= batched) if requests else batches == 0
+            assert after[worker] - before[worker] == requests
 
     def test_metrics_json_export(self, fleet):
         doc = fleet.metrics_json()

@@ -109,10 +109,11 @@ class TestStatsCollectorConcurrency:
         assert stats.requests == NUM_THREADS * PER_THREAD
         assert stats.errors == NUM_THREADS * (PER_THREAD // 10)
         assert stats.fallbacks == stats.errors
-        # Every path saw exactly its threads' share of observations.
-        per_path = NUM_THREADS // len(LATENCY_PATHS) * PER_THREAD
-        for path in LATENCY_PATHS:
-            assert stats.path_latencies[path].count == per_path
+        # Every path saw exactly its threads' observations (thread i
+        # records on path i mod len(LATENCY_PATHS)).
+        for index, path in enumerate(LATENCY_PATHS):
+            threads = len(range(index, NUM_THREADS, len(LATENCY_PATHS)))
+            assert stats.path_latencies[path].count == threads * PER_THREAD
             assert stats.path_latencies[path].p50 > 0.0
 
     def test_snapshot_is_immutable_and_consistent_mid_flight(self):

@@ -4,8 +4,8 @@ Three layers of hammering:
 
 * a fast stub estimator under 8+ threads -- no lost or duplicated
   responses, counter consistency;
-* a real :class:`ByteCard` behind the full cache + batcher pipeline --
-  bit-identical values against direct estimation;
+* a real :class:`ByteCard` behind the full cache pipeline -- bit-identical
+  values against direct estimation;
 * a versioned estimator with a *real* Model Loader refreshing mid-flight --
   a cache hit must never reflect a model generation older than the last
   completed refresh (the stale-generation guarantee).

@@ -198,7 +198,7 @@ class TestServiceWiring:
         report = RefreshReport(loaded=[("bn", "users@shard2")])
         assert report.changed_tables() == {"users"}
         assert RefreshReport(loaded=[("rbx", "universal")]).changed_tables() is None
-        config = ServingConfig(deadline_ms=None, enable_batching=False, num_workers=2)
+        config = ServingConfig(deadline_ms=None, num_workers=2)
         with EstimationService(stats_fj, stats_fj, config=config) as service:
             query = CardQuery(tables=("users",), predicates=(P_REP,))
             service.estimate_count(query)

@@ -1,10 +1,12 @@
-"""EstimationService request-path semantics with controllable estimators."""
+"""EstimationService request-path semantics with controllable estimators,
+and a learned ByteCard whose served misses must be its direct estimates."""
 
 import threading
 import time
 
 import pytest
 
+from repro.core import ByteCard, ByteCardConfig
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.serving import EstimationService, ServingConfig
@@ -12,6 +14,7 @@ from repro.sql.query import (
     AggKind,
     AggSpec,
     CardQuery,
+    JoinCondition,
     PredicateOp,
     TablePredicate,
 )
@@ -73,7 +76,7 @@ FALLBACK = 99.0
 
 
 def make_service(estimator, **overrides) -> EstimationService:
-    defaults = dict(deadline_ms=None, enable_batching=False, num_workers=2)
+    defaults = dict(deadline_ms=None, num_workers=2)
     defaults.update(overrides)
     return EstimationService(
         estimator, Constant(FALLBACK), Constant(FALLBACK), ServingConfig(**defaults)
@@ -214,7 +217,7 @@ class TestRequestPath:
 
 
 class ThreadRecorder(Doubler):
-    """Doubler that records which thread entered it, plain and batched."""
+    """Doubler that records which thread entered it."""
 
     def __init__(self, delay_s: float = 0.0):
         super().__init__(delay_s)
@@ -224,27 +227,22 @@ class ThreadRecorder(Doubler):
         self.idents.append(threading.get_ident())
         return super().estimate_count(query)
 
-    def estimate_count_batch(self, key, queries):
-        return [self.estimate_count(query) for query in queries]
-
 
 class TestExecutingThread:
     """A request with nothing to time out is served by the thread that
     brought it; only requests that carry a deadline cross into the pool."""
 
-    @pytest.mark.parametrize("enable_batching", [False, True])
-    def test_no_deadline_computes_on_the_caller(self, enable_batching):
+    @pytest.mark.parametrize("enable_cache", [False, True])
+    def test_no_deadline_computes_on_the_caller(self, enable_cache):
         model = ThreadRecorder()
-        with make_service(model, enable_batching=enable_batching) as service:
+        with make_service(model, enable_cache=enable_cache) as service:
             served = service.estimate_count_detail(make_query(5.0))
             overridden = service.estimate_count_detail(make_query(6.0), deadline_ms=None)
             stats = service.stats()
         assert served.source == overridden.source == "model"
-        assert served.batched is enable_batching
         assert (served.value, overridden.value) == (10.0, 12.0)
         assert model.idents == [threading.get_ident()] * 2
         assert stats.rejected == 0 and stats.timeouts == 0 and stats.fallbacks == 0
-        assert stats.batches == (2 if enable_batching else 0)
 
     def test_no_deadline_ndv_computes_on_the_caller(self):
         idents: list[int] = []
@@ -270,9 +268,9 @@ class TestExecutingThread:
         assert model.idents[0] != threading.get_ident()
 
     def test_inline_request_records_its_compute_stage_once(self):
-        with make_service(ThreadRecorder(), enable_batching=True) as service:
+        with make_service(ThreadRecorder()) as service:
             miss = service.estimate_count_detail(make_query(5.0))
-        assert [s.name for s in miss.stages] == ["serve.cache_lookup", "serve.batch"]
+        assert [s.name for s in miss.stages] == ["serve.cache_lookup", "serve.model"]
 
     def test_inline_error_still_degrades_with_provenance(self):
         with make_service(Broken()) as service:
@@ -289,7 +287,7 @@ class TestExecutingThread:
 class TestPathLatencies:
     """Regression: latencies used to land in one shared ring, so sub-ms
     cache hits drowned the model-path distribution.  They are now recorded
-    per path (cache/batch/model/fallback) alongside the old aggregate."""
+    per path (cache/model/fallback) alongside the old aggregate."""
 
     def test_cache_and_model_paths_recorded_separately(self):
         with make_service(Doubler()) as service:
@@ -330,7 +328,7 @@ class TestPathLatencies:
             model,
             Constant(FALLBACK),
             Constant(FALLBACK),
-            ServingConfig(deadline_ms=None, enable_batching=False, num_workers=2),
+            ServingConfig(deadline_ms=None, num_workers=2),
             registry=registry,
         )
         with service:
@@ -342,28 +340,55 @@ class TestPathLatencies:
         assert 'serving_requests_total{task="count"} 2' in text
 
 
-class TestBatchCountersInRegistry:
-    def test_preregistered_at_zero_then_follow_the_stats(self):
-        from repro.obs import MetricsRegistry, export_json
+REPUTATION = TablePredicate("users", "Reputation", PredicateOp.GE, 10.0)
+SCORE = TablePredicate("posts", "Score", PredicateOp.LE, 40.0)
+USERS = CardQuery(tables=("users",), predicates=(REPUTATION,))
+JOIN = CardQuery(
+    tables=("users", "posts"),
+    joins=(JoinCondition("users", "Id", "posts", "OwnerUserId"),),
+    predicates=(REPUTATION, SCORE),
+)
 
-        registry = MetricsRegistry()
-        service = EstimationService(
-            ThreadRecorder(),
-            Constant(FALLBACK),
-            config=ServingConfig(deadline_ms=None),
-            registry=registry,
-        )
-        with service:
-            counters = export_json(registry)["counters"]
-            assert counters["serving_batches_total"] == 0
-            assert counters["serving_batched_requests_total"] == 0
-            for value in (1.0, 2.0, 2.0):
-                service.estimate_count(make_query(value))
-            counters = export_json(registry)["counters"]
-            stats = service.stats()
-        assert stats.batches == 2 and stats.batched_requests == 2
-        assert counters["serving_batches_total"] == stats.batches
-        assert counters["serving_batched_requests_total"] == stats.batched_requests
+
+@pytest.fixture(scope="module")
+def learned(stats):
+    """A ByteCard serving learned COUNT models only (no RBX training)."""
+    bytecard = ByteCard(stats, config=ByteCardConfig(training_sample_rows=4000))
+    bytecard.forge_service.train_count_models(stats)
+    bytecard.refresh()
+    return bytecard
+
+
+def pass_counts(pass_stats):
+    return None if pass_stats is None else (pass_stats.requested, pass_stats.executed)
+
+
+class TestServedLearnedMiss:
+    """A served COUNT miss is ``estimate_count`` on the executing thread:
+    same bits, same pass accounting, with or without a deadline."""
+
+    @pytest.mark.parametrize("query", [USERS, JOIN], ids=["single", "join"])
+    @pytest.mark.parametrize("deadline_ms", [None, 5.0])
+    def test_miss_is_the_direct_estimate(self, learned, deadline_ms, query):
+        learned.plan_cache.clear()
+        direct = learned.estimate_count(query)
+        direct_passes = pass_counts(learned.last_pass_stats)
+        learned.plan_cache.clear()
+        config = ServingConfig(deadline_ms=deadline_ms, num_workers=1)
+        with learned.serve(config) as service:
+            served = service.estimate_count_detail(query)
+            # Pass accounting is per thread: read it where the miss ran.
+            if deadline_ms is None:
+                served_passes = pass_counts(learned.last_pass_stats)
+            else:
+                served_passes = service.pool.try_submit(
+                    lambda: pass_counts(learned.last_pass_stats)
+                ).result(timeout=10.0)
+        assert served.path == "model"
+        assert served.value == direct
+        assert served_passes == direct_passes
+        if query is JOIN:
+            assert direct_passes is not None and direct_passes[1] > 0
 
 
 class TestConfigValidation:
@@ -372,7 +397,7 @@ class TestConfigValidation:
         [
             {"deadline_ms": 0.0},
             {"cache_entries": 0},
-            {"max_batch_size": 0},
+            {"cache_entries": -1},
             {"num_workers": 0},
             {"queue_capacity": -1},
             {"latency_window": 0},

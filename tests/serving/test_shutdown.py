@@ -2,18 +2,15 @@
 
 The contract under test: ``close()`` first stops admission (new requests
 still get *answered*, via the fallback-rejected path), then waits out
-in-flight learned work up to the timeout, then closes the micro-batcher
-(failing anything a hung leader stranded) and tears the pool down --
+in-flight learned work up to the timeout, then tears the pool down --
 and a hung worker can never wedge the close call or interpreter exit.
 """
 
 import threading
 import time
 
-import pytest
-
 from repro.errors import EstimationError
-from repro.serving import EstimationService, MicroBatcher, ServingConfig, WorkerPool
+from repro.serving import EstimationService, ServingConfig, WorkerPool
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
 
 from tests.serving.test_service import Constant, Doubler, make_query
@@ -108,60 +105,6 @@ class TestWorkerPool:
         assert pool.close(timeout=1)
         assert pool.try_submit(lambda: 1) is None
         assert pool.close(timeout=1)
-
-
-class TestMicroBatcherClose:
-    def test_estimate_after_close_raises(self):
-        batcher = MicroBatcher(batch_fn=lambda key, qs: [1.0] * len(qs))
-        batcher.close()
-        with pytest.raises(EstimationError, match="closed"):
-            batcher.estimate(make_query(1.0))
-
-    def test_close_fails_stranded_followers(self):
-        entered = threading.Event()
-        release = threading.Event()
-
-        def slow_batch(key, queries):
-            entered.set()
-            release.wait(timeout=30.0)
-            return [1.0] * len(queries)
-
-        batcher = MicroBatcher(batch_fn=slow_batch, max_batch_size=8)
-        results: dict[str, object] = {}
-
-        def leader():
-            try:
-                results["leader"] = batcher.estimate(make_query(1.0))
-            except EstimationError as exc:
-                results["leader"] = exc
-
-        def follower():
-            try:
-                results["follower"] = batcher.estimate(make_query(2.0))
-            except EstimationError as exc:
-                results["follower"] = exc
-
-        leader_t = threading.Thread(target=leader, daemon=True)
-        leader_t.start()
-        assert entered.wait(timeout=5.0)
-        # The leader is inside batch_fn, so its key is busy: a new request
-        # for the same key queues behind it as a true follower, which only
-        # the leader's hand-off -- or close() -- can ever wake.
-        follower_t = threading.Thread(target=follower, daemon=True)
-        follower_t.start()
-        deadline = time.monotonic() + 5.0
-        while batcher.pending_count("t") < 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert batcher.pending_count("t") == 1
-        batcher.close()
-        follower_t.join(timeout=5.0)
-        assert not follower_t.is_alive()
-        assert isinstance(results["follower"], EstimationError)
-        assert batcher.pending_count() == 0
-        release.set()
-        leader_t.join(timeout=5.0)
-        # The executing batch is not close()'s to fail: it finishes normally.
-        assert results["leader"] == 1.0
 
 
 class TestServiceClose:

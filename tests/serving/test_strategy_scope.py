@@ -35,9 +35,7 @@ def make_service(estimator, feedback=None):
     return EstimationService(
         estimator=estimator,
         fallback_count=Constant("fallback", -1.0),
-        config=ServingConfig(
-            deadline_ms=10_000.0, enable_batching=False, cache_entries=64
-        ),
+        config=ServingConfig(deadline_ms=10_000.0, cache_entries=64),
         feedback=feedback,
     )
 
