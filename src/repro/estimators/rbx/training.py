@@ -22,7 +22,12 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.estimators.frequency import FrequencyProfile, frequency_profile
 from repro.estimators.rbx.network import MLP, AdamState
-from repro.estimators.rbx.profile import RBX_FEATURE_DIM, ndv_to_target, rbx_features
+from repro.estimators.rbx.profile import (
+    PROFILE_LENGTH,
+    RBX_FEATURE_DIM,
+    ndv_to_target,
+    rbx_features,
+)
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,11 @@ class SyntheticColumnSampler:
 
     A column is a frequency vector over ``ndv`` distinct values summing to
     the population size; the sample's per-value counts are Binomial draws,
-    so no rows are ever materialized and corpus generation is fast.
+    so no rows are ever materialized and corpus generation is fast.  The
+    flat families (uniform, near-distinct) give every value one frequency,
+    so their vector is never built: the Binomial is drawn ``ndv`` times
+    from that scalar, which consumes the generator exactly as the array
+    form would.
     """
 
     FAMILIES = ("uniform", "zipf", "geometric", "near_distinct")
@@ -76,14 +85,16 @@ class SyntheticColumnSampler:
             family = "near_distinct"
         else:
             family = self.FAMILIES[rng.integers(len(self.FAMILIES))]
-        frequencies = self._frequencies(family, population)
-        true_ndv = int(frequencies.size)
-        sample_counts = rng.binomial(frequencies, rate)
+        frequencies, true_ndv = self._frequencies(family, population)
+        sample_counts = rng.binomial(frequencies, rate, size=true_ndv)
         sample_counts = sample_counts[sample_counts > 0]
         profile = self._profile_from_counts(sample_counts, population)
         return SyntheticColumn(profile=profile, true_ndv=true_ndv)
 
-    def _frequencies(self, family: str, population: int) -> np.ndarray:
+    def _frequencies(
+        self, family: str, population: int
+    ) -> tuple[int | np.ndarray, int]:
+        """Per-value frequencies (a scalar for the flat families) and NDV."""
         rng = self.rng
         if family == "near_distinct":
             ndv = max(1, int(population * rng.uniform(0.5, 1.0)))
@@ -91,29 +102,28 @@ class SyntheticColumnSampler:
             log_ndv = rng.uniform(np.log(10), np.log(max(11, population)))
             ndv = max(1, int(np.exp(log_ndv)))
         ndv = min(ndv, population)
-        if family == "uniform":
-            weights = np.ones(ndv)
-        elif family == "zipf":
+        if family in ("uniform", "near_distinct"):
+            # Every weight is 1/ndv; the float64 steps match the vector
+            # path below, so this is bitwise each entry of a flat vector.
+            weight = 1.0 / np.float64(ndv)
+            return max(1, int(np.round(weight * (population - ndv))) + 1), ndv
+        if family == "zipf":
             skew = rng.uniform(0.3, 2.0)
             weights = np.arange(1, ndv + 1, dtype=np.float64) ** -skew
-        elif family == "geometric":
+        else:  # geometric
             decay = rng.uniform(0.9, 0.9999)
             weights = decay ** np.arange(ndv, dtype=np.float64)
-        else:  # near_distinct
-            weights = np.ones(ndv)
         weights = weights / weights.sum()
         frequencies = np.maximum(
             1, np.round(weights * (population - ndv)).astype(np.int64) + 1
         )
-        return frequencies
+        return frequencies, ndv
 
     @staticmethod
     def _profile_from_counts(
         sample_counts: np.ndarray, population: int
     ) -> FrequencyProfile:
         sample_size = int(sample_counts.sum())
-        from repro.estimators.rbx.profile import PROFILE_LENGTH
-
         head = sample_counts[sample_counts <= PROFILE_LENGTH]
         tail = sample_counts[sample_counts > PROFILE_LENGTH]
         counts = np.bincount(head.astype(np.int64), minlength=PROFILE_LENGTH + 1)[1:]

@@ -13,9 +13,12 @@ from repro.core import (
     ModelRegistry,
 )
 from repro.core.engine import BNInferenceEngine, RBXInferenceEngine
-from repro.core.modelforge import IngestionSignal
+from repro.core.modelforge import IngestionSignal, _universal_rbx_blob
+from repro.core.serialization import deserialize_rbx, serialize_rbx
 from repro.core.validator import ModelValidator
 from repro.errors import ModelError, TrainingError
+from repro.estimators.frequency import frequency_profile
+from repro.estimators.rbx import train_rbx
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
 from repro.storage.types import MLType
 
@@ -110,6 +113,46 @@ class TestModelForge:
         info = forge.train_rbx_universal()
         assert registry.latest("rbx", "universal") is not None
         assert info.nbytes > 100_000  # a few hundred KB of weights
+
+
+class TestUniversalRBXMemo:
+    """The universal checkpoint trains once per (corpus size, epochs, seed)."""
+
+    CORPUS, EPOCHS = 100, 2
+
+    def _publish(self, corpus=CORPUS, epochs=EPOCHS, seed=9):
+        config = ByteCardConfig(rbx_corpus_size=corpus, rbx_epochs=epochs)
+        forge = ModelForgeService(ModelRegistry(), config)
+        forge.train_rbx_universal(seed=seed)
+        return forge, forge.registry.latest("rbx", "universal").blob
+
+    def test_repeat_publishes_the_trained_bytes_without_retraining(self):
+        _, first = self._publish()
+        hits = _universal_rbx_blob.cache_info().hits
+        forge, second = self._publish()
+        assert _universal_rbx_blob.cache_info().hits == hits + 1
+        assert second == first
+        assert forge.history[-1].nbytes == len(second)
+        trained = train_rbx(num_examples=self.CORPUS, epochs=self.EPOCHS, seed=9)
+        assert first == serialize_rbx(trained, meta={"scope": "universal"})
+
+    @pytest.mark.parametrize(
+        "change", [{"corpus": 101}, {"epochs": 3}, {"seed": 8}]
+    )
+    def test_every_training_input_is_in_the_key(self, change):
+        assert self._publish(**change)[1] != self._publish()[1]
+
+    def test_fine_tune_between_hits_leaves_the_checkpoint(self):
+        forge, first = self._publish()
+        model, _meta = deserialize_rbx(first)
+        rng = np.random.default_rng(4)
+        samples = [
+            (frequency_profile(rng.integers(0, ndv, 500), 50_000), ndv)
+            for ndv in (300, 20_000)
+        ]
+        forge.fine_tune_column(model, "t", "c", samples)
+        _, second = self._publish()
+        assert second == first
 
 
 class TestPreprocessorCache:
