@@ -37,7 +37,6 @@ FRAME_DROP_REASONS = (
     "unknown-kind",
     "abandoned",
     "ping",
-    "late-reply",
     "metrics",
 )
 
@@ -232,7 +231,7 @@ class WorkerClient:
         return clean
 
     def kill(self) -> None:
-        """Hard-kill the process (fault injection and circuit breaking)."""
+        """Hard-kill the process (fault injection, wedged-worker restart)."""
         if self.process.is_alive():
             self.process.kill()
         self.process.join(timeout=5.0)

@@ -5,7 +5,9 @@ processes behind one router, millisecond-scale serving deadlines enforced
 *inside* each worker (its :class:`~repro.serving.core.EstimationCore`
 degrades to the traditional estimator on its own), and a router whose
 hedging exists to survive *process* failures -- a worker that is dead,
-wedged, or unreachable -- rather than slow models.
+wedged, or unreachable -- rather than slow models.  A hedge degrades only
+its own request; only EOF and ``heartbeat_misses`` silent pings restart a
+worker.
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ class FleetConfig:
     #: virtual nodes per worker on the consistent-hash ring; more nodes
     #: smooth the shard balance, at O(n_workers * virtual_nodes) ring size
     virtual_nodes: int = 64
-    #: slack fraction of the serving deadline the router grants on top of
-    #: it before hedging: a worker answers within its own deadline (it
-    #: degrades internally), so waiting ``deadline * (1 + hedge_fraction)``
-    #: means a hedge fires only on transport/process trouble
-    hedge_fraction: float = 0.5
     #: router-side wait before hedging when the serving deadline is None
     #: (the worker never self-degrades on time, so the router needs its
     #: own absolute budget), milliseconds
@@ -40,9 +37,6 @@ class FleetConfig:
     #: consecutive missed heartbeats before the worker is declared wedged
     #: and hard-restarted
     heartbeat_misses: int = 4
-    #: consecutive request failures before the circuit opens and the
-    #: worker is killed for a supervised restart
-    failure_threshold: int = 3
     #: lifetime restart budget per worker; beyond it the shard serves from
     #: the router's local fallback permanently
     max_restarts: int = 5
@@ -63,8 +57,6 @@ class FleetConfig:
             raise SchemaError("n_workers must be >= 1")
         if self.virtual_nodes < 1:
             raise SchemaError("virtual_nodes must be >= 1")
-        if self.hedge_fraction < 0:
-            raise SchemaError("hedge_fraction must be >= 0")
         if self.hedge_timeout_ms <= 0:
             raise SchemaError("hedge_timeout_ms must be positive")
         if self.heartbeat_interval_s <= 0:
@@ -73,8 +65,6 @@ class FleetConfig:
             raise SchemaError("heartbeat_timeout_s must be positive")
         if self.heartbeat_misses < 1:
             raise SchemaError("heartbeat_misses must be >= 1")
-        if self.failure_threshold < 1:
-            raise SchemaError("failure_threshold must be >= 1")
         if self.max_restarts < 0:
             raise SchemaError("max_restarts must be >= 0")
         if self.handler_threads < 1:

@@ -13,19 +13,17 @@ What the router adds is *fault tolerance around processes*:
 
 * **hedging** -- a worker answers within its serving deadline (its core
   degrades internally), so the router waits ``deadline * (1 +
-  hedge_fraction)`` and then computes the traditional fallback locally.
-  If the worker's reply lands while the hedge is being computed, the
-  late reply wins (it is the learned estimate; the hedge was wasted
-  work, which is counted).  Otherwise the request is abandoned -- a
-  late reply is dropped by the client, never double-answered.
-* **failover** -- a dead worker (EOF mid-request, failed submit, circuit
-  open) degrades the request to the local traditional estimator
-  immediately; no request is lost.
+  HEDGE_FRACTION)`` and then abandons the request and answers it from the
+  traditional fallback locally.  A late reply is dropped by the client,
+  never double-answered.
+* **failover** -- a dead worker (EOF mid-request, failed submit) degrades
+  the request to the local traditional estimator immediately; no request
+  is lost.
 * **supervision** -- a heartbeat thread pings every worker; a dead or
   wedged (``heartbeat_misses`` silent pings) worker is restarted and
-  re-warmed from the artifact store, up to ``max_restarts`` times.
-  Consecutive request failures open a circuit that forces the same
-  restart path without waiting for the heartbeat to notice.
+  re-warmed from the artifact store, up to ``max_restarts`` times.  EOF
+  and the heartbeat are the only restart triggers: a hedge or an ``err``
+  frame degrades that one request and never touches the worker.
 
 Fleet-wide observability: every worker ships its registry snapshot over
 IPC; :meth:`metrics_registry` merges them with the router's own registry
@@ -55,6 +53,11 @@ from repro.sql.query import CardQuery
 
 __all__ = ["FleetRouter", "FleetEstimate", "FleetStats"]
 
+#: slack fraction of the serving deadline the router grants on top of it
+#: before hedging: a worker answers within its own deadline (it degrades
+#: internally), so a hedge fires only on transport/process trouble
+HEDGE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FleetEstimate:
@@ -67,14 +70,20 @@ class FleetEstimate:
     #: shard owner the request was routed to
     worker: int
     latency_s: float
-    #: the hedge timer fired (even if the worker's late reply won)
-    hedged: bool = False
-    #: the owner was unusable and the router answered locally
-    failover: bool = False
 
     @property
     def degraded(self) -> bool:
         return self.source.startswith("fallback")
+
+    @property
+    def hedged(self) -> bool:
+        """The hedge timer fired and the router answered locally."""
+        return self.source == "fallback-hedge"
+
+    @property
+    def failover(self) -> bool:
+        """The owner was unusable and the router answered locally."""
+        return self.source == "fallback-failover"
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,6 @@ class FleetStats:
 
     requests: int = 0
     hedges: int = 0
-    #: hedges whose fallback compute was discarded for a late worker reply
-    hedges_wasted: int = 0
     failovers: int = 0
     worker_errors: int = 0
     restarts: int = 0
@@ -133,14 +140,12 @@ class FleetRouter(CountEstimator, NdvEstimator):
         self._counts = {
             "requests": 0,
             "hedges": 0,
-            "hedges_wasted": 0,
             "failovers": 0,
             "worker_errors": 0,
             "restarts": 0,
         }
         self._clients_lock = threading.Lock()
         self._clients: dict[int, WorkerClient] = {}
-        self._consecutive_failures = {wid: 0 for wid in worker_ids}
         self._restart_counts = {wid: 0 for wid in worker_ids}
         self._closed = threading.Event()
         # Spawn everyone first (warm-starts overlap), then await readiness.
@@ -213,7 +218,6 @@ class FleetRouter(CountEstimator, NdvEstimator):
                 client.kill()
                 return False
             self._clients[worker_id] = client
-            self._consecutive_failures[worker_id] = 0
         self._bump("restarts")
         self.registry.counter(
             "fleet_worker_restarts_total", worker=worker_id
@@ -244,29 +248,6 @@ class FleetRouter(CountEstimator, NdvEstimator):
                     client.kill()
                     self._restart(worker_id)
 
-    def _note_failure(self, worker_id: int) -> None:
-        """Circuit breaker: consecutive failures force a restart cycle."""
-        with self._clients_lock:
-            self._consecutive_failures[worker_id] += 1
-            tripped = (
-                self._consecutive_failures[worker_id]
-                >= self.config.failure_threshold
-            )
-            if tripped:
-                self._consecutive_failures[worker_id] = 0
-            client = self._clients.get(worker_id) if tripped else None
-        if tripped:
-            self.registry.counter(
-                "fleet_circuit_breaks_total", worker=worker_id
-            ).inc()
-            if client is not None and client.alive:
-                # Kill; the supervisor's next sweep performs the restart.
-                client.kill()
-
-    def _note_success(self, worker_id: int) -> None:
-        with self._clients_lock:
-            self._consecutive_failures[worker_id] = 0
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -278,7 +259,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
         deadline = self.serving_config.deadline_ms
         if deadline is None:
             return self.config.hedge_timeout_ms / 1000.0
-        return deadline * (1.0 + self.config.hedge_fraction) / 1000.0
+        return deadline * (1.0 + HEDGE_FRACTION) / 1000.0
 
     def _fallback_fn(self, task: str) -> Callable[[CardQuery], float]:
         if task == "count":
@@ -298,8 +279,6 @@ class FleetRouter(CountEstimator, NdvEstimator):
         source: str,
         worker_id: int,
         start: float,
-        hedged: bool = False,
-        failover: bool = False,
     ) -> FleetEstimate:
         latency = time.perf_counter() - start
         self.registry.histogram("fleet_latency_seconds", task=task).observe(
@@ -310,85 +289,50 @@ class FleetRouter(CountEstimator, NdvEstimator):
             source=source,
             worker=worker_id,
             latency_s=latency,
-            hedged=hedged,
-            failover=failover,
         )
+
+    def _failover(
+        self,
+        task: str,
+        query: CardQuery,
+        owner: int,
+        start: float,
+        reason: str,
+    ) -> FleetEstimate:
+        """The owner is unusable (``reason``): answer locally."""
+        self._bump("failovers")
+        self.registry.counter("fleet_failovers_total", reason=reason).inc()
+        value = self._fallback_fn(task)(query)
+        return self._finish(task, value, "fallback-failover", owner, start)
 
     def _dispatch(self, task: str, query: CardQuery) -> FleetEstimate:
         start = time.perf_counter()
         self._bump("requests")
         self.registry.counter("fleet_requests_total", task=task).inc()
         owner = self.shard_map.owner_for_tables(query.tables)
-        fallback = self._fallback_fn(task)
         client = self._client(owner)
         if client is None or not client.alive:
-            self._bump("failovers")
-            self.registry.counter(
-                "fleet_failovers_total", reason="worker-down"
-            ).inc()
-            return self._finish(
-                task, fallback(query), "fallback-failover", owner, start,
-                failover=True,
-            )
+            return self._failover(task, query, owner, start, "worker-down")
         try:
             req_id, future = client.submit_estimate(task, query)
         except WorkerDied:
-            self._note_failure(owner)
-            self._bump("failovers")
-            self.registry.counter(
-                "fleet_failovers_total", reason="submit"
-            ).inc()
-            return self._finish(
-                task, fallback(query), "fallback-failover", owner, start,
-                failover=True,
-            )
+            return self._failover(task, query, owner, start, "submit")
+        fallback = self._fallback_fn(task)
         try:
             payload = future.result(timeout=self._hedge_wait_s())
         except FutureTimeoutError:
+            # Slow is not dead: only this request degrades; the client
+            # drops the late reply.
+            client.abandon(req_id)
             self._bump("hedges")
             self.registry.counter("fleet_hedges_total", task=task).inc()
-            hedge_value = fallback(query)
-            if future.done():
-                # The worker's reply landed while the hedge was computed:
-                # prefer it (it is the learned estimate), count the waste.
-                try:
-                    payload = future.result()
-                except Exception:
-                    # The late reply was an error frame; it is discarded in
-                    # favor of the hedge -- count the drop, don't hide it.
-                    self.registry.counter(
-                        "fleet_frames_dropped_total", reason="late-reply"
-                    ).inc()
-                    self._note_failure(owner)
-                    self._bump("worker_errors")
-                    return self._finish(
-                        task, hedge_value, "fallback-hedge", owner, start,
-                        hedged=True,
-                    )
-                self._note_success(owner)
-                self._bump("hedges_wasted")
-                value, source, _wlat = payload
-                return self._finish(
-                    task, value, source, owner, start, hedged=True
-                )
-            client.abandon(req_id)
-            self._note_failure(owner)
             return self._finish(
-                task, hedge_value, "fallback-hedge", owner, start, hedged=True
+                task, fallback(query), "fallback-hedge", owner, start
             )
         except WorkerDied:
-            self._note_failure(owner)
-            self._bump("failovers")
-            self.registry.counter(
-                "fleet_failovers_total", reason="died"
-            ).inc()
-            return self._finish(
-                task, fallback(query), "fallback-failover", owner, start,
-                failover=True,
-            )
-        except Exception:
+            return self._failover(task, query, owner, start, "died")
+        except FleetError:
             # Worker-side estimation error ("err" frame): degrade locally.
-            self._note_failure(owner)
             self._bump("worker_errors")
             self.registry.counter(
                 "fleet_worker_errors_total", task=task
@@ -396,7 +340,6 @@ class FleetRouter(CountEstimator, NdvEstimator):
             return self._finish(
                 task, fallback(query), "fallback-error", owner, start
             )
-        self._note_success(owner)
         value, source, _wlat = payload
         return self._finish(task, value, source, owner, start)
 

@@ -1,4 +1,4 @@
-"""Fleet fault paths: kills, stalls, circuit limits -- no request lost.
+"""Fleet fault paths: kills, stalls, worker errors -- no request lost.
 
 Stall injection uses SIGSTOP (process alive, totally silent) and kill
 injection uses SIGKILL (EOF on the frame connection); both are observable
@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from repro.errors import WorkerDied
+from repro.errors import EstimationError, WorkerDied
 from repro.fleet import FleetConfig
+from repro.sql.query import AggKind
 
 RESTART_WAIT_S = 60.0
 
@@ -144,6 +145,41 @@ class TestStalledWorker:
             assert estimate.value == expected
             assert fleet.stats().hedges >= 1
 
+    def test_brief_stall_hedges_without_restarting_the_worker(
+        self, fleet_card, fleet_serving_config, fleet_workload
+    ):
+        # A pause far below the heartbeat's wedge budget: every request to
+        # the paused worker hedges, and none of them costs it its process.
+        queries = fleet_workload.queries[:24]
+        with make_fleet(
+            fleet_card,
+            fleet_serving_config,
+            hedge_timeout_ms=100.0,
+            heartbeat_interval_s=FleetConfig.heartbeat_interval_s,
+            heartbeat_timeout_s=FleetConfig.heartbeat_timeout_s,
+        ) as fleet:
+            baseline = [fleet.estimate_count(q) for q in queries]
+            owner = fleet.owner_of(queries[0])
+            owned = [q for q in queries if fleet.owner_of(q) == owner]
+            pid = fleet._client(owner).ready_info["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                stalled = [
+                    fleet.estimate_count_detail(owned[i % len(owned)])
+                    for i in range(4)
+                ]
+            finally:
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+            assert [e.source for e in stalled] == ["fallback-hedge"] * 4
+            client = fleet._client(owner)
+            assert client.alive and client.ready_info["pid"] == pid
+            assert fleet.stats().restarts == 0
+            assert [fleet.estimate_count(q) for q in queries] == baseline
+            assert fleet.stats().restarts == 0
+
     def test_wedged_worker_is_hard_restarted_by_heartbeat(
         self, fleet_card, fleet_serving_config
     ):
@@ -171,6 +207,31 @@ class TestStalledWorker:
                     pass
             assert restarted, "wedged worker was not restarted"
             assert fleet.stats().restarts >= 1
+
+
+class TestWorkerErrors:
+    def test_err_frames_degrade_the_request_not_the_worker(
+        self, fleet_card, fleet_serving_config, fleet_workload
+    ):
+        # NDV on a plain COUNT query is a caller error: the worker answers
+        # with an err frame, the local NDV fallback refuses it too, and
+        # the worker that reported it stays in service.
+        query = next(
+            q for q in fleet_workload.queries if q.agg.kind is AggKind.COUNT
+        )
+        with make_fleet(fleet_card, fleet_serving_config) as fleet:
+            owner = fleet.owner_of(query)
+            pid = fleet._client(owner).ready_info["pid"]
+            for _ in range(4):
+                with pytest.raises(EstimationError):
+                    fleet.estimate_ndv_detail(query)
+            time.sleep(0.5)  # a few supervisor sweeps
+            stats = fleet.stats()
+            assert stats.worker_errors == 4
+            assert stats.failovers == 0
+            assert stats.restarts == 0
+            client = fleet._client(owner)
+            assert client.alive and client.ready_info["pid"] == pid
 
 
 class TestFleetClose:
