@@ -30,12 +30,9 @@ from conftest import RESULTS_DIR, record_table, render_grid
 
 from repro.abtest import ABHarness
 from repro.datasets import make_imdb
+from repro.estimators import StrategyChain, UpperBoundEstimator
 from repro.estimators.factorjoin import FactorJoinEstimator
-from repro.estimators.strategy import (
-    LearnedStrategy,
-    TraditionalStrategy,
-    UpperBoundStrategy,
-)
+from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.workloads import job_hybrid
 
 SMOKE = os.environ.get("AB_BENCH_SMOKE", "") not in ("", "0")
@@ -55,8 +52,9 @@ def workload(bundle):
 
 @pytest.fixture(scope="module")
 def learned(bundle):
-    return LearnedStrategy(
-        FactorJoinEstimator.train(bundle.catalog, bundle.filter_columns)
+    # A one-link chain names the estimator: the side label and plan scope.
+    return StrategyChain(
+        {"learned": FactorJoinEstimator.train(bundle.catalog, bundle.filter_columns)}
     )
 
 
@@ -65,9 +63,12 @@ def _fmt(value) -> str:
 
 
 def test_strategy_ab(bundle, workload, learned):
-    pairings = [(learned, UpperBoundStrategy(bundle.catalog))]
+    # UpperBoundEstimator's own name is already "upper_bound".
+    pairings = [(learned, UpperBoundEstimator(bundle.catalog))]
     if not SMOKE:
-        pairings.append((learned, TraditionalStrategy(bundle.catalog)))
+        pairings.append(
+            (learned, StrategyChain({"traditional": SelingerEstimator(bundle.catalog)}))
+        )
 
     reports = []
     rows = []
@@ -82,7 +83,7 @@ def test_strategy_ab(bundle, workload, learned):
             assert diff.scope_a and diff.scope_b
             # The upper bound's contract: never below the true count.
             if (
-                strategy_b.strategy_id == "upper_bound"
+                strategy_b.name == "upper_bound"
                 and diff.estimate_b is not None
                 and diff.true_count is not None
             ):

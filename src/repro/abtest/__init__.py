@@ -1,7 +1,7 @@
 """A/B testing of estimation strategies.
 
-:class:`ABHarness` plans a workload under two
-:class:`~repro.estimators.base.EstimationStrategy` implementations and
+:class:`ABHarness` plans a workload under two estimation strategies (any
+:class:`~repro.estimators.base.CountEstimator`: a model, a chain, a router) and
 emits a structured :class:`ABReport`: per-query plan-decision diffs
 (join order, reader choice, partition pruning, column order) plus
 Q-Error against true cardinalities.  ``benchmarks/bench_strategy_ab.py``

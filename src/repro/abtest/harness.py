@@ -26,8 +26,7 @@ from typing import Sequence
 from repro.engine.config import EngineConfig
 from repro.engine.optimizer import Optimizer, PhysicalPlan
 from repro.errors import EstimationError
-from repro.estimators.base import EstimationStrategy
-from repro.estimators.strategy import as_strategy
+from repro.estimators.base import CountEstimator
 from repro.metrics.qerror import qerror
 from repro.metrics.quantiles import quantile
 from repro.sql.query import CardQuery
@@ -183,41 +182,35 @@ class ABHarness:
     executes the exact counting path of :func:`repro.workloads.truth.
     true_count` per query to anchor Q-Errors; switch it off for
     plan-decision-only diffs over workloads too large to count exactly.
+
+    The report labels each side by its estimator's ``name``; a one-link
+    :class:`~repro.estimators.strategy.StrategyChain` names an estimator
+    (``StrategyChain({"learned": model})``).
     """
 
     def __init__(
         self,
         catalog: Catalog,
-        strategy_a: EstimationStrategy,
-        strategy_b: EstimationStrategy,
+        strategy_a: CountEstimator,
+        strategy_b: CountEstimator,
         config: EngineConfig | None = None,
         registry=None,
         compute_truth: bool = True,
     ):
         self.catalog = catalog
-        self.strategy_a = as_strategy(strategy_a)
-        self.strategy_b = as_strategy(strategy_b)
+        self.strategy_a = strategy_a
+        self.strategy_b = strategy_b
         self.config = config or EngineConfig()
         self.compute_truth = compute_truth
         self.optimizer_a = Optimizer(
-            None,
-            None,
-            self.config,
-            registry,
-            catalog=catalog,
-            strategy=self.strategy_a,
+            strategy_a, None, self.config, registry, catalog=catalog
         )
         self.optimizer_b = Optimizer(
-            None,
-            None,
-            self.config,
-            registry,
-            catalog=catalog,
-            strategy=self.strategy_b,
+            strategy_b, None, self.config, registry, catalog=catalog
         )
 
     # ------------------------------------------------------------------
-    def _estimate(self, strategy: EstimationStrategy, query: CardQuery):
+    def _estimate(self, strategy: CountEstimator, query: CardQuery):
         try:
             value = float(strategy.estimate_count(query))
         except (EstimationError, NotImplementedError):
@@ -277,8 +270,8 @@ class ABHarness:
         queries: Sequence[CardQuery] = getattr(workload, "queries", workload)
         known: dict = getattr(workload, "true_counts", {})
         report = ABReport(
-            strategy_a=self.strategy_a.strategy_id,
-            strategy_b=self.strategy_b.strategy_id,
+            strategy_a=self.strategy_a.name,
+            strategy_b=self.strategy_b.name,
         )
         for query in queries:
             truth = known.get(query.name) if query.name else None

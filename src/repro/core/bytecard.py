@@ -38,6 +38,7 @@ from repro.estimators.factorjoin.plans import new_plan_cache
 from repro.estimators.rbx.estimator import RBXNdvEstimator
 from repro.estimators.traditional.hyperloglog import SketchNdvEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
+from repro.estimators.ues import UpperBoundEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import AggKind, CardQuery
 
@@ -56,6 +57,8 @@ class ByteCard(CountEstimator, NdvEstimator):
     """The deployed framework, serving COUNT and NDV estimates."""
 
     name = "bytecard"
+    #: :meth:`shard_selectivity` answers from shard-specialized BNs
+    supports_shard_routing = True
 
     def __init__(
         self,
@@ -511,8 +514,7 @@ class ByteCard(CountEstimator, NdvEstimator):
         return EstimatorSuite("bytecard", count_estimator=self, ndv_estimator=self)
 
     def strategies(self) -> dict:
-        """The named :class:`EstimationStrategy` instances this deployment
-        can route between.
+        """The named estimators this deployment can route between.
 
         * ``learned`` -- this facade (BN/FactorJoin/RBX with the monitor's
           fallback semantics);
@@ -520,20 +522,14 @@ class ByteCard(CountEstimator, NdvEstimator):
         * ``upper_bound`` -- the UES-style never-underestimate bound built
           from this catalog's zone-map statistics.
 
-        Built lazily and cached: strategies are stateless views over the
-        live estimators, so :meth:`refresh` model swaps flow through.
+        Built lazily and cached: the learned entry is this facade itself,
+        so :meth:`refresh` model swaps flow through.
         """
         if self._strategies is None:
-            from repro.estimators.strategy import (
-                LearnedStrategy,
-                TraditionalStrategy,
-                UpperBoundStrategy,
-            )
-
             self._strategies = {
-                "learned": LearnedStrategy(self),
-                "traditional": TraditionalStrategy(self._traditional_count),
-                "upper_bound": UpperBoundStrategy(self.catalog),
+                "learned": self,
+                "traditional": self._traditional_count,
+                "upper_bound": UpperBoundEstimator(self.catalog),
             }
         return dict(self._strategies)
 

@@ -28,9 +28,8 @@ from typing import Callable
 from repro.engine.config import EngineConfig
 from repro.engine.partitioned import prune_partitions
 from repro.engine.readers import ReaderKind
-from repro.errors import DetailError, EstimationError
-from repro.estimators.base import CountEstimator, EstimationStrategy, NdvEstimator
-from repro.estimators.strategy import as_strategy
+from repro.errors import EstimationError
+from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition
 
@@ -80,8 +79,8 @@ class PhysicalPlan:
     #: estimated intermediate size after each step of ``join_order``
     #: (parallel lists); ``inf`` marks a step the estimator failed on
     join_step_estimates: list[float] = field(default_factory=list)
-    #: identity of the estimation strategy that planned this query (the
-    #: router's routed chain when planning through a StrategyRouter);
+    #: identity of the estimator that planned this query (the router's
+    #: routed chain when planning through a StrategyRouter);
     #: threaded into feedback records for per-strategy Q-Error series
     strategy: str = ""
 
@@ -91,53 +90,40 @@ class Optimizer:
 
     def __init__(
         self,
-        count_estimator: CountEstimator | None,
+        count_estimator: CountEstimator,
         ndv_estimator: NdvEstimator | None,
         config: EngineConfig | None = None,
         registry: MetricsRegistry | None = None,
         catalog=None,
         shard_router: ShardRouter | None = None,
-        strategy: EstimationStrategy | None = None,
     ):
-        """``catalog`` enables partition-aware planning (falls back to the
-        strategy's own catalog when omitted); ``shard_router`` routes
+        """``count_estimator`` is any :class:`CountEstimator` -- a bare
+        model, a serving tier, a fallback chain or a router.
+
+        ``catalog`` enables partition-aware planning (falls back to the
+        estimator's own catalog when omitted); ``shard_router`` routes
         selectivity calls to shard-specialized models when pruning pins a
-        partition (defaults to the strategy's ``shard_selectivity`` when it
+        partition (defaults to the estimator's ``shard_selectivity`` when it
         advertises ``supports_shard_routing``, e.g.
         :meth:`repro.core.ByteCard.shard_selectivity`).
-
-        All estimator access goes through the
-        :class:`~repro.estimators.base.EstimationStrategy` protocol: pass
-        ``strategy`` directly (a chain, a router, ...), or pass a bare
-        ``count_estimator`` and it is adapted via
-        :func:`~repro.estimators.strategy.as_strategy`.
         """
-        if strategy is None:
-            if count_estimator is None:
-                raise ValueError("provide count_estimator or strategy")
-            strategy = as_strategy(count_estimator)
-        self.strategy = strategy
-        self.count_estimator = (
-            count_estimator if count_estimator is not None else strategy
-        )
+        self.count_estimator = count_estimator
         self.ndv_estimator = ndv_estimator
         self.config = config or EngineConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
-        if self.registry.enabled:
-            self.registry.preregister(
-                "optimizer_detail_errors_total", "kind", ("selectivity", "count")
-            )
-        self.catalog = catalog if catalog is not None else strategy.catalog
+        self.catalog = catalog if catalog is not None else count_estimator.catalog
         if shard_router is not None:
             self.shard_router = shard_router
-        elif strategy.supports_shard_routing:
-            self.shard_router = strategy.shard_selectivity
+        elif count_estimator.supports_shard_routing:
+            self.shard_router = count_estimator.shard_selectivity
         else:
             self.shard_router = None
 
     # ------------------------------------------------------------------
     def plan(self, query: CardQuery) -> PhysicalPlan:
-        plan = PhysicalPlan(query=query, strategy=self.strategy.cache_scope(query))
+        plan = PhysicalPlan(
+            query=query, strategy=self.count_estimator.route(query).name
+        )
         for table in query.tables:
             with self._decision(plan, f"selectivity:{table}", "selectivity"):
                 selectivity = self._table_selectivity(query, table, plan)
@@ -197,28 +183,16 @@ class Optimizer:
         decision provenance makes ``explain_result`` show how many inference
         passes each decision really ran vs. what the naive path would have.
         """
-        stats = self.strategy.last_pass_stats
+        stats = self.count_estimator.last_pass_stats
         if stats is None:
             return
         self._note_provenance(plan, decision, "bn_pass", stats.executed)
         self._note_provenance(plan, decision, "bn_pass_saved", stats.saved)
 
-    def _note_detail_error(
-        self, plan: PhysicalPlan, decision: str, kind: str
-    ) -> None:
-        """A provenance-carrying detail path raised: distinguishable from a
-        strategy that genuinely answers in-line (``direct``)."""
-        self._note_provenance(plan, decision, "detail_error")
-        self.registry.counter("optimizer_detail_errors_total", kind=kind).inc()
-
     def _selectivity_with_provenance(
         self, plan: PhysicalPlan, decision: str, subquery: CardQuery
     ) -> float:
-        try:
-            detail = self.strategy.selectivity_detail(subquery)
-        except DetailError:
-            self._note_detail_error(plan, decision, "selectivity")
-            raise
+        detail = self.count_estimator.selectivity_detail(subquery)
         self._note_provenance(plan, decision, detail.source)
         if detail.source == "direct":
             self._note_pass_counts(plan, decision)
@@ -227,18 +201,14 @@ class Optimizer:
     def _estimate_count_with_provenance(
         self, plan: PhysicalPlan, decision: str, subquery: CardQuery
     ) -> float:
-        try:
-            detail = self.strategy.estimate_count_detail(subquery)
-        except DetailError:
-            self._note_detail_error(plan, decision, "count")
-            raise
+        detail = self.count_estimator.estimate_count_detail(subquery)
         self._note_provenance(plan, decision, detail.source)
         if detail.source == "direct":
             self._note_pass_counts(plan, decision)
         return float(detail.value)
 
     def _charge(self, plan: PhysicalPlan, subquery: CardQuery) -> None:
-        plan.estimation_cost += self.strategy.estimation_overhead(subquery)
+        plan.estimation_cost += self.count_estimator.estimation_overhead(subquery)
 
     def _table_selectivity(
         self, query: CardQuery, table: str, plan: PhysicalPlan

@@ -49,13 +49,12 @@ class EngineSession:
         cache and deadline-fallback pipeline instead of raw estimator
         calls.
 
-        With ``strategy`` (an
-        :class:`repro.estimators.base.EstimationStrategy` -- a routed
-        :class:`~repro.estimators.strategy.StrategyRouter`, a fallback
-        :class:`~repro.estimators.strategy.StrategyChain`, or a single
-        adapted estimator), the optimizer plans against that strategy's
-        protocol surface directly; NDV estimation uses the strategy itself
-        when it is an :class:`~repro.estimators.base.NdvEstimator`.
+        With ``strategy`` (any :class:`repro.estimators.base.CountEstimator`
+        -- a routed :class:`~repro.estimators.strategy.StrategyRouter`, a
+        fallback :class:`~repro.estimators.strategy.StrategyChain`, or a
+        single estimator), the optimizer plans against it directly; NDV
+        estimation uses the strategy itself when it is an
+        :class:`~repro.estimators.base.NdvEstimator`.
 
         ``registry`` (a :class:`repro.obs.MetricsRegistry`) collects the
         optimizer's decision spans and the executor's scan/join/resize
@@ -76,7 +75,7 @@ class EngineSession:
         if strategy is not None:
             ndv = strategy if isinstance(strategy, NdvEstimator) else None
             suite = EstimatorSuite(
-                strategy.strategy_id,
+                strategy.name,
                 count_estimator=strategy,
                 ndv_estimator=ndv,
             )

@@ -34,18 +34,6 @@ class EstimationError(ReproError):
     """An estimator could not produce an estimate for the given query."""
 
 
-class DetailError(EstimationError):
-    """A provenance-carrying detail path (``selectivity_detail`` /
-    ``estimate_count_detail``) raised.
-
-    Distinct from a plain :class:`EstimationError` so the optimizer can
-    tell "the detail interface errored" apart from "the estimator cannot
-    answer this query at all" -- the former is surfaced as a
-    ``detail_error`` provenance bucket and counted, the latter follows the
-    normal estimation-failure fallbacks.
-    """
-
-
 class ModelError(ReproError):
     """A learned model is malformed, missing, or failed (de)serialization."""
 

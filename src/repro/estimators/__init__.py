@@ -15,30 +15,20 @@ Sub-packages:
 * :mod:`repro.estimators.deepdb` -- a DeepDB-style SPN baseline (Table 3).
 
 The estimator-facing contracts live in :mod:`repro.estimators.base`
-(:class:`CountEstimator`, :class:`NdvEstimator`, and the
-:class:`EstimationStrategy` protocol the optimizer and serving core
-speak); :mod:`repro.estimators.strategy` supplies the adapter, the named
-learned/traditional/upper-bound strategies, deterministic fallback
-chains, and the per-query-class :class:`StrategyRouter`;
-:mod:`repro.estimators.ues` the UES-style never-underestimate bound.
+(:class:`CountEstimator` -- the one interface the optimizer and serving
+core speak, so every estimator is a strategy -- and
+:class:`NdvEstimator`); :mod:`repro.estimators.strategy` composes named
+estimators into deterministic fallback chains and the per-query-class
+:class:`StrategyRouter`; :mod:`repro.estimators.ues` holds the UES-style
+never-underestimate bound.
 """
 
-from repro.estimators.base import (
-    CountEstimator,
-    EstimateDetail,
-    EstimationStrategy,
-    NdvEstimator,
-)
+from repro.estimators.base import CountEstimator, EstimateDetail, NdvEstimator
 from repro.estimators.strategy import (
-    EstimatorStrategy,
-    LearnedStrategy,
     QueryClass,
     RoutingRule,
     StrategyChain,
     StrategyRouter,
-    TraditionalStrategy,
-    UpperBoundStrategy,
-    as_strategy,
     classify_query,
 )
 from repro.estimators.ues import UpperBoundEstimator
@@ -46,17 +36,11 @@ from repro.estimators.ues import UpperBoundEstimator
 __all__ = [
     "CountEstimator",
     "EstimateDetail",
-    "EstimationStrategy",
-    "EstimatorStrategy",
-    "LearnedStrategy",
     "NdvEstimator",
     "QueryClass",
     "RoutingRule",
     "StrategyChain",
     "StrategyRouter",
-    "TraditionalStrategy",
     "UpperBoundEstimator",
-    "UpperBoundStrategy",
-    "as_strategy",
     "classify_query",
 ]

@@ -1,4 +1,4 @@
-"""Estimator interfaces: the ABCs and the estimation-strategy protocol.
+"""Estimator interfaces: the COUNT and COUNT-DISTINCT ABCs.
 
 Two estimation tasks exist in the paper: ``COUNT`` (row counts of filtered
 joins, driving materialization and join ordering) and ``COUNT-DISTINCT``
@@ -8,15 +8,12 @@ paper's end-to-end result (Figure 5) hinges on the fact that the
 sample-based method's good Q-Error does not translate into good latency --
 its per-query estimation cost is too high.
 
-This module is the single home of the estimator-facing contracts.  Beyond
-the two task ABCs it defines :class:`EstimationStrategy` -- the formal
-protocol the optimizer and the serving core speak.  Historically those
-consumers probed estimators with ``getattr`` for optional capabilities
-(``selectivity_detail``, ``shard_selectivity``, ``last_pass_stats``); the
-protocol makes every one of those probes an explicit method or capability
-flag, so a new estimator is a drop-in rather than an edit across layers.  Existing duck-typed
-estimators are adapted with :func:`repro.estimators.strategy.as_strategy`,
-the one remaining (and deliberate) home of capability discovery.
+:class:`CountEstimator` is the one interface the optimizer, the serving
+core and the strategy layer speak, like the paper's Inference Engine
+contract that every model implements.  Its optional capabilities --
+provenance-carrying ``*_detail`` calls, shard routing, BN pass accounting,
+per-query routing -- are methods with in-line defaults, so every estimator
+is a strategy and no consumer probes for a method.
 """
 
 from __future__ import annotations
@@ -28,11 +25,33 @@ from repro.errors import EstimationError
 from repro.sql.query import CardQuery
 
 
+@dataclass(frozen=True)
+class EstimateDetail:
+    """One estimate plus the provenance of how it was produced.
+
+    ``source`` labels feed the optimizer's per-decision provenance
+    accounting: ``direct`` (a bare estimator answered in-line), ``cache`` /
+    ``model`` / ``fallback-*`` (the serving tier's paths), ``shard_model``
+    (a shard-specialized model), or ``fallback-<strategy>`` (a later link
+    of a :class:`~repro.estimators.strategy.StrategyChain` answered).
+    """
+
+    value: float
+    source: str
+
+
 class CountEstimator(abc.ABC):
     """Estimates COUNT(*) cardinalities of (joined, filtered) queries."""
 
-    #: short identifier used in benchmark tables ("sketch", "sample", ...)
+    #: short identifier used in benchmark tables ("sketch", "sample", ...);
+    #: also the identity serving caches scope this estimator's answers by
     name: str = "count-estimator"
+
+    #: the catalog the estimator estimates over (None when not table-backed)
+    catalog = None
+
+    #: ``shard_selectivity`` can answer for pinned partitions
+    supports_shard_routing: bool = False
 
     @abc.abstractmethod
     def estimate_count(self, query: CardQuery) -> float:
@@ -53,77 +72,6 @@ class CountEstimator(abc.ABC):
         optimizer.
         """
         raise NotImplementedError
-
-
-class NdvEstimator(abc.ABC):
-    """Estimates COUNT(DISTINCT column) for filtered single-table queries."""
-
-    name: str = "ndv-estimator"
-
-    @abc.abstractmethod
-    def estimate_ndv(self, query: CardQuery) -> float:
-        """Estimated number of distinct values of the aggregate target."""
-
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return 0.01
-
-    def group_ndv(self, query: CardQuery) -> float:
-        """NDV of the combined group-by key (hash-table pre-sizing).
-
-        Part of the base contract so consumers never probe for the method;
-        estimators without a group-key model keep this default, which
-        signals "unsupported" through the normal estimation-error channel.
-        """
-        raise EstimationError(f"{self.name} does not support group NDV")
-
-
-@dataclass(frozen=True)
-class EstimateDetail:
-    """One estimate plus the provenance of how it was produced.
-
-    ``source`` labels feed the optimizer's per-decision provenance
-    accounting: ``direct`` (a bare estimator answered in-line), ``cache`` /
-    ``model`` / ``fallback-*`` (the serving tier's paths), ``shard_model``
-    (a shard-specialized model), ``fallback-<strategy>`` (a later link of a
-    :class:`~repro.estimators.strategy.StrategyChain` answered), or
-    ``detail_error`` (the provenance path itself raised; see
-    :class:`~repro.errors.DetailError`).
-    """
-
-    value: float
-    source: str
-
-
-class EstimationStrategy(CountEstimator):
-    """The formal protocol between estimator implementations and consumers.
-
-    Every capability the optimizer and the serving core used to discover by
-    ``getattr`` is an explicit member here:
-
-    * ``selectivity`` / ``estimate_count`` -- the plain task interface
-      (inherited from :class:`CountEstimator`);
-    * ``selectivity_detail`` / ``estimate_count_detail`` -- the same
-      answers with provenance, for plan-decision accounting;
-    * ``shard_selectivity`` + :attr:`supports_shard_routing` -- routing to
-      shard-specialized models when pruning pins a partition;
-    * :attr:`last_pass_stats` -- BN pass accounting for provenance;
-    * ``cache_scope`` -- the strategy identity mixed into serving cache
-      keys, so estimates produced under different strategies (an A/B run,
-      a router that re-routed) never cross-pollinate.
-
-    A strategy *is* a :class:`CountEstimator`, so it can be dropped
-    anywhere an estimator is accepted (suites, services, benchmarks).
-    """
-
-    #: stable identifier; names the strategy in routing rules, cache keys,
-    #: per-strategy Q-Error series, and A/B reports
-    strategy_id: str = "strategy"
-
-    #: ``shard_selectivity`` can answer for pinned partitions
-    supports_shard_routing: bool = False
-
-    #: the catalog the strategy estimates over (None when not table-backed)
-    catalog = None
 
     # -- provenance-carrying interface ---------------------------------
     def selectivity_detail(self, query: CardQuery) -> EstimateDetail:
@@ -146,11 +94,34 @@ class EstimationStrategy(CountEstimator):
         """Pass accounting of this thread's last join estimate, or None."""
         return None
 
-    # -- serving-cache identity ----------------------------------------
-    def cache_scope(self, query: CardQuery) -> str:
-        """The strategy identity under which this query's estimate caches.
+    def route(self, query: CardQuery) -> "CountEstimator":
+        """The estimator that answers ``query``; its ``name`` is the
+        identity the answer caches under.
 
-        A router overrides this per query (the scope is the routed chain),
-        so derating that changes the route also changes the cache key.
+        A router returns the chain it routed to, so derating that changes
+        the route also changes the cache key; everything else answers
+        itself.
         """
-        return self.strategy_id
+        return self
+
+
+class NdvEstimator(abc.ABC):
+    """Estimates COUNT(DISTINCT column) for filtered single-table queries."""
+
+    name: str = "ndv-estimator"
+
+    @abc.abstractmethod
+    def estimate_ndv(self, query: CardQuery) -> float:
+        """Estimated number of distinct values of the aggregate target."""
+
+    def estimation_overhead(self, query: CardQuery) -> float:
+        return 0.01
+
+    def group_ndv(self, query: CardQuery) -> float:
+        """NDV of the combined group-by key (hash-table pre-sizing).
+
+        Part of the base contract so consumers never probe for the method;
+        estimators without a group-key model keep this default, which
+        signals "unsupported" through the normal estimation-error channel.
+        """
+        raise EstimationError(f"{self.name} does not support group NDV")

@@ -6,14 +6,8 @@ its join keys; messages propagate bottom-up: a child subtree's per-bucket
 tuple weights divided by the bucket's joint-domain NDV give the expected
 fan-out multiplier per parent row whose key falls in that bucket (uniform
 spread within a bucket -- exactly the granularity the bucketization trades
-accuracy for).
-
-Two inference modes are provided:
-
-* ``expected`` (default): expected-value propagation, the estimate the
-  Q-Error experiments use;
-* ``bound``: replaces per-bucket mean multiplicities with per-bucket maximum
-  frequencies, giving the upper-bound flavour of the original paper.
+accuracy for).  This expected-value propagation is the estimate the Q-Error
+experiments use.
 
 Join queries run through **shared-belief inference plans**
 (:mod:`repro.estimators.factorjoin.plans`): per table, one sweep of the
@@ -94,17 +88,13 @@ class FactorJoinEstimator(CountEstimator):
         catalog: Catalog,
         models: dict[str, TreeBayesNet],
         bucketizer: JoinBucketizer,
-        mode: str = "expected",
         metrics: MetricsRegistry | None = None,
         plan_cache: GenerationLRU | None = None,
         evidence_cache: GenerationLRU | None = None,
     ):
-        if mode not in ("expected", "bound"):
-            raise ValueError(f"unknown inference mode {mode!r}")
         self.catalog = catalog
         self.models = models
         self.bucketizer = bucketizer
-        self.mode = mode
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         # Both caches key their entries by model (context token), so
         # ByteCard hands every rebuilt estimator the same instances.
@@ -147,7 +137,6 @@ class FactorJoinEstimator(CountEstimator):
         num_buckets: int = 200,
         max_bins: int = 64,
         sample_rows: int | None = None,
-        mode: str = "expected",
         metrics: MetricsRegistry | None = None,
     ) -> "FactorJoinEstimator":
         """Offline phase: build join buckets, then per-table BNs.
@@ -176,7 +165,7 @@ class FactorJoinEstimator(CountEstimator):
                 bucket_edges=bucket_edges,
                 sample_rows=sample_rows,
             )
-        return cls(catalog, models, bucketizer, mode=mode, metrics=metrics)
+        return cls(catalog, models, bucketizer, metrics=metrics)
 
     # ------------------------------------------------------------------
     def model_for(self, table: str) -> TreeBayesNet:
@@ -454,22 +443,10 @@ class FactorJoinEstimator(CountEstimator):
     def _fanout_multiplier(
         self, child: str, join: JoinCondition, child_weights: np.ndarray
     ) -> np.ndarray:
-        """Expected (or bound) matches per parent row, per bucket."""
-        child_column = join.side_for(child)
-        cls = self.bucketizer.class_for(child, child_column)
-        if self.mode == "expected":
-            # Child tuples spread over the bucket's joint-domain values.
-            return child_weights / cls.domain_ndv
-        max_freq = cls.member_max_freq[(child, child_column)]
-        child_ndv = np.maximum(cls.member_ndv[(child, child_column)], 1.0)
-        # Upper bound: every matched value at its maximum multiplicity,
-        # scaled by how much of the subtree weight sits on this bucket.
-        per_value = child_weights / child_ndv
-        return np.minimum(np.maximum(per_value, 0.0), max_freq) * (
-            child_ndv / cls.domain_ndv
-        ) + np.where(per_value > max_freq, per_value - max_freq, 0.0) * (
-            child_ndv / cls.domain_ndv
-        )
+        """Expected matches per parent row, per bucket: the child tuples
+        spread over the bucket's joint-domain values."""
+        cls = self.bucketizer.class_for(child, join.side_for(child))
+        return child_weights / cls.domain_ndv
 
     def _root_estimate(
         self, tree: JoinTree, root: str, plans: QueryInferencePlans

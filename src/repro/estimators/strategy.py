@@ -1,20 +1,11 @@
-"""Estimation strategies: adapter, fallback chains, and the query router.
+"""Estimation strategies: fallback chains and the query router.
 
-The optimizer and the serving core speak only the
-:class:`~repro.estimators.base.EstimationStrategy` protocol.  This module
-supplies everything that turns concrete estimators into routable
-strategies:
+Every :class:`~repro.estimators.base.CountEstimator` is a strategy: the
+optimizer and the serving core call its methods directly, and a strategy
+is *named* where it is composed -- by the keys of a chain's links, of a
+router's mapping, or of :meth:`repro.core.ByteCard.strategies` (``learned``
+/ ``traditional`` / ``upper_bound``).  This module composes them:
 
-* :func:`as_strategy` / :class:`EstimatorStrategy` -- adapts any
-  duck-typed :class:`CountEstimator` to the protocol.  This adapter is the
-  **single remaining home of ``getattr`` capability discovery**: it probes
-  once at construction and publishes the result as the protocol's
-  capability flags, so consumers never probe again;
-* :class:`LearnedStrategy` / :class:`TraditionalStrategy` /
-  :class:`UpperBoundStrategy` -- the three named strategies of the
-  framework: the learned BN/FactorJoin/RBX stack (via
-  :class:`repro.core.ByteCard`), the Selinger/histogram fallback, and the
-  UES-style never-underestimate bound for risk-averse routing;
 * :class:`StrategyChain` -- a deterministic fallback chain: links are
   tried in order, an :class:`~repro.errors.EstimationError` (or
   ``NotImplementedError``) falls through to the next link, and answers
@@ -23,7 +14,7 @@ strategies:
   predicate shape, join-ness, tenant/risk tag) via ordered
   :class:`RoutingRule`\\ s, derates strategies whose observed error mass
   (runtime feedback or monitor assessments) exceeds a budget, and is
-  itself a strategy -- drop it into an optimizer, a serving core, or an
+  itself an estimator -- drop it into an optimizer, a serving core, or an
   engine suite.
 """
 
@@ -31,246 +22,95 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from repro.errors import DetailError, EstimationError
-from repro.estimators.base import (
-    CountEstimator,
-    EstimateDetail,
-    EstimationStrategy,
-)
-from repro.estimators.ues import UpperBoundEstimator
+from repro.errors import EstimationError
+from repro.estimators.base import CountEstimator, EstimateDetail
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery
 
 __all__ = [
-    "EstimatorStrategy",
-    "LearnedStrategy",
     "QueryClass",
     "RoutingRule",
     "StrategyChain",
     "StrategyRouter",
-    "TraditionalStrategy",
-    "UpperBoundStrategy",
-    "as_strategy",
     "classify_query",
 ]
 
 
-def as_strategy(
-    estimator: CountEstimator, strategy_id: str | None = None
-) -> EstimationStrategy:
-    """The protocol view of an estimator (identity for strategies)."""
-    if isinstance(estimator, EstimationStrategy):
-        if strategy_id is not None and strategy_id != estimator.strategy_id:
-            raise ValueError(
-                f"estimator is already strategy {estimator.strategy_id!r}; "
-                f"cannot re-register as {strategy_id!r}"
-            )
-        return estimator
-    return EstimatorStrategy(estimator, strategy_id=strategy_id)
+class StrategyChain(CountEstimator):
+    """Ordered, deterministic fallback across named strategies.
 
-
-def _as_detail(result) -> EstimateDetail:
-    """Normalize a duck-typed detail result ((value, source) tuples from
-    the serving tier, ServedEstimate-likes with .value/.source)."""
-    if isinstance(result, EstimateDetail):
-        return result
-    if isinstance(result, tuple):
-        value, source = result
-        return EstimateDetail(float(value), str(source))
-    return EstimateDetail(float(result.value), str(result.source))
-
-
-class EstimatorStrategy(EstimationStrategy):
-    """Adapter: any :class:`CountEstimator` behind the strategy protocol.
-
-    Capability discovery happens **here, once, at construction** -- the
-    probes the optimizer and serving core used to run per call are folded
-    into the protocol's explicit flags.  The optional ``shard_selectivity``
-    of the underlying estimator is bound straight through as an instance
-    attribute, so identities like
-    ``strategy.shard_selectivity == bytecard.shard_selectivity`` hold.
-    """
-
-    def __init__(self, estimator: CountEstimator, strategy_id: str | None = None):
-        self.estimator = estimator
-        self.strategy_id = strategy_id or getattr(estimator, "name", "estimator")
-        self.name = self.strategy_id
-        self.catalog = getattr(estimator, "catalog", None)
-        self._selectivity_detail_fn = getattr(
-            estimator, "selectivity_detail", None
-        )
-        self._count_detail_fn = getattr(estimator, "estimate_count_detail", None)
-        shard_fn = getattr(estimator, "shard_selectivity", None)
-        self.supports_shard_routing = callable(shard_fn)
-        if self.supports_shard_routing:
-            self.shard_selectivity = shard_fn
-
-    # -- plain task interface ------------------------------------------
-    def estimate_count(self, query: CardQuery) -> float:
-        return self.estimator.estimate_count(query)
-
-    def selectivity(self, query: CardQuery) -> float:
-        return self.estimator.selectivity(query)
-
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return self.estimator.estimation_overhead(query)
-
-    # -- provenance-carrying interface ---------------------------------
-    def selectivity_detail(self, query: CardQuery) -> EstimateDetail:
-        if self._selectivity_detail_fn is None:
-            return EstimateDetail(float(self.estimator.selectivity(query)), "direct")
-        try:
-            return _as_detail(self._selectivity_detail_fn(query))
-        except DetailError:
-            raise
-        except (EstimationError, NotImplementedError) as exc:
-            raise DetailError(f"selectivity_detail failed: {exc}") from exc
-
-    def estimate_count_detail(self, query: CardQuery) -> EstimateDetail:
-        if self._count_detail_fn is None:
-            return EstimateDetail(
-                float(self.estimator.estimate_count(query)), "direct"
-            )
-        try:
-            return _as_detail(self._count_detail_fn(query))
-        except DetailError:
-            raise
-        except (EstimationError, NotImplementedError) as exc:
-            raise DetailError(f"estimate_count_detail failed: {exc}") from exc
-
-    @property
-    def last_pass_stats(self):
-        return getattr(self.estimator, "last_pass_stats", None)
-
-
-class LearnedStrategy(EstimatorStrategy):
-    """The learned stack (BN + FactorJoin + RBX) as a named strategy."""
-
-    def __init__(self, estimator: CountEstimator):
-        super().__init__(estimator, strategy_id="learned")
-
-
-class TraditionalStrategy(EstimatorStrategy):
-    """The Selinger/histogram fallback as a named strategy."""
-
-    def __init__(self, estimator_or_catalog):
-        if not isinstance(estimator_or_catalog, CountEstimator):
-            from repro.estimators.traditional.selinger import SelingerEstimator
-
-            estimator_or_catalog = SelingerEstimator(estimator_or_catalog)
-        super().__init__(estimator_or_catalog, strategy_id="traditional")
-
-
-class UpperBoundStrategy(EstimatorStrategy):
-    """The UES-style never-underestimate bound as a named strategy."""
-
-    def __init__(self, estimator_or_catalog):
-        if not isinstance(estimator_or_catalog, UpperBoundEstimator):
-            estimator_or_catalog = UpperBoundEstimator(estimator_or_catalog)
-        super().__init__(estimator_or_catalog, strategy_id="upper_bound")
-
-
-class StrategyChain(EstimationStrategy):
-    """Ordered, deterministic fallback across strategies.
-
-    Each call tries the links in order; a link failing with
-    :class:`EstimationError` (:class:`DetailError` included -- a broken
-    provenance path must not take the whole chain down) or
+    ``links`` maps strategy ids to estimators, in chain order; the chain's
+    ``name`` joins the ids (``learned>traditional``).  Each call tries the
+    links in order; a link failing with :class:`EstimationError` or
     ``NotImplementedError`` falls through to the next.  Answers from the
     head keep their own provenance; answers from a later link are labelled
-    ``fallback-<strategy_id>`` so plan provenance shows exactly which
+    ``fallback-<strategy id>`` so plan provenance shows exactly which
     strategy really answered.  Fallthroughs are counted per abandoned
     strategy in ``strategy_fallthroughs_total``.
     """
 
-    def __init__(self, strategies, registry: MetricsRegistry | None = None):
-        links = tuple(as_strategy(s) for s in strategies)
+    def __init__(
+        self,
+        links: Mapping[str, CountEstimator],
+        registry: MetricsRegistry | None = None,
+    ):
         if not links:
             raise ValueError("a strategy chain needs at least one link")
-        self.links = links
-        self.strategy_id = ">".join(link.strategy_id for link in links)
-        self.name = self.strategy_id
+        self.links = dict(links)
+        self.name = ">".join(self.links)
+        self.head = next(iter(self.links.values()))
         self.registry = (
             registry if registry is not None else MetricsRegistry(enabled=False)
         )
         self.catalog = next(
-            (link.catalog for link in links if link.catalog is not None), None
+            (link.catalog for link in self.links.values() if link.catalog is not None),
+            None,
         )
         self.supports_shard_routing = any(
-            link.supports_shard_routing for link in links
+            link.supports_shard_routing for link in self.links.values()
         )
 
-    def _note_fallthrough(self, link: EstimationStrategy) -> None:
-        self.registry.counter(
-            "strategy_fallthroughs_total", strategy=link.strategy_id
-        ).inc()
-
-    def _exhausted(self, last: Exception | None) -> EstimationError:
-        error = EstimationError(
-            f"no strategy in chain {self.strategy_id!r} answered"
-        )
-        error.__cause__ = last
-        return error
-
-    # -- plain task interface ------------------------------------------
-    def estimate_count(self, query: CardQuery) -> float:
+    def _first_answer(
+        self, ask: Callable[[CountEstimator], EstimateDetail]
+    ) -> EstimateDetail:
         last: Exception | None = None
-        for link in self.links:
+        for index, (strategy_id, link) in enumerate(self.links.items()):
             try:
-                return float(link.estimate_count(query))
+                detail = ask(link)
             except (EstimationError, NotImplementedError) as exc:
                 last = exc
-                self._note_fallthrough(link)
-        raise self._exhausted(last)
-
-    def selectivity(self, query: CardQuery) -> float:
-        last: Exception | None = None
-        for link in self.links:
-            try:
-                return float(link.selectivity(query))
-            except (EstimationError, NotImplementedError) as exc:
-                last = exc
-                self._note_fallthrough(link)
-        raise self._exhausted(last)
-
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return self.links[0].estimation_overhead(query)
-
-    # -- provenance-carrying interface ---------------------------------
-    def selectivity_detail(self, query: CardQuery) -> EstimateDetail:
-        last: Exception | None = None
-        for index, link in enumerate(self.links):
-            try:
-                detail = link.selectivity_detail(query)
-            except (EstimationError, NotImplementedError) as exc:
-                last = exc
-                self._note_fallthrough(link)
+                self.registry.counter(
+                    "strategy_fallthroughs_total", strategy=strategy_id
+                ).inc()
                 continue
             if index == 0:
                 return detail
-            return EstimateDetail(detail.value, f"fallback-{link.strategy_id}")
-        raise self._exhausted(last)
+            return EstimateDetail(detail.value, f"fallback-{strategy_id}")
+        error = EstimationError(f"no strategy in chain {self.name!r} answered")
+        error.__cause__ = last
+        raise error
+
+    def selectivity_detail(self, query: CardQuery) -> EstimateDetail:
+        return self._first_answer(lambda link: link.selectivity_detail(query))
 
     def estimate_count_detail(self, query: CardQuery) -> EstimateDetail:
-        last: Exception | None = None
-        for index, link in enumerate(self.links):
-            try:
-                detail = link.estimate_count_detail(query)
-            except (EstimationError, NotImplementedError) as exc:
-                last = exc
-                self._note_fallthrough(link)
-                continue
-            if index == 0:
-                return detail
-            return EstimateDetail(detail.value, f"fallback-{link.strategy_id}")
-        raise self._exhausted(last)
+        return self._first_answer(lambda link: link.estimate_count_detail(query))
 
-    # -- shard routing --------------------------------------------------
+    def selectivity(self, query: CardQuery) -> float:
+        return self.selectivity_detail(query).value
+
+    def estimate_count(self, query: CardQuery) -> float:
+        return self.estimate_count_detail(query).value
+
+    def estimation_overhead(self, query: CardQuery) -> float:
+        return self.head.estimation_overhead(query)
+
     def shard_selectivity(
         self, table: str, shard: int, query: CardQuery
     ) -> float | None:
-        for link in self.links:
+        for link in self.links.values():
             if not link.supports_shard_routing:
                 continue
             try:
@@ -283,7 +123,7 @@ class StrategyChain(EstimationStrategy):
 
     @property
     def last_pass_stats(self):
-        return self.links[0].last_pass_stats
+        return self.head.last_pass_stats
 
 
 def classify_query(query: CardQuery, risk_tag: str | None = None) -> "QueryClass":
@@ -357,7 +197,7 @@ class RoutingRule:
         return True
 
 
-class StrategyRouter(EstimationStrategy):
+class StrategyRouter(CountEstimator):
     """Per-query-class strategy selection with deterministic fallbacks.
 
     The router holds named strategies, ordered :class:`RoutingRule`\\ s, and
@@ -374,15 +214,17 @@ class StrategyRouter(EstimationStrategy):
     estimates), and monitor assessments (:meth:`monitor_listener`, wired
     via ``ModelMonitor.add_assessment_listener``).
 
-    A router is itself an :class:`EstimationStrategy`: plugged into an
-    optimizer or serving core, every call routes, and
-    :meth:`cache_scope` returns the routed chain's identity so re-routing
+    A router is itself a :class:`CountEstimator`: plugged into an
+    optimizer or serving core, every call routes, and :meth:`route`
+    returns the routed chain, whose name is the cache scope, so re-routing
     never serves a stale cached estimate from another strategy.
     """
 
+    name = "router"
+
     def __init__(
         self,
-        strategies=None,
+        strategies: Mapping[str, CountEstimator] | None = None,
         rules=(),
         default_chain=None,
         registry: MetricsRegistry | None = None,
@@ -396,21 +238,19 @@ class StrategyRouter(EstimationStrategy):
         self.feedback = feedback
         self.derate_mass = derate_mass
         self.default_risk_tag = default_risk_tag
-        self.strategy_id = "router"
-        self.name = "router"
         self.rules: list[RoutingRule] = list(rules)
-        self._strategies: dict[str, EstimationStrategy] = {}
+        #: strategy id -> estimator; the ids name chain links and scopes
+        self._strategies: dict[str, CountEstimator] = dict(strategies or {})
         self._chains: dict[tuple[str, ...], StrategyChain] = {}
         #: (strategy_id, table) -> accumulated log-Q-Error mass
         self.scorecard: dict[tuple[str, str], float] = {}
-        if strategies:
-            items = (
-                strategies.items()
-                if hasattr(strategies, "items")
-                else ((None, s) for s in strategies)
-            )
-            for sid, strategy in items:
-                self.register(strategy, strategy_id=sid)
+        self.catalog = next(
+            (s.catalog for s in self._strategies.values() if s.catalog is not None),
+            None,
+        )
+        self.supports_shard_routing = any(
+            s.supports_shard_routing for s in self._strategies.values()
+        )
         self.default_chain: tuple[str, ...] = (
             tuple(default_chain) if default_chain else tuple(self._strategies)
         )
@@ -418,21 +258,7 @@ class StrategyRouter(EstimationStrategy):
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
-    def register(
-        self, strategy: CountEstimator, strategy_id: str | None = None
-    ) -> EstimationStrategy:
-        """Register one strategy (adapting a bare estimator if needed)."""
-        strategy = as_strategy(strategy, strategy_id=strategy_id)
-        self._strategies[strategy.strategy_id] = strategy
-        if self.catalog is None and strategy.catalog is not None:
-            self.catalog = strategy.catalog
-        self.supports_shard_routing = (
-            self.supports_shard_routing or strategy.supports_shard_routing
-        )
-        self._chains.clear()
-        return strategy
-
-    def strategies(self) -> dict[str, EstimationStrategy]:
+    def strategies(self) -> dict[str, CountEstimator]:
         return dict(self._strategies)
 
     def chain(self, ids) -> StrategyChain:
@@ -444,7 +270,7 @@ class StrategyRouter(EstimationStrategy):
             if missing:
                 raise KeyError(f"unknown strategies {missing!r}")
             chain = StrategyChain(
-                [self._strategies[sid] for sid in key], registry=self.registry
+                {sid: self._strategies[sid] for sid in key}, registry=self.registry
             )
             self._chains[key] = chain
         return chain
@@ -534,8 +360,11 @@ class StrategyRouter(EstimationStrategy):
             self.observe_qerror(strategy, (report.name,), q)
 
     # ------------------------------------------------------------------
-    # EstimationStrategy interface (route, then delegate)
+    # CountEstimator interface (route, then delegate)
     # ------------------------------------------------------------------
+    def route(self, query: CardQuery) -> StrategyChain:
+        return self.chain_for(query)
+
     def estimate_count(self, query: CardQuery) -> float:
         return self.chain_for(query).estimate_count(query)
 
@@ -555,6 +384,3 @@ class StrategyRouter(EstimationStrategy):
 
     def estimation_overhead(self, query: CardQuery) -> float:
         return self.chain_for(query).estimation_overhead(query)
-
-    def cache_scope(self, query: CardQuery) -> str:
-        return self.chain_for(query).strategy_id

@@ -61,8 +61,8 @@ class FeedbackRecord:
     source: str = "plan"
     #: which execution step observed the actual: ``scan`` | ``join``
     kind: str = "scan"
-    #: cache scope of the strategy that produced the estimate (see
-    #: :meth:`repro.estimators.base.EstimationStrategy.cache_scope`);
+    #: cache scope of the strategy that produced the estimate (the name of
+    #: :meth:`repro.estimators.base.CountEstimator.route`'s answer);
     #: empty when the producer predates strategy routing
     strategy: str = ""
 

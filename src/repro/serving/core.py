@@ -19,8 +19,11 @@ Request path::
                    |                |        v          v
                    +----------------+---- traditional fallback (recorded)
 
-A COUNT miss computes through ``strategy.estimate_count(query)`` -- one
-column of the model's inference context, nothing else.  A request without a
+Each request routes once: ``estimator.route(query)`` names the cache
+scope and computes the miss, so a router that re-routes between the two
+can never file one chain's answer under another's scope.  A COUNT miss
+computes through ``route(query).estimate_count(query)`` -- one column of
+the model's inference context, nothing else.  A request without a
 deadline has nothing to time out, so after admission it computes on the
 thread that brought it (:meth:`WorkerPool.run_inline`); only requests that
 carry a deadline cross into the pool's worker threads, where the caller can
@@ -50,7 +53,6 @@ from typing import Callable
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
-from repro.estimators.strategy import as_strategy
 from repro.feedback import FeedbackLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord, Tracer
@@ -114,9 +116,6 @@ class EstimationCore:
         worker future -- virtual time does not advance while blocking.
         """
         self.estimator = estimator
-        #: the protocol view of the estimator -- every learned answer and the
-        #: per-query cache scope come from here, never from getattr probes
-        self.strategy = as_strategy(estimator)
         self.fallback_count = fallback_count
         self.fallback_ndv = fallback_ndv
         from repro.utils.clock import SYSTEM_CLOCK
@@ -175,6 +174,7 @@ class EstimationCore:
         self,
         query: CardQuery,
         task: str,
+        scope: str,
         compute: Callable[[], float],
         fallback: Callable[[CardQuery], float],
         deadline_ms=_UNSET,
@@ -183,7 +183,6 @@ class EstimationCore:
         self.stats_collector.increment("requests")
         self.registry.counter("serving_requests_total", task=task).inc()
         stages: list[SpanRecord] = []
-        scope = self.strategy.cache_scope(query)
         fingerprint = query_fingerprint(query)
         key = request_fingerprint(task, scope, fingerprint)
         if self.cache is not None:
@@ -311,10 +310,12 @@ class EstimationCore:
     # COUNT serving
     # ------------------------------------------------------------------
     def serve_count(self, query: CardQuery, deadline_ms=_UNSET) -> ServedEstimate:
+        routed = self.estimator.route(query)
         return self._serve(
             query,
             "count",
-            lambda: self.strategy.estimate_count(query),
+            routed.name,
+            lambda: routed.estimate_count(query),
             self.fallback_count.estimate_count,
             deadline_ms,
         )
@@ -334,26 +335,34 @@ class EstimationCore:
             else primary.estimate_ndv
         )
         return self._serve(
-            query, "ndv", lambda: primary.estimate_ndv(query), fallback, deadline_ms
+            query,
+            "ndv",
+            self.estimator.route(query).name,
+            lambda: primary.estimate_ndv(query),
+            fallback,
+            deadline_ms,
         )
 
     # ------------------------------------------------------------------
     # Planner-facing fast path
     # ------------------------------------------------------------------
-    def selectivity_detail(self, query: CardQuery) -> tuple[float, str]:
-        """Selectivity plus its provenance: cache | model | fallback-error.
+    def selectivity_detail(self, query: CardQuery) -> ServedEstimate:
+        """Selectivity plus its provenance: cache | model | fallback-*.
 
         Served in the calling thread (no pool round-trip: the optimizer
         issues dozens of these per plan and the futures overhead would
-        dominate); errors degrade to the traditional estimator.
+        dominate); errors degrade to the traditional estimator, and after
+        :meth:`close` a miss degrades to it as ``fallback-rejected``, the
+        way a COUNT request does.
         """
+        start = self.clock.now()
         self.stats_collector.increment("requests")
         self.registry.counter("serving_requests_total", task="selectivity").inc()
-        scope = self.strategy.cache_scope(query)
+        routed = self.estimator.route(query)
         fingerprint = query_fingerprint(query)
-        key = request_fingerprint("selectivity", scope, fingerprint)
+        key = request_fingerprint("selectivity", routed.name, fingerprint)
 
-        def noted(value: float, source: str) -> tuple[float, str]:
+        def noted(value: float, source: str) -> ServedEstimate:
             if self.feedback is not None:
                 self.feedback.note_estimate(
                     fingerprint,
@@ -361,17 +370,25 @@ class EstimationCore:
                     value,
                     source=source,
                     unit="fraction",
-                    strategy=scope,
+                    strategy=routed.name,
                 )
-            return value, source
+            return ServedEstimate(value, source, self.clock.now() - start)
 
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return noted(cached, "cache")
             stamp = self.cache.stamp(query.tables)
+        if self.pool.refusing:
+            self.stats_collector.record_fallback("rejected")
+            self.registry.counter(
+                "serving_fallbacks_total", reason="rejected"
+            ).inc()
+            return noted(
+                float(self.fallback_count.selectivity(query)), "fallback-rejected"
+            )
         try:
-            value = float(self.strategy.selectivity(query))
+            value = float(routed.selectivity(query))
         except Exception:
             self.stats_collector.record_fallback("errors")
             self.registry.counter(

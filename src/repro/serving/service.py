@@ -134,9 +134,9 @@ class EstimationService(CountEstimator, NdvEstimator):
     # ------------------------------------------------------------------
     def selectivity(self, query: CardQuery) -> float:
         """Cached selectivity for the optimizer's planning loops."""
-        return self.core.selectivity_detail(query)[0]
+        return self.core.selectivity_detail(query).value
 
-    def selectivity_detail(self, query: CardQuery) -> tuple[float, str]:
+    def selectivity_detail(self, query: CardQuery) -> ServedEstimate:
         return self.core.selectivity_detail(query)
 
     def estimation_overhead(self, query: CardQuery) -> float:

@@ -149,6 +149,11 @@ class WorkerPool:
         """Stop admitting: every future ``try_submit`` returns ``None``."""
         self._refusing = True
 
+    @property
+    def refusing(self) -> bool:
+        """Whether :meth:`refuse_new` (or a shutdown) stopped admission."""
+        return self._refusing
+
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until every admitted task finished; ``False`` on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout

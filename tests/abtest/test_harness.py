@@ -5,29 +5,30 @@ import json
 import pytest
 
 from repro.abtest import ABHarness, ABReport, QueryDiff
-from repro.estimators.strategy import (
-    StrategyRouter,
-    TraditionalStrategy,
-    UpperBoundStrategy,
-    as_strategy,
-)
+from repro.estimators import StrategyChain, StrategyRouter, UpperBoundEstimator
+from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
+
+
+def traditional(catalog):
+    """The Selinger estimator named as the "traditional" strategy."""
+    return StrategyChain({"traditional": SelingerEstimator(catalog)})
 
 
 @pytest.fixture(scope="module")
 def harness(imdb):
     return ABHarness(
         imdb.catalog,
-        TraditionalStrategy(imdb.catalog),
-        UpperBoundStrategy(imdb.catalog),
+        traditional(imdb.catalog),
+        UpperBoundEstimator(imdb.catalog),
     )
 
 
 def test_identical_strategies_diff_nothing(imdb, imdb_workload):
     harness = ABHarness(
         imdb.catalog,
-        TraditionalStrategy(imdb.catalog),
-        TraditionalStrategy(imdb.catalog),
+        traditional(imdb.catalog),
+        traditional(imdb.catalog),
         compute_truth=False,
     )
     report = harness.run(imdb_workload.queries[:8])
@@ -66,15 +67,15 @@ def test_report_json_round_trip(harness, imdb_workload):
 def test_compare_records_routed_scopes(imdb):
     router = StrategyRouter(
         {
-            "traditional": TraditionalStrategy(imdb.catalog),
-            "upper_bound": UpperBoundStrategy(imdb.catalog),
+            "traditional": SelingerEstimator(imdb.catalog),
+            "upper_bound": UpperBoundEstimator(imdb.catalog),
         },
         default_chain=("traditional", "upper_bound"),
     )
     harness = ABHarness(
         imdb.catalog,
         router,
-        UpperBoundStrategy(imdb.catalog),
+        UpperBoundEstimator(imdb.catalog),
         compute_truth=False,
     )
     query = CardQuery(
@@ -93,8 +94,8 @@ def test_compare_records_routed_scopes(imdb):
 def test_known_truth_short_circuits_counting(imdb):
     harness = ABHarness(
         imdb.catalog,
-        TraditionalStrategy(imdb.catalog),
-        UpperBoundStrategy(imdb.catalog),
+        traditional(imdb.catalog),
+        UpperBoundEstimator(imdb.catalog),
     )
     query = CardQuery(tables=("title",), name="q")
     diff = harness.compare(query, truth=123.0)

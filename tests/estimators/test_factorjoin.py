@@ -132,26 +132,6 @@ class TestFactorJoinAccuracy:
         )
         assert fj_err <= sk_err
 
-    def test_bound_mode_upper_bounds_expected(self, imdb):
-        expected = FactorJoinEstimator.train(
-            imdb.catalog, imdb.filter_columns, mode="expected"
-        )
-        bound = FactorJoinEstimator(
-            imdb.catalog, expected.models, expected.bucketizer, mode="bound"
-        )
-        q = CardQuery(
-            tables=("title", "cast_info"),
-            joins=(JoinCondition("title", "id", "cast_info", "movie_id"),),
-        )
-        assert bound.estimate_count(q) >= 0.6 * expected.estimate_count(q)
-
-    def test_invalid_mode(self, imdb, imdb_factorjoin):
-        with pytest.raises(ValueError):
-            FactorJoinEstimator(
-                imdb.catalog, imdb_factorjoin.models, imdb_factorjoin.bucketizer,
-                mode="nope",
-            )
-
     def test_missing_model(self, imdb, imdb_factorjoin):
         with pytest.raises(EstimationError):
             imdb_factorjoin.model_for("not_a_table")

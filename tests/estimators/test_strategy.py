@@ -1,29 +1,31 @@
-"""The EstimationStrategy protocol: adapter, chains, and the router."""
+"""Every CountEstimator is a strategy: protocol defaults, chains, router."""
 
 import math
+import sys
 
 import pytest
 
-from repro.engine import EngineConfig
+import repro.estimators.strategy as strategy_module
+from repro.core import ByteCard, ByteCardConfig
+from repro.engine import EngineConfig, EngineSession
 from repro.engine.optimizer import Optimizer
-from repro.errors import DetailError, EstimationError
+from repro.errors import EstimationError
 from repro.estimators import (
     EstimateDetail,
-    EstimationStrategy,
-    LearnedStrategy,
     RoutingRule,
     StrategyChain,
     StrategyRouter,
-    TraditionalStrategy,
-    UpperBoundStrategy,
-    as_strategy,
+    UpperBoundEstimator,
     classify_query,
 )
 from repro.estimators.base import CountEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.feedback import FeedbackLog
 from repro.obs.metrics import MetricsRegistry
+from repro.serving import ServingConfig
 from repro.sql.query import CardQuery, JoinCondition, PredicateOp, TablePredicate
+
+STRATEGY_FILE = strategy_module.__file__
 
 
 def single(table="t", value=1.0):
@@ -49,9 +51,10 @@ class Bare(CountEstimator):
 
 
 class Full(CountEstimator):
-    """Estimator advertising every optional capability."""
+    """Estimator overriding every optional capability."""
 
     name = "full"
+    supports_shard_routing = True
 
     def estimate_count(self, query):
         return 42.0
@@ -60,10 +63,10 @@ class Full(CountEstimator):
         return 0.25
 
     def selectivity_detail(self, query):
-        return (0.25, "cache")
+        return EstimateDetail(0.25, "cache")
 
     def estimate_count_detail(self, query):
-        return (42.0, "model")
+        return EstimateDetail(42.0, "model")
 
     def shard_selectivity(self, table, shard, query):
         return 0.125
@@ -81,63 +84,33 @@ class Failing(CountEstimator):
         raise EstimationError("model unavailable")
 
 
-class DetailRaises(Bare):
-    """Has the detail capability, but it errors out at call time."""
-
-    name = "detail-raises"
-
-    def selectivity_detail(self, query):
-        raise EstimationError("detail path broke")
-
-    def estimate_count_detail(self, query):
-        raise EstimationError("detail path broke")
-
-
 # ----------------------------------------------------------------------
-# Adapter
+# CountEstimator protocol defaults
 # ----------------------------------------------------------------------
 def test_adapter_capability_flags_bare():
-    strategy = as_strategy(Bare())
-    assert isinstance(strategy, EstimationStrategy)
-    assert strategy.strategy_id == "bare"
-    assert not strategy.supports_shard_routing
-    assert strategy.cache_scope(single()) == "bare"
+    """A bare estimator answers the whole protocol from its defaults."""
+    estimator = Bare()
+    assert not estimator.supports_shard_routing
+    assert estimator.shard_selectivity("t", 0, single()) is None
+    assert estimator.last_pass_stats is None
+    assert estimator.catalog is None
+    assert estimator.route(single()) is estimator
     # Defaults synthesize details with "direct" provenance.
-    assert strategy.selectivity_detail(single()) == EstimateDetail(0.5, "direct")
-    assert strategy.estimate_count_detail(single()) == EstimateDetail(
+    assert estimator.selectivity_detail(single()) == EstimateDetail(0.5, "direct")
+    assert estimator.estimate_count_detail(single()) == EstimateDetail(
         10.0, "direct"
     )
 
 
 def test_adapter_capability_flags_full():
+    """Overrides are the protocol: the optimizer sees them unwrapped."""
     estimator = Full()
-    strategy = as_strategy(estimator)
-    assert strategy.supports_shard_routing
-    # The optional method is bound straight through (identity holds).
-    assert strategy.shard_selectivity == estimator.shard_selectivity
-    # Duck-typed (value, source) detail results are normalized.
-    assert strategy.selectivity_detail(single()) == EstimateDetail(0.25, "cache")
-
-
-def test_as_strategy_is_identity_for_strategies():
-    strategy = as_strategy(Bare())
-    assert as_strategy(strategy) is strategy
-    with pytest.raises(ValueError):
-        as_strategy(strategy, strategy_id="other")
-
-
-def test_adapter_wraps_detail_failures_as_detail_error():
-    strategy = as_strategy(DetailRaises())
-    with pytest.raises(DetailError):
-        strategy.selectivity_detail(single())
-    with pytest.raises(DetailError):
-        strategy.estimate_count_detail(single())
-    # A bare estimator's plain failure is NOT a DetailError: there was no
-    # detail path to break, so the historical error shape is preserved.
-    bare = as_strategy(Failing())
-    with pytest.raises(EstimationError) as excinfo:
-        bare.selectivity_detail(single())
-    assert not isinstance(excinfo.value, DetailError)
+    optimizer = Optimizer(estimator, None, EngineConfig())
+    assert optimizer.shard_router == estimator.shard_selectivity
+    plan = optimizer.plan(single())
+    assert plan.strategy == "full"
+    assert plan.decision_provenance["selectivity:t"] == {"cache": 1}
+    assert plan.table_selectivities["t"] == 0.25
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +118,9 @@ def test_adapter_wraps_detail_failures_as_detail_error():
 # ----------------------------------------------------------------------
 def test_chain_identity_and_fallthrough(imdb):
     selinger = SelingerEstimator(imdb.catalog)
-    chain = StrategyChain([Failing(), selinger])
-    assert chain.strategy_id == "failing>traditional-selinger".replace(
-        "traditional-selinger", selinger.name
-    )
+    chain = StrategyChain({"failing": Failing(), "traditional": selinger})
+    assert chain.name == "failing>traditional"
+    assert chain.route(CardQuery(tables=("title",))) is chain
     query = CardQuery(
         tables=("title",),
         predicates=(
@@ -160,24 +132,28 @@ def test_chain_identity_and_fallthrough(imdb):
     assert chain.selectivity(query) == selinger.selectivity(query)
     # Fallback answers carry fallback-<id> provenance.
     detail = chain.estimate_count_detail(query)
-    assert detail.source == f"fallback-{selinger.name}"
+    assert detail.source == "fallback-traditional"
     assert detail.value == selinger.estimate_count(query)
 
 
 def test_chain_head_detail_passes_through():
-    chain = StrategyChain([Full(), Bare()])
+    chain = StrategyChain({"full": Full(), "bare": Bare()})
     assert chain.estimate_count_detail(single()).source == "model"
+    assert chain.supports_shard_routing
+    assert chain.shard_selectivity("t", 0, single()) == 0.125
 
 
 def test_chain_exhausted_raises_estimation_error():
-    chain = StrategyChain([Failing(), Failing()])
+    chain = StrategyChain({"a": Failing(), "b": Failing()})
     with pytest.raises(EstimationError):
         chain.estimate_count(single())
+    with pytest.raises(EstimationError):
+        chain.selectivity(single())
 
 
 def test_chain_counts_fallthroughs():
     registry = MetricsRegistry(enabled=True)
-    chain = StrategyChain([Failing(), Bare()], registry=registry)
+    chain = StrategyChain({"failing": Failing(), "bare": Bare()}, registry=registry)
     chain.estimate_count(single())
     assert (
         registry.counter("strategy_fallthroughs_total", strategy="failing").value
@@ -214,9 +190,9 @@ def test_router_rules_first_match_wins():
         ],
         default_chain=("failing", "bare"),
     )
-    assert router.chain_for(join_query()).strategy_id == "full>bare"
-    assert router.chain_for(single()).strategy_id == "bare"
-    assert router.cache_scope(single()) == "bare"
+    assert router.chain_for(join_query()).name == "full>bare"
+    assert router.chain_for(single()).name == "bare"
+    assert router.route(single()).name == "bare"
     assert router.estimate_count(single()) == 7.0
 
 
@@ -225,14 +201,14 @@ def test_router_risk_tags():
         rules=[RoutingRule(chain=("full",), risk_tags=("batch",))],
         default_chain=("bare",),
     )
-    assert router.chain_for(single()).strategy_id == "bare"
-    assert router.chain_for(single(), risk_tag="batch").strategy_id == "full"
+    assert router.chain_for(single()).name == "bare"
+    assert router.chain_for(single(), risk_tag="batch").name == "full"
     tagged = make_router(
         rules=[RoutingRule(chain=("full",), risk_tags=("batch",))],
         default_chain=("bare",),
         default_risk_tag="batch",
     )
-    assert tagged.chain_for(single()).strategy_id == "full"
+    assert tagged.chain_for(single()).name == "full"
 
 
 def test_router_classify_features():
@@ -250,15 +226,15 @@ def test_router_derates_on_error_mass():
         default_chain=("bare", "full"),
         derate_mass=5.0,
     )
-    assert router.cache_scope(single()) == "bare>full"
+    assert router.route(single()).name == "bare>full"
     # Accumulate observed error mass against the head on this table.
     router.observe_qerror("bare", ("t",), 1e6)
     assert router.error_mass("bare", "t") == pytest.approx(math.log(1e6))
     # log(1e6) ~ 13.8 > 5.0: the head rotates to the back, deterministically.
-    assert router.cache_scope(single()) == "full>bare"
-    assert router.cache_scope(single()) == "full>bare"
+    assert router.route(single()).name == "full>bare"
+    assert router.route(single()).name == "full>bare"
     # Other tables are unaffected.
-    assert router.cache_scope(single(table="u")) == "bare>full"
+    assert router.route(single(table="u")).name == "bare>full"
 
 
 def test_router_refresh_from_feedback():
@@ -272,7 +248,7 @@ def test_router_refresh_from_feedback():
     # Chain scope "bare>full" credits the head strategy.
     assert router.error_mass("bare", "t") == pytest.approx(math.log(1000.0))
     assert router.error_mass("full", "t") == 0.0
-    assert router.cache_scope(single()) == "full>bare"
+    assert router.route(single()).name == "full>bare"
 
 
 def test_router_monitor_listener():
@@ -305,31 +281,6 @@ def test_router_unknown_chain_id_raises():
 # ----------------------------------------------------------------------
 # Optimizer integration: provenance + bit-identity
 # ----------------------------------------------------------------------
-def test_optimizer_detail_error_provenance(imdb):
-    registry = MetricsRegistry(enabled=True)
-    optimizer = Optimizer(
-        DetailRaises(),
-        None,
-        EngineConfig(),
-        registry,
-        catalog=imdb.catalog,
-    )
-    query = CardQuery(
-        tables=("title",),
-        predicates=(
-            TablePredicate("title", "production_year", PredicateOp.LE, 1990.0),
-        ),
-    )
-    plan = optimizer.plan(query)
-    # The detail path broke; the optimizer fell back to the raw selectivity
-    # and recorded the distinct "detail_error" provenance bucket.
-    assert plan.decision_provenance["selectivity:title"]["detail_error"] >= 1
-    assert (
-        registry.counter("optimizer_detail_errors_total", kind="selectivity").value
-        >= 1
-    )
-
-
 def _plan_signature(plan):
     return (
         plan.strategy,
@@ -349,31 +300,33 @@ def _plan_signature(plan):
 def test_learned_strategy_bit_identical_to_bare_estimator(
     imdb, imdb_factorjoin, imdb_workload
 ):
-    """The refactor's core promise: planning through the adapted strategy
-    produces bit-identical plans to planning with the bare estimator."""
+    """Naming an estimator (a one-link chain) changes only the plans'
+    strategy identity: every decision is bit-identical to the bare one."""
     direct = Optimizer(
         imdb_factorjoin, None, EngineConfig(), catalog=imdb.catalog
     )
-    adapted = Optimizer(
-        None,
+    named = Optimizer(
+        StrategyChain({"learned": imdb_factorjoin}),
         None,
         EngineConfig(),
         catalog=imdb.catalog,
-        strategy=as_strategy(imdb_factorjoin),
     )
     for query in imdb_workload.queries:
         plan_a = direct.plan(query)
-        plan_b = adapted.plan(query)
-        assert _plan_signature(plan_a) == _plan_signature(plan_b), query.name
+        plan_b = named.plan(query)
+        assert _plan_signature(plan_a)[1:] == _plan_signature(plan_b)[1:], (
+            query.name
+        )
+        assert plan_a.decision_provenance == plan_b.decision_provenance
+        assert plan_b.strategy == "learned"
 
 
 def test_learned_chain_falls_back_to_traditional_identically(imdb, imdb_workload):
     """A learned strategy dying mid-query must yield exactly the plans the
     traditional estimator produces alone."""
     selinger = SelingerEstimator(imdb.catalog)
-    chain = StrategyChain([Failing(), selinger])
-    chained = Optimizer(None, None, EngineConfig(), catalog=imdb.catalog,
-                        strategy=chain)
+    chain = StrategyChain({"learned": Failing(), "traditional": selinger})
+    chained = Optimizer(chain, None, EngineConfig(), catalog=imdb.catalog)
     traditional = Optimizer(selinger, None, EngineConfig(), catalog=imdb.catalog)
     for query in imdb_workload.queries[:10]:
         plan_a = chained.plan(query)
@@ -382,21 +335,80 @@ def test_learned_chain_falls_back_to_traditional_identically(imdb, imdb_workload
         sig_b = _plan_signature(plan_b)
         # Everything but the strategy identity matches bit for bit.
         assert sig_a[1:] == sig_b[1:], query.name
-        assert plan_a.strategy == chain.strategy_id
+        assert plan_a.strategy == "learned>traditional"
 
 
-def test_named_strategies(imdb, imdb_factorjoin):
-    learned = LearnedStrategy(imdb_factorjoin)
-    traditional = TraditionalStrategy(imdb.catalog)
-    upper = UpperBoundStrategy(imdb.catalog)
-    assert learned.strategy_id == "learned"
-    assert traditional.strategy_id == "traditional"
-    assert upper.strategy_id == "upper_bound"
+@pytest.fixture(scope="module")
+def imdb_bytecard(imdb):
+    config = ByteCardConfig(
+        training_sample_rows=4000,
+        rbx_corpus_size=300,
+        rbx_epochs=5,
+        join_bucket_count=40,
+        max_bins=32,
+    )
+    return ByteCard.build(imdb, config=config, run_monitor=False)
+
+
+def test_named_strategies(imdb, imdb_bytecard):
+    strategies = imdb_bytecard.strategies()
+    assert list(strategies) == ["learned", "traditional", "upper_bound"]
+    assert strategies["learned"] is imdb_bytecard
+    assert isinstance(strategies["upper_bound"], UpperBoundEstimator)
+    router = imdb_bytecard.strategy_router()
     query = CardQuery(
         tables=("title",),
         predicates=(
             TablePredicate("title", "production_year", PredicateOp.LE, 1990.0),
         ),
     )
-    for strategy in (learned, traditional, upper):
+    assert router.route(query).name == "learned>traditional"
+    for strategy in strategies.values():
         assert strategy.estimate_count(query) > 0
+
+
+class TestNoStrategyLayerOnTheServedPath:
+    """Planning through ByteCard -- served or as a suite -- calls the
+    estimator directly: no function of the strategy module runs."""
+
+    @staticmethod
+    def _strategy_calls(fn) -> list[str]:
+        fn()  # warm-up: first calls may import or cache
+        calls: list[str] = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == STRATEGY_FILE:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @staticmethod
+    def _join_query():
+        return CardQuery(
+            tables=("title", "cast_info"),
+            joins=(JoinCondition("title", "id", "cast_info", "movie_id"),),
+            predicates=(
+                TablePredicate("title", "production_year", PredicateOp.LE, 1990.0),
+            ),
+        )
+
+    def test_served_plan(self, imdb, imdb_bytecard):
+        # No deadline: every request computes on this (profiled) thread.
+        with imdb_bytecard.serve(ServingConfig(deadline_ms=None)) as service:
+            session = EngineSession(imdb.catalog, service=service)
+            query = self._join_query()
+            assert self._strategy_calls(lambda: session.optimizer.plan(query)) == []
+            plan = session.optimizer.plan(query)
+        assert plan.strategy == "serving"
+
+    def test_suite_plan(self, imdb, imdb_bytecard):
+        session = EngineSession(imdb.catalog, suite=imdb_bytecard.as_suite())
+        query = self._join_query()
+        assert self._strategy_calls(lambda: session.optimizer.plan(query)) == []
+        assert session.optimizer.shard_router == imdb_bytecard.shard_selectivity
+        assert session.optimizer.plan(query).strategy == "bytecard"

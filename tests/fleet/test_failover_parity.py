@@ -24,7 +24,7 @@ def test_failover_estimates_equal_traditional_alone(
     fleet_bundle, fleet_card, fleet_serving_config, fleet_workload
 ):
     selinger = SelingerEstimator(fleet_bundle.catalog)
-    chain = StrategyChain([_AlwaysFailing(), selinger])
+    chain = StrategyChain({"learned": _AlwaysFailing(), "traditional": selinger})
     queries = fleet_workload.queries[:12]
     with fleet_card.fleet(
         n_workers=2,
