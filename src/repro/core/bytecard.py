@@ -38,7 +38,6 @@ from repro.estimators.factorjoin.plans import new_plan_cache
 from repro.estimators.rbx.estimator import RBXNdvEstimator
 from repro.estimators.traditional.hyperloglog import SketchNdvEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
-from repro.estimators.ues import UpperBoundEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import AggKind, CardQuery
 
@@ -95,8 +94,6 @@ class ByteCard(CountEstimator, NdvEstimator):
         self.feedback_log = None
         self._fallback_tables: frozenset[str] = frozenset()
         self.monitor_reports: list[MonitorReport] = []
-        #: named strategy registry (:meth:`strategies`), built lazily
-        self._strategies = None
         self._rbx_samples = {
             name: self.catalog.table(name).sample(
                 min(self.config.rbx_sample_rows, len(self.catalog.table(name))),
@@ -282,9 +279,7 @@ class ByteCard(CountEstimator, NdvEstimator):
         """
         if self._factorjoin is None or table not in self._factorjoin.models:
             return None
-        report = self.monitor.assess_count_model(
-            table, self._factorjoin, strategy="learned"
-        )
+        report = self.monitor.assess_count_model(table, self._factorjoin)
         # Failed *or* untested (passed is None): an unassessed model must
         # not serve as if it had been vetted.
         self.set_fallback(table, not report.passed)
@@ -512,51 +507,6 @@ class ByteCard(CountEstimator, NdvEstimator):
     def as_suite(self) -> EstimatorSuite:
         """Expose ByteCard as an engine estimator suite."""
         return EstimatorSuite("bytecard", count_estimator=self, ndv_estimator=self)
-
-    def strategies(self) -> dict:
-        """The named estimators this deployment can route between.
-
-        * ``learned`` -- this facade (BN/FactorJoin/RBX with the monitor's
-          fallback semantics);
-        * ``traditional`` -- the Selinger/histogram estimator alone;
-        * ``upper_bound`` -- the UES-style never-underestimate bound built
-          from this catalog's zone-map statistics.
-
-        Built lazily and cached: the learned entry is this facade itself,
-        so :meth:`refresh` model swaps flow through.
-        """
-        if self._strategies is None:
-            self._strategies = {
-                "learned": self,
-                "traditional": self._traditional_count,
-                "upper_bound": UpperBoundEstimator(self.catalog),
-            }
-        return dict(self._strategies)
-
-    def strategy_router(
-        self,
-        rules=(),
-        default_chain=("learned", "traditional"),
-        risk_tag=None,
-        derate_mass=None,
-    ):
-        """A :class:`~repro.estimators.strategy.StrategyRouter` over
-        :meth:`strategies`, wired into this instance's observability
-        registry and (when :meth:`enable_feedback` has run) its runtime
-        feedback log -- so observed per-strategy error mass can derate a
-        misbehaving route.
-        """
-        from repro.estimators.strategy import StrategyRouter
-
-        return StrategyRouter(
-            self.strategies(),
-            rules=rules,
-            default_chain=default_chain,
-            registry=self.obs,
-            feedback=self.feedback_log,
-            derate_mass=derate_mass,
-            default_risk_tag=risk_tag,
-        )
 
     def fleet(
         self,

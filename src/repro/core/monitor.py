@@ -60,11 +60,6 @@ class MonitorReport:
     #: the subset of :attr:`qerrors` derived from runtime feedback -- the
     #: forge's observed-error-mass priority signal
     feedback_qerrors: list[float] = field(default_factory=list)
-    #: strategy cache scope the assessed estimator answers under (empty when
-    #: the assessment is not strategy-attributed); when set, the monitor
-    #: additionally records a per-strategy drift series the
-    #: :class:`~repro.estimators.strategy.StrategyRouter` can learn from
-    strategy: str = ""
 
     @property
     def untested(self) -> bool:
@@ -112,9 +107,6 @@ class ModelMonitor:
         #: per-model p90 Q-Error across assessments, oldest first -- the
         #: drift record behind fallback-list churn
         self.drift: dict[str, list[float]] = {}
-        #: per-(strategy, model) p90 Q-Error across strategy-attributed
-        #: assessments -- the router-facing view of the same drift record
-        self.strategy_drift: dict[tuple[str, str], list[float]] = {}
         #: callbacks invoked after every assessment with (report, kind);
         #: the forge's drift-triggered retrain loop subscribes here
         self._listeners: list = []
@@ -263,17 +255,15 @@ class ModelMonitor:
         return False
 
     def assess_count_model(
-        self, table: str, estimator: CountEstimator, strategy: str | None = None
+        self, table: str, estimator: CountEstimator
     ) -> MonitorReport:
         """Q-Error-gate one table's single-table COUNT model.
 
         With feedback attached, up to ``config.monitor_feedback_share`` of
         the evidence budget comes from observed runtime pairs -- free drift
-        evidence replacing that many synthetic test queries.  ``strategy``
-        attributes the assessment to one estimation strategy's cache scope,
-        feeding the per-strategy drift series the router consumes.
+        evidence replacing that many synthetic test queries.
         """
-        report = MonitorReport(name=table, strategy=strategy or "")
+        report = MonitorReport(name=table)
         total = self.config.monitor_queries_per_table
         budget = int(round(total * self.config.monitor_feedback_share))
         used = self._consume_feedback_evidence(report, budget)
@@ -338,10 +328,6 @@ class ModelMonitor:
         p90 = report.p90
         if p90 is not None:
             self.drift.setdefault(report.name, []).append(p90)
-            if report.strategy:
-                self.strategy_drift.setdefault(
-                    (report.strategy, report.name), []
-                ).append(p90)
         if self.metrics.enabled:
             self.metrics.counter(
                 "monitor_assessments_total", kind=kind
@@ -352,12 +338,6 @@ class ModelMonitor:
                 self.metrics.series(
                     "monitor_qerror_p90", model=report.name, kind=kind
                 ).append(p90)
-                if report.strategy:
-                    self.metrics.series(
-                        "strategy_qerror_p90",
-                        strategy=report.strategy,
-                        model=report.name,
-                    ).append(p90)
         for listener in self._listeners:
             listener(report, kind)
 

@@ -212,14 +212,12 @@ class Executor:
                 fingerprint = f"scan:{query.name or 'q'}:{table}"
                 pending = None
             source = "plan"
-            strategy = plan.strategy
             estimated: float | None
             if pending is not None:
                 estimated = pending.value
                 if pending.unit == "fraction":
                     estimated *= len(self.catalog.table(table))
                 source = pending.source
-                strategy = pending.strategy
             else:
                 estimated = plan.estimated_table_rows.get(table)
             if estimated is None:
@@ -231,7 +229,6 @@ class Executor:
                 float(scan.row_indices.size),
                 source=source,
                 kind="scan",
-                strategy=strategy,
             )
 
     def _execute_joins(
@@ -334,11 +331,9 @@ class Executor:
         if pending is not None and pending.unit == "rows":
             estimated: float | None = pending.value
             source = pending.source
-            strategy = pending.strategy
         else:
             estimated = plan_estimate
             source = "plan"
-            strategy = plan.strategy
         if estimated is None:
             return
         feedback.record(
@@ -348,7 +343,6 @@ class Executor:
             float(execution.result_rows),
             source=source,
             kind="join",
-            strategy=strategy,
         )
 
     def _rerank_remaining(

@@ -79,10 +79,6 @@ class PhysicalPlan:
     #: estimated intermediate size after each step of ``join_order``
     #: (parallel lists); ``inf`` marks a step the estimator failed on
     join_step_estimates: list[float] = field(default_factory=list)
-    #: identity of the estimator that planned this query (the router's
-    #: routed chain when planning through a StrategyRouter);
-    #: threaded into feedback records for per-strategy Q-Error series
-    strategy: str = ""
 
 
 class Optimizer:
@@ -98,7 +94,8 @@ class Optimizer:
         shard_router: ShardRouter | None = None,
     ):
         """``count_estimator`` is any :class:`CountEstimator` -- a bare
-        model, a serving tier, a fallback chain or a router.
+        model (``ByteCard``, ``SelingerEstimator``, ...), the serving tier
+        or the fleet router.
 
         ``catalog`` enables partition-aware planning (falls back to the
         estimator's own catalog when omitted); ``shard_router`` routes
@@ -121,9 +118,7 @@ class Optimizer:
 
     # ------------------------------------------------------------------
     def plan(self, query: CardQuery) -> PhysicalPlan:
-        plan = PhysicalPlan(
-            query=query, strategy=self.count_estimator.route(query).name
-        )
+        plan = PhysicalPlan(query=query)
         for table in query.tables:
             with self._decision(plan, f"selectivity:{table}", "selectivity"):
                 selectivity = self._table_selectivity(query, table, plan)

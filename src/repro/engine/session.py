@@ -40,21 +40,18 @@ class EngineSession:
         service=None,
         registry=None,
         feedback: FeedbackLog | None = None,
-        strategy=None,
     ):
-        """Pass exactly one of ``suite``, ``service``, or ``strategy``.
+        """Pass exactly one of ``suite`` and ``service``.
+
+        With ``suite``, the optimizer plans against its estimators
+        directly; any :class:`repro.estimators.base.CountEstimator` goes
+        in as ``EstimatorSuite(name, count_estimator=...)``.
 
         With ``service`` (a :class:`repro.serving.EstimationService`), the
         optimizer consults the serving tier -- estimates come through its
         cache and deadline-fallback pipeline instead of raw estimator
-        calls.
-
-        With ``strategy`` (any :class:`repro.estimators.base.CountEstimator`
-        -- a routed :class:`~repro.estimators.strategy.StrategyRouter`, a
-        fallback :class:`~repro.estimators.strategy.StrategyChain`, or a
-        single estimator), the optimizer plans against it directly; NDV
-        estimation uses the strategy itself when it is an
-        :class:`~repro.estimators.base.NdvEstimator`.
+        calls, and a failed, late or rejected request is answered by the
+        traditional estimator.
 
         ``registry`` (a :class:`repro.obs.MetricsRegistry`) collects the
         optimizer's decision spans and the executor's scan/join/resize
@@ -67,19 +64,9 @@ class EngineSession:
         executed actuals), then the estimator's (``ByteCard.feedback_log``),
         and finally creates a private one.
         """
-        provided = sum(x is not None for x in (suite, service, strategy))
-        if provided != 1:
-            raise ValueError(
-                "provide exactly one of suite=, service=, or strategy="
-            )
-        if strategy is not None:
-            ndv = strategy if isinstance(strategy, NdvEstimator) else None
-            suite = EstimatorSuite(
-                strategy.name,
-                count_estimator=strategy,
-                ndv_estimator=ndv,
-            )
-        elif suite is None:
+        if (suite is None) == (service is None):
+            raise ValueError("provide exactly one of suite= or service=")
+        if suite is None:
             ndv = service if getattr(service, "estimate_ndv", None) else None
             suite = EstimatorSuite(
                 service.name, count_estimator=service, ndv_estimator=ndv

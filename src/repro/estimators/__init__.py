@@ -16,31 +16,16 @@ Sub-packages:
 
 The estimator-facing contracts live in :mod:`repro.estimators.base`
 (:class:`CountEstimator` -- the one interface the optimizer and serving
-core speak, so every estimator is a strategy -- and
-:class:`NdvEstimator`); :mod:`repro.estimators.strategy` composes named
-estimators into deterministic fallback chains and the per-query-class
-:class:`StrategyRouter`; :mod:`repro.estimators.ues` holds the UES-style
-never-underestimate bound.
+core speak -- and :class:`NdvEstimator`); :mod:`repro.estimators.ues`
+holds the UES-style never-underestimate bound.
 """
 
 from repro.estimators.base import CountEstimator, EstimateDetail, NdvEstimator
-from repro.estimators.strategy import (
-    QueryClass,
-    RoutingRule,
-    StrategyChain,
-    StrategyRouter,
-    classify_query,
-)
 from repro.estimators.ues import UpperBoundEstimator
 
 __all__ = [
     "CountEstimator",
     "EstimateDetail",
     "NdvEstimator",
-    "QueryClass",
-    "RoutingRule",
-    "StrategyChain",
-    "StrategyRouter",
     "UpperBoundEstimator",
-    "classify_query",
 ]

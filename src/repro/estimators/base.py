@@ -8,12 +8,11 @@ paper's end-to-end result (Figure 5) hinges on the fact that the
 sample-based method's good Q-Error does not translate into good latency --
 its per-query estimation cost is too high.
 
-:class:`CountEstimator` is the one interface the optimizer, the serving
-core and the strategy layer speak, like the paper's Inference Engine
-contract that every model implements.  Its optional capabilities --
-provenance-carrying ``*_detail`` calls, shard routing, BN pass accounting,
-per-query routing -- are methods with in-line defaults, so every estimator
-is a strategy and no consumer probes for a method.
+:class:`CountEstimator` is the one interface the optimizer and the
+serving core speak, like the paper's Inference Engine contract that every
+model implements.  Its optional capabilities -- provenance-carrying
+``*_detail`` calls, shard routing, BN pass accounting -- are methods with
+in-line defaults, so no consumer probes for a method.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ class EstimateDetail:
 
     ``source`` labels feed the optimizer's per-decision provenance
     accounting: ``direct`` (a bare estimator answered in-line), ``cache`` /
-    ``model`` / ``fallback-*`` (the serving tier's paths), ``shard_model``
-    (a shard-specialized model), or ``fallback-<strategy>`` (a later link
-    of a :class:`~repro.estimators.strategy.StrategyChain` answered).
+    ``model`` / ``fallback-*`` (the serving tier's and the fleet's paths,
+    where ``fallback-*`` means the traditional estimator answered), or
+    ``shard_model`` (a shard-specialized model).
     """
 
     value: float
@@ -93,16 +92,6 @@ class CountEstimator(abc.ABC):
     def last_pass_stats(self):
         """Pass accounting of this thread's last join estimate, or None."""
         return None
-
-    def route(self, query: CardQuery) -> "CountEstimator":
-        """The estimator that answers ``query``; its ``name`` is the
-        identity the answer caches under.
-
-        A router returns the chain it routed to, so derating that changes
-        the route also changes the cache key; everything else answers
-        itself.
-        """
-        return self
 
 
 class NdvEstimator(abc.ABC):

@@ -32,7 +32,7 @@ import math
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.metrics.qerror import qerror
@@ -61,10 +61,6 @@ class FeedbackRecord:
     source: str = "plan"
     #: which execution step observed the actual: ``scan`` | ``join``
     kind: str = "scan"
-    #: cache scope of the strategy that produced the estimate (the name of
-    #: :meth:`repro.estimators.base.CountEstimator.route`'s answer);
-    #: empty when the producer predates strategy routing
-    strategy: str = ""
 
     @property
     def qerror(self) -> float:
@@ -85,8 +81,6 @@ class PendingEstimate:
     #: ``rows`` (COUNT estimates) or ``fraction`` (selectivities, scaled by
     #: the table's row count at pairing time)
     unit: str = "rows"
-    #: cache scope of the answering strategy (kept through pairing)
-    strategy: str = ""
 
 
 class FeedbackLog:
@@ -136,7 +130,6 @@ class FeedbackLog:
         source: str = "plan",
         kind: str = "scan",
         timestamp: float | None = None,
-        strategy: str = "",
     ) -> FeedbackRecord | None:
         """Append one complete pair; returns ``None`` (and counts the drop)
         when either side is non-finite."""
@@ -155,7 +148,6 @@ class FeedbackLog:
             timestamp=time.time() if timestamp is None else timestamp,
             source=source,
             kind=kind,
-            strategy=strategy,
         )
         with self._lock:
             self._records.append(rec)
@@ -169,7 +161,6 @@ class FeedbackLog:
         value: float,
         source: str = "model",
         unit: str = "rows",
-        strategy: str = "",
     ) -> None:
         """Register a served estimate awaiting its runtime actual.
 
@@ -187,9 +178,7 @@ class FeedbackLog:
             return
         evicted = 0
         with self._lock:
-            self._pending[fingerprint] = PendingEstimate(
-                value, source, unit, strategy
-            )
+            self._pending[fingerprint] = PendingEstimate(value, source, unit)
             self._pending.move_to_end(fingerprint)
             while len(self._pending) > self.pending_capacity:
                 self._pending.popitem(last=False)
@@ -276,20 +265,3 @@ class FeedbackLog:
         that one lucky batch can mask.
         """
         return sum(r.log_qerror for r in self.records_for(table))
-
-    def error_mass_by_strategy(self) -> dict[tuple[str, str], float]:
-        """Observed log-Q-Error mass keyed by ``(strategy, table)``.
-
-        The :class:`~repro.estimators.strategy.StrategyRouter`'s learning
-        signal: only single-table records carry a clean per-table
-        attribution, and records without strategy provenance (executor
-        pairs that predate routing) are excluded rather than lumped under
-        an empty key.
-        """
-        mass: dict[tuple[str, str], float] = {}
-        for rec in self.snapshot():
-            if not rec.strategy or len(rec.table_scope) != 1:
-                continue
-            key = (rec.strategy, rec.table_scope[0])
-            mass[key] = mass.get(key, 0.0) + rec.log_qerror
-        return mass

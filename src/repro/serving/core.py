@@ -19,11 +19,10 @@ Request path::
                    |                |        v          v
                    +----------------+---- traditional fallback (recorded)
 
-Each request routes once: ``estimator.route(query)`` names the cache
-scope and computes the miss, so a router that re-routes between the two
-can never file one chain's answer under another's scope.  A COUNT miss
-computes through ``route(query).estimate_count(query)`` -- one column of
-the model's inference context, nothing else.  A request without a
+One core serves one estimator, so the estimator's ``name`` (read once,
+at construction) is the cache scope of every answer.  A COUNT miss
+computes through ``estimator.estimate_count(query)`` -- one column of the
+model's inference context, nothing else.  A request without a
 deadline has nothing to time out, so after admission it computes on the
 thread that brought it (:meth:`WorkerPool.run_inline`); only requests that
 carry a deadline cross into the pool's worker threads, where the caller can
@@ -116,6 +115,8 @@ class EstimationCore:
         worker future -- virtual time does not advance while blocking.
         """
         self.estimator = estimator
+        #: cache scope of every answer: the one estimator's identity
+        self.scope = estimator.name
         self.fallback_count = fallback_count
         self.fallback_ndv = fallback_ndv
         from repro.utils.clock import SYSTEM_CLOCK
@@ -174,7 +175,6 @@ class EstimationCore:
         self,
         query: CardQuery,
         task: str,
-        scope: str,
         compute: Callable[[], float],
         fallback: Callable[[CardQuery], float],
         deadline_ms=_UNSET,
@@ -184,14 +184,14 @@ class EstimationCore:
         self.registry.counter("serving_requests_total", task=task).inc()
         stages: list[SpanRecord] = []
         fingerprint = query_fingerprint(query)
-        key = request_fingerprint(task, scope, fingerprint)
+        key = request_fingerprint(task, self.scope, fingerprint)
         if self.cache is not None:
             with self.tracer.span("serve.cache_lookup", sink=stages):
                 cached = self.cache.get(key)
             if cached is not None:
                 return self._finish(
                     cached, "cache", start, stages=stages, task=task, query=query,
-                    fingerprint=fingerprint, strategy=scope,
+                    fingerprint=fingerprint,
                 )
         stamp = self.cache.stamp(query.tables) if self.cache is not None else None
         deadline = self._deadline_s(deadline_ms)
@@ -218,7 +218,7 @@ class EstimationCore:
                 value = fallback(query)
             return self._finish(
                 value, "fallback-rejected", start, stages=stages, task=task,
-                query=query, fingerprint=fingerprint, strategy=scope,
+                query=query, fingerprint=fingerprint,
             )
         remaining = None
         if deadline is not None:
@@ -236,7 +236,7 @@ class EstimationCore:
                 fell_back = fallback(query)
             return self._finish(
                 fell_back, "fallback-timeout", start, stages=stages, task=task,
-                query=query, fingerprint=fingerprint, strategy=scope,
+                query=query, fingerprint=fingerprint,
             )
         except (Exception, FutureCancelledError):
             # CancelledError (a BaseException since 3.8) reaches here when a
@@ -250,13 +250,13 @@ class EstimationCore:
                 fell_back = fallback(query)
             return self._finish(
                 fell_back, "fallback-error", start, stages=stages, task=task,
-                query=query, fingerprint=fingerprint, strategy=scope,
+                query=query, fingerprint=fingerprint,
             )
         if self.cache is not None and stamp is not None:
             self.cache.put(key, value, stamp)
         return self._finish(
             value, "model", start, stages=stages, task=task,
-            query=query, fingerprint=fingerprint, strategy=scope,
+            query=query, fingerprint=fingerprint,
         )
 
     def _cache_late_result(self, key, stamp, future: Future) -> None:
@@ -281,7 +281,6 @@ class EstimationCore:
         task: str | None = None,
         query: CardQuery | None = None,
         fingerprint=None,
-        strategy: str = "",
     ) -> ServedEstimate:
         latency = self.clock.now() - start
         estimate = ServedEstimate(
@@ -302,7 +301,6 @@ class EstimationCore:
                 tuple(query.tables),
                 estimate.value,
                 source=source,
-                strategy=strategy,
             )
         return estimate
 
@@ -310,12 +308,10 @@ class EstimationCore:
     # COUNT serving
     # ------------------------------------------------------------------
     def serve_count(self, query: CardQuery, deadline_ms=_UNSET) -> ServedEstimate:
-        routed = self.estimator.route(query)
         return self._serve(
             query,
             "count",
-            routed.name,
-            lambda: routed.estimate_count(query),
+            lambda: self.estimator.estimate_count(query),
             self.fallback_count.estimate_count,
             deadline_ms,
         )
@@ -337,7 +333,6 @@ class EstimationCore:
         return self._serve(
             query,
             "ndv",
-            self.estimator.route(query).name,
             lambda: primary.estimate_ndv(query),
             fallback,
             deadline_ms,
@@ -358,9 +353,8 @@ class EstimationCore:
         start = self.clock.now()
         self.stats_collector.increment("requests")
         self.registry.counter("serving_requests_total", task="selectivity").inc()
-        routed = self.estimator.route(query)
         fingerprint = query_fingerprint(query)
-        key = request_fingerprint("selectivity", routed.name, fingerprint)
+        key = request_fingerprint("selectivity", self.scope, fingerprint)
 
         def noted(value: float, source: str) -> ServedEstimate:
             if self.feedback is not None:
@@ -370,7 +364,6 @@ class EstimationCore:
                     value,
                     source=source,
                     unit="fraction",
-                    strategy=routed.name,
                 )
             return ServedEstimate(value, source, self.clock.now() - start)
 
@@ -388,7 +381,7 @@ class EstimationCore:
                 float(self.fallback_count.selectivity(query)), "fallback-rejected"
             )
         try:
-            value = float(routed.selectivity(query))
+            value = float(self.estimator.selectivity(query))
         except Exception:
             self.stats_collector.record_fallback("errors")
             self.registry.counter(

@@ -134,19 +134,19 @@ def table_scope_fingerprint(
 
 
 def request_fingerprint(
-    task: str, strategy: str, fingerprint: Fingerprint
+    task: str, scope: str, fingerprint: Fingerprint
 ) -> Fingerprint:
     """The cache key of one serving request.
 
-    ``task`` ("count" / "ndv" / "selectivity") and the answering
-    strategy's cache scope are part of the key, so estimates produced
-    under different strategies -- an A/B run, a router whose derating
-    changed the route -- never cross-pollinate through the cache.
+    ``task`` ("count" / "ndv" / "selectivity") keeps a selectivity from
+    answering a COUNT request for the same query.  ``scope`` is the
+    serving estimator's ``name``: one core serves one estimator, so the
+    scope is constant per cache and only names whose answers it holds.
     ``fingerprint`` is the canonical :func:`query_fingerprint` (computed
     once by the caller; it is also the pairing key of the runtime
-    feedback log, which deliberately stays strategy-free).
+    feedback log).
     """
-    return (task, strategy, fingerprint)
+    return (task, scope, fingerprint)
 
 
 def query_fingerprint(query: CardQuery) -> Fingerprint:

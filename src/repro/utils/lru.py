@@ -9,7 +9,7 @@ outlive what they were computed from, and there are two ways to see to it:
   so once the model is replaced the entry can never match again and ages
   out of the LRU.  Nothing bumps such a cache.
 * **Stamp by generation.**  A value that cannot name its models (the
-  serving tier caches whole-strategy answers) is put with a :meth:`stamp`
+  serving tier caches whole-estimator answers) is put with a :meth:`stamp`
   taken *before* it was computed; :meth:`bump_tables` / :meth:`bump_all`
   make older stamps stale, so a lookup drops the entry and a put of a value
   computed across the bump is refused.

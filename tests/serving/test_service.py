@@ -7,8 +7,11 @@ import time
 import pytest
 
 from repro.core import ByteCard, ByteCardConfig
+from repro.engine import EngineConfig, EngineSession
+from repro.engine.optimizer import Optimizer
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
+from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.serving import EstimationService, ServingConfig
 from repro.sql.query import (
     AggKind,
@@ -408,3 +411,38 @@ class TestConfigValidation:
 
         with pytest.raises(SchemaError):
             ServingConfig(**kwargs)
+
+
+def _plan_signature(plan):
+    return (
+        dict(plan.readers),
+        dict(plan.column_orders),
+        [
+            (j.normalized().left_table, j.normalized().right_table)
+            for j in plan.join_order
+        ],
+        dict(plan.table_selectivities),
+        dict(plan.estimated_table_rows),
+        {t: tuple(p) for t, p in plan.pruned_partitions.items()},
+        plan.join_step_estimates,
+    )
+
+
+def test_dead_model_plans_like_traditional_alone(imdb, imdb_workload):
+    """The paper's one fallback: a learned path that fails on every request
+    plans exactly like the traditional estimator alone, and every decision
+    says so in its provenance."""
+    selinger = SelingerEstimator(imdb.catalog)
+    traditional = Optimizer(selinger, None, EngineConfig(), catalog=imdb.catalog)
+    with EstimationService(
+        Broken(), selinger, config=ServingConfig(deadline_ms=None)
+    ) as service:
+        session = EngineSession(imdb.catalog, service=service)
+        for query in imdb_workload.queries[:10]:
+            served = session.optimizer.plan(query)
+            assert _plan_signature(served) == _plan_signature(
+                traditional.plan(query)
+            ), query.name
+            assert served.decision_provenance, query.name
+            for decision, sources in served.decision_provenance.items():
+                assert set(sources) == {"fallback-error"}, (query.name, decision)
