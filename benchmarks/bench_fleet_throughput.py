@@ -79,7 +79,7 @@ def fleet_setup():
     )
     bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
     rng = derive_rng(bundle.seed, "bench-fleet")
-    tables = sorted(bytecard._factorjoin.models)
+    tables = sorted(bytecard.snapshot().factorjoin.models)
     # Distinct queries throughout: the warm cache never answers twice, so
     # throughput is bounded by model inference -- the work the fleet shards.
     requests: list[CardQuery] = []

@@ -52,7 +52,7 @@ def serving_setup():
     )
     bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
     rng = derive_rng(bundle.seed, "bench-serving")
-    tables = sorted(bytecard._factorjoin.models)
+    tables = sorted(bytecard.snapshot().factorjoin.models)
     queries: list[CardQuery] = []
     for index in range(NUM_DISTINCT):
         table = tables[int(rng.integers(len(tables)))]
@@ -183,8 +183,9 @@ def test_metrics_export_smoke(serving_setup):
 
     bytecard, requests = serving_setup
     # Monitor: one gated assessment populates the drift series.
-    table = sorted(bytecard._factorjoin.models)[0]
-    bytecard.monitor.assess_count_model(table, bytecard._factorjoin)
+    factorjoin = bytecard.snapshot().factorjoin
+    table = sorted(factorjoin.models)[0]
+    bytecard.monitor.assess_count_model(table, factorjoin)
 
     service = bytecard.serve(
         ServingConfig(deadline_ms=None, num_workers=NUM_CLIENTS)

@@ -14,7 +14,8 @@ Walks the loop `repro.forge` adds around the core framework:
 3. one monitor pass gates the table, imposes the traditional fallback, and
    -- through the assessment listener -- schedules a background retrain;
 4. a forge worker retrains, persists a new artifact version, hot-swaps it
-   through ``ByteCard.refresh()`` (invalidating the serving cache), and the
+   through ``ByteCard.refresh()`` (a new model snapshot, so the cached
+   answer of the drifted model is never served again), and the
    re-assessment lifts the fallback;
 5. roll the model back one version and forward again, hot-swapping both
    ways;
@@ -100,7 +101,7 @@ def main(store_dir: Path) -> None:
           f"{bytecard.loader.generation}")
     detail = service.estimate_count_detail(QUERY, deadline_ms=None)
     print(f"  post-swap estimate {detail.value:.0f} rows "
-          f"(source={detail.source}; stale cache entry was invalidated)")
+          f"(source={detail.source}: a miss under the new snapshot)")
     print(f"  fallback tables now: {sorted(bytecard.fallback_tables)}")
 
     print("\n== 5. rollback / roll forward ==")

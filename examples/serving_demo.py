@@ -13,9 +13,10 @@ critical path):
    one cached entry, so only the first of them runs BN inference;
 3. issue a request under an impossibly tight deadline -- the service
    degrades to the traditional estimator and records the fallback;
-4. refresh ByteCard's models mid-serving -- once the rebuilt estimators
-   are installed the affected cache entries are invalidated by generation,
-   never served stale;
+4. refresh ByteCard's models mid-serving -- the refresh publishes a new
+   model snapshot, and cached answers are keyed by the snapshot that
+   computed them, so the retrained table's next request misses (never
+   served stale);
 5. drive a full ``EngineSession`` through the service.
 """
 
@@ -88,14 +89,15 @@ def main() -> None:
           f"degraded={detail.degraded}")
     print(f"  fallbacks recorded: {service.stats().fallbacks}")
 
-    print("== 4. a model refresh invalidates cached estimates ==")
-    before = service.stats().cache_invalidations
+    print("== 4. a model refresh publishes a new snapshot ==")
     table = queries[0].tables[0]
+    print(f"  before refresh: source="
+          f"{service.estimate_count_detail(queries[0]).source}")
     bytecard.forge_service.train_count_models(bundle, tables=[table])
     bytecard.refresh()
-    service.estimate_count(queries[0])  # recomputed against the new model
-    after = service.stats().cache_invalidations
-    print(f"  invalidations: {before} -> {after}")
+    detail = service.estimate_count_detail(queries[0])
+    print(f"  after refresh : source={detail.source} "
+          f"(recomputed against the new {table} model)")
 
     print("== 5. an EngineSession planning through the serving tier ==")
     from repro.engine import EngineSession

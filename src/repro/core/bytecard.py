@@ -8,16 +8,22 @@ object is a :class:`CountEstimator` *and* :class:`NdvEstimator` with the
 paper's fallback semantics: queries touching a gated table are served by
 the traditional estimator instead.
 
-The facade owns the model-keyed evidence and plan caches every rebuilt
-estimator shares, and is the one source of "answers changed" events
-(:meth:`ByteCard.add_invalidation_listener`, which the serving tier's
-estimate cache subscribes to).
+Everything an answer is computed from -- the per-table BNs, the training
+bucketizer, the RBX network with its calibrated weights and the gate set
+-- lives in one immutable :class:`ModelSnapshot`.  :meth:`ByteCard.refresh`,
+a gate flip and an NDV calibration each build a new snapshot and swap one
+reference; a served request reads the snapshot once and keys its cached
+answer by the snapshot's tokens, so nothing is ever invalidated.  The
+facade also owns the model-keyed evidence and plan caches every snapshot's
+FactorJoin estimator shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import itertools
+import threading
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.core.config import ByteCardConfig
 from repro.core.engine import BNInferenceEngine, RBXInferenceEngine
@@ -32,7 +38,7 @@ from repro.datasets.base import DatasetBundle
 from repro.engine.session import EstimatorSuite
 from repro.errors import EstimationError, ModelError
 from repro.estimators.base import CountEstimator, NdvEstimator
-from repro.estimators.bn.model import TreeBayesNet, new_evidence_cache
+from repro.estimators.bn.model import new_evidence_cache
 from repro.estimators.factorjoin.estimator import FactorJoinEstimator
 from repro.estimators.factorjoin.plans import new_plan_cache
 from repro.estimators.rbx.estimator import RBXNdvEstimator
@@ -40,6 +46,9 @@ from repro.estimators.traditional.hyperloglog import SketchNdvEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import AggKind, CardQuery
+
+#: never-reused snapshot tokens (a table no model or gate ever touched has none)
+_TOKENS = itertools.count(1)
 
 
 @dataclass
@@ -50,6 +59,92 @@ class ByteCardStatus:
     fallback_tables: set[str] = field(default_factory=set)
     calibrated_columns: list[tuple[str, str]] = field(default_factory=list)
     monitor_reports: list[MonitorReport] = field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False)
+class ModelSnapshot(CountEstimator, NdvEstimator):
+    """One immutable inference context: everything an answer depends on.
+
+    Queries touching a gated (or unmodeled) table are answered by the
+    traditional estimators.  ``tokens`` holds one never-reused token per
+    table, renewed whenever that table's BN or gate changes -- every table's
+    when the bucketizer does -- and ``rbx_token`` names the RBX network with
+    its calibrated weights, so :meth:`cache_key` changes whenever an answer
+    may.
+    """
+
+    name = "bytecard"
+
+    count_fallback: CountEstimator
+    ndv_fallback: NdvEstimator
+    factorjoin: FactorJoinEstimator | None = None
+    rbx: RBXNdvEstimator | None = None
+    fallback_tables: frozenset[str] = frozenset()
+    tokens: Mapping[str, int] = field(default_factory=dict)
+    rbx_token: int = 0
+    #: the loader generation the models were read at
+    generation: int = 0
+
+    def cache_key(self, task: str, query: CardQuery) -> tuple:
+        # In table-name order, like the query fingerprint the key sits beside.
+        key = tuple(map(self.tokens.get, sorted(query.tables)))
+        return (self.rbx_token, *key) if task == "ndv" else key
+
+    def _gated(self, query: CardQuery) -> bool:
+        return any(t in self.fallback_tables for t in query.tables)
+
+    def _learned(self, tables) -> bool:
+        """FactorJoin answers: every table is modeled and none is gated."""
+        factorjoin = self.factorjoin
+        return factorjoin is not None and all(
+            t in factorjoin.models and t not in self.fallback_tables for t in tables
+        )
+
+    def estimate_count(self, query: CardQuery) -> float:
+        if not self._learned(query.tables):
+            return self.count_fallback.estimate_count(query)
+        return self.factorjoin.estimate_count(query)
+
+    @property
+    def last_pass_stats(self):
+        """Pass accounting of this thread's last join estimate (or None)."""
+        return None if self.factorjoin is None else self.factorjoin.last_pass_stats
+
+    def estimate_count_batch(
+        self, table: str, queries: list[CardQuery]
+    ) -> list[float]:
+        """A direct batched call into the ``(bins, B)`` sweep, one column per
+        query: single-table batches must all be on ``table``, a batch with
+        a join takes FactorJoin's shared-plan path, and a gated or unmodeled
+        table sends the whole batch to the traditional estimator."""
+        tables = {t for query in queries for t in query.tables}
+        if not self._learned(tables):
+            return [self.count_fallback.estimate_count(q) for q in queries]
+        if any(not query.is_single_table() for query in queries):
+            return self.factorjoin.estimate_join_batch(queries)
+        return self.factorjoin.estimate_count_batch(table, queries)
+
+    def selectivity(self, query: CardQuery) -> float:
+        if self._gated(query) or not self._learned(query.tables[:1]):
+            return self.count_fallback.selectivity(query)
+        return self.factorjoin.selectivity(query)
+
+    def estimate_ndv(self, query: CardQuery) -> float:
+        if query.agg.kind is not AggKind.COUNT_DISTINCT:
+            raise EstimationError("estimate_ndv requires COUNT DISTINCT")
+        if self.rbx is None or self._gated(query):
+            return self.ndv_fallback.estimate_ndv(query)
+        return self.rbx.estimate_ndv(query)
+
+    def group_ndv(self, query: CardQuery) -> float:
+        if self.rbx is None:
+            raise EstimationError("RBX model not loaded")
+        return self.rbx.group_ndv(query)
+
+    def estimation_overhead(self, query: CardQuery) -> float:
+        if self.factorjoin is not None and not self._gated(query):
+            return self.factorjoin.estimation_overhead(query)
+        return self.count_fallback.estimation_overhead(query)
 
 
 class ByteCard(CountEstimator, NdvEstimator):
@@ -79,20 +174,20 @@ class ByteCard(CountEstimator, NdvEstimator):
         # Traditional estimators kept warm for fallback.
         self._traditional_count = SelingerEstimator(self.catalog)
         self._traditional_ndv = SketchNdvEstimator(self.catalog)
-        # Serving state, assembled by refresh().
-        self._factorjoin: FactorJoinEstimator | None = None
-        self._rbx: RBXNdvEstimator | None = None
+        #: what every answer is computed from, swapped whole by refresh(),
+        #: set_fallback() and calibration (see snapshot())
+        self._snapshot = ModelSnapshot(self._traditional_count, self._traditional_ndv)
+        #: serializes snapshot writers; readers never take it
+        self._swap_lock = threading.Lock()
         #: predicate -> bin-mask vectors and cross-query plan scopes, handed
         #: to every FactorJoin estimator refresh() builds; entries are keyed
         #: by the BN they came from, so nothing has to invalidate them
         self.evidence_cache = new_evidence_cache(self.obs)
         self.plan_cache = new_plan_cache(self.obs)
-        self._invalidation_listeners: list[Callable] = []
         #: runtime feedback ring (:meth:`enable_feedback`): observed
         #: (estimate, actual) pairs from the execution path, consumed by the
         #: monitor and ranked on by the forge's retrain priorities
         self.feedback_log = None
-        self._fallback_tables: frozenset[str] = frozenset()
         self.monitor_reports: list[MonitorReport] = []
         self._rbx_samples = {
             name: self.catalog.table(name).sample(
@@ -187,65 +282,104 @@ class ByteCard(CountEstimator, NdvEstimator):
             )
         raise ModelError(f"no inference engine for model kind {kind!r}")
 
-    def add_invalidation_listener(
-        self, listener: Callable[[frozenset[str] | None], None]
-    ) -> None:
-        """Call ``listener(tables)`` whenever answers on ``tables`` may have
-        changed (``None``: on every table) -- after :meth:`refresh` has
-        installed the rebuilt estimators, and when a table's fallback gate
-        flips."""
-        self._invalidation_listeners.append(listener)
-
-    def _invalidate(self, tables: frozenset[str] | None) -> None:
-        for listener in self._invalidation_listeners:
-            listener(tables)
+    def snapshot(self) -> ModelSnapshot:
+        """The current immutable model snapshot (one reference read)."""
+        return self._snapshot
 
     def refresh(self) -> None:
-        """One Model Loader pass, then reassemble the serving estimators.
+        """One Model Loader pass; when the loader's serving set changed,
+        publish a new snapshot built on what it now holds.
 
-        Invalidation listeners run last, so a request that sees the new
-        cache generation also sees the new estimators.
+        A BN that was reloaded or evicted renews its table's token; so does
+        every table when the training bucketizer changed.  A rebuilt RBX
+        renews the RBX token.  Untouched tables keep their tokens, so their
+        cached answers keep hitting.
         """
-        report = self.loader.refresh()
-        models: dict[str, TreeBayesNet] = {}
+        self.loader.refresh()
+        with self._swap_lock:
+            current = self._snapshot
+            generation = self.loader.generation
+            if generation == current.generation:
+                return
+            tokens = dict(current.tokens)
+            factorjoin = self._assemble_factorjoin(current.factorjoin, tokens)
+            rbx = self._assemble_rbx(current.rbx)
+            self._snapshot = replace(
+                current,
+                factorjoin=factorjoin,
+                rbx=rbx,
+                tokens=tokens,
+                rbx_token=current.rbx_token if rbx is current.rbx else next(_TOKENS),
+                generation=generation,
+            )
+
+    def _assemble_factorjoin(
+        self, current: FactorJoinEstimator | None, tokens: dict[str, int]
+    ) -> FactorJoinEstimator | None:
+        """FactorJoin over the loaded whole-table BNs (``current`` when none
+        changed), renewing in ``tokens`` the tables whose answers can move."""
+        models = {}
         for kind, name in self.loader.loaded_keys():
-            if kind != "bn" or "@shard" in name:
-                continue
-            engine = self.loader.get(kind, name)
-            assert isinstance(engine, BNInferenceEngine)
-            if engine.model is not None:
-                models[name] = engine.model
-        if models:
-            # Assemble on the grid the models were *trained* with; the
-            # live catalog may have mutated since (streaming ingestion)
-            # and a rebuilt grid would misalign with the published BNs.
-            bucketizer = self.forge_service.training_bucketizer()
-            if bucketizer is None:
-                bucketizer = self.preprocessor.build_join_buckets()
-            self._factorjoin = FactorJoinEstimator(
-                self.catalog,
-                models,
-                bucketizer,
-                metrics=self.obs,
-                plan_cache=self.plan_cache,
-                evidence_cache=self.evidence_cache,
+            if kind == "bn" and "@shard" not in name:
+                model = self.loader.get(kind, name).model
+                if model is not None:
+                    models[name] = model
+        if not models:
+            return current
+        # Assemble on the grid the models were *trained* with; the live
+        # catalog may have mutated since (streaming ingestion) and a
+        # rebuilt grid would misalign with the published BNs.
+        bucketizer = self.forge_service.training_bucketizer()
+        if bucketizer is None:
+            bucketizer = (
+                current.bucketizer
+                if current is not None
+                else self.preprocessor.build_join_buckets()
             )
+        if current is None or bucketizer is not current.bucketizer:
+            changed = {*tokens, *self.catalog.table_names(), *models}
+        else:
+            changed = {
+                table
+                for table in models.keys() | current.models.keys()
+                if models.get(table) is not current.models.get(table)
+            }
+        if not changed:
+            return current
+        tokens.update((table, next(_TOKENS)) for table in changed)
+        return FactorJoinEstimator(
+            self.catalog,
+            models,
+            bucketizer,
+            metrics=self.obs,
+            plan_cache=self.plan_cache,
+            evidence_cache=self.evidence_cache,
+        )
+
+    def _assemble_rbx(self, current: RBXNdvEstimator | None) -> RBXNdvEstimator | None:
+        """The loaded RBX network with its published calibrations --
+        ``current`` when it already serves exactly those, or none is loaded."""
         universal = self.loader.get("rbx", "universal")
-        if isinstance(universal, RBXInferenceEngine) and universal.network is not None:
-            rbx = RBXNdvEstimator(
-                self.catalog, universal.network, samples=self._rbx_samples
-            )
-            # Install any published per-column calibrated weights.
-            for kind, name in self.loader.loaded_keys():
-                if kind == "rbx" and name != "universal" and "." in name:
-                    engine = self.loader.get(kind, name)
-                    assert isinstance(engine, RBXInferenceEngine)
-                    if engine.network is not None:
-                        table, column = name.split(".", 1)
-                        rbx.install_calibrated(table, column, engine.network)
-            self._rbx = rbx
-        if report.changed_keys():
-            self._invalidate(report.changed_tables())
+        if universal is None or universal.network is None:
+            return current
+        calibrated = {}
+        for kind, name in self.loader.loaded_keys():
+            if kind == "rbx" and "." in name:
+                network = self.loader.get(kind, name).network
+                if network is not None:
+                    calibrated[tuple(name.split(".", 1))] = network
+        if (
+            current is not None
+            and current.model is universal.network
+            and current.calibrated.keys() == calibrated.keys()
+            and all(current.calibrated[key] is net for key, net in calibrated.items())
+        ):
+            return current
+        rbx = RBXNdvEstimator(
+            self.catalog, universal.network, samples=self._rbx_samples
+        )
+        rbx.calibrated = calibrated
+        return rbx
 
     # ------------------------------------------------------------------
     # Monitoring and calibration
@@ -253,14 +387,17 @@ class ByteCard(CountEstimator, NdvEstimator):
     def run_monitor(self, fine_tune: bool = True) -> list[MonitorReport]:
         """Gate COUNT models; detect and calibrate problematic NDV columns."""
         reports: list[MonitorReport] = []
-        if self._factorjoin is not None:
-            for table in sorted(self._factorjoin.models):
+        snapshot = self._snapshot
+        if snapshot.factorjoin is not None:
+            for table in sorted(snapshot.factorjoin.models):
                 report = self.reassess_table(table)
                 assert report is not None  # the table has a model
                 reports.append(report)
-        if self._rbx is not None:
+        if snapshot.rbx is not None:
             for table, column in self.bundle.high_ndv_columns:
-                report = self.monitor.assess_ndv_column(table, column, self._rbx)
+                report = self.monitor.assess_ndv_column(
+                    table, column, self._snapshot.rbx
+                )
                 reports.append(report)
                 # Only a *failed* assessment triggers calibration; an
                 # untested column has nothing to fine-tune against.
@@ -277,9 +414,10 @@ class ByteCard(CountEstimator, NdvEstimator):
         untested* one (re)imposes it.  Returns ``None`` when no learned
         model serves the table.
         """
-        if self._factorjoin is None or table not in self._factorjoin.models:
+        factorjoin = self._snapshot.factorjoin
+        if factorjoin is None or table not in factorjoin.models:
             return None
-        report = self.monitor.assess_count_model(table, self._factorjoin)
+        report = self.monitor.assess_count_model(table, factorjoin)
         # Failed *or* untested (passed is None): an unassessed model must
         # not serve as if it had been vetted.
         self.set_fallback(table, not report.passed)
@@ -288,19 +426,24 @@ class ByteCard(CountEstimator, NdvEstimator):
     @property
     def fallback_tables(self) -> frozenset[str]:
         """Tables gated onto the traditional estimator (see :meth:`set_fallback`)."""
-        return self._fallback_tables
+        return self._snapshot.fallback_tables
 
     def set_fallback(self, table: str, fallback: bool) -> None:
         """Gate ``table`` onto (or lift it off) the traditional estimator.
 
-        The one writer of :attr:`fallback_tables`: a flip invalidates the
-        table's cached answers, a no-op notifies nobody.
+        The one writer of :attr:`fallback_tables`: a flip publishes a
+        snapshot with a new token for the table, a no-op keeps the snapshot.
         """
-        gated = self._fallback_tables
-        gated = gated | {table} if fallback else gated - {table}
-        if gated != self._fallback_tables:
-            self._fallback_tables = gated
-            self._invalidate(frozenset((table,)))
+        with self._swap_lock:
+            current = self._snapshot
+            gated = current.fallback_tables
+            gated = gated | {table} if fallback else gated - {table}
+            if gated != current.fallback_tables:
+                self._snapshot = replace(
+                    current,
+                    fallback_tables=gated,
+                    tokens={**current.tokens, table: next(_TOKENS)},
+                )
 
     def enable_feedback(self, capacity: int = 4096):
         """Create (or return) the runtime cardinality feedback log.
@@ -366,18 +509,21 @@ class ByteCard(CountEstimator, NdvEstimator):
         return reports
 
     def _calibrate_column(self, table: str, column: str) -> None:
-        """The calibration protocol: fine-tune, validate, install."""
-        assert self._rbx is not None
+        """The calibration protocol: fine-tune, validate, then publish.
+
+        The paper "only integrates a RBX model ... once the Monitor has
+        validated the new parameters": the tuned weights are assessed on a
+        candidate estimator, and only weights that are kept reach the
+        registry and a new snapshot.
+        """
+        rbx = self._snapshot.rbx
+        assert rbx is not None
         samples = self.monitor.collect_column_samples(table, column)
-        self.forge_service.fine_tune_column(self._rbx.model, table, column, samples)
-        record = self.registry.latest("rbx", f"{table}.{column}")
-        assert record is not None
-        tuned, _meta = deserialize_rbx(record.blob)
-        # Validate before installing (the paper: "only integrates a RBX
-        # model ... once the Monitor has validated the new parameters").
-        probe = self._rbx.calibrated.get((table, column))
-        self._rbx.install_calibrated(table, column, tuned)
-        recheck = self.monitor.assess_ndv_column(table, column, self._rbx)
+        blob = self.forge_service.tune_column(rbx.model, table, column, samples)
+        tuned, _meta = deserialize_rbx(blob)
+        recheck = self.monitor.assess_ndv_column(
+            table, column, rbx.with_calibrated(table, column, tuned)
+        )
         if (
             recheck.passed is False
             and recheck.p90 is not None
@@ -385,72 +531,36 @@ class ByteCard(CountEstimator, NdvEstimator):
         ):
             # Tuning did not help enough; keep it only if it improved.
             baseline = self.monitor.assess_ndv_column(
-                table,
-                column,
-                _WithoutCalibration(self._rbx, table, column),
+                table, column, rbx.with_calibrated(table, column, None)
             )
             if baseline.p90 is not None and baseline.p90 <= recheck.p90:
-                if probe is None:
-                    del self._rbx.calibrated[(table, column)]
-                else:
-                    self._rbx.calibrated[(table, column)] = probe
+                return
+        self.registry.publish("rbx", f"{table}.{column}", blob)
+        with self._swap_lock:
+            current = self._snapshot
+            self._snapshot = replace(
+                current,
+                rbx=current.rbx.with_calibrated(table, column, tuned),
+                rbx_token=next(_TOKENS),
+            )
 
     # ------------------------------------------------------------------
-    # Serving (CountEstimator / NdvEstimator)
+    # Serving (CountEstimator / NdvEstimator): the current snapshot answers
     # ------------------------------------------------------------------
-    def _needs_fallback(self, query: CardQuery) -> bool:
-        return any(t in self._fallback_tables for t in query.tables)
-
     def estimate_count(self, query: CardQuery) -> float:
-        if self._factorjoin is None:
-            return self._traditional_count.estimate_count(query)
-        if self._needs_fallback(query):
-            return self._traditional_count.estimate_count(query)
-        missing = [t for t in query.tables if t not in self._factorjoin.models]
-        if missing:
-            return self._traditional_count.estimate_count(query)
-        return self._factorjoin.estimate_count(query)
+        return self._snapshot.estimate_count(query)
 
     @property
     def last_pass_stats(self):
-        """Pass accounting of this thread's last join estimate (or None)."""
-        if self._factorjoin is None:
-            return None
-        return self._factorjoin.last_pass_stats
+        return self._snapshot.last_pass_stats
 
     def estimate_count_batch(
         self, table: str, queries: list[CardQuery]
     ) -> list[float]:
-        """A direct batched call into the ``(bins, B)`` sweep: each query
-        is one column (:meth:`estimate_count` answers the batch of one).
-
-        Single-table batches must all be on ``table``; a batch holding any
-        join goes through FactorJoin's shared-plan path.  Any query touching
-        a gated or unmodeled table sends the whole batch to the traditional
-        estimator, mirroring :meth:`estimate_count`.
-        """
-        if self._factorjoin is None:
-            return [self._traditional_count.estimate_count(q) for q in queries]
-        tables: set[str] = set()
-        for query in queries:
-            tables.update(query.tables)
-        if any(
-            t in self._fallback_tables or t not in self._factorjoin.models
-            for t in tables
-        ):
-            return [self._traditional_count.estimate_count(q) for q in queries]
-        if any(not query.is_single_table() for query in queries):
-            return self._factorjoin.estimate_join_batch(queries)
-        return self._factorjoin.estimate_count_batch(table, queries)
+        return self._snapshot.estimate_count_batch(table, queries)
 
     def selectivity(self, query: CardQuery) -> float:
-        if (
-            self._factorjoin is None
-            or self._needs_fallback(query)
-            or query.tables[0] not in self._factorjoin.models
-        ):
-            return self._traditional_count.selectivity(query)
-        return self._factorjoin.selectivity(query)
+        return self._snapshot.selectivity(query)
 
     def shard_selectivity(
         self, table: str, shard: int, query: CardQuery
@@ -487,21 +597,13 @@ class ByteCard(CountEstimator, NdvEstimator):
             return None
 
     def estimate_ndv(self, query: CardQuery) -> float:
-        if query.agg.kind is not AggKind.COUNT_DISTINCT:
-            raise EstimationError("estimate_ndv requires COUNT DISTINCT")
-        if self._rbx is None or self._needs_fallback(query):
-            return self._traditional_ndv.estimate_ndv(query)
-        return self._rbx.estimate_ndv(query)
+        return self._snapshot.estimate_ndv(query)
 
     def group_ndv(self, query: CardQuery) -> float:
-        if self._rbx is None:
-            raise EstimationError("RBX model not loaded")
-        return self._rbx.group_ndv(query)
+        return self._snapshot.group_ndv(query)
 
     def estimation_overhead(self, query: CardQuery) -> float:
-        if self._factorjoin is not None and not self._needs_fallback(query):
-            return self._factorjoin.estimation_overhead(query)
-        return self._traditional_count.estimation_overhead(query)
+        return self._snapshot.estimation_overhead(query)
 
     # ------------------------------------------------------------------
     def as_suite(self) -> EstimatorSuite:
@@ -559,9 +661,10 @@ class ByteCard(CountEstimator, NdvEstimator):
         """Wrap this ByteCard in a concurrent :class:`EstimationService`.
 
         The service keeps the traditional estimators as its deadline/error
-        fallbacks and subscribes to this instance's invalidations, so a
-        ``refresh()`` that swaps models or a fallback gate that flips
-        invalidates the affected cached estimates.  ``config`` is a
+        fallbacks and keys each cached estimate by the :meth:`snapshot`
+        that computed it, so after a ``refresh()`` that swaps models or a
+        fallback gate that flips the affected estimates miss and are
+        recomputed.  ``config`` is a
         :class:`repro.serving.ServingConfig`.
         ``feedback`` defaults to this instance's :attr:`feedback_log` (see
         :meth:`enable_feedback`): served estimates -- cache hits included --
@@ -574,7 +677,6 @@ class ByteCard(CountEstimator, NdvEstimator):
             fallback_count=self._traditional_count,
             fallback_ndv=self._traditional_ndv,
             config=config,
-            invalidations=self,
             registry=self.obs,
             feedback=feedback if feedback is not None else self.feedback_log,
         )
@@ -606,30 +708,13 @@ class ByteCard(CountEstimator, NdvEstimator):
         return export_json(self.obs)
 
     def status(self) -> ByteCardStatus:
+        rbx = self._snapshot.rbx
         return ByteCardStatus(
             loaded_models=self.loader.loaded_keys(),
             fallback_tables=set(self.fallback_tables),
-            calibrated_columns=sorted(self._rbx.calibrated) if self._rbx else [],
+            calibrated_columns=sorted(rbx.calibrated) if rbx else [],
             monitor_reports=list(self.monitor_reports),
         )
-
-
-class _WithoutCalibration(NdvEstimator):
-    """View of an RBX estimator with one column's calibration masked off."""
-
-    name = "rbx-uncalibrated"
-
-    def __init__(self, rbx: RBXNdvEstimator, table: str, column: str):
-        self._rbx = rbx
-        self._key = (table, column)
-
-    def estimate_ndv(self, query: CardQuery) -> float:
-        saved = self._rbx.calibrated.pop(self._key, None)
-        try:
-            return self._rbx.estimate_ndv(query)
-        finally:
-            if saved is not None:
-                self._rbx.calibrated[self._key] = saved
 
 
 def _sample_rng(seed: int, name: str):

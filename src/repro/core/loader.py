@@ -14,11 +14,9 @@ paper:
 
 The loader also maintains a **generation counter**: every refresh pass that
 changes the serving set (loads or evicts at least one model) bumps it, and
-every pass returns a :class:`RefreshReport`.
-:meth:`RefreshReport.changed_tables` says which tables' answers that can
-change; :meth:`ByteCard.refresh <repro.core.bytecard.ByteCard.refresh>`
-passes it on to the serving tier's estimate cache once the rebuilt
-estimators are installed.
+every pass returns a :class:`RefreshReport`.  A pass that changed nothing
+leaves :meth:`ByteCard.refresh <repro.core.bytecard.ByteCard.refresh>`'s
+model snapshot -- and so every cached answer -- as it was.
 """
 
 from __future__ import annotations
@@ -58,24 +56,6 @@ class RefreshReport:
     unchanged: list[tuple[str, str]] = field(default_factory=list)
     #: refusal categories parallel to :attr:`refused` (see REFUSAL_REASONS)
     refusal_reasons: list[str] = field(default_factory=list)
-
-    def changed_keys(self) -> list[tuple[str, str]]:
-        """Keys whose serving state changed this pass (loaded or evicted)."""
-        return list(dict.fromkeys(self.loaded + self.evicted))
-
-    def changed_tables(self) -> frozenset[str] | None:
-        """Tables whose estimates this pass can change; ``None`` for all.
-
-        A BN serves its own table (a shard model ``table@shardN`` its base
-        table); any other model -- the RBX network, universal or per
-        column -- can change NDV answers on every table.
-        """
-        tables = set()
-        for kind, name in self.changed_keys():
-            if kind != "bn":
-                return None
-            tables.add(name.split("@", 1)[0])
-        return frozenset(tables)
 
     def refusals(self) -> list[tuple[str, str, str, str]]:
         """(kind, name, reason-category, detail) per refused load."""

@@ -316,6 +316,20 @@ class ModelForgeService:
         self.history.append(info)
         return info
 
+    def tune_column(
+        self,
+        base_model: MLP,
+        table: str,
+        column: str,
+        column_samples: list[tuple[FrequencyProfile, int]],
+        seed: int = 10,
+    ) -> bytes:
+        """One column's fine-tuned weights, serialized and not published."""
+        tuned = fine_tune_rbx(base_model, column_samples, seed=seed)
+        return serialize_rbx(
+            tuned, meta={"scope": "column", "table": table, "column": column}
+        )
+
     def fine_tune_column(
         self,
         base_model: MLP,
@@ -324,12 +338,9 @@ class ModelForgeService:
         column_samples: list[tuple[FrequencyProfile, int]],
         seed: int = 10,
     ) -> TrainedModelInfo:
-        """Calibration fine-tuning for one problematic column."""
+        """Calibration fine-tuning for one problematic column, published."""
         with Stopwatch() as sw:
-            tuned = fine_tune_rbx(base_model, column_samples, seed=seed)
-            blob = serialize_rbx(
-                tuned, meta={"scope": "column", "table": table, "column": column}
-            )
+            blob = self.tune_column(base_model, table, column, column_samples, seed)
         record = self.registry.publish("rbx", f"{table}.{column}", blob)
         info = TrainedModelInfo(
             kind="rbx",

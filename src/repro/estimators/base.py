@@ -11,8 +11,10 @@ its per-query estimation cost is too high.
 :class:`CountEstimator` is the one interface the optimizer and the
 serving core speak, like the paper's Inference Engine contract that every
 model implements.  Its optional capabilities -- provenance-carrying
-``*_detail`` calls, shard routing, BN pass accounting -- are methods with
-in-line defaults, so no consumer probes for a method.
+``*_detail`` calls, shard routing, BN pass accounting, the immutable
+:meth:`~CountEstimator.snapshot` a served request computes from and the
+:meth:`~CountEstimator.cache_key` naming it -- are methods with in-line
+defaults, so no consumer probes for a method.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ class CountEstimator(abc.ABC):
     @abc.abstractmethod
     def estimate_count(self, query: CardQuery) -> float:
         """Estimated number of result rows of ``query`` (>= 0)."""
+
+    # -- the inference context a served request computes from -----------
+    def snapshot(self) -> "CountEstimator":
+        """The immutable estimator one served request reads once and
+        computes from; by default the estimator itself."""
+        return self
+
+    def cache_key(self, task: str, query: CardQuery) -> tuple:
+        """Tokens that change whenever this snapshot's answer to ``query``
+        may; by default none, so a cached answer is never superseded."""
+        return ()
 
     def estimation_overhead(self, query: CardQuery) -> float:
         """Cost-model units spent producing one estimate for ``query``.

@@ -14,6 +14,8 @@ else.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.errors import EstimationError
@@ -70,6 +72,18 @@ class RBXNdvEstimator(NdvEstimator):
     def install_calibrated(self, table: str, column: str, model: MLP) -> None:
         """Install fine-tuned weights for one problematic column."""
         self.calibrated[(table, column)] = model
+
+    def with_calibrated(
+        self, table: str, column: str, model: MLP | None
+    ) -> "RBXNdvEstimator":
+        """A copy whose weights for one column are ``model`` (``None``: the
+        universal checkpoint); this estimator is left as it is."""
+        other = copy.copy(self)
+        other.calibrated = dict(self.calibrated)
+        other.calibrated.pop((table, column), None)
+        if model is not None:
+            other.install_calibrated(table, column, model)
+        return other
 
     def model_for(self, table: str, column: str) -> MLP:
         return self.calibrated.get((table, column), self.model)

@@ -71,7 +71,6 @@ def worker_main(
             fallback_count=bytecard._traditional_count,
             fallback_ndv=bytecard._traditional_ndv,
             config=spec.serving_config,
-            invalidations=bytecard,
             registry=bytecard.obs,
         )
     except Exception as exc:

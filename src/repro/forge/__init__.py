@@ -10,7 +10,7 @@ Three pieces close the paper's training loop end to end:
   retention, rollback, and crash recovery that discards torn writes;
 * :mod:`repro.forge.manager` -- the drift-triggered retrain loop: monitor
   assessments and ingestion signals become jobs, and every trained model
-  flows store -> registry -> loader hot-swap -> serving-cache invalidation
+  flows store -> registry -> loader hot-swap -> a new model snapshot
   -> re-assessment without stalling a single query.
 
 Entry points: ``ByteCard.forge(store_dir)`` builds a manager bound to a

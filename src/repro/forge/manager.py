@@ -10,12 +10,11 @@ only approximated:
         -> ModelForgeService training  (isolated worker thread)
         -> ModelRegistry publish       (fresh timestamp)
         -> ArtifactStore.put           (atomic, checksummed, versioned)
-        -> ByteCard.refresh            (validate + hot-swap, estimators rebuilt)
-        -> serving-cache invalidation  (ByteCard notifies after the swap)
+        -> ByteCard.refresh            (validate + hot-swap: one new model snapshot)
         -> ModelMonitor re-assessment  (fallback lifted only when it passes)
 
 A query thread never blocks on any of this: training runs in the forge
-workers, and the swap is the loader's existing generation-stamped install.
+workers, and the swap replaces one reference to an immutable snapshot.
 """
 
 from __future__ import annotations
@@ -201,8 +200,8 @@ class ForgeManager:
             artifact = self.store.put(
                 job.kind, job.name, record.blob, timestamp=record.timestamp
             )
-            # Hot swap: loader pass (generation bump -> serving-cache
-            # invalidation via its listeners) + estimator reassembly.
+            # Hot swap: loader pass + one new model snapshot, whose tokens
+            # retire the cached answers of the replaced model.
             bytecard.refresh()
             report = None
             if job.kind == "bn" and self.config.revalidate:

@@ -9,9 +9,8 @@ warehouse under heavy traffic with strict latency budgets:
 * :mod:`repro.serving.service`     -- the request pipeline: deadline
   enforcement, degradation to traditional estimators, per-request detail;
 * :mod:`repro.serving.core`        -- the pipeline itself, including the
-  fingerprint-keyed estimate cache (a generation-stamped
-  :class:`~repro.utils.lru.GenerationLRU` bumped by the ByteCard facade
-  after model swaps and fallback-gate flips);
+  estimate cache (a :class:`~repro.utils.lru.GenerationLRU` keyed by the
+  query fingerprint and the tokens of the model snapshot that answered);
 * :mod:`repro.serving.workers`     -- the bounded worker pool with
   admission control (reject-to-fallback, never unbounded queueing);
 * :mod:`repro.serving.fingerprint` -- canonical query fingerprints (order-

@@ -20,19 +20,16 @@ Request path::
                    +----------------+---- traditional fallback (recorded)
 
 One core serves one estimator, so the estimator's ``name`` (read once,
-at construction) is the cache scope of every answer.  A COUNT miss
-computes through ``estimator.estimate_count(query)`` -- one column of the
-model's inference context, nothing else.  A request without a
-deadline has nothing to time out, so after admission it computes on the
-thread that brought it (:meth:`WorkerPool.run_inline`); only requests that
-carry a deadline cross into the pool's worker threads, where the caller can
-abandon the wait.
-
-The facade bumps the estimate cache's generations
-(:meth:`EstimationCore.invalidate`) after a refresh installs its rebuilt
-estimators and when a fallback gate flips; the stamp is taken *before*
-inference starts, so an answer from a superseded model or gate is never
-inserted as current.
+at construction) is the cache scope of every answer.  A request reads the
+estimator's ``snapshot()`` once and computes from it both its cache key
+(the request fingerprint plus the snapshot's ``cache_key`` tokens) and, on
+a miss, its answer: a COUNT miss is ``snapshot.estimate_count(query)``.  A
+refresh or a gate flip publishes a new snapshot with new tokens, so an
+answer from a superseded model or gate is never asked for again and ages
+out of the LRU.  A request without a deadline has nothing to time out, so
+after admission it computes on the thread that brought it
+(:meth:`WorkerPool.run_inline`); only requests that carry a deadline cross
+into the pool's worker threads, where the caller can abandon the wait.
 
 Shutdown is drain-ordered and bounded (:meth:`EstimationCore.close`): stop
 admitting (new requests degrade to the fallback, they are still answered),
@@ -48,6 +45,7 @@ from concurrent.futures import CancelledError as FutureCancelledError
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from repro.errors import EstimationError
@@ -100,15 +98,11 @@ class EstimationCore:
         fallback_count: CountEstimator,
         fallback_ndv: NdvEstimator | None = None,
         config: ServingConfig | None = None,
-        invalidations=None,
         registry: MetricsRegistry | None = None,
         feedback: FeedbackLog | None = None,
         clock=None,
     ):
-        """``invalidations`` (normally the ByteCard behind ``estimator``)
-        gets :meth:`invalidate` subscribed via ``add_invalidation_listener``.
-
-        ``clock`` (a :class:`repro.utils.clock.Clock`) supplies the
+        """``clock`` (a :class:`repro.utils.clock.Clock`) supplies the
         request timestamps and deadline arithmetic; the default system
         clock preserves ``time.perf_counter`` semantics.  Under a simulated
         clock the configured deadline still bounds the *real* wait on the
@@ -142,26 +136,6 @@ class EstimationCore:
             num_workers=self.config.num_workers,
             queue_capacity=self.config.queue_capacity,
         )
-        if invalidations is not None:
-            invalidations.add_invalidation_listener(self.invalidate)
-
-    # ------------------------------------------------------------------
-    # Model lifecycle integration
-    # ------------------------------------------------------------------
-    def invalidate(self, tables: frozenset[str] | None) -> None:
-        """Invalidate cached estimates touching ``tables`` (all if None)."""
-        if self.cache is None:
-            return
-        if tables is None:
-            self.cache.bump_all()
-            self.registry.counter(
-                "serving_cache_generation_bumps_total", scope="all"
-            ).inc()
-        elif tables:
-            self.cache.bump_tables(tables)
-            self.registry.counter(
-                "serving_cache_generation_bumps_total", scope="tables"
-            ).inc(len(tables))
 
     # ------------------------------------------------------------------
     # Serving pipeline
@@ -175,16 +149,21 @@ class EstimationCore:
         self,
         query: CardQuery,
         task: str,
-        compute: Callable[[], float],
+        answer: Callable[[CountEstimator], float],
         fallback: Callable[[CardQuery], float],
         deadline_ms=_UNSET,
     ) -> ServedEstimate:
+        """``answer(snapshot)`` computes the model's answer on a miss."""
         start = self.clock.now()
         self.stats_collector.increment("requests")
         self.registry.counter("serving_requests_total", task=task).inc()
         stages: list[SpanRecord] = []
         fingerprint = query_fingerprint(query)
-        key = request_fingerprint(task, self.scope, fingerprint)
+        snapshot = self.estimator.snapshot()
+        key = (
+            request_fingerprint(task, self.scope, fingerprint),
+            snapshot.cache_key(task, query),
+        )
         if self.cache is not None:
             with self.tracer.span("serve.cache_lookup", sink=stages):
                 cached = self.cache.get(key)
@@ -193,9 +172,9 @@ class EstimationCore:
                     cached, "cache", start, stages=stages, task=task, query=query,
                     fingerprint=fingerprint,
                 )
-        stamp = self.cache.stamp(query.tables) if self.cache is not None else None
         deadline = self._deadline_s(deadline_ms)
         compute_span = self.tracer.span("serve.model", sink=stages)
+        compute = partial(answer, snapshot)
         if deadline is None:
             # Nothing can time out, so the request computes on the thread
             # that brought it -- admitted and counted by the pool like a
@@ -231,7 +210,7 @@ class EstimationCore:
             self.registry.counter(
                 "serving_fallbacks_total", reason="timeout"
             ).inc()
-            self._cache_late_result(key, stamp, future)
+            self._cache_late_result(key, future)
             with self.tracer.span("serve.fallback", sink=stages):
                 fell_back = fallback(query)
             return self._finish(
@@ -252,23 +231,23 @@ class EstimationCore:
                 fell_back, "fallback-error", start, stages=stages, task=task,
                 query=query, fingerprint=fingerprint,
             )
-        if self.cache is not None and stamp is not None:
-            self.cache.put(key, value, stamp)
+        if self.cache is not None:
+            self.cache.put(key, value)
         return self._finish(
             value, "model", start, stages=stages, task=task,
             query=query, fingerprint=fingerprint,
         )
 
-    def _cache_late_result(self, key, stamp, future: Future) -> None:
-        """A timed-out estimate still warms the cache once it completes --
-        unless an invalidation made its stamp stale in the meantime."""
-        if self.cache is None or stamp is None:
+    def _cache_late_result(self, key, future: Future) -> None:
+        """A timed-out estimate still warms the cache once it completes,
+        under the key of the snapshot that computed it."""
+        if self.cache is None:
             return
         cache = self.cache
 
         def on_done(completed: Future) -> None:
             if not completed.cancelled() and completed.exception() is None:
-                cache.put(key, float(completed.result()), stamp)
+                cache.put(key, float(completed.result()))
 
         future.add_done_callback(on_done)
 
@@ -311,7 +290,7 @@ class EstimationCore:
         return self._serve(
             query,
             "count",
-            lambda: self.estimator.estimate_count(query),
+            lambda snapshot: snapshot.estimate_count(query),
             self.fallback_count.estimate_count,
             deadline_ms,
         )
@@ -320,21 +299,17 @@ class EstimationCore:
     # NDV serving
     # ------------------------------------------------------------------
     def serve_ndv(self, query: CardQuery, deadline_ms=_UNSET) -> ServedEstimate:
-        primary = self.estimator
-        if not isinstance(primary, NdvEstimator):
-            if self.fallback_ndv is None:
-                raise EstimationError("service has no NDV estimator")
-            primary = self.fallback_ndv
-        fallback = (
-            self.fallback_ndv.estimate_ndv
-            if self.fallback_ndv is not None
-            else primary.estimate_ndv
-        )
+        learned = isinstance(self.estimator, NdvEstimator)
+        if not learned and self.fallback_ndv is None:
+            raise EstimationError("service has no NDV estimator")
+        fallback = self.fallback_ndv if self.fallback_ndv is not None else self.estimator
         return self._serve(
             query,
             "ndv",
-            lambda: primary.estimate_ndv(query),
-            fallback,
+            lambda snapshot: (
+                snapshot if learned else self.fallback_ndv
+            ).estimate_ndv(query),
+            fallback.estimate_ndv,
             deadline_ms,
         )
 
@@ -354,7 +329,11 @@ class EstimationCore:
         self.stats_collector.increment("requests")
         self.registry.counter("serving_requests_total", task="selectivity").inc()
         fingerprint = query_fingerprint(query)
-        key = request_fingerprint("selectivity", self.scope, fingerprint)
+        snapshot = self.estimator.snapshot()
+        key = (
+            request_fingerprint("selectivity", self.scope, fingerprint),
+            snapshot.cache_key("selectivity", query),
+        )
 
         def noted(value: float, source: str) -> ServedEstimate:
             if self.feedback is not None:
@@ -371,7 +350,6 @@ class EstimationCore:
             cached = self.cache.get(key)
             if cached is not None:
                 return noted(cached, "cache")
-            stamp = self.cache.stamp(query.tables)
         if self.pool.refusing:
             self.stats_collector.record_fallback("rejected")
             self.registry.counter(
@@ -381,7 +359,7 @@ class EstimationCore:
                 float(self.fallback_count.selectivity(query)), "fallback-rejected"
             )
         try:
-            value = float(self.estimator.selectivity(query))
+            value = float(snapshot.selectivity(query))
         except Exception:
             self.stats_collector.record_fallback("errors")
             self.registry.counter(
@@ -389,7 +367,7 @@ class EstimationCore:
             ).inc()
             return noted(float(self.fallback_count.selectivity(query)), "fallback-error")
         if self.cache is not None:
-            self.cache.put(key, value, stamp)
+            self.cache.put(key, value)
         return noted(value, "model")
 
     # ------------------------------------------------------------------
@@ -404,7 +382,6 @@ class EstimationCore:
             snapshot,
             cache_hits=self.cache.hits,
             cache_misses=self.cache.misses,
-            cache_invalidations=self.cache.invalidations,
         )
 
     def close(self, timeout: float | None = None) -> bool:

@@ -42,7 +42,6 @@ class EstimationService(CountEstimator, NdvEstimator):
         fallback_count: CountEstimator,
         fallback_ndv: NdvEstimator | None = None,
         config: ServingConfig | None = None,
-        invalidations=None,
         registry: MetricsRegistry | None = None,
         feedback=None,
         clock=None,
@@ -52,7 +51,6 @@ class EstimationService(CountEstimator, NdvEstimator):
             fallback_count=fallback_count,
             fallback_ndv=fallback_ndv,
             config=config,
-            invalidations=invalidations,
             registry=registry,
             feedback=feedback,
             clock=clock,
@@ -61,18 +59,6 @@ class EstimationService(CountEstimator, NdvEstimator):
     # ------------------------------------------------------------------
     # Core state, exposed for introspection and tests
     # ------------------------------------------------------------------
-    @property
-    def estimator(self) -> CountEstimator:
-        return self.core.estimator
-
-    @property
-    def fallback_count(self) -> CountEstimator:
-        return self.core.fallback_count
-
-    @property
-    def fallback_ndv(self) -> NdvEstimator | None:
-        return self.core.fallback_ndv
-
     @property
     def config(self) -> ServingConfig:
         return self.core.config
@@ -92,14 +78,6 @@ class EstimationService(CountEstimator, NdvEstimator):
     @property
     def pool(self):
         return self.core.pool
-
-    @property
-    def stats_collector(self):
-        return self.core.stats_collector
-
-    @property
-    def tracer(self):
-        return self.core.tracer
 
     # ------------------------------------------------------------------
     # COUNT serving

@@ -35,10 +35,8 @@ class ServiceStats:
     requests: int = 0
     #: answered straight from the estimate cache
     cache_hits: int = 0
-    #: looked up but absent (or stale) in the cache
+    #: looked up but absent in the cache
     cache_misses: int = 0
-    #: cache entries dropped lazily due to a generation bump
-    cache_invalidations: int = 0
     #: deadline-exceeded requests (answered by the fallback estimator)
     timeouts: int = 0
     #: learned-path errors (answered by the fallback estimator)
@@ -75,7 +73,6 @@ class StatsCollector:
             "requests": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "cache_invalidations": 0,
             "timeouts": 0,
             "errors": 0,
             "rejected": 0,

@@ -103,6 +103,6 @@ class TestShardTraining:
         bytecard.forge_service.train_count_models(sharded_bundle)
         bytecard.forge_service.train_sharded(sharded_bundle, "events", "shard_key", 2)
         bytecard.refresh()
-        assert bytecard._factorjoin is not None
-        assert set(bytecard._factorjoin.models) == {"events"}
+        assert bytecard.snapshot().factorjoin is not None
+        assert set(bytecard.snapshot().factorjoin.models) == {"events"}
         assert bytecard.loader.get("bn", "events@shard0") is not None

@@ -336,8 +336,8 @@ class TestByteCardWiring:
 
     def test_refresh_invalidates_evidence_cache(self, bytecard, aeolus):
         cache = bytecard.evidence_cache
-        table = next(iter(bytecard._factorjoin.models))
-        model = bytecard._factorjoin.models[table]
+        table = next(iter(bytecard.snapshot().factorjoin.models))
+        model = bytecard.snapshot().factorjoin.models[table]
         pred = TablePredicate(table, model.columns[0], PredicateOp.GE, 0.0)
         model.evidence_for([[pred]], cache)
         model.evidence_for([[pred]], cache)
@@ -346,25 +346,25 @@ class TestByteCardWiring:
         # token, so the old mask can never be read for it again.
         bytecard.forge_service.train_count_models(aeolus)
         bytecard.refresh()
-        reloaded = bytecard._factorjoin.models[table]
+        reloaded = bytecard.snapshot().factorjoin.models[table]
         assert reloaded.context.token != model.context.token
         reloaded.evidence_for([[pred]], cache)
         assert (cache.hits, cache.misses) == (hits_before, misses_before + 1)
         # The rebuilt FactorJoin shares the facade-owned caches.
-        assert bytecard._factorjoin.evidence_cache is cache
-        assert bytecard._factorjoin.plan_cache is bytecard.plan_cache
+        assert bytecard.snapshot().factorjoin.evidence_cache is cache
+        assert bytecard.snapshot().factorjoin.plan_cache is bytecard.plan_cache
 
     def test_refresh_keeps_contexts_of_untouched_tables(self, bytecard, aeolus):
         before = {
             table: model.context
-            for table, model in bytecard._factorjoin.models.items()
+            for table, model in bytecard.snapshot().factorjoin.models.items()
         }
         assert all(context is not None for context in before.values())
         changed = sorted(before)[0]
         # Republish one table: only its inference schedule is recompiled.
         bytecard.forge_service.train_count_models(aeolus, tables=[changed])
         bytecard.refresh()
-        after = bytecard._factorjoin.models
+        after = bytecard.snapshot().factorjoin.models
         assert after[changed].context is not before[changed]
         for table, context in before.items():
             if table != changed:

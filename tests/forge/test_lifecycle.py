@@ -4,8 +4,8 @@ The acceptance scenario: a drifted model (forced via a corrupted-CPT
 fixture -- one-hot rows are row-stochastic, so they pass the health
 validator, but they are semantically garbage, so they fail the Q-Error
 gate) is automatically retrained by a background worker, persisted with a
-new version, hot-swapped via a loader generation bump that invalidates the
-serving cache, and passes re-assessment.  Then a fresh ByteCard
+new version, hot-swapped as a new model snapshot whose tokens the drifted
+model's cached answers do not match, and passes re-assessment.  Then a fresh ByteCard
 warm-starts from the store directory and serves estimates with **zero**
 training calls.
 """
@@ -112,7 +112,7 @@ class TestDriftTriggeredRetrain:
 
         corrupt_bn(bytecard, TABLE)
         generation_before = bytecard.loader.generation
-        invalidations_before = service.stats().cache_invalidations
+        snapshot_before = bytecard.snapshot()
         # Prime the serving cache against the corrupted generation.
         service.estimate_count_detail(QUERY, deadline_ms=None)
         assert (
@@ -138,14 +138,14 @@ class TestDriftTriggeredRetrain:
         versions = [v.version for v in manager.store.versions("bn", TABLE)]
         assert versions == [1, 2]
         assert manager.store.current("bn", TABLE).version == 2
-        # ...hot-swapped via a generation bump that invalidated the cache
-        # (invalidation is lazy: the stale entry is dropped on next lookup)...
+        # ...hot-swapped as a new snapshot, under whose tokens the cached
+        # answer of the corrupted model is never asked for again...
         assert bytecard.loader.generation > generation_before
+        assert bytecard.snapshot() is not snapshot_before
         assert (
             service.estimate_count_detail(QUERY, deadline_ms=None).source
             != "cache"
         )
-        assert service.stats().cache_invalidations > invalidations_before
         # ...and the re-assessment passed, lifting the fallback.
         assert TABLE not in bytecard.fallback_tables
         drift_triggers = bytecard.obs.counter(

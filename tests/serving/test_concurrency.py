@@ -160,16 +160,37 @@ class TestServedByteCard:
         assert stats.fallbacks == 0
 
 
+class Version(CountEstimator):
+    """One immutable snapshot: estimate = its model version."""
+
+    name = "versioned"
+
+    def __init__(self, version: int):
+        self.version = version
+
+    def cache_key(self, task: str, query: CardQuery) -> tuple:
+        return (self.version,)
+
+    def estimate_count(self, query: CardQuery) -> float:
+        return float(self.version)
+
+    def selectivity(self, query: CardQuery) -> float:
+        return 0.5
+
+
 class Versioned(CountEstimator):
-    """Estimate = current model version; lets stale answers be detected."""
+    """Serves the current :class:`Version`; lets stale answers be detected."""
 
     name = "versioned"
 
     def __init__(self):
-        self.version = 1
+        self.current = Version(1)
+
+    def snapshot(self) -> Version:
+        return self.current
 
     def estimate_count(self, query: CardQuery) -> float:
-        return float(self.version)
+        return self.current.estimate_count(query)
 
     def selectivity(self, query: CardQuery) -> float:
         return 0.5
@@ -205,22 +226,14 @@ class TestMidFlightRefresh:
         loader.refresh()
 
         versioned = Versioned()
-        listeners = []
-
-        class Facade:
-            """ByteCard's half of the contract: swap, then notify."""
-
-            add_invalidation_listener = staticmethod(listeners.append)
-
         service = EstimationService(
             versioned,
             Fallback(),
             config=ServingConfig(
                 deadline_ms=None, num_workers=4, queue_capacity=256
             ),
-            invalidations=Facade(),
         )
-        floor = {"version": versioned.version}
+        floor = {"version": versioned.current.version}
         stale: list[tuple[float, int]] = []
         errors: list[Exception] = []
         stop = threading.Event()
@@ -231,10 +244,9 @@ class TestMidFlightRefresh:
                     registry.publish("bn", "t", blob)  # newer timestamp
                     report = loader.refresh()
                     assert report.loaded  # the swap actually happened
-                    versioned.version += 1
-                    for listener in listeners:
-                        listener(report.changed_tables())
-                    floor["version"] = versioned.version
+                    # ByteCard's half of the contract: one new snapshot.
+                    versioned.current = Version(versioned.current.version + 1)
+                    floor["version"] = versioned.current.version
                     time.sleep(0.002)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -262,6 +274,6 @@ class TestMidFlightRefresh:
         service.close()
         assert not errors
         assert not stale
-        # The refreshes really did invalidate cached estimates.
-        assert service.stats().cache_invalidations > 0
+        # The refreshes really did supersede cached estimates.
+        assert service.stats().cache_misses > 1
         assert loader.generation >= 15

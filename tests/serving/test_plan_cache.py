@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.loader import RefreshReport
 from repro.estimators.factorjoin import FactorJoinEstimator
 from repro.estimators.factorjoin.plans import CachedArtifactSource, new_plan_cache
 from repro.obs import MetricsRegistry
@@ -194,14 +193,14 @@ class TestEstimatorIntegration:
 
 
 class TestServiceWiring:
-    def test_sharded_bn_key_bumps_base_table(self, stats_fj):
-        report = RefreshReport(loaded=[("bn", "users@shard2")])
-        assert report.changed_tables() == {"users"}
-        assert RefreshReport(loaded=[("rbx", "universal")]).changed_tables() is None
+    def test_plain_estimator_is_its_own_snapshot(self, stats_fj):
+        """An estimator without a snapshot of its own answers from itself,
+        under a key with no tokens: its cached answers never go stale."""
+        query = CardQuery(tables=("users",), predicates=(P_REP,))
+        assert stats_fj.snapshot() is stats_fj
+        assert stats_fj.cache_key("count", query) == ()
         config = ServingConfig(deadline_ms=None, num_workers=2)
         with EstimationService(stats_fj, stats_fj, config=config) as service:
-            query = CardQuery(tables=("users",), predicates=(P_REP,))
-            service.estimate_count(query)
+            served = service.estimate_count_detail(query)
+            assert served.value == stats_fj.estimate_count(query)
             assert service.estimate_count_detail(query).source == "cache"
-            service.core.invalidate(report.changed_tables())
-            assert service.estimate_count_detail(query).source == "model"

@@ -1,8 +1,9 @@
 """GenerationLRU: the one cache class, in each of the roles it plays.
 
-The serving estimate cache stamps its entries by table generation; the
-plan-scope and evidence-mask caches key theirs by model and mirror their
-counters into the metrics registry.  Every case runs in all three roles.
+The serving estimate cache puts answers under keys naming their model
+snapshot; the plan-scope and evidence-mask caches get-or-create values
+keyed by model and mirror their counters into the metrics registry.  Every
+case runs in all three roles.
 """
 
 import sys
@@ -13,7 +14,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.utils.lru import GenerationLRU
 
-#: role -> (registry prefix, entries carry generation stamps)
+#: role -> (registry prefix, entries are put rather than get-or-created)
 ROLES = {
     "estimate": (None, True),
     "plan": ("plan_cache", False),
@@ -27,22 +28,22 @@ def role(request):
 
 
 def make(role, max_entries=4):
-    prefix, _stamped = role
+    prefix, _put = role
     registry = MetricsRegistry()
     return GenerationLRU(max_entries, registry, prefix=prefix), registry
 
 
 def fill(cache, role, key, value):
-    """Insert the way the role does: a stamped put, or get-or-create."""
-    _prefix, stamped = role
-    if stamped:
-        assert cache.put(key, value, cache.stamp(["t"]))
+    """Insert the way the role does: a put, or get-or-create."""
+    _prefix, put = role
+    if put:
+        cache.put(key, value)
     else:
         assert cache.get_or_create(key, lambda: value) == value
 
 
 def mirrored(registry, role, counter):
-    prefix, _stamped = role
+    prefix, _put = role
     metric = registry.get(f"{prefix}_{counter}_total")
     return None if metric is None else metric.value
 
@@ -114,21 +115,19 @@ def test_concurrent_get_or_create_shares_one_value(role):
         assert total == threads_n * rounds
 
 
-def test_bumps_reach_stamped_entries_only(role):
-    cache, registry = make(role)
-    stale = cache.stamp(["t"])
-    fill(cache, role, "k", 7.0)
-    cache.bump_tables(["t"])
-    assert not cache.put("late", 9.0, stale)  # computed before the bump
-    _prefix, stamped = role
-    # A stamped entry goes stale; an entry keyed by its model ignores bumps
-    # (its model's replacement simply never asks for that key again).
-    assert cache.get("k") == (None if stamped else 7.0)
-    assert cache.invalidations == (2 if stamped else 1)
-    cache.bump_all()
-    assert cache.get("late") is None
+def test_superseded_keys_age_out(role):
+    """Nothing is invalidated: an entry whose model was replaced is never
+    asked for again and leaves by LRU eviction."""
+    cache, registry = make(role, max_entries=2)
+    fill(cache, role, ("model-1", "k"), 7.0)
+    fill(cache, role, ("model-2", "k"), 9.0)  # the replacement's key
+    assert cache.get(("model-2", "k")) == 9.0
+    fill(cache, role, ("model-2", "j"), 3.0)
+    assert cache.get(("model-1", "k")) is None  # aged out
+    assert (cache.get(("model-2", "k")), cache.evictions) == (9.0, 1)
+    assert cache.invalidations == 0
     if role[0] is not None:
-        assert mirrored(registry, role, "invalidations") == cache.invalidations
+        assert mirrored(registry, role, "invalidations") is None
 
 
 def test_rejects_bad_capacity():
