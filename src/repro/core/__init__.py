@@ -6,7 +6,7 @@ Modules map one-to-one onto the paper's components:
   (``loadModel`` / ``validate`` / ``initContext`` / ``featurizeSQLQuery`` /
   ``featurizeAST`` / ``estimate``) and its per-model implementations;
 * :mod:`repro.core.modelforge`   -- the standalone ModelForge Service:
-  isolated training, ingestion signals, shard training, RBX fine-tuning;
+  isolated training, ingestion signals, RBX fine-tuning;
 * :mod:`repro.core.loader`       -- the Model Loader: timestamp-based
   refresh, per-model size refusal, LRU eviction under a total budget;
 * :mod:`repro.core.validator`    -- the Model Validator: size checker and

@@ -151,8 +151,6 @@ class ByteCard(CountEstimator, NdvEstimator):
     """The deployed framework, serving COUNT and NDV estimates."""
 
     name = "bytecard"
-    #: :meth:`shard_selectivity` answers from shard-specialized BNs
-    supports_shard_routing = True
 
     def __init__(
         self,
@@ -316,11 +314,11 @@ class ByteCard(CountEstimator, NdvEstimator):
     def _assemble_factorjoin(
         self, current: FactorJoinEstimator | None, tokens: dict[str, int]
     ) -> FactorJoinEstimator | None:
-        """FactorJoin over the loaded whole-table BNs (``current`` when none
+        """FactorJoin over the loaded per-table BNs (``current`` when none
         changed), renewing in ``tokens`` the tables whose answers can move."""
         models = {}
         for kind, name in self.loader.loaded_keys():
-            if kind == "bn" and "@shard" not in name:
+            if kind == "bn":
                 model = self.loader.get(kind, name).model
                 if model is not None:
                     models[name] = model
@@ -561,40 +559,6 @@ class ByteCard(CountEstimator, NdvEstimator):
 
     def selectivity(self, query: CardQuery) -> float:
         return self._snapshot.selectivity(query)
-
-    def shard_selectivity(
-        self, table: str, shard: int, query: CardQuery
-    ) -> float | None:
-        """Selectivity from the shard-specialized BN, or None if unavailable.
-
-        The optimizer's partition planner calls this when zone-map pruning
-        pins a partition of a table partitioned by the shard key: partition
-        index ``shard`` corresponds to the ``{table}@shard{shard}`` model
-        ModelForge's ``train_sharded`` publishes (hash-mod shard function).
-        Whole-table FactorJoin assembly deliberately skips these models;
-        they are addressable only through this per-shard route.
-
-        Predicates on columns the shard BN does not model -- notably the
-        shard key itself -- are dropped before inference: within a pinned
-        partition the key predicate's effect is already captured by the
-        pruning that pinned it.
-        """
-        engine = self.loader.get("bn", f"{table}@shard{shard}")
-        model = getattr(engine, "model", None)
-        if model is None:
-            return None
-        modeled = getattr(model, "columns", ())
-        predicates = [
-            p
-            for p in query.predicates
-            if p.table == table and p.column in modeled
-        ]
-        if not predicates:
-            return None
-        try:
-            return float(model.selectivity(predicates))
-        except EstimationError:
-            return None
 
     def estimate_ndv(self, query: CardQuery) -> float:
         return self._snapshot.estimate_ndv(query)

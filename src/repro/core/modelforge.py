@@ -11,9 +11,7 @@ query path.  Responsibilities reproduced here:
   checkpoint;
 * **ingestion signals**: upstream sources (Hive/Kafka in the paper) notify
   the service of data changes; the next training cycle retrains exactly the
-  dirty tables;
-* **shard training**: per-shard models when a table's distribution varies
-  across shards.
+  dirty tables.
 
 Every trained model is serialized and published to the registry with a
 fresh timestamp; training times and sizes are recorded (they are the rows
@@ -25,14 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from repro.core.config import ByteCardConfig
 from repro.core.preprocessor import ModelPreprocessor
 from repro.core.registry import ModelRegistry
 from repro.core.serialization import serialize_bn, serialize_rbx
 from repro.datasets.base import DatasetBundle
-from repro.errors import TrainingError
 from repro.estimators.bn.model import fit_tree_bn
 from repro.estimators.factorjoin.buckets import JoinBucketizer
 from repro.estimators.frequency import FrequencyProfile
@@ -236,61 +231,6 @@ class ModelForgeService:
         if not self._dirty_tables:
             return []
         return self.train_count_models(bundle, tables=sorted(self._dirty_tables))
-
-    # ------------------------------------------------------------------
-    # Shard training
-    # ------------------------------------------------------------------
-    def train_sharded(
-        self,
-        bundle: DatasetBundle,
-        table_name: str,
-        shard_column: str,
-        num_shards: int,
-    ) -> list[TrainedModelInfo]:
-        """Per-shard models when shard distributions differ.
-
-        The shard function is hash-mod on the shard key, the common
-        ByteHouse configuration.
-        """
-        if num_shards <= 1:
-            raise TrainingError("shard training needs at least two shards")
-        table = bundle.catalog.table(table_name)
-        if not table.has_column(shard_column):
-            raise TrainingError(
-                f"table {table_name!r} has no shard column {shard_column!r}"
-            )
-        _bucketizer, training_columns = self._prepare(bundle)
-        columns = training_columns.get(table_name, [])
-        if not columns:
-            raise TrainingError(f"no trainable columns for table {table_name!r}")
-        shard_of = table.column(shard_column).values.astype(np.int64) % num_shards
-        infos: list[TrainedModelInfo] = []
-        for shard in range(num_shards):
-            shard_table = table.select_rows(shard_of == shard)
-            if len(shard_table) == 0:
-                continue
-            rng = derive_rng(bundle.seed, "modelforge-shard", table_name, shard)
-            with Stopwatch() as sw:
-                model = fit_tree_bn(
-                    shard_table,
-                    columns,
-                    max_bins=self.config.max_bins,
-                    sample_rows=self.config.training_sample_rows,
-                    rng=rng,
-                )
-                blob = serialize_bn(model)
-            record = self.registry.publish("bn", f"{table_name}@shard{shard}", blob)
-            infos.append(
-                TrainedModelInfo(
-                    kind="bn",
-                    name=f"{table_name}@shard{shard}",
-                    seconds=sw.elapsed,
-                    nbytes=len(blob),
-                    timestamp=record.timestamp,
-                )
-            )
-        self.history.extend(infos)
-        return infos
 
     # ------------------------------------------------------------------
     # RBX

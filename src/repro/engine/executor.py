@@ -106,10 +106,8 @@ class Executor:
                 query,
                 payload,
                 io,
-                default_reader=plan.readers.get(table_name, ReaderKind.SINGLE_STAGE),
-                default_column_order=plan.column_orders.get(table_name),
-                partition_readers=plan.partition_readers.get(table_name),
-                partition_column_orders=plan.partition_column_orders.get(table_name),
+                reader=plan.readers.get(table_name, ReaderKind.SINGLE_STAGE),
+                column_order=plan.column_orders.get(table_name),
                 parallelism=self.config.scan_parallelism,
                 prune=self.config.partition_pruning,
                 registry=self.registry,

@@ -37,17 +37,6 @@ def explain_plan(plan: PhysicalPlan) -> str:
                 f"{total_partitions} survive zone-map pruning"
                 + (f" (pruned: {', '.join(map(str, pruned))})" if pruned else "")
             )
-            partition_readers = plan.partition_readers.get(table, {})
-            for index in sorted(partition_readers):
-                kind = partition_readers[index]
-                detail = [f"    partition {index}: reader={kind.value}"]
-                selectivity = plan.partition_selectivities.get(table, {}).get(index)
-                if selectivity is not None:
-                    detail.append(f"est_selectivity={selectivity:.4f}")
-                part_order = plan.partition_column_orders.get(table, {}).get(index)
-                if part_order:
-                    detail.append("column_order=" + " -> ".join(part_order))
-                lines.append("  ".join(detail))
     for index, join in enumerate(plan.join_order, start=1):
         lines.append(f"  join {index}: {join}")
     if query.group_by:

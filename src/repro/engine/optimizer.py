@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.engine.config import EngineConfig
 from repro.engine.partitioned import prune_partitions
@@ -32,10 +31,6 @@ from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition
-
-#: ``shard_router(table, shard_index, single_table_subquery) -> selectivity``
-#: or None when no specialized model covers that shard.
-ShardRouter = Callable[[str, int, CardQuery], "float | None"]
 
 
 @dataclass
@@ -55,23 +50,12 @@ class PhysicalPlan:
     decision_timings: dict[str, float] = field(default_factory=dict)
     #: per-decision estimate provenance counts: how each consulted estimate
     #: was produced (cache / model / fallback-* when planning through the
-    #: serving tier, ``direct`` for bare estimators, ``shard_model`` when a
-    #: shard-specialized model answered for a pinned partition)
+    #: serving tier, ``direct`` for bare estimators)
     decision_provenance: dict[str, dict[str, int]] = field(default_factory=dict)
     #: total partitions per planned table (only multi-partition tables)
     partition_counts: dict[str, int] = field(default_factory=dict)
     #: partitions refuted by zone maps at plan time, per table
     pruned_partitions: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    #: per-partition reader decisions, keyed table -> partition index
-    partition_readers: dict[str, dict[int, ReaderKind]] = field(default_factory=dict)
-    #: per-partition column orders for multi-stage partitions
-    partition_column_orders: dict[str, dict[int, list[str]]] = field(
-        default_factory=dict
-    )
-    #: per-partition estimated selectivities (shard model or global fallback)
-    partition_selectivities: dict[str, dict[int, float]] = field(
-        default_factory=dict
-    )
     #: estimated surviving rows per table (selectivity x row count) -- the
     #: executor pairs these with observed scan cardinalities for the
     #: runtime feedback log
@@ -91,30 +75,19 @@ class Optimizer:
         config: EngineConfig | None = None,
         registry: MetricsRegistry | None = None,
         catalog=None,
-        shard_router: ShardRouter | None = None,
     ):
         """``count_estimator`` is any :class:`CountEstimator` -- a bare
         model (``ByteCard``, ``SelingerEstimator``, ...), the serving tier
         or the fleet router.
 
-        ``catalog`` enables partition-aware planning (falls back to the
-        estimator's own catalog when omitted); ``shard_router`` routes
-        selectivity calls to shard-specialized models when pruning pins a
-        partition (defaults to the estimator's ``shard_selectivity`` when it
-        advertises ``supports_shard_routing``, e.g.
-        :meth:`repro.core.ByteCard.shard_selectivity`).
+        ``catalog`` enables plan-time partition pruning (falls back to the
+        estimator's own catalog when omitted).
         """
         self.count_estimator = count_estimator
         self.ndv_estimator = ndv_estimator
         self.config = config or EngineConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self.catalog = catalog if catalog is not None else count_estimator.catalog
-        if shard_router is not None:
-            self.shard_router = shard_router
-        elif count_estimator.supports_shard_routing:
-            self.shard_router = count_estimator.shard_selectivity
-        else:
-            self.shard_router = None
 
     # ------------------------------------------------------------------
     def plan(self, query: CardQuery) -> PhysicalPlan:
@@ -132,12 +105,7 @@ class Optimizer:
             self._plan_partitions(query, table, plan)
             rows = self._table_rows(table)
             if rows:
-                # After partition planning: a pinned partition may have
-                # replaced the table-level selectivity with its effective
-                # (shard-model) value.
-                plan.estimated_table_rows[table] = (
-                    plan.table_selectivities[table] * rows
-                )
+                plan.estimated_table_rows[table] = selectivity * rows
         if query.joins:
             with self._decision(plan, "join_order", "join_order"):
                 plan.join_order = self._choose_join_order(query, plan)
@@ -242,124 +210,15 @@ class Optimizer:
     def _plan_partitions(
         self, query: CardQuery, table: str, plan: PhysicalPlan
     ) -> None:
-        """Prune partitions at plan time and decide reader/column-order per
-        surviving partition, routing selectivity to shard-specialized models
-        when the predicates pin a single partition."""
+        """Record which partitions zone maps refute at plan time; every
+        survivor is scanned with the table's reader and column order."""
         tbl = self._catalog_table(table)
         if tbl is None or tbl.num_partitions <= 1 or not self.config.partition_pruning:
             return
         with self._decision(plan, f"partitions:{table}", "partition_plan"):
-            survivors, pruned = prune_partitions(tbl, query)
+            _survivors, pruned = prune_partitions(tbl, query)
             plan.partition_counts[table] = tbl.num_partitions
             plan.pruned_partitions[table] = tuple(pruned)
-            subquery = query.single_table_subquery(table)
-            pinned = len(survivors) == 1
-            readers: dict[int, ReaderKind] = {}
-            orders: dict[int, list[str]] = {}
-            selectivities: dict[int, float] = {}
-            for partition in survivors:
-                shard_selectivity = self._shard_selectivity(
-                    plan, table, tbl, partition.index, subquery
-                )
-                if shard_selectivity is None:
-                    # Fall back to the global model's table-level estimate.
-                    selectivity = plan.table_selectivities.get(table, 1.0)
-                else:
-                    selectivity = shard_selectivity
-                selectivities[partition.index] = selectivity
-                kind = self._choose_reader(selectivity)
-                readers[partition.index] = kind
-                if kind is ReaderKind.MULTI_STAGE:
-                    orders[partition.index] = self._partition_column_order(
-                        query, table, plan, partition.index, shard_selectivity
-                    )
-                if pinned and shard_selectivity is not None and len(tbl):
-                    # The predicates pin this partition, so the shard model's
-                    # partition-local estimate, scaled by the partition's row
-                    # share, *is* the table's effective selectivity.
-                    effective = shard_selectivity * partition.num_rows / len(tbl)
-                    plan.table_selectivities[table] = effective
-                    plan.readers[table] = self._choose_reader(effective)
-            plan.partition_readers[table] = readers
-            plan.partition_column_orders[table] = orders
-            plan.partition_selectivities[table] = selectivities
-
-    def _shard_selectivity(
-        self, plan: PhysicalPlan, table: str, tbl, shard: int, subquery: CardQuery
-    ) -> "float | None":
-        """Selectivity from the shard-specialized model, if one applies.
-
-        Requires the table to be partitioned by key (partition index ==
-        shard index of ModelForge's hash-mod shard function) and the router
-        to actually have a model for that shard.
-        """
-        if self.shard_router is None or tbl.partition_key is None:
-            return None
-        self._charge(plan, subquery)
-        try:
-            value = self.shard_router(table, shard, subquery)
-        except EstimationError:
-            return None
-        if value is None:
-            return None
-        self._note_provenance(plan, f"selectivity:{table}", "shard_model")
-        return min(1.0, max(0.0, float(value)))
-
-    def _partition_column_order(
-        self,
-        query: CardQuery,
-        table: str,
-        plan: PhysicalPlan,
-        shard: int,
-        shard_selectivity: "float | None",
-    ) -> list[str]:
-        """Column order for one multi-stage partition.
-
-        With a routable shard model, columns are ordered by ascending
-        shard-local single-column selectivity (the specialized model may
-        rank them differently than the global one); otherwise the
-        table-level greedy order is reused.
-        """
-        tbl = self._catalog_table(table)
-        if (
-            shard_selectivity is None
-            or self.shard_router is None
-            or tbl is None
-            or tbl.partition_key is None
-        ):
-            order = plan.column_orders.get(table)
-            if order is None:
-                order = self._choose_column_order(query, table, plan)
-                plan.column_orders[table] = order
-            return list(order)
-        predicates = query.predicates_on(table)
-        columns = list(dict.fromkeys(p.column for p in predicates))
-        ranked: list[tuple[float, str]] = []
-        base = query.single_table_subquery(table)
-        for column in columns:
-            restricted = base.with_predicates(
-                [p for p in predicates if p.column == column]
-            )
-            self._charge(plan, restricted)
-            try:
-                value = self.shard_router(table, shard, restricted)
-            except EstimationError:
-                value = None
-            if value is None:
-                value = 1.0
-            else:
-                self._note_provenance(
-                    plan, f"column_order:{table}", "shard_model"
-                )
-            ranked.append((float(value), column))
-        ranked.sort(key=lambda item: (item[0], columns.index(item[1])))
-        ordered = [column for _value, column in ranked]
-        # OR-group columns are evaluated last, as in the table-level order.
-        for group in query.or_groups:
-            for pred in group:
-                if pred.table == table and pred.column not in ordered:
-                    ordered.append(pred.column)
-        return ordered
 
     def _choose_reader(self, selectivity: float) -> ReaderKind:
         if selectivity < self.config.reader_selectivity_threshold:

@@ -5,8 +5,8 @@ The driver is the engine's partition-native entry point for table scans:
 1. **Prune** -- every partition's zone maps are tested against the query's
    predicates; partitions that provably contain no matching row are skipped
    before any block I/O (the counters below record how many).
-2. **Fan out** -- surviving partitions are scanned with their per-partition
-   reader choice (single- or multi-stage), either sequentially or over a
+2. **Fan out** -- surviving partitions are scanned with the table's reader
+   (single- or multi-stage) and column order, either sequentially or over a
    bounded ``ThreadPoolExecutor`` (``EngineConfig.scan_parallelism``).
 3. **Merge** -- per-partition :class:`ScanResult`s and private
    :class:`IOCounter`s are folded back *in partition order*, so results and
@@ -74,7 +74,7 @@ def prune_partitions(
 
 def _merge_scan_results(
     table: Table,
-    default_reader: ReaderKind,
+    reader: ReaderKind,
     results: list[ScanResult],
     pruned: list[int],
     total_partitions: int,
@@ -93,7 +93,7 @@ def _merge_scan_results(
                 stage_survivors[stage] += survivors
     return ScanResult(
         table=table.name,
-        reader=default_reader,
+        reader=reader,
         row_indices=row_indices.astype(np.int64),
         blocks_read=sum(r.blocks_read for r in results),
         rows_scanned=sum(r.rows_scanned for r in results),
@@ -112,21 +112,18 @@ def partitioned_scan(
     payload_columns: list[str],
     io: IOCounter,
     *,
-    default_reader: ReaderKind = ReaderKind.SINGLE_STAGE,
-    default_column_order: list[str] | None = None,
-    partition_readers: dict[int, ReaderKind] | None = None,
-    partition_column_orders: dict[int, list[str]] | None = None,
+    reader: ReaderKind = ReaderKind.SINGLE_STAGE,
+    column_order: list[str] | None = None,
     parallelism: int = 1,
     prune: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> ScanResult:
     """Prune, scan surviving partitions (possibly in parallel), and merge.
 
-    ``partition_readers`` / ``partition_column_orders`` carry the
-    optimizer's per-partition decisions keyed by partition index; partitions
-    without an entry fall back to the table-level ``default_reader`` /
-    ``default_column_order``.  The returned :class:`ScanResult` and the
-    charges applied to ``io`` are identical for any ``parallelism`` value.
+    Every surviving partition is scanned with the optimizer's table-level
+    ``reader`` and ``column_order``.  The returned :class:`ScanResult` and
+    the charges applied to ``io`` are identical for any ``parallelism``
+    value.
     """
     registry = registry if registry is not None else MetricsRegistry(enabled=False)
     if prune:
@@ -138,18 +135,14 @@ def partitioned_scan(
         registry.counter("engine_partitions_pruned_total").inc(len(pruned))
 
     def scan_one(partition: Partition, local_io: IOCounter) -> ScanResult:
-        reader = (partition_readers or {}).get(partition.index, default_reader)
         start = time.perf_counter()
         if reader is ReaderKind.MULTI_STAGE:
-            order = (partition_column_orders or {}).get(
-                partition.index, default_column_order
-            )
             result = multi_stage_scan(
                 table,
                 query,
                 payload_columns,
                 local_io,
-                column_order=order,
+                column_order=column_order,
                 partition=partition,
             )
         else:
@@ -181,5 +174,5 @@ def partitioned_scan(
         for counter in local_counters:
             io.merge(counter)
     return _merge_scan_results(
-        table, default_reader, results, pruned, table.num_partitions
+        table, reader, results, pruned, table.num_partitions
     )

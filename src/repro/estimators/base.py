@@ -11,7 +11,7 @@ its per-query estimation cost is too high.
 :class:`CountEstimator` is the one interface the optimizer and the
 serving core speak, like the paper's Inference Engine contract that every
 model implements.  Its optional capabilities -- provenance-carrying
-``*_detail`` calls, shard routing, BN pass accounting, the immutable
+``*_detail`` calls, BN pass accounting, the immutable
 :meth:`~CountEstimator.snapshot` a served request computes from and the
 :meth:`~CountEstimator.cache_key` naming it -- are methods with in-line
 defaults, so no consumer probes for a method.
@@ -33,8 +33,7 @@ class EstimateDetail:
     ``source`` labels feed the optimizer's per-decision provenance
     accounting: ``direct`` (a bare estimator answered in-line), ``cache`` /
     ``model`` / ``fallback-*`` (the serving tier's and the fleet's paths,
-    where ``fallback-*`` means the traditional estimator answered), or
-    ``shard_model`` (a shard-specialized model).
+    where ``fallback-*`` means the traditional estimator answered).
     """
 
     value: float
@@ -50,9 +49,6 @@ class CountEstimator(abc.ABC):
 
     #: the catalog the estimator estimates over (None when not table-backed)
     catalog = None
-
-    #: ``shard_selectivity`` can answer for pinned partitions
-    supports_shard_routing: bool = False
 
     @abc.abstractmethod
     def estimate_count(self, query: CardQuery) -> float:
@@ -93,13 +89,6 @@ class CountEstimator(abc.ABC):
     def estimate_count_detail(self, query: CardQuery) -> EstimateDetail:
         """COUNT estimate plus provenance; default answers in-line."""
         return EstimateDetail(float(self.estimate_count(query)), "direct")
-
-    # -- shard routing --------------------------------------------------
-    def shard_selectivity(
-        self, table: str, shard: int, query: CardQuery
-    ) -> float | None:
-        """Selectivity from a shard-specialized model, or None."""
-        return None
 
     @property
     def last_pass_stats(self):

@@ -7,7 +7,7 @@ which is what Figure 6(a) of the paper measures ("read I/Os").
 
 from repro.storage.types import ColumnType, MLType, ml_type_for
 from repro.storage.column import Column
-from repro.storage.partitions import NdvSketch, Partition, ZoneMap
+from repro.storage.partitions import Partition, ZoneMap
 from repro.storage.table import Table, TableSchema, ColumnSpec
 from repro.storage.io_stats import IOCounter
 from repro.storage.blocks import BlockReader, block_count, block_slices
@@ -18,7 +18,6 @@ __all__ = [
     "MLType",
     "ml_type_for",
     "Column",
-    "NdvSketch",
     "Partition",
     "ZoneMap",
     "Table",

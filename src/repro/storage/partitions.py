@@ -2,12 +2,12 @@
 
 ByteHouse shards tables across compute workers; the in-process equivalent is
 an ordered list of :class:`Partition` row ranges, each with its own block
-index.  Every partition carries a per-column :class:`ZoneMap` -- min/max plus
-a null-free KMV NDV sketch -- built once when the table is loaded into the
-catalog (lazily for tables that never reach the engine).  The engine's
+index.  Every partition carries a per-column min/max :class:`ZoneMap`,
+built once when the table is loaded into the catalog (lazily for tables that
+never reach the engine).  The engine's
 :func:`repro.engine.partitioned.partitioned_scan` consults the zone maps to
-refute partitions *before* any block I/O, and the optimizer uses the same
-refutation rule to pin shard-specialized models to surviving partitions.
+refute partitions *before* any block I/O, and the optimizer applies the same
+refutation rule at plan time to report which partitions survive.
 """
 
 from __future__ import annotations
@@ -18,56 +18,6 @@ import numpy as np
 
 from repro.sql.query import PredicateOp, TablePredicate
 
-#: KMV sketch size: estimates are exact below this many distinct values.
-DEFAULT_SKETCH_SIZE = 256
-
-_MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _kmv_hashes(values: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` smallest distinct 64-bit hashes of ``values`` (splitmix-style)."""
-    if values.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    # View the raw bits so FLOAT columns hash deterministically too.
-    as_int = np.ascontiguousarray(values).view(np.uint64) \
-        if values.dtype.itemsize == 8 else values.astype(np.int64).view(np.uint64)
-    mixed = as_int * _MIX_MULTIPLIER
-    mixed = (mixed ^ (mixed >> np.uint64(31))) * _MIX_MULTIPLIER
-    mixed ^= mixed >> np.uint64(29)
-    distinct = np.unique(mixed)
-    return distinct[:k]
-
-
-@dataclass(frozen=True)
-class NdvSketch:
-    """K-minimum-values NDV sketch over one partition of one column.
-
-    Null-free: the storage layer has no NULLs, so every row contributes.
-    Exact below ``k`` distinct values; the classic ``(k - 1) / kth_min``
-    estimator above.  Sketches merge by re-minimizing, so table-level NDV
-    can be approximated from partition sketches without a rescan.
-    """
-
-    k: int
-    hashes: tuple[int, ...]
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, k: int = DEFAULT_SKETCH_SIZE) -> "NdvSketch":
-        return cls(k=k, hashes=tuple(int(h) for h in _kmv_hashes(values, k)))
-
-    def estimate(self) -> int:
-        if len(self.hashes) < self.k:
-            return len(self.hashes)
-        kth = self.hashes[-1]
-        if kth == 0:
-            return len(self.hashes)
-        return max(self.k, int(round((self.k - 1) * (2.0**64) / float(kth))))
-
-    def merge(self, other: "NdvSketch") -> "NdvSketch":
-        k = max(self.k, other.k)
-        merged = sorted(set(self.hashes) | set(other.hashes))[:k]
-        return NdvSketch(k=k, hashes=tuple(merged))
-
 
 @dataclass(frozen=True)
 class ZoneMap:
@@ -76,29 +26,18 @@ class ZoneMap:
     min_value: float
     max_value: float
     num_rows: int
-    sketch: NdvSketch
 
     @classmethod
-    def from_values(
-        cls, values: np.ndarray, sketch_size: int = DEFAULT_SKETCH_SIZE
-    ) -> "ZoneMap":
+    def from_values(cls, values: np.ndarray) -> "ZoneMap":
         if values.size == 0:
             return cls(
-                min_value=float("inf"),
-                max_value=float("-inf"),
-                num_rows=0,
-                sketch=NdvSketch(k=sketch_size, hashes=()),
+                min_value=float("inf"), max_value=float("-inf"), num_rows=0
             )
         return cls(
             min_value=float(values.min()),
             max_value=float(values.max()),
             num_rows=int(values.size),
-            sketch=NdvSketch.from_values(values, sketch_size),
         )
-
-    @property
-    def ndv(self) -> int:
-        return self.sketch.estimate()
 
     # ------------------------------------------------------------------
     def refutes(self, pred: TablePredicate) -> bool:

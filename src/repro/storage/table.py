@@ -67,14 +67,10 @@ class Table:
         columns: Iterable[Column],
         block_size: int = DEFAULT_BLOCK_SIZE,
         partitions: int | Sequence[int] | None = None,
-        partition_key: str | None = None,
     ):
         """``partitions`` is either a partition count (rows split into that
         many near-equal contiguous ranges) or an explicit sequence of
-        per-partition row counts summing to the table size.  ``partition_key``
-        records the column the rows are clustered/sharded by (set by
-        :meth:`partition_by_key`); partition index ``i`` then corresponds to
-        shard ``i`` of ModelForge's hash-mod shard function.
+        per-partition row counts summing to the table size.
         """
         column_list = list(columns)
         if not column_list:
@@ -94,11 +90,6 @@ class Table:
         self._columns: dict[str, Column] = {col.name: col for col in column_list}
         self._order: tuple[str, ...] = tuple(names)
         self.num_rows = lengths.pop()
-        if partition_key is not None and partition_key not in self._columns:
-            raise SchemaError(
-                f"table {name!r} has no partition key column {partition_key!r}"
-            )
-        self.partition_key = partition_key
         self._partition_bounds = self._resolve_partition_bounds(partitions)
         #: per-partition generation counters; a mutation that touches a
         #: partition's rows bumps its generation, invalidating any cached
@@ -242,44 +233,6 @@ class Table:
             for column in self._order:
                 self.zone_map(index, column)
 
-    def repartition(
-        self,
-        partitions: int | Sequence[int],
-        partition_key: str | None = None,
-    ) -> "Table":
-        """A view of the same columns under a new partition layout."""
-        return Table(
-            self.name,
-            [self._columns[name] for name in self._order],
-            block_size=self.block_size,
-            partitions=partitions,
-            partition_key=partition_key,
-        )
-
-    def partition_by_key(self, column: str, num_partitions: int) -> "Table":
-        """Cluster rows into hash-mod partitions of ``column``.
-
-        Partition ``p`` holds exactly the rows with
-        ``int(column) % num_partitions == p`` -- the same shard function
-        ModelForge's ``train_sharded`` uses, so partition index ``p``
-        corresponds to the shard model ``{table}@shard{p}``.  Row order
-        within a partition preserves the original row order (stable sort).
-        """
-        if num_partitions <= 1:
-            raise SchemaError(
-                f"partition_by_key needs at least two partitions, got {num_partitions}"
-            )
-        shard_of = self.column(column).values.astype(np.int64) % num_partitions
-        order = np.argsort(shard_of, kind="stable")
-        sizes = np.bincount(shard_of, minlength=num_partitions)
-        return Table(
-            self.name,
-            [self._columns[name].take(order) for name in self._order],
-            block_size=self.block_size,
-            partitions=[int(s) for s in sizes],
-            partition_key=column,
-        )
-
     # ------------------------------------------------------------------
     # Construction and sampling
     # ------------------------------------------------------------------
@@ -290,7 +243,6 @@ class Table:
         arrays: Mapping[str, np.ndarray],
         block_size: int = DEFAULT_BLOCK_SIZE,
         partitions: int | Sequence[int] | None = None,
-        partition_key: str | None = None,
     ) -> "Table":
         """Build a table of INT/FLOAT columns straight from numpy arrays."""
         columns = []
@@ -305,13 +257,7 @@ class Table:
                     f"from_arrays only accepts numeric arrays; column "
                     f"{col_name!r} has dtype {arr.dtype}"
                 )
-        return cls(
-            name,
-            columns,
-            block_size=block_size,
-            partitions=partitions,
-            partition_key=partition_key,
-        )
+        return cls(name, columns, block_size=block_size, partitions=partitions)
 
     def take(self, indices: np.ndarray) -> "Table":
         """Row-gather into a new single-partition table.
@@ -339,14 +285,6 @@ class Table:
         indices.sort()
         return self.take(indices)
 
-    def select_rows(self, mask: np.ndarray) -> "Table":
-        """Return the sub-table of rows where ``mask`` is true."""
-        if mask.shape != (self.num_rows,):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match table rows {self.num_rows}"
-            )
-        return self.take(np.flatnonzero(mask))
-
     # ------------------------------------------------------------------
     # In-place mutation (streaming ingestion)
     # ------------------------------------------------------------------
@@ -369,11 +307,6 @@ class Table:
         opens a new tail partition, mirroring how warehouses seal full
         parts.  Either way the mutated partitions' generations are bumped,
         so stale zone maps are invalidated rather than served.
-
-        Tables clustered by :meth:`partition_by_key` never coalesce:
-        appended rows do not respect the hash-mod shard layout, so they
-        always land in a fresh tail partition (which has no aligned shard
-        model and degrades gracefully to whole-table estimates).
 
         Returns the number of rows appended.
         """
@@ -407,7 +340,7 @@ class Table:
         bounds = list(self._partition_bounds)
         tail_start, tail_stop = bounds[-1]
         tail_rows = tail_stop - tail_start
-        if self.partition_key is None and tail_rows + batch <= coalesce_tail_rows:
+        if tail_rows + batch <= coalesce_tail_rows:
             bounds[-1] = (tail_start, tail_stop + batch)
             self._partition_gens[-1] += 1
         else:
@@ -428,9 +361,9 @@ class Table:
         surviving rows in order and shrinks, subsequent partitions' row
         ranges shift down, and every partition that lost rows has its
         generation bumped (stale zone maps rebuild lazily).  Partitions
-        deleted down to zero rows stay in place as empty ranges -- keeping
-        partition indices stable preserves the partition-index <-> shard
-        model alignment, and an empty partition refutes every predicate.
+        deleted down to zero rows stay in place as empty ranges, so partition
+        indices (and the generations and zone maps keyed by them) stay
+        stable; an empty partition refutes every predicate.
 
         Returns the number of rows deleted.
         """

@@ -12,11 +12,11 @@ from repro.core import (
     ModelPreprocessor,
     ModelRegistry,
 )
-from repro.core.engine import BNInferenceEngine, RBXInferenceEngine
+from repro.core.engine import BNInferenceEngine
 from repro.core.modelforge import IngestionSignal, _universal_rbx_blob
 from repro.core.serialization import deserialize_rbx, serialize_rbx
 from repro.core.validator import ModelValidator
-from repro.errors import ModelError, TrainingError
+from repro.errors import ModelError
 from repro.estimators.frequency import frequency_profile
 from repro.estimators.rbx import train_rbx
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
@@ -92,20 +92,6 @@ class TestModelForge:
         assert [i.name for i in infos] == ["title"]
         assert forge.dirty_tables() == set()
         assert forge.run_training_cycle(imdb) == []
-
-    def test_shard_training(self, imdb, config):
-        registry = ModelRegistry()
-        forge = ModelForgeService(registry, config)
-        infos = forge.train_sharded(imdb, "cast_info", "movie_id", num_shards=3)
-        assert len(infos) == 3
-        assert all("@shard" in i.name for i in infos)
-
-    def test_shard_training_validations(self, imdb, config):
-        forge = ModelForgeService(ModelRegistry(), config)
-        with pytest.raises(TrainingError):
-            forge.train_sharded(imdb, "cast_info", "movie_id", num_shards=1)
-        with pytest.raises(TrainingError):
-            forge.train_sharded(imdb, "cast_info", "nope", num_shards=2)
 
     def test_rbx_universal_published(self, config):
         registry = ModelRegistry()

@@ -39,7 +39,6 @@ class Full(CountEstimator):
     """Estimator overriding every optional capability."""
 
     name = "full"
-    supports_shard_routing = True
 
     def estimate_count(self, query):
         return 42.0
@@ -52,9 +51,6 @@ class Full(CountEstimator):
 
     def estimate_count_detail(self, query):
         return EstimateDetail(42.0, "model")
-
-    def shard_selectivity(self, table, shard, query):
-        return 0.125
 
 
 def make_service(estimator, feedback=None):
@@ -72,8 +68,6 @@ def make_service(estimator, feedback=None):
 def test_capability_defaults_bare():
     """A bare estimator answers the whole protocol from its defaults."""
     estimator = Constant("bare", 10.0)
-    assert not estimator.supports_shard_routing
-    assert estimator.shard_selectivity("t", 0, make_query()) is None
     assert estimator.last_pass_stats is None
     assert estimator.catalog is None
     # Defaults synthesize details with "direct" provenance.
@@ -89,7 +83,6 @@ def test_capability_overrides_full():
     """Overrides are the protocol: the optimizer sees them unwrapped."""
     estimator = Full()
     optimizer = Optimizer(estimator, None, EngineConfig())
-    assert optimizer.shard_router == estimator.shard_selectivity
     plan = optimizer.plan(make_query())
     assert plan.decision_provenance["selectivity:t"] == {"cache": 1}
     assert plan.table_selectivities["t"] == 0.25

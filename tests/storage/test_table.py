@@ -79,11 +79,3 @@ class TestSampling:
         sample = _table().sample(20, rng)
         assert set(sample.column("a").values) <= set(range(100))
 
-    def test_select_rows(self):
-        table = _table()
-        selected = table.select_rows(table.column("b").values == 0)
-        assert np.all(selected.column("b").values == 0)
-
-    def test_select_rows_shape_check(self):
-        with pytest.raises(ValueError):
-            _table().select_rows(np.ones(3, dtype=bool))
