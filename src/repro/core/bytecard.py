@@ -46,6 +46,7 @@ from repro.estimators.traditional.hyperloglog import SketchNdvEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import AggKind, CardQuery
+from repro.storage.catalog import Catalog
 
 #: never-reused snapshot tokens (a table no model or gate ever touched has none)
 _TOKENS = itertools.count(1)
@@ -70,7 +71,9 @@ class ModelSnapshot(CountEstimator, NdvEstimator):
     table, renewed whenever that table's BN or gate changes -- every table's
     when the bucketizer does -- and ``rbx_token`` names the RBX network with
     its calibrated weights, so :meth:`cache_key` changes whenever an answer
-    may.
+    may.  NDV answers (the RBX and the sketch alike) also scale by the
+    tables' live row counts, so their keys carry the ``catalog``'s
+    :meth:`~repro.storage.catalog.Catalog.table_state` of each table.
     """
 
     name = "bytecard"
@@ -84,11 +87,18 @@ class ModelSnapshot(CountEstimator, NdvEstimator):
     rbx_token: int = 0
     #: the loader generation the models were read at
     generation: int = 0
+    catalog: Catalog | None = None
 
     def cache_key(self, task: str, query: CardQuery) -> tuple:
         # In table-name order, like the query fingerprint the key sits beside.
-        key = tuple(map(self.tokens.get, sorted(query.tables)))
-        return (self.rbx_token, *key) if task == "ndv" else key
+        tables = sorted(query.tables)
+        key = tuple(map(self.tokens.get, tables))
+        if task not in ("ndv", "group_ndv"):
+            return key
+        states = () if self.catalog is None else tuple(
+            map(self.catalog.table_state, tables)
+        )
+        return (self.rbx_token, *key, *states)
 
     def _gated(self, query: CardQuery) -> bool:
         return any(t in self.fallback_tables for t in query.tables)
@@ -174,7 +184,9 @@ class ByteCard(CountEstimator, NdvEstimator):
         self._traditional_ndv = SketchNdvEstimator(self.catalog)
         #: what every answer is computed from, swapped whole by refresh(),
         #: set_fallback() and calibration (see snapshot())
-        self._snapshot = ModelSnapshot(self._traditional_count, self._traditional_ndv)
+        self._snapshot = ModelSnapshot(
+            self._traditional_count, self._traditional_ndv, catalog=self.catalog
+        )
         #: serializes snapshot writers; readers never take it
         self._swap_lock = threading.Lock()
         #: predicate -> bin-mask vectors and cross-query plan scopes, handed

@@ -30,8 +30,7 @@ from repro.estimators.rbx.profile import (
     target_to_ndv,
 )
 from repro.sql.ast import SelectStatement
-from repro.sql.binder import Binder
-from repro.sql.parser import parse_sql
+from repro.sql.binder import Binder, bind_sql
 from repro.sql.query import CardQuery
 from repro.storage.catalog import Catalog
 from repro.workloads.predicates import table_mask
@@ -64,9 +63,11 @@ class CardEstInferenceEngine(abc.ABC):
         """Parse and bind a SQL string into the estimation representation.
 
         Bound :class:`CardQuery` objects are this engine family's "feature
-        vector": every model estimates from them.
+        vector": every model estimates from them.  Binding goes through
+        :func:`repro.sql.bind_sql`, so a repeated text is bound once per
+        table state of the catalog.
         """
-        return self._binder.bind(parse_sql(sql))
+        return bind_sql(sql, self.catalog)
 
     def featurize_ast(self, statement: SelectStatement) -> CardQuery:
         """Bind an analyzer AST directly (richer, no re-parsing)."""

@@ -160,10 +160,12 @@ class EstimationCore:
         stages: list[SpanRecord] = []
         fingerprint = query_fingerprint(query)
         snapshot = self.estimator.snapshot()
-        key = (
-            request_fingerprint(task, self.scope, fingerprint),
-            snapshot.cache_key(task, query),
-        )
+        request = request_fingerprint(task, self.scope, fingerprint)
+        if task == "group_ndv":
+            # The answer reads the keys in GROUP BY order (a table's first
+            # key picks its RBX network); the fingerprint sorts them.
+            request = (request, query.group_by)
+        key = (request, snapshot.cache_key(task, query))
         if self.cache is not None:
             with self.tracer.span("serve.cache_lookup", sink=stages):
                 cached = self.cache.get(key)
@@ -296,20 +298,32 @@ class EstimationCore:
         )
 
     # ------------------------------------------------------------------
-    # NDV serving
+    # NDV and group-NDV serving
     # ------------------------------------------------------------------
     def serve_ndv(self, query: CardQuery, deadline_ms=_UNSET) -> ServedEstimate:
+        return self._serve_distinct(query, "ndv", "estimate_ndv", deadline_ms)
+
+    def serve_group_ndv(
+        self, query: CardQuery, deadline_ms=_UNSET
+    ) -> ServedEstimate:
+        """Group-key NDV for hash-table pre-sizing.  An estimator without a
+        group-key model signals "unsupported" with :class:`EstimationError`;
+        when the fallback does too, that error reaches the caller."""
+        return self._serve_distinct(query, "group_ndv", "group_ndv", deadline_ms)
+
+    def _serve_distinct(
+        self, query: CardQuery, task: str, method: str, deadline_ms
+    ) -> ServedEstimate:
+        """Serve one :class:`NdvEstimator` ``method`` through the pipeline."""
         learned = isinstance(self.estimator, NdvEstimator)
         if not learned and self.fallback_ndv is None:
             raise EstimationError("service has no NDV estimator")
         fallback = self.fallback_ndv if self.fallback_ndv is not None else self.estimator
         return self._serve(
             query,
-            "ndv",
-            lambda snapshot: (
-                snapshot if learned else self.fallback_ndv
-            ).estimate_ndv(query),
-            fallback.estimate_ndv,
+            task,
+            lambda snapshot: getattr(snapshot if learned else fallback, method)(query),
+            getattr(fallback, method),
             deadline_ms,
         )
 

@@ -138,8 +138,8 @@ def request_fingerprint(
 ) -> Fingerprint:
     """The cache key of one serving request.
 
-    ``task`` ("count" / "ndv" / "selectivity") keeps a selectivity from
-    answering a COUNT request for the same query.  ``scope`` is the
+    ``task`` ("count" / "ndv" / "group_ndv" / "selectivity") keeps a
+    selectivity from answering a COUNT request for the same query.  ``scope`` is the
     serving estimator's ``name``: one core serves one estimator, so the
     scope is constant per cache and only names whose answers it holds.
     ``fingerprint`` is the canonical :func:`query_fingerprint` (computed

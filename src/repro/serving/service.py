@@ -20,7 +20,6 @@ transports.
 
 from __future__ import annotations
 
-from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.config import ServingConfig
@@ -102,10 +101,7 @@ class EstimationService(CountEstimator, NdvEstimator):
         return self.estimate_ndv_detail(query).value
 
     def group_ndv(self, query: CardQuery) -> float:
-        estimator = self.core.estimator
-        if not isinstance(estimator, NdvEstimator):
-            raise EstimationError("estimator does not support group NDV")
-        return float(estimator.group_ndv(query))
+        return self.core.serve_group_ndv(query).value
 
     # ------------------------------------------------------------------
     # Planner-facing fast path

@@ -9,7 +9,7 @@ single-column predicates, and OR-groups of single-column predicates.
 from __future__ import annotations
 
 from repro.errors import BindError
-from repro.sql import ast
+from repro.sql import ast, parser
 from repro.sql.query import (
     AggKind,
     AggSpec,
@@ -243,7 +243,27 @@ class Binder:
 
 
 def bind_sql(sql: str, catalog: Catalog, name: str = "") -> CardQuery:
-    """Parse and bind a SQL string in one step."""
-    from repro.sql.parser import parse_sql
+    """Parse and bind a SQL string in one step, once per table state.
 
-    return Binder(catalog).bind(parse_sql(sql), name=name)
+    The bound query is memoized in ``catalog.bound_queries`` under
+    ``(sql, name)`` together with the :meth:`Catalog.table_state` of every
+    table the text names, read *before* binding: a later append, delete or
+    :meth:`Catalog.replace` of any of them moves its state, and the text is
+    parsed and bound again.  A text that fails to bind is never memoized.
+    """
+    key = (sql, name)
+    memo = catalog.bound_queries
+    entry = memo.get(key)
+    if entry is not None:
+        query, states = entry
+        if all(catalog.table_state(table) == state for table, state in states):
+            return query
+    # Looked up on the module at call time, so a wrapped ``parse_sql`` (the
+    # ledger's span instrumentation) sees every miss.
+    statement = parser.parse_sql(sql)
+    refs = statement.from_tables + tuple(join.table for join in statement.joins)
+    tables = dict.fromkeys(ref.table for ref in refs)
+    states = tuple((table, catalog.table_state(table)) for table in tables)
+    query = Binder(catalog).bind(statement, name=name)
+    memo.put(key, (query, states))
+    return query

@@ -1,9 +1,10 @@
-"""Hand-written tokenizer for the supported SQL dialect."""
+"""Tokenizer for the supported SQL dialect: one compiled pattern, one pass."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -45,8 +46,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     position: int
@@ -55,82 +55,62 @@ class Token:
         return self.type is TokenType.KEYWORD and self.text == word
 
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
+# One alternative per token class; ``lastindex`` names the one that matched.
+# A quote closes a string only when no second quote follows (``''`` is an
+# escaped quote), and a dot belongs to a number only before a digit, so
+# "t1.c1" and "1 .x" keep their qualifier dots.  ``\d`` is decimal digits
+# only: '²' is not a number, it is an unexpected character.
+_SCANNER = re.compile(
+    r"""\s*(?:
+      '((?:[^']|'')*)'(?!')       # 1 string
+    | (')                         # 2 unterminated string
+    | (-?\d+(?:\.\d+)?)           # 3 number
+    | (\w+)                       # 4 word (must start with a letter or _)
+    | (<=|>=|<>|!=|=|<|>)         # 5 operator
+    | ([,.()*])                   # 6 punctuation
+    | (\S)                        # 7 anything else
+    )""",
+    re.VERBOSE,
+)
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    ".": TokenType.DOT,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "*": TokenType.STAR,
+}
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize a SQL string, raising :class:`ParseError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            chunks: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", position=i)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":  # escaped quote
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(chunks), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and sql[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                # A dot is part of the number only when followed by a digit;
-                # otherwise it is a qualifier dot (e.g. "t1.c1").
-                if sql[j] == ".":
-                    if j + 1 >= n or not sql[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
+    append = tokens.append
+    previous = None
+    for match in _SCANNER.finditer(sql):
+        kind = match.lastindex
+        text = match[kind]
+        position = match.start(kind)
+        if kind == 4 and (text[0] == "_" or text[0].isalpha()):
+            upper = text.upper()
             # After a qualifier dot the word names a column ("tags.Count"),
             # whatever keyword it happens to spell.
-            after_dot = bool(tokens) and tokens[-1].type is TokenType.DOT
-            if upper in KEYWORDS and not after_dot:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
+            if upper in KEYWORDS and previous is not TokenType.DOT:
+                token = Token(TokenType.KEYWORD, upper, position)
             else:
-                tokens.append(Token(TokenType.IDENT, word, i))
-            i = j
-            continue
-        matched_op = next((op for op in _OPERATORS if sql.startswith(op, i)), None)
-        if matched_op is not None:
-            text = "<>" if matched_op == "!=" else matched_op
-            tokens.append(Token(TokenType.OP, text, i))
-            i += len(matched_op)
-            continue
-        simple = {
-            ",": TokenType.COMMA,
-            ".": TokenType.DOT,
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            "*": TokenType.STAR,
-        }.get(ch)
-        if simple is not None:
-            tokens.append(Token(simple, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(Token(TokenType.EOF, "", n))
+                token = Token(TokenType.IDENT, text, position)
+        elif kind == 6:
+            token = Token(_PUNCTUATION[text], text, position)
+        elif kind == 3:
+            token = Token(TokenType.NUMBER, text, position)
+        elif kind == 5:
+            token = Token(TokenType.OP, "<>" if text == "!=" else text, position)
+        elif kind == 1:
+            token = Token(TokenType.STRING, text.replace("''", "'"), position - 1)
+        elif kind == 2:
+            raise ParseError("unterminated string literal", position=position)
+        else:
+            raise ParseError(f"unexpected character {text[0]!r}", position=position)
+        append(token)
+        previous = token.type
+    append(Token(TokenType.EOF, "", len(sql)))
     return tokens

@@ -9,11 +9,19 @@ join-order enumeration consume.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.storage.table import Table
+from repro.utils.lru import GenerationLRU
+
+#: entries of each catalog's bound-query memo (:func:`repro.sql.bind_sql`)
+BOUND_QUERY_ENTRIES = 256
+
+#: never-reused registration tokens: one per table object a catalog loads
+_TOKENS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -79,22 +87,53 @@ class JoinSchema:
 
 
 class Catalog:
-    """Registered tables and their join schema."""
+    """Registered tables and their join schema.
+
+    The catalog also owns the memo of SQL texts bound against it
+    (:attr:`bound_queries`, filled by :func:`repro.sql.bind_sql`).  A memo
+    entry is served only while every table it bound keeps the
+    :meth:`table_state` it was bound at: a :meth:`replace` gives the name a
+    new token, and an append or a delete moves the table's
+    ``mutation_generation``.
+    """
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
+        self._tokens: dict[str, int] = {}
         self.join_schema = JoinSchema()
+        self.bound_queries = GenerationLRU(BOUND_QUERY_ENTRIES)
+
+    def __getstate__(self) -> dict:
+        # The memo holds a lock and tokens are per process: a copy starts
+        # with an empty memo and tokens of its own.
+        state = dict(self.__dict__)
+        del state["bound_queries"], state["_tokens"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._tokens = {name: next(_TOKENS) for name in self._tables}
+        self.bound_queries = GenerationLRU(BOUND_QUERY_ENTRIES)
 
     def register(self, table: Table) -> None:
         if table.name in self._tables:
             raise SchemaError(f"table {table.name!r} is already registered")
-        self._tables[table.name] = table
-        self._load_partition_stats(table)
+        self.replace(table)
 
     def replace(self, table: Table) -> None:
         """Replace a table's contents (used by scaling experiments)."""
         self._tables[table.name] = table
+        # After the table: a bind that still reads the old token is
+        # stored under it, and so is bound again on its next call.
+        self._tokens[table.name] = next(_TOKENS)
         self._load_partition_stats(table)
+
+    def table_state(self, name: str) -> tuple[int, int] | None:
+        """``(token, mutation_generation)`` of table ``name``; None if unknown."""
+        table = self._tables.get(name)
+        if table is None:
+            return None
+        return (self._tokens[name], table.mutation_generation)
 
     @staticmethod
     def _load_partition_stats(table: Table) -> None:

@@ -214,6 +214,13 @@ class TestInferenceEngineAPI:
         via_ast = engine.estimate(engine.featurize_ast(parse_sql(sql)))
         assert via_sql == via_ast
 
+    def test_featurize_sql_query_shares_the_catalog_memo(self, imdb):
+        from repro.sql import bind_sql
+
+        engine = BNInferenceEngine(imdb.catalog, ModelValidator(1 << 30))
+        sql = "SELECT COUNT(*) FROM title WHERE kind_id = 2"
+        assert engine.featurize_sql_query(sql) is bind_sql(sql, imdb.catalog)
+
     def test_load_model_rejects_garbage(self, imdb):
         engine = BNInferenceEngine(imdb.catalog, ModelValidator(1 << 30))
         assert not engine.load_model(b"not a model")

@@ -7,13 +7,21 @@ cached answer by that snapshot's tokens, so:
   keeps the snapshot (and its cache hits);
 * a request landing anywhere inside a refresh stores the old model's
   answer under the old snapshot's key, which no later request asks for;
-* an NDV calibration reaches served answers once the Monitor keeps it, and
-  a calibration it rejects never reaches the registry.
+* an NDV calibration reaches served answers (COUNT DISTINCT and group
+  NDV alike) once the Monitor keeps it, and a calibration it rejects never
+  reaches the registry;
+* NDV answers, which scale by the live row count, are keyed by the
+  catalog's table state too, so an append is a miss;
+* a SQL text is served from the catalog's bound-query memo only while
+  every table it names keeps the registration token and the mutation
+  generation it was bound at.
 
 Served answers are checked against the facade's direct answer: both sweep
 at width one, so they agree bit for bit.
 """
 
+import pickle
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -23,7 +31,11 @@ import pytest
 import repro.core.modelforge
 from repro.core import ByteCard, ByteCardConfig
 from repro.core.serialization import deserialize_bn, serialize_bn
+from repro.datasets import make_aeolus
+from repro.errors import BindError, ParseError
 from repro.serving import ServingConfig
+from repro.sql import Binder, bind_sql, parser
+from repro.sql.parser import parse_sql
 from repro.sql.query import (
     AggKind,
     AggSpec,
@@ -32,6 +44,9 @@ from repro.sql.query import (
     PredicateOp,
     TablePredicate,
 )
+from repro.storage.catalog import Catalog
+from repro.storage.column import Column
+from repro.storage.table import Table
 
 REPUTATION = TablePredicate("users", "Reputation", PredicateOp.GE, 10.0)
 SCORE = TablePredicate("posts", "Score", PredicateOp.LE, 40.0)
@@ -46,6 +61,9 @@ BADGES = CardQuery(tables=("badges",))
 SESSIONS = CardQuery(
     tables=("impressions",),
     agg=AggSpec(AggKind.COUNT_DISTINCT, "impressions", "session_id"),
+)
+SESSION_GROUPS = CardQuery(
+    tables=("impressions",), group_by=(("impressions", "session_id"),)
 )
 SERVING = ServingConfig(deadline_ms=None)
 CONFIG = ByteCardConfig(training_sample_rows=4000, rbx_corpus_size=200, rbx_epochs=3)
@@ -287,3 +305,299 @@ def test_rejected_calibration_never_comes_back(aeolus, monkeypatch):
     aeolus_card.refresh()
     assert aeolus_card.status().calibrated_columns == []
     assert aeolus_card.registry.latest("rbx", "impressions.session_id") is None
+
+
+def test_group_ndv_calibration_reaches_served_answers(aeolus_card):
+    """Group NDV is cached under the RBX token too: a kept calibration of
+    the key column is a miss that computes from the new snapshot."""
+    with aeolus_card.serve(SERVING) as service:
+        universal = service.group_ndv(SESSION_GROUPS)
+        assert universal == aeolus_card.group_ndv(SESSION_GROUPS)
+        served = service.core.serve_group_ndv(SESSION_GROUPS)
+        assert served.source == "cache" and served.value == universal
+        aeolus_card._calibrate_column("impressions", "session_id")
+        calibrated = aeolus_card.group_ndv(SESSION_GROUPS)
+        assert calibrated != universal
+        served = service.core.serve_group_ndv(SESSION_GROUPS)
+        assert served.source == "model" and served.value == calibrated
+
+
+def test_ndv_answers_follow_appends():
+    """NDV and group NDV scale by the live row count: an append between
+    two identical requests is a miss that matches the direct answer."""
+    bundle = make_aeolus(scale=0.05)  # private: the append mutates it
+    card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
+    table = bundle.catalog.table("impressions")
+
+    def doubled(column: str):
+        col = table.column(column)
+        if col.dictionary is None:
+            return col.values.copy()
+        return [col.dictionary[int(code)] for code in col.values]
+
+    with card.serve(SERVING) as service:
+        before = (service.estimate_ndv(SESSIONS), service.group_ndv(SESSION_GROUPS))
+        table.append_rows({column: doubled(column) for column in table.column_names()})
+        served = (
+            service.estimate_ndv_detail(SESSIONS),
+            service.core.serve_group_ndv(SESSION_GROUPS),
+        )
+        direct = (card.estimate_ndv(SESSIONS), card.group_ndv(SESSION_GROUPS))
+    assert [answer.source for answer in served] == ["model", "model"]
+    assert tuple(answer.value for answer in served) == direct
+    assert direct != before
+
+
+# ---------------------------------------------------------------------------
+# The bound-query memo
+# ---------------------------------------------------------------------------
+LYON = "SELECT COUNT(*) FROM shops WHERE shops.city = 'Lyon'"
+
+
+def shops(*cities: str) -> Table:
+    return Table(
+        "shops",
+        [
+            Column.from_strings("city", cities),
+            Column.from_ints("size", range(len(cities))),
+        ],
+    )
+
+
+def catalog_of(table: Table) -> Catalog:
+    catalog = Catalog()
+    catalog.register(table)
+    return catalog
+
+
+def lyon_code(query: CardQuery) -> float:
+    return query.predicates[0].value
+
+
+def fresh_bind(sql: str, catalog: Catalog, name: str = "") -> CardQuery:
+    return Binder(catalog).bind(parse_sql(sql), name=name)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts ``bind_sql`` actually parses, i.e. its memo misses."""
+    texts: list[str] = []
+
+    def counting(sql: str):
+        texts.append(sql)
+        return parse_sql(sql)
+
+    monkeypatch.setattr(parser, "parse_sql", counting)
+    return texts
+
+
+def test_memo_hit_returns_the_bound_query(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    first = bind_sql(LYON, catalog)
+    assert bind_sql(LYON, catalog) is first
+    assert parses == [LYON]
+    assert first == fresh_bind(LYON, catalog)
+
+
+def test_append_of_a_new_string_rebinds_with_the_new_code(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    before = bind_sql(LYON, catalog)
+    # "Berlin" sorts first: the dictionary rebuild moves Lyon's code 0 -> 1.
+    catalog.table("shops").append_rows({"city": ["Berlin"], "size": [7]})
+    after = bind_sql(LYON, catalog)
+    assert (lyon_code(before), lyon_code(after)) == (0.0, 1.0)
+    assert after == fresh_bind(LYON, catalog)
+    assert len(parses) == 2
+    assert bind_sql(LYON, catalog) is after
+
+
+def test_delete_rebinds(parses):
+    catalog = catalog_of(shops("Lyon", "Paris", "Paris"))
+    before = bind_sql(LYON, catalog)
+    paris = TablePredicate("shops", "city", PredicateOp.EQ, 1.0)
+    assert catalog.table("shops").delete_where(paris) == 2
+    after = bind_sql(LYON, catalog)
+    assert after is not before and after == fresh_bind(LYON, catalog)
+    assert len(parses) == 2
+
+
+def test_mutations_that_change_nothing_keep_the_entry(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    first = bind_sql(LYON, catalog)
+    table = catalog.table("shops")
+    table.append_rows({"city": [], "size": []})
+    assert table.delete_where(TablePredicate("shops", "size", PredicateOp.GT, 9.0)) == 0
+    assert bind_sql(LYON, catalog) is first and len(parses) == 1
+
+
+def test_catalog_replace_rebinds_with_the_new_code(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    before = bind_sql(LYON, catalog)
+    replacement = shops("Berlin", "Lyon")
+    # A fresh table starts at the old one's mutation generation: only the
+    # registration token tells them apart.
+    assert replacement.mutation_generation == catalog.table("shops").mutation_generation
+    catalog.replace(replacement)
+    after = bind_sql(LYON, catalog)
+    assert (lyon_code(before), lyon_code(after)) == (0.0, 1.0)
+    assert len(parses) == 2
+
+
+def test_a_mutation_of_any_bound_table_rebinds_a_join(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    catalog.register(
+        Table("stock", [Column.from_ints("shop", [0, 1]), Column.from_ints("n", [3, 4])])
+    )
+    sql = (
+        "SELECT COUNT(*) FROM shops JOIN stock ON shops.size = stock.shop "
+        "WHERE shops.city = 'Lyon'"
+    )
+    first = bind_sql(sql, catalog)
+    catalog.table("stock").append_rows({"shop": [1], "n": [5]})
+    assert bind_sql(sql, catalog) is not first
+    assert len(parses) == 2
+
+
+@pytest.mark.parametrize(
+    "sql, error",
+    [
+        ("SELECT COUNT(*) FROM shops WHERE shops.town = 'Lyon'", BindError),
+        ("SELECT COUNT(*) FROM depots", BindError),
+        ("SELECT COUNT(*) FROM shops WHERE shops.size = ²", ParseError),
+    ],
+)
+def test_a_failing_bind_raises_on_every_call(parses, sql, error):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    for _ in range(3):
+        with pytest.raises(error):
+            bind_sql(sql, catalog)
+    assert len(parses) == 3 and len(catalog.bound_queries) == 0
+
+
+def test_a_text_binds_once_its_table_is_registered(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    sql = "SELECT COUNT(*) FROM depots"
+    with pytest.raises(BindError):
+        bind_sql(sql, catalog)
+    catalog.register(Table("depots", [Column.from_ints("id", [1])]))
+    assert bind_sql(sql, catalog).tables == ("depots",)
+
+
+def test_name_gives_distinct_queries(parses):
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    named = {name: bind_sql(LYON, catalog, name=name) for name in ("", "a", "b")}
+    assert {name: query.name for name, query in named.items()} == {
+        "": "",
+        "a": "a",
+        "b": "b",
+    }
+    assert bind_sql(LYON, catalog, name="a") is named["a"]
+    assert len(parses) == 3
+
+
+def test_two_catalogs_never_share_an_entry(parses):
+    lyon_first = catalog_of(shops("Lyon", "Paris"))
+    lyon_second = catalog_of(shops("Berlin", "Lyon"))
+    for _ in range(2):
+        assert lyon_code(bind_sql(LYON, lyon_first)) == 0.0
+        assert lyon_code(bind_sql(LYON, lyon_second)) == 1.0
+    assert len(parses) == 2
+    assert len(lyon_first.bound_queries) == len(lyon_second.bound_queries) == 1
+
+
+def test_an_append_landing_mid_bind_is_bound_again(monkeypatch):
+    """Table state is read before binding: an append that lands while a
+    text binds leaves an entry the next call binds again."""
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    bind = Binder.bind
+    appended = []
+
+    def bind_then_append(self, statement, name=""):
+        query = bind(self, statement, name=name)
+        if not appended:
+            appended.append(True)
+            catalog.table("shops").append_rows({"city": ["Berlin"], "size": [7]})
+        return query
+
+    monkeypatch.setattr(Binder, "bind", bind_then_append)
+    assert lyon_code(bind_sql(LYON, catalog)) == 0.0  # bound before the append
+    assert lyon_code(bind_sql(LYON, catalog)) == 1.0
+
+
+def test_a_pickled_catalog_starts_with_an_empty_memo():
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    bind_sql(LYON, catalog)
+    copy = pickle.loads(pickle.dumps(catalog))
+    assert len(copy.bound_queries) == 0
+    copy.table("shops").append_rows({"city": ["Berlin"], "size": [7]})
+    assert lyon_code(bind_sql(LYON, copy)) == 1.0
+    assert lyon_code(bind_sql(LYON, catalog)) == 0.0
+
+
+def run_threads(target, count: int) -> None:
+    """Run ``target(index)`` on ``count`` threads with a short switch
+    interval, so the interpreter interleaves them finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_threads_binding_one_text_get_equal_queries():
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    texts = [LYON, LYON.replace("Lyon", "Paris"), LYON.replace("=", "<>")]
+    expected = [fresh_bind(sql, catalog) for sql in texts]
+    start = threading.Barrier(4)
+    results: list[list[CardQuery]] = [[] for _ in range(4)]
+    errors: list[BaseException] = []
+
+    def binder(index: int) -> None:
+        try:
+            start.wait(timeout=10)
+            for round_ in range(100):
+                if round_ % 10 == index:
+                    catalog.bound_queries.clear()  # make the threads race misses
+                results[index].extend(bind_sql(sql, catalog) for sql in texts)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    run_threads(binder, 4)
+    assert not errors
+    for bound in results:
+        assert bound == expected * 100
+
+
+def test_binds_racing_appends_leave_no_stale_entry():
+    """Every append moves Lyon's code; once the writer stops, the memo
+    answers with the code of the final dictionary."""
+    catalog = catalog_of(shops("Lyon", "Paris"))
+    done = threading.Event()
+    errors: list[BaseException] = []
+
+    def worker(index: int) -> None:
+        try:
+            if index == 0:
+                try:
+                    for step in range(40):
+                        catalog.table("shops").append_rows(
+                            {"city": [f"A{step:02d}"], "size": [step]}
+                        )
+                finally:
+                    done.set()
+            else:
+                while not done.is_set():
+                    bind_sql(LYON, catalog)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    run_threads(worker, 4)
+    assert not errors
+    assert lyon_code(bind_sql(LYON, catalog)) == 40.0
+    assert bind_sql(LYON, catalog) == fresh_bind(LYON, catalog)

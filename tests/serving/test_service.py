@@ -219,6 +219,96 @@ class TestRequestPath:
         assert 0.0 < stats.p50_latency <= stats.p90_latency <= stats.p99_latency
 
 
+class Grouper(CountEstimator, NdvEstimator):
+    """Group NDV that reads its keys in order; raises ``error`` if given."""
+
+    name = "grouper"
+
+    def __init__(self, error: Exception | None = None):
+        self.error = error
+        self.calls = 0
+
+    def estimate_count(self, query: CardQuery) -> float:
+        return 1.0
+
+    def estimate_ndv(self, query: CardQuery) -> float:
+        return 1.0
+
+    def group_ndv(self, query: CardQuery) -> float:
+        self.calls += 1
+        if self.error is not None:
+            raise self.error
+        return 10.0 * len(query.group_by) + (query.group_by[0][1] == "a")
+
+
+GROUPED = CardQuery(tables=("t",), group_by=(("t", "a"), ("t", "b")))
+
+
+def group_service(estimator, fallback_ndv) -> EstimationService:
+    return EstimationService(
+        estimator, Constant(FALLBACK), fallback_ndv, ServingConfig(deadline_ms=None)
+    )
+
+
+class TestGroupNdv:
+    """Group NDV is served like COUNT and NDV: cached, and degraded to the
+    fallback's ``group_ndv`` on a learned-path error."""
+
+    def test_group_ndv_is_cached(self):
+        model = Grouper()
+        with group_service(model, Constant(FALLBACK)) as service:
+            assert service.group_ndv(GROUPED) == 21.0
+            served = service.core.serve_group_ndv(GROUPED)
+        assert (served.source, served.value, model.calls) == ("cache", 21.0, 1)
+
+    def test_key_order_keys_distinct_answers(self):
+        reordered = CardQuery(tables=("t",), group_by=(("t", "b"), ("t", "a")))
+        model = Grouper()
+        with group_service(model, Constant(FALLBACK)) as service:
+            assert service.group_ndv(GROUPED) == 21.0
+            assert service.group_ndv(reordered) == 20.0
+        assert model.calls == 2
+
+    def test_group_ndv_never_answers_ndv_or_count(self):
+        with group_service(Grouper(), Constant(FALLBACK)) as service:
+            assert service.group_ndv(GROUPED) == 21.0
+            assert service.estimate_count_detail(GROUPED).source == "model"
+            assert service.estimate_count(GROUPED) == 1.0
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("boom"), EstimationError("no model")]
+    )
+    def test_learned_error_degrades_to_the_fallback(self, error):
+        fallback = Grouper()
+        with group_service(Grouper(error), fallback) as service:
+            served = service.core.serve_group_ndv(GROUPED)
+            assert (served.source, served.value) == ("fallback-error", 21.0)
+            assert service.core.serve_group_ndv(GROUPED).source == "fallback-error"
+        assert service.stats().errors == 2 and fallback.calls == 2
+
+    def test_unsupported_fallback_still_raises_estimation_error(self):
+        # The sketch has no group-key model: the plan gets None, as before.
+        with group_service(Grouper(RuntimeError("boom")), Constant(FALLBACK)) as service:
+            with pytest.raises(EstimationError):
+                service.group_ndv(GROUPED)
+
+    def test_count_only_estimator_serves_the_fallback(self):
+        fallback = Grouper()
+        with group_service(Doubler(), fallback) as service:
+            assert service.group_ndv(GROUPED) == 21.0
+        with EstimationService(Doubler(), Constant(FALLBACK)) as service:
+            with pytest.raises(EstimationError):
+                service.group_ndv(GROUPED)
+
+    def test_grouped_plan_degrades_to_none(self, imdb):
+        query = CardQuery(tables=("title",), group_by=(("title", "kind_id"),))
+        model = Grouper(RuntimeError("boom"))
+        with group_service(model, Constant(FALLBACK)) as service:
+            session = EngineSession(imdb.catalog, service=service)
+            plan = session.optimizer.plan(query)
+        assert model.calls == 1 and plan.estimated_group_ndv is None
+
+
 class ThreadRecorder(Doubler):
     """Doubler that records which thread entered it."""
 
