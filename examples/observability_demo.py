@@ -70,15 +70,16 @@ def main() -> None:
     )
     plan = session.optimizer.plan(group_query)
     result = session.executor.execute(plan)
-    session.run(group_query)  # replan: selectivities now come from cache
-    print(explain_plan(session.optimizer.plan(group_query)))
+    session.run(group_query)  # a repeat: planned from the optimizer's memo
+    print(explain_plan(plan))
     print(explain_result(result))
 
     print("== 4. the unified export ==")
     text = bytecard.metrics_text()
     wanted = ("serving_request_seconds_count", "loader_refresh_total",
               "monitor_qerror_p90", "engine_hash_resizes_total",
-              "engine_presize_waste_slots_total", "optimizer_decision_seconds")
+              "engine_presize_waste_slots_total", "optimizer_decision_seconds",
+              "plan_memo_hits_total")
     for line in text.splitlines():
         if line.startswith(wanted):
             print(f"  {line}")

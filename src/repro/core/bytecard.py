@@ -71,9 +71,10 @@ class ModelSnapshot(CountEstimator, NdvEstimator):
     table, renewed whenever that table's BN or gate changes -- every table's
     when the bucketizer does -- and ``rbx_token`` names the RBX network with
     its calibrated weights, so :meth:`cache_key` changes whenever an answer
-    may.  NDV answers (the RBX and the sketch alike) also scale by the
-    tables' live row counts, so their keys carry the ``catalog``'s
-    :meth:`~repro.storage.catalog.Catalog.table_state` of each table.
+    may.  COUNT and NDV answers (FactorJoin's join sizes, the RBX and the
+    sketch) also scale by the tables' live row counts, so their keys carry
+    the ``catalog``'s :meth:`~repro.storage.catalog.Catalog.table_state` of
+    each table; selectivities do not.
     """
 
     name = "bytecard"
@@ -93,11 +94,13 @@ class ModelSnapshot(CountEstimator, NdvEstimator):
         # In table-name order, like the query fingerprint the key sits beside.
         tables = sorted(query.tables)
         key = tuple(map(self.tokens.get, tables))
-        if task not in ("ndv", "group_ndv"):
+        if task == "selectivity":
             return key
         states = () if self.catalog is None else tuple(
             map(self.catalog.table_state, tables)
         )
+        if task == "count":
+            return (*key, *states)
         return (self.rbx_token, *key, *states)
 
     def _gated(self, query: CardQuery) -> bool:
@@ -557,6 +560,9 @@ class ByteCard(CountEstimator, NdvEstimator):
     # ------------------------------------------------------------------
     # Serving (CountEstimator / NdvEstimator): the current snapshot answers
     # ------------------------------------------------------------------
+    def cache_key(self, task: str, query: CardQuery) -> tuple:
+        return self._snapshot.cache_key(task, query)
+
     def estimate_count(self, query: CardQuery) -> float:
         return self._snapshot.estimate_count(query)
 

@@ -16,6 +16,14 @@ Three decisions, each one of the paper's enhanced strategies:
 The optimizer also totals the estimation overhead it incurred, which the
 cost model folds into the query's latency -- the term that penalizes the
 sample-based method end-to-end.
+
+A repeated query is planned once per model snapshot and table state: each
+optimizer memoizes its plans (:attr:`Optimizer.memo`), keyed by the bound
+query, the catalog's :meth:`~repro.storage.catalog.Catalog.table_state` of
+every table it touches and its estimators' ``cache_key`` tokens, all read
+before planning.  An estimator whose tokens are ``None`` (the fleet) is
+never memoized, and neither is a plan that any decision consulted a
+fallback for.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition
+from repro.utils.lru import GenerationLRU
+
+#: plans each optimizer memoizes (see :meth:`Optimizer.plan`)
+PLAN_MEMO_ENTRIES = 256
 
 
 @dataclass
@@ -64,6 +76,35 @@ class PhysicalPlan:
     #: (parallel lists); ``inf`` marks a step the estimator failed on
     join_step_estimates: list[float] = field(default_factory=list)
 
+    def copy(self, decision_timings: dict[str, float]) -> "PhysicalPlan":
+        """This plan with containers of its own and ``decision_timings``."""
+        return PhysicalPlan(
+            query=self.query,
+            readers=dict(self.readers),
+            column_orders={t: list(c) for t, c in self.column_orders.items()},
+            join_order=list(self.join_order),
+            estimated_group_ndv=self.estimated_group_ndv,
+            estimation_cost=self.estimation_cost,
+            table_selectivities=dict(self.table_selectivities),
+            decision_timings=decision_timings,
+            decision_provenance={
+                d: dict(sources) for d, sources in self.decision_provenance.items()
+            },
+            partition_counts=dict(self.partition_counts),
+            pruned_partitions=dict(self.pruned_partitions),
+            estimated_table_rows=dict(self.estimated_table_rows),
+            join_step_estimates=list(self.join_step_estimates),
+        )
+
+    @property
+    def degraded(self) -> bool:
+        """Some decision consulted a fallback (``fallback-*`` provenance)."""
+        return any(
+            source.startswith("fallback")
+            for sources in self.decision_provenance.values()
+            for source in sources
+        )
+
 
 class Optimizer:
     """Plans queries with a pluggable estimator pair."""
@@ -88,9 +129,47 @@ class Optimizer:
         self.config = config or EngineConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self.catalog = catalog if catalog is not None else count_estimator.catalog
+        #: memoized plans (see :meth:`plan`)
+        self.memo = GenerationLRU(PLAN_MEMO_ENTRIES, self.registry, "plan_memo")
 
     # ------------------------------------------------------------------
     def plan(self, query: CardQuery) -> PhysicalPlan:
+        """Plan ``query``, or copy the plan memoized under its key.
+
+        A memo hit carries the stored estimates, decisions, provenance and
+        estimation cost, and one ``plan_memo`` decision timing.  Only a
+        plan no decision degraded for is stored.
+        """
+        start = time.perf_counter()
+        key = self._memo_key(query)
+        if key is None:
+            return self._plan(query)
+        stored = self.memo.get(key)
+        if stored is not None:
+            return stored.copy({"plan_memo": time.perf_counter() - start})
+        plan = self._plan(query)
+        if not plan.degraded:
+            self.memo.put(key, plan.copy({}))
+        return plan
+
+    def _memo_key(self, query: CardQuery) -> tuple | None:
+        """What a plan of ``query`` is computed from, read before planning:
+        None when the catalog or an estimator cannot name it."""
+        catalog = self.catalog
+        if catalog is None:
+            return None
+        count_tokens = self.count_estimator.cache_key("count", query)
+        if count_tokens is None:
+            return None
+        ndv_tokens = ()
+        if query.group_by and self.ndv_estimator is not None:
+            ndv_tokens = self.ndv_estimator.cache_key("group_ndv", query)
+            if ndv_tokens is None:
+                return None
+        states = tuple(map(catalog.table_state, query.tables))
+        return (query, states, count_tokens, ndv_tokens)
+
+    def _plan(self, query: CardQuery) -> PhysicalPlan:
         plan = PhysicalPlan(query=query)
         for table in query.tables:
             with self._decision(plan, f"selectivity:{table}", "selectivity"):
@@ -440,8 +519,10 @@ class Optimizer:
         assert self.ndv_estimator is not None
         plan.estimation_cost += self.ndv_estimator.estimation_overhead(query)
         try:
-            return float(self.ndv_estimator.group_ndv(query))
+            detail = self.ndv_estimator.group_ndv_detail(query)
         except EstimationError:
             # Includes estimators without a group-key model: the base
             # contract signals "unsupported" through this channel.
             return None
+        self._note_provenance(plan, "group_ndv", detail.source)
+        return float(detail.value)

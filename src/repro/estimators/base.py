@@ -60,9 +60,13 @@ class CountEstimator(abc.ABC):
         computes from; by default the estimator itself."""
         return self
 
-    def cache_key(self, task: str, query: CardQuery) -> tuple:
+    def cache_key(self, task: str, query: CardQuery) -> tuple | None:
         """Tokens that change whenever this snapshot's answer to ``query``
-        may; by default none, so a cached answer is never superseded."""
+        may; by default none, so a cached answer is never superseded.
+
+        ``None`` means the answer may change without a token: nothing that
+        keys by this method stores anything under it.
+        """
         return ()
 
     def estimation_overhead(self, query: CardQuery) -> float:
@@ -108,6 +112,10 @@ class NdvEstimator(abc.ABC):
     def estimation_overhead(self, query: CardQuery) -> float:
         return 0.01
 
+    def cache_key(self, task: str, query: CardQuery) -> tuple | None:
+        """See :meth:`CountEstimator.cache_key`."""
+        return ()
+
     def group_ndv(self, query: CardQuery) -> float:
         """NDV of the combined group-by key (hash-table pre-sizing).
 
@@ -116,3 +124,7 @@ class NdvEstimator(abc.ABC):
         signals "unsupported" through the normal estimation-error channel.
         """
         raise EstimationError(f"{self.name} does not support group NDV")
+
+    def group_ndv_detail(self, query: CardQuery) -> EstimateDetail:
+        """Group NDV plus provenance; default answers in-line."""
+        return EstimateDetail(float(self.group_ndv(query)), "direct")

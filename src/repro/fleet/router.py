@@ -358,6 +358,11 @@ class FleetRouter(CountEstimator, NdvEstimator):
     def estimate_ndv(self, query: CardQuery) -> float:
         return self._dispatch("ndv", query).value
 
+    def cache_key(self, task: str, query: CardQuery) -> None:
+        """No tokens: a restarted worker re-reads the store, so an answer
+        can change with nothing here to name it."""
+        return None
+
     def owner_of(self, query: CardQuery) -> int:
         """The shard owner this query routes to (diagnostics and tests)."""
         return self.shard_map.owner_for_tables(query.tables)

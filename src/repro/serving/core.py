@@ -22,8 +22,9 @@ Request path::
 One core serves one estimator, so the estimator's ``name`` (read once,
 at construction) is the cache scope of every answer.  A request reads the
 estimator's ``snapshot()`` once and computes from it both its cache key
-(the request fingerprint plus the snapshot's ``cache_key`` tokens) and, on
-a miss, its answer: a COUNT miss is ``snapshot.estimate_count(query)``.  A
+(the request fingerprint plus the snapshot's ``cache_key`` tokens; no key,
+and so no caching, when the tokens are ``None``) and, on a miss, its
+answer: a COUNT miss is ``snapshot.estimate_count(query)``.  A
 refresh or a gate flip publishes a new snapshot with new tokens, so an
 answer from a superseded model or gate is never asked for again and ages
 out of the LRU.  A request without a deadline has nothing to time out, so
@@ -165,8 +166,10 @@ class EstimationCore:
             # The answer reads the keys in GROUP BY order (a table's first
             # key picks its RBX network); the fingerprint sorts them.
             request = (request, query.group_by)
-        key = (request, snapshot.cache_key(task, query))
-        if self.cache is not None:
+        tokens = snapshot.cache_key(task, query)
+        # No tokens, no caching: the answer may change without one.
+        key = None if tokens is None else (request, tokens)
+        if self.cache is not None and key is not None:
             with self.tracer.span("serve.cache_lookup", sink=stages):
                 cached = self.cache.get(key)
             if cached is not None:
@@ -233,7 +236,7 @@ class EstimationCore:
                 fell_back, "fallback-error", start, stages=stages, task=task,
                 query=query, fingerprint=fingerprint,
             )
-        if self.cache is not None:
+        if self.cache is not None and key is not None:
             self.cache.put(key, value)
         return self._finish(
             value, "model", start, stages=stages, task=task,
@@ -243,7 +246,7 @@ class EstimationCore:
     def _cache_late_result(self, key, future: Future) -> None:
         """A timed-out estimate still warms the cache once it completes,
         under the key of the snapshot that computed it."""
-        if self.cache is None:
+        if self.cache is None or key is None:
             return
         cache = self.cache
 
@@ -344,9 +347,10 @@ class EstimationCore:
         self.registry.counter("serving_requests_total", task="selectivity").inc()
         fingerprint = query_fingerprint(query)
         snapshot = self.estimator.snapshot()
-        key = (
+        tokens = snapshot.cache_key("selectivity", query)
+        key = None if tokens is None else (
             request_fingerprint("selectivity", self.scope, fingerprint),
-            snapshot.cache_key("selectivity", query),
+            tokens,
         )
 
         def noted(value: float, source: str) -> ServedEstimate:
@@ -360,7 +364,7 @@ class EstimationCore:
                 )
             return ServedEstimate(value, source, self.clock.now() - start)
 
-        if self.cache is not None:
+        if self.cache is not None and key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return noted(cached, "cache")
@@ -380,7 +384,7 @@ class EstimationCore:
                 "serving_fallbacks_total", reason="error"
             ).inc()
             return noted(float(self.fallback_count.selectivity(query)), "fallback-error")
-        if self.cache is not None:
+        if self.cache is not None and key is not None:
             self.cache.put(key, value)
         return noted(value, "model")
 

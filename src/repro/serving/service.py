@@ -103,6 +103,9 @@ class EstimationService(CountEstimator, NdvEstimator):
     def group_ndv(self, query: CardQuery) -> float:
         return self.core.serve_group_ndv(query).value
 
+    def group_ndv_detail(self, query: CardQuery) -> ServedEstimate:
+        return self.core.serve_group_ndv(query)
+
     # ------------------------------------------------------------------
     # Planner-facing fast path
     # ------------------------------------------------------------------
@@ -115,6 +118,10 @@ class EstimationService(CountEstimator, NdvEstimator):
 
     def estimation_overhead(self, query: CardQuery) -> float:
         return self.core.estimator.estimation_overhead(query)
+
+    def cache_key(self, task: str, query: CardQuery) -> tuple | None:
+        """The tokens of the snapshot a request would compute from now."""
+        return self.core.estimator.snapshot().cache_key(task, query)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -6,7 +6,8 @@ entry cannot outlive it.  A predicate's bin-mask and a plan scope's beliefs
 carry their model's never-reused context token
 (:attr:`BNInferenceContext.token`); a served estimate carries the tokens of
 the model snapshot that answered it
-(:meth:`~repro.estimators.base.CountEstimator.cache_key`).  Once a model is
+(:meth:`~repro.estimators.base.CountEstimator.cache_key`), and a memoized
+plan those tokens plus its tables' catalog state.  Once a model is
 replaced its entries can never match again, and they age out of the LRU.
 
 Given a ``prefix``, the ``hits`` / ``misses`` / ``evictions`` counters are

@@ -177,6 +177,13 @@ class TestStalledWorker:
             client = fleet._client(owner)
             assert client.alive and client.ready_info["pid"] == pid
             assert fleet.stats().restarts == 0
+            # The resumed worker first works off the replies the router
+            # hedged away; compare values once it answers in time again.
+            assert wait_for(
+                lambda: fleet.estimate_count_detail(owned[0]).source
+                != "fallback-hedge",
+                RESTART_WAIT_S,
+            )
             assert [fleet.estimate_count(q) for q in queries] == baseline
             assert fleet.stats().restarts == 0
 

@@ -10,30 +10,42 @@ cached answer by that snapshot's tokens, so:
 * an NDV calibration reaches served answers (COUNT DISTINCT and group
   NDV alike) once the Monitor keeps it, and a calibration it rejects never
   reaches the registry;
-* NDV answers, which scale by the live row count, are keyed by the
-  catalog's table state too, so an append is a miss;
+* COUNT and NDV answers, which scale by the live row count, are keyed by
+  the catalog's table state too, so an append is a miss;
 * a SQL text is served from the catalog's bound-query memo only while
   every table it names keeps the registration token and the mutation
-  generation it was bound at.
+  generation it was bound at;
+* an optimizer serves a memoized plan only while the tables it touches
+  keep their state and its estimators keep their tokens, never stores a
+  plan that consulted a fallback, never memoizes the fleet, and hands
+  every caller a plan of its own.
 
 Served answers are checked against the facade's direct answer: both sweep
 at width one, so they agree bit for bit.
 """
 
+import copy
 import pickle
 import sys
 import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.core.modelforge
 from repro.core import ByteCard, ByteCardConfig
 from repro.core.serialization import deserialize_bn, serialize_bn
 from repro.datasets import make_aeolus
-from repro.errors import BindError, ParseError
-from repro.serving import ServingConfig
+from repro.engine import EngineSession
+from repro.engine.optimizer import Optimizer, PhysicalPlan
+from repro.engine.readers import ReaderKind
+from repro.engine.session import EstimatorSuite
+from repro.errors import BindError, EstimationError, ParseError
+from repro.estimators.base import CountEstimator
+from repro.estimators.traditional.selinger import SelingerEstimator
+from repro.serving import EstimationService, ServingConfig
 from repro.sql import Binder, bind_sql, parser
 from repro.sql.parser import parse_sql
 from repro.sql.query import (
@@ -64,6 +76,11 @@ SESSIONS = CardQuery(
 )
 SESSION_GROUPS = CardQuery(
     tables=("impressions",), group_by=(("impressions", "session_id"),)
+)
+HOURLY = CardQuery(
+    tables=("impressions", "ads"),
+    joins=(JoinCondition("impressions", "ad_id", "ads", "ad_id"),),
+    predicates=(TablePredicate("impressions", "hour", PredicateOp.LT, 12.0),),
 )
 SERVING = ServingConfig(deadline_ms=None)
 CONFIG = ByteCardConfig(training_sample_rows=4000, rbx_corpus_size=200, rbx_epochs=3)
@@ -322,22 +339,26 @@ def test_group_ndv_calibration_reaches_served_answers(aeolus_card):
         assert served.source == "model" and served.value == calibrated
 
 
-def test_ndv_answers_follow_appends():
-    """NDV and group NDV scale by the live row count: an append between
-    two identical requests is a miss that matches the direct answer."""
-    bundle = make_aeolus(scale=0.05)  # private: the append mutates it
-    card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
-    table = bundle.catalog.table("impressions")
+def double(table: Table) -> None:
+    """Append a copy of every row of ``table``."""
 
-    def doubled(column: str):
+    def copied(column: str):
         col = table.column(column)
         if col.dictionary is None:
             return col.values.copy()
         return [col.dictionary[int(code)] for code in col.values]
 
+    table.append_rows({column: copied(column) for column in table.column_names()})
+
+
+def test_ndv_answers_follow_appends():
+    """NDV and group NDV scale by the live row count: an append between
+    two identical requests is a miss that matches the direct answer."""
+    bundle = make_aeolus(scale=0.05)  # private: the append mutates it
+    card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
     with card.serve(SERVING) as service:
         before = (service.estimate_ndv(SESSIONS), service.group_ndv(SESSION_GROUPS))
-        table.append_rows({column: doubled(column) for column in table.column_names()})
+        double(bundle.catalog.table("impressions"))
         served = (
             service.estimate_ndv_detail(SESSIONS),
             service.core.serve_group_ndv(SESSION_GROUPS),
@@ -345,6 +366,20 @@ def test_ndv_answers_follow_appends():
         direct = (card.estimate_ndv(SESSIONS), card.group_ndv(SESSION_GROUPS))
     assert [answer.source for answer in served] == ["model", "model"]
     assert tuple(answer.value for answer in served) == direct
+    assert direct != before
+
+
+def test_join_count_follows_appends():
+    """FactorJoin scales a join by the live row counts: an append between
+    two identical requests is a miss that matches the direct answer."""
+    bundle = make_aeolus(scale=0.05)  # private: the append mutates it
+    card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
+    with card.serve(SERVING) as service:
+        before = service.estimate_count(HOURLY)
+        double(bundle.catalog.table("impressions"))
+        served = service.estimate_count_detail(HOURLY)
+    direct = card.estimate_count(HOURLY)
+    assert served.source == "model" and served.value == direct
     assert direct != before
 
 
@@ -601,3 +636,264 @@ def test_binds_racing_appends_leave_no_stale_entry():
     assert not errors
     assert lyon_code(bind_sql(LYON, catalog)) == 40.0
     assert bind_sql(LYON, catalog) == fresh_bind(LYON, catalog)
+
+
+# ---------------------------------------------------------------------------
+# The plan memo
+# ---------------------------------------------------------------------------
+def decisions(plan: PhysicalPlan) -> tuple:
+    """Everything a plan decided and estimated: no timings, no provenance."""
+    return (
+        plan.readers,
+        plan.column_orders,
+        plan.join_order,
+        plan.estimated_group_ndv,
+        plan.estimation_cost,
+        plan.table_selectivities,
+        plan.partition_counts,
+        plan.pruned_partitions,
+        plan.estimated_table_rows,
+        plan.join_step_estimates,
+    )
+
+
+def memo_hit(plan: PhysicalPlan) -> bool:
+    return list(plan.decision_timings) == ["plan_memo"]
+
+
+def fresh_plan(card: ByteCard, query: CardQuery) -> PhysicalPlan:
+    """What a new optimizer planning straight on the facade plans now."""
+    return Optimizer(card, card, catalog=card.catalog).plan(query)
+
+
+def assert_replanned(plan: PhysicalPlan, fresh: PhysicalPlan) -> None:
+    assert not memo_hit(plan)
+    assert decisions(plan) == decisions(fresh)
+
+
+MUTATIONS = {
+    "append": lambda catalog: double(catalog.table("impressions")),
+    "delete": lambda catalog: catalog.table("impressions").delete_where(
+        TablePredicate("impressions", "hour", PredicateOp.GE, 18.0)
+    ),
+    "replace": lambda catalog: catalog.replace(
+        catalog.table("impressions").take(
+            np.arange(0, len(catalog.table("impressions")), 2)
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", ["bytecard", "selinger"])
+def test_a_mutation_between_two_plans_replans(estimator):
+    """An append, a delete or a replace of a touched table moves its state:
+    the next identical plan is planned again.  The traditional estimator's
+    tokens are empty, so there the table state alone tells the plans
+    apart."""
+    bundle = make_aeolus(scale=0.05)  # private: the mutations change it
+    catalog = bundle.catalog
+    if estimator == "bytecard":
+        card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
+        service = card.serve(SERVING)
+        optimizer = EngineSession(catalog, service=service).optimizer
+
+        def fresh() -> PhysicalPlan:
+            return fresh_plan(card, HOURLY)
+
+    else:
+        service = None
+        selinger = SelingerEstimator(catalog)
+        optimizer = Optimizer(selinger, None, catalog=catalog)
+
+        def fresh() -> PhysicalPlan:
+            return Optimizer(selinger, None, catalog=catalog).plan(HOURLY)
+
+    try:
+        before = optimizer.plan(HOURLY)
+        for name, mutate in MUTATIONS.items():
+            assert memo_hit(optimizer.plan(HOURLY)), name
+            mutate(catalog)
+            after = optimizer.plan(HOURLY)
+            assert_replanned(after, fresh())
+            assert decisions(after) != decisions(before), name
+            before = after
+    finally:
+        if service is not None:
+            service.close()
+
+
+def republish_and_refresh(card: ByteCard) -> None:
+    republish_different(card, "users")
+    card.refresh()
+
+
+def gate_users(card: ByteCard) -> None:
+    card.set_fallback("users", True)
+
+
+@pytest.mark.parametrize("change", [republish_and_refresh, gate_users])
+def test_a_model_change_between_two_plans_replans(bytecard, change):
+    with bytecard.serve(SERVING) as service:
+        optimizer = EngineSession(bytecard.catalog, service=service).optimizer
+        before = optimizer.plan(JOIN)
+        assert memo_hit(optimizer.plan(JOIN))
+        try:
+            change(bytecard)
+            after = optimizer.plan(JOIN)
+            fresh = fresh_plan(bytecard, JOIN)
+        finally:
+            bytecard.set_fallback("users", False)
+    assert_replanned(after, fresh)
+    assert decisions(after) != decisions(before)
+
+
+def test_a_kept_calibration_between_two_plans_replans(aeolus_card, aeolus):
+    """A GROUP BY plan is keyed by the NDV estimator's tokens too."""
+    with aeolus_card.serve(SERVING) as service:
+        optimizer = EngineSession(aeolus.catalog, service=service).optimizer
+        before = optimizer.plan(SESSION_GROUPS)
+        assert memo_hit(optimizer.plan(SESSION_GROUPS))
+        aeolus_card._calibrate_column("impressions", "session_id")
+        after = optimizer.plan(SESSION_GROUPS)
+    assert_replanned(after, fresh_plan(aeolus_card, SESSION_GROUPS))
+    assert after.estimated_group_ndv != before.estimated_group_ndv
+
+
+def test_a_refresh_landing_mid_plan_is_never_served(bytecard, monkeypatch):
+    """The key is read before planning: a plan whose selectivities came
+    from the old model and whose join sizes came from the new one is
+    stored under the old snapshot's tokens, which no later plan asks for."""
+    with bytecard.serve(SERVING) as service:
+        optimizer = EngineSession(bytecard.catalog, service=service).optimizer
+        choose = optimizer._choose_join_order
+        refreshed = []
+
+        def refresh_then_choose(query, plan):
+            if not refreshed:
+                refreshed.append(True)
+                republish_and_refresh(bytecard)
+            return choose(query, plan)
+
+        monkeypatch.setattr(optimizer, "_choose_join_order", refresh_then_choose)
+        mixed = optimizer.plan(JOIN)
+        after = optimizer.plan(JOIN)
+    fresh = fresh_plan(bytecard, JOIN)
+    assert refreshed and decisions(mixed) != decisions(fresh)
+    assert_replanned(after, fresh)
+
+
+class Broken(CountEstimator):
+    name = "broken"
+
+    def estimate_count(self, query: CardQuery) -> float:
+        raise EstimationError("no model")
+
+
+class Slow(CountEstimator):
+    """Selectivities in time; every COUNT far past any deadline."""
+
+    name = "slow"
+
+    def __init__(self, inner: CountEstimator):
+        self.inner = inner
+
+    def selectivity(self, query: CardQuery) -> float:
+        return self.inner.selectivity(query)
+
+    def estimate_count(self, query: CardQuery) -> float:
+        time.sleep(0.2)
+        return self.inner.estimate_count(query)
+
+
+@pytest.mark.parametrize("failure", ["dead-model", "deadline"])
+def test_a_degraded_plan_is_never_stored(stats, failure):
+    selinger = SelingerEstimator(stats.catalog)
+    if failure == "dead-model":
+        estimator, config = Broken(), SERVING
+    else:
+        estimator, config = Slow(selinger), ServingConfig(deadline_ms=1.0)
+    with EstimationService(estimator, selinger, config=config) as service:
+        optimizer = EngineSession(stats.catalog, service=service).optimizer
+        first = optimizer.plan(JOIN)
+        second = optimizer.plan(JOIN)
+    assert first.degraded
+    assert not memo_hit(second)
+    if failure == "dead-model":
+        assert len(optimizer.memo) == 0
+
+
+def test_editing_a_returned_plan_never_reaches_the_next_hit(bytecard):
+    with bytecard.serve(SERVING) as service:
+        optimizer = EngineSession(bytecard.catalog, service=service).optimizer
+        first = optimizer.plan(JOIN)
+        expected = copy.deepcopy((decisions(first), first.decision_provenance))
+        for plan in (first, optimizer.plan(JOIN)):
+            for table in plan.readers:
+                plan.readers[table] = ReaderKind.MULTI_STAGE
+                plan.column_orders.setdefault(table, []).append("edited")
+                plan.estimated_table_rows[table] = -1.0
+            plan.join_order.clear()
+            plan.join_step_estimates.append(-1.0)
+            for sources in plan.decision_provenance.values():
+                sources["edited"] = 1
+            plan.estimation_cost = -1.0
+        hit = optimizer.plan(JOIN)
+    assert memo_hit(hit)
+    assert (decisions(hit), hit.decision_provenance) == expected
+
+
+def test_fleet_plans_are_never_memoized(bytecard, tmp_path):
+    """A fleet worker re-reads the store on restart, so its answers carry no
+    tokens and its plans are planned every time."""
+    with bytecard.fleet(n_workers=1, store_dir=tmp_path, serving_config=SERVING) as fleet:
+        optimizer = EngineSession(
+            bytecard.catalog, suite=EstimatorSuite("fleet", fleet, fleet)
+        ).optimizer
+        plans = [optimizer.plan(JOIN) for _ in range(2)]
+    assert not any(memo_hit(plan) for plan in plans)
+    assert len(optimizer.memo) == 0
+    assert decisions(plans[0]) == decisions(plans[1])
+
+
+class Tokenless(SelingerEstimator):
+    """An estimator whose answers may change with no token to name them."""
+
+    def cache_key(self, task: str, query: CardQuery) -> None:
+        return None
+
+
+def test_a_tokenless_estimator_is_never_cached(stats):
+    selinger = SelingerEstimator(stats.catalog)
+    with EstimationService(Tokenless(stats.catalog), selinger, config=SERVING) as service:
+        optimizer = EngineSession(stats.catalog, service=service).optimizer
+        served = [service.estimate_count_detail(USERS) for _ in range(2)]
+        served += [service.selectivity_detail(USERS) for _ in range(2)]
+        plans = [optimizer.plan(JOIN) for _ in range(2)]
+        assert [answer.source for answer in served] == ["model"] * 4
+        assert len(service.cache) == 0
+    assert not any(memo_hit(plan) for plan in plans)
+    assert len(optimizer.memo) == 0
+
+
+def test_threads_planning_one_query_get_equal_plans(bytecard):
+    with bytecard.serve(SERVING) as service:
+        optimizer = EngineSession(bytecard.catalog, service=service).optimizer
+        expected = decisions(fresh_plan(bytecard, JOIN))
+        start = threading.Barrier(4)
+        results: list[list[tuple]] = [[] for _ in range(4)]
+        errors: list[BaseException] = []
+
+        def planner(index: int) -> None:
+            try:
+                start.wait(timeout=10)
+                for round_ in range(40):
+                    if round_ % 10 == index:
+                        optimizer.memo.clear()  # make the threads race misses
+                    results[index].append(decisions(optimizer.plan(JOIN)))
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        run_threads(planner, 4)
+    assert not errors
+    for planned in results:
+        assert planned == [expected] * 40

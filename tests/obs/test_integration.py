@@ -37,6 +37,8 @@ REQUIRED_SERIES = [
     "engine_hash_resizes_total",
     "engine_presize_waste_slots_total",
     "optimizer_decision_seconds",
+    "plan_memo_hits_total",
+    "plan_memo_misses_total",
 ]
 
 
@@ -141,12 +143,19 @@ class TestEnrichedExplain:
         assert "scan=" in text and "join=" in text and "aggregate=" in text
 
     def test_second_plan_reports_cached_estimates(self, bytecard, aeolus):
+        """A second session re-plans (its optimizer's memo is its own) and
+        reads every estimate the first session's plan left in the cache;
+        the first session's repeat is a memo hit."""
         with bytecard.serve(
             ServingConfig(deadline_ms=None, num_workers=2)
         ) as service:
             session = EngineSession(aeolus.catalog, service=service)
             session.optimizer.plan(group_query())
-            replanned = session.optimizer.plan(group_query())
+            repeat = session.optimizer.plan(group_query())
+            replanned = EngineSession(
+                aeolus.catalog, service=service
+            ).optimizer.plan(group_query())
+        assert list(repeat.decision_timings) == ["plan_memo"]
         merged: dict[str, int] = {}
         for counts in replanned.decision_provenance.values():
             for source, count in counts.items():
