@@ -605,9 +605,7 @@ class ByteCard(CountEstimator, NdvEstimator):
         :class:`~repro.forge.store.ArtifactStore` at ``store_dir`` (a
         temporary directory when omitted), then spawns ``n_workers``
         estimator processes that each warm-start from it with **zero
-        training** -- each running the same
-        :class:`~repro.serving.core.EstimationCore` pipeline as
-        :meth:`serve`, behind a :class:`~repro.fleet.FleetRouter` that
+        training** -- each serving through its own :meth:`serve`, behind a :class:`~repro.fleet.FleetRouter` that
         shards requests by table scope, hedges around stalled workers, and
         restarts dead ones.  The workers mirror this instance's current
         monitor verdicts (``fallback_tables``), so routed estimates match

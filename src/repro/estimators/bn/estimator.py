@@ -30,11 +30,15 @@ class BNCountEstimator(CountEstimator):
         self,
         models: dict[str, TreeBayesNet],
         evidence_cache: GenerationLRU | None = None,
+        catalog: Catalog | None = None,
     ):
         self.models = dict(models)
         #: compiled predicate -> bin-mask vectors (see ``new_evidence_cache``);
         #: without one every predicate's mask is rebuilt per sweep
         self.evidence_cache = evidence_cache
+        #: the live tables a COUNT scales by; without one, the row count
+        #: each model was trained on
+        self.catalog = catalog
 
     @classmethod
     def train(
@@ -54,7 +58,7 @@ class BNCountEstimator(CountEstimator):
             )
             for table, columns in columns_per_table.items()
         }
-        return cls(models)
+        return cls(models, catalog=catalog)
 
     def model_for(self, table: str) -> TreeBayesNet:
         try:
@@ -110,8 +114,9 @@ class BNCountEstimator(CountEstimator):
     ) -> list[float]:
         """Estimate a batch of single-table COUNT queries on one table.
 
-        One sweep serves the whole batch (:meth:`_selectivities`);
-        results align with the input order.
+        One sweep serves the whole batch (:meth:`_selectivities`), scaled
+        by the table's live row count, so a COUNT follows appends and
+        deletes the way a join's does; results align with the input order.
         """
         for query in queries:
             if not query.is_single_table() or query.tables[0] != table:
@@ -119,7 +124,10 @@ class BNCountEstimator(CountEstimator):
                     f"batch for table {table!r} received query on "
                     f"{query.tables!r}"
                 )
-        total_rows = self.model_for(table).total_rows
+        if self.catalog is None:
+            total_rows = self.model_for(table).total_rows
+        else:
+            total_rows = len(self.catalog.table(table))
         return [
             selectivity * total_rows
             for selectivity in self._selectivities(table, queries)

@@ -109,7 +109,9 @@ class FactorJoinEstimator(CountEstimator):
             if evidence_cache is not None
             else new_evidence_cache(self.metrics)
         )
-        self._bn = BNCountEstimator(models, evidence_cache=self.evidence_cache)
+        self._bn = BNCountEstimator(
+            models, evidence_cache=self.evidence_cache, catalog=catalog
+        )
         self._local = threading.local()
         if self.metrics.enabled:
             # Pre-register so dashboards (and pass-ratio deltas) see zeros

@@ -5,14 +5,14 @@ processes, each warm-started from the crash-safe artifact store with
 **zero training** and owning a consistent-hash shard of the (table, model)
 space, behind a router that hedges slow requests, fails over around dead
 workers, and supervises restarts with store re-warm.  The pipeline inside
-every worker is the *same* :class:`~repro.serving.core.EstimationCore` the
-in-process :class:`~repro.serving.service.EstimationService` uses --
-estimates are bit-identical across both transports.
+every worker is the *same* :class:`~repro.serving.service.EstimationService`
+the in-process optimizer calls -- estimates are bit-identical across both
+transports.
 
 * :mod:`repro.fleet.router`   -- sharded dispatch, hedging, supervision,
   merged fleet-wide metrics;
 * :mod:`repro.fleet.worker`   -- the worker process: store warm-start +
-  EstimationCore behind a frame loop;
+  EstimationService behind a frame loop;
 * :mod:`repro.fleet.client`   -- the router's per-worker multiplexer with
   edge-triggered death detection;
 * :mod:`repro.fleet.sharding` -- the SHA-1 consistent-hash ring;

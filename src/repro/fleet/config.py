@@ -2,7 +2,7 @@
 
 Defaults target the paper's deployment shape: a handful of estimator
 processes behind one router, millisecond-scale serving deadlines enforced
-*inside* each worker (its :class:`~repro.serving.core.EstimationCore`
+*inside* each worker (its :class:`~repro.serving.service.EstimationService`
 degrades to the traditional estimator on its own), and a router whose
 hedging exists to survive *process* failures -- a worker that is dead,
 wedged, or unreachable -- rather than slow models.  A hedge degrades only
@@ -41,7 +41,7 @@ class FleetConfig:
     #: the router's local fallback permanently
     max_restarts: int = 5
     #: request-handler threads inside each worker (concurrent IPC requests
-    #: feeding the worker's own EstimationCore pool)
+    #: feeding the worker's own EstimationService pool)
     handler_threads: int = 4
     #: budget for every worker to warm-start from the store and report
     #: ready, seconds

@@ -4,14 +4,14 @@
 estimator (:class:`CountEstimator` / :class:`NdvEstimator`): a request is
 fingerprinted to its shard owner on the consistent-hash ring, dispatched
 over the owner's frame connection, and answered from the worker's
-:class:`~repro.serving.core.EstimationCore` -- the same pipeline, caches
+:class:`~repro.serving.service.EstimationService` -- the same pipeline, caches
 and degradation contract as in-process serving, so values are
 bit-identical to a single-process :class:`EstimationService` over the same
 store.
 
 What the router adds is *fault tolerance around processes*:
 
-* **hedging** -- a worker answers within its serving deadline (its core
+* **hedging** -- a worker answers within its serving deadline (its service
   degrades internally), so the router waits ``deadline * (1 +
   HEDGE_FRACTION)`` and then abandons the request and answers it from the
   traditional fallback locally.  A late reply is dropped by the client,

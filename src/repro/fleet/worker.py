@@ -1,20 +1,20 @@
-"""The fleet worker: one process, one EstimationCore, a frame loop.
+"""The fleet worker: one process, one EstimationService, a frame loop.
 
 A worker is the fleet's unit of isolation.  It warm-starts a full
 :class:`~repro.core.bytecard.ByteCard` from the crash-safe artifact store
 (**zero training** -- the parent persisted its registry before spawning),
-mirrors the parent's monitor verdicts (``fallback_tables``), and then binds
-the *same* :class:`~repro.serving.core.EstimationCore` the in-process
-:class:`~repro.serving.service.EstimationService` uses to a frame-based IPC
-loop instead of direct method calls.  Identical models plus the identical
-pipeline is what makes fleet estimates bit-identical to single-process
-serving.
+mirrors the parent's monitor verdicts (``fallback_tables``), and then
+serves frames through ``bytecard.serve()`` -- the same
+:class:`~repro.serving.service.EstimationService` pipeline the in-process
+optimizer calls, bound to a frame-based IPC loop instead of direct method
+calls.  Identical models plus the identical pipeline is what makes fleet
+estimates bit-identical to single-process serving.
 
 Estimate requests are dispatched to a small handler pool so the loop keeps
 answering pings (the router's liveness signal) while inference runs;
 ``ping``/``metrics``/``shutdown`` are answered inline.  Shutdown reuses the
-core's drain-ordered bounded close, then acknowledges with ``bye`` so the
-router can tell a graceful exit from a crash (EOF without ``bye``).
+service's drain-ordered bounded close, then acknowledges with ``bye`` so
+the router can tell a graceful exit from a crash (EOF without ``bye``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.datasets.base import DatasetBundle
 from repro.errors import ConnectionClosed, EstimationError
 from repro.fleet.protocol import DEADLINE_FROM_CONFIG, FrameConnection
 from repro.serving.config import ServingConfig
-from repro.serving.core import _UNSET, EstimationCore
+from repro.serving.service import _UNSET
 
 __all__ = ["WorkerSpec", "worker_main", "spawn_worker"]
 
@@ -48,7 +48,7 @@ class WorkerSpec:
     #: the traditional estimator in the worker exactly as it would in the
     #: parent (the worker itself never runs the monitor)
     fallback_tables: tuple[str, ...] = field(default_factory=tuple)
-    #: concurrent IPC estimate handlers feeding the core's own pool
+    #: concurrent IPC estimate handlers feeding the service's own pool
     handler_threads: int = 4
 
 
@@ -66,13 +66,7 @@ def worker_main(
         )
         for table in spec.fallback_tables:
             bytecard.set_fallback(table, True)
-        core = EstimationCore(
-            estimator=bytecard,
-            fallback_count=bytecard._traditional_count,
-            fallback_ndv=bytecard._traditional_ndv,
-            config=spec.serving_config,
-            registry=bytecard.obs,
-        )
+        service = bytecard.serve(spec.serving_config)
     except Exception as exc:
         try:
             conn.send("fatal", 0, f"{type(exc).__name__}: {exc}")
@@ -100,9 +94,9 @@ def worker_main(
                 _UNSET if deadline_token == DEADLINE_FROM_CONFIG else deadline_token
             )
             if task == "count":
-                served = core.serve_count(query, deadline)
+                served = service.estimate_count_detail(query, deadline)
             elif task == "ndv":
-                served = core.serve_ndv(query, deadline)
+                served = service.estimate_ndv_detail(query, deadline)
             else:
                 raise EstimationError(f"unknown estimation task {task!r}")
             conn.send(
@@ -126,7 +120,7 @@ def worker_main(
                 kind, req_id, payload = conn.recv()
             except ConnectionClosed:
                 # Router gone (crash or hard close): drain quickly and exit.
-                core.close(timeout=0.5)
+                service.close(timeout=0.5)
                 break
             if kind == "est":
                 task, query, deadline_token = payload
@@ -143,9 +137,9 @@ def worker_main(
                     break
             elif kind == "shutdown":
                 # Bounded drain: in-flight estimates finish (or degrade via
-                # the core's cancel path); handler threads unblock either
+                # the service's cancel path); handler threads unblock either
                 # way, so the pool's exit join below cannot hang.
-                core.close(timeout=payload)
+                service.close(timeout=payload)
                 try:
                     conn.send("bye", req_id, None)
                 except ConnectionClosed:

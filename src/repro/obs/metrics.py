@@ -157,6 +157,11 @@ class Histogram:
         with self._lock:
             return self._count
 
+    def values(self) -> list[float]:
+        """The observations in the window, oldest first."""
+        with self._lock:
+            return list(self._ring)
+
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
             if not self._count:

@@ -1,28 +1,35 @@
-"""Service counters and the :class:`ServiceStats` snapshot.
+"""The service's always-on metrics and the :class:`ServiceStats` snapshot.
 
-Every counter is maintained under one lock by :class:`StatsCollector`;
-:meth:`StatsCollector.snapshot` produces an immutable :class:`ServiceStats`
-that benchmarks and the Model Monitor can introspect without racing the
-serving threads.
+:class:`StatsCollector` owns the metrics every served request writes, each
+exactly once: the request counter of its task, the fallback counter of its
+degradation reason, and the latency ring of its serving path.  They are
+plain :mod:`repro.obs` metrics, so they work without an observability
+registry, and an enabled registry adopts them for export under their usual
+names (``serving_requests_total{task}``, ``serving_fallbacks_total{reason}``,
+``serving_request_seconds{path}``).  :meth:`StatsCollector.snapshot` reads
+those same metrics into an immutable :class:`ServiceStats` that benchmarks
+and the Model Monitor can introspect without racing the serving threads.
 
 Latency is recorded **per serving path** (cache / model / fallback) in
 bounded :class:`repro.obs.Histogram` rings: a single shared ring would let
 sub-microsecond cache hits dominate p99 and hide the model path's tail,
 which is the quantity FactorJoin-style deployments actually watch.  The
-aggregate p50/p90/p99 fields are kept for compatibility and still cover
-every request.
+aggregate p50/p90/p99 fields are kept for compatibility and are taken over
+the three paths' windows together.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.metrics.quantiles import quantile
-from repro.obs.metrics import Histogram, HistogramSnapshot
+from repro.obs.metrics import Counter, Histogram, HistogramSnapshot
 
+#: the estimation tasks a service serves (``serving_requests_total{task}``)
+TASKS = ("count", "selectivity", "ndv", "group_ndv")
+#: why a request degraded to the fallback (``serving_fallbacks_total{reason}``)
+FALLBACK_REASONS = ("timeout", "error", "rejected")
 #: the serving paths that get their own latency histogram
 LATENCY_PATHS = ("cache", "model", "fallback")
 
@@ -45,7 +52,7 @@ class ServiceStats:
     rejected: int = 0
     #: total fallback answers (timeouts + errors + rejections)
     fallbacks: int = 0
-    #: request latencies (seconds) -- p50/p90/p99 over the recent window,
+    #: request latencies (seconds) -- p50/p90/p99 over the recent windows,
     #: all paths conflated (kept for compatibility; prefer ``path_latencies``)
     p50_latency: float = 0.0
     p90_latency: float = 0.0
@@ -65,22 +72,20 @@ class ServiceStats:
 
 
 class StatsCollector:
-    """Thread-safe counter accumulation for one service."""
+    """The always-on serving metrics of one service."""
 
     def __init__(self, latency_window: int = 4096):
-        self._lock = threading.Lock()
-        self._counts = {
-            "requests": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "timeouts": 0,
-            "errors": 0,
-            "rejected": 0,
-            "fallbacks": 0,
+        #: task -> ``serving_requests_total{task}``
+        self.requests: dict[str, Counter] = {
+            task: Counter("serving_requests_total", (("task", task),))
+            for task in TASKS
         }
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        # Always-on per-path rings (they ARE the bugfix); an observability
-        # registry may additionally adopt them for export.
+        #: reason -> ``serving_fallbacks_total{reason}``
+        self.fallbacks: dict[str, Counter] = {
+            reason: Counter("serving_fallbacks_total", (("reason", reason),))
+            for reason in FALLBACK_REASONS
+        }
+        #: path -> ``serving_request_seconds{path}``
         self.path_histograms: dict[str, Histogram] = {
             path: Histogram(
                 "serving_request_seconds",
@@ -90,26 +95,21 @@ class StatsCollector:
             for path in LATENCY_PATHS
         }
 
-    def increment(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[counter] += amount
-
-    def record_fallback(self, reason: str) -> None:
-        """Count one degraded answer: ``reason`` is timeouts/errors/rejected."""
-        with self._lock:
-            self._counts[reason] += 1
-            self._counts["fallbacks"] += 1
-
-    def record_latency(self, seconds: float, path: str | None = None) -> None:
-        with self._lock:
-            self._latencies.append(seconds)
-        if path is not None:
-            self.path_histograms[path].observe(seconds)
+    def metrics(self) -> Iterator[Counter | Histogram]:
+        """Every metric, for a registry to adopt."""
+        yield from self.requests.values()
+        yield from self.fallbacks.values()
+        yield from self.path_histograms.values()
 
     def snapshot(self) -> ServiceStats:
-        with self._lock:
-            latencies = list(self._latencies)
-            counts = dict(self._counts)
+        timeouts, errors, rejected = (
+            int(self.fallbacks[reason].value) for reason in FALLBACK_REASONS
+        )
+        latencies = [
+            seconds
+            for hist in self.path_histograms.values()
+            for seconds in hist.values()
+        ]
         if latencies:
             p50, p90, p99 = (
                 quantile(latencies, 0.50),
@@ -124,7 +124,11 @@ class StatsCollector:
             if hist.count
         }
         return ServiceStats(
-            **counts,
+            requests=int(sum(counter.value for counter in self.requests.values())),
+            timeouts=timeouts,
+            errors=errors,
+            rejected=rejected,
+            fallbacks=timeouts + errors + rejected,
             p50_latency=p50,
             p90_latency=p90,
             p99_latency=p99,

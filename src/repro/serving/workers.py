@@ -1,12 +1,13 @@
 """The worker pool: bounded concurrency with admission control.
 
 A small thread pool with a hard cap on the number of *admitted* requests
-(running + queued, whether on a worker or inline on their caller's thread via
-:meth:`WorkerPool.run_inline`).  When the bound is reached, admission
-returns ``None`` instead of queueing -- the service answers such requests
-with the traditional estimator immediately, which is the paper's degradation
-contract: under a traffic spike the optimizer must keep planning (with
-coarser estimates) rather than stall behind an unbounded inference queue.
+(running + queued, whether on a worker or on their caller's thread between
+:meth:`WorkerPool.admit` and :meth:`WorkerPool.release`).  When the bound is
+reached, admission refuses instead of queueing -- the service answers such
+requests with the traditional estimator immediately, which is the paper's
+degradation contract: under a traffic spike the optimizer must keep
+planning (with coarser estimates) rather than stall behind an unbounded
+inference queue.
 
 The pool runs its own **daemon** worker threads instead of a
 :class:`~concurrent.futures.ThreadPoolExecutor` so teardown can be bounded:
@@ -46,14 +47,14 @@ class WorkerPool:
     ):
         self.num_workers = num_workers
         self.queue_capacity = queue_capacity
-        # One slot per worker plus the queue bound; acquired at admission,
-        # released when the task finishes (success, failure, or cancel).
-        self._slots = threading.Semaphore(num_workers + queue_capacity)
+        #: admitted tasks (queued, running, or on their caller's thread) at
+        #: most: one per worker plus the queue bound
+        self.capacity = num_workers + queue_capacity
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._queue: deque[tuple[Future, Callable[[], object]]] = deque()
-        #: admitted tasks (queued or running) not yet finished
+        #: admitted tasks not yet finished
         self._active = 0
         self._refusing = False
         self._shutdown = False
@@ -72,14 +73,9 @@ class WorkerPool:
     # Admission
     # ------------------------------------------------------------------
     def _admit(self, task: tuple[Future, Callable[[], object]] | None) -> bool:
-        """Take a slot and count one admitted task; queue it when given."""
-        if self._refusing or self._shutdown:
-            return False
-        if not self._slots.acquire(blocking=False):
-            return False
+        """Count one admitted task if there is room; queue it when given."""
         with self._lock:
-            if self._shutdown or self._refusing:
-                self._slots.release()
+            if self._refusing or self._active >= self.capacity:
                 return False
             self._active += 1
             if task is not None:
@@ -96,19 +92,15 @@ class WorkerPool:
             return None
         return future
 
-    def run_inline(self, fn: Callable[[], T]) -> Future | None:
-        """Admit ``fn`` like :meth:`try_submit`, but run it here and now.
+    def admit(self) -> bool:
+        """Admit a task its caller runs itself; ``False`` means *rejected*.
 
         For callers with nothing to time out: the task holds a slot and is
-        seen by :meth:`refuse_new` / :meth:`drain` like any pooled one, but
-        executes on the calling thread -- no queue, no cross-thread wake-up.
-        The returned future is already resolved (``None``: *rejected*).
+        seen by :meth:`refuse_new` / :meth:`drain` like a pooled one, but
+        runs on the calling thread -- no queue, no future, no cross-thread
+        wake-up.  Every admitted task ends with one :meth:`release`.
         """
-        if not self._admit(None):
-            return None
-        future: Future = Future()
-        self._resolve(future, fn)
-        return future
+        return self._admit(None)
 
     def _resolve(self, future: Future, thunk: Callable[[], object]) -> None:
         try:
@@ -120,7 +112,7 @@ class WorkerPool:
                 else:
                     future.set_result(result)
         finally:
-            self._finish_one()
+            self.release()
 
     def _run(self) -> None:
         while True:
@@ -135,24 +127,20 @@ class WorkerPool:
                     continue
             self._resolve(future, thunk)
 
-    def _finish_one(self) -> None:
-        self._slots.release()
+    def release(self) -> None:
+        """Give back the slot of one finished (or cancelled) task."""
         with self._lock:
             self._active -= 1
-            if self._active == 0:
+            if not self._active:
                 self._idle.notify_all()
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def refuse_new(self) -> None:
-        """Stop admitting: every future ``try_submit`` returns ``None``."""
-        self._refusing = True
-
-    @property
-    def refusing(self) -> bool:
-        """Whether :meth:`refuse_new` (or a shutdown) stopped admission."""
-        return self._refusing
+        """Stop admitting: every later ``try_submit`` / ``admit`` refuses."""
+        with self._lock:
+            self._refusing = True
 
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until every admitted task finished; ``False`` on timeout."""
@@ -182,10 +170,9 @@ class WorkerPool:
         thread) rather than wedging the caller.  Returns ``True`` when
         every worker thread exited.
         """
-        self._refusing = True
         cancelled: list[Future] = []
         with self._lock:
-            self._shutdown = True
+            self._refusing = self._shutdown = True
             if cancel_futures:
                 while self._queue:
                     future, _thunk = self._queue.pop()
@@ -193,7 +180,7 @@ class WorkerPool:
             self._work.notify_all()
         for future in cancelled:
             future.cancel()
-            self._finish_one()
+            self.release()
         if not wait:
             return False
         deadline = None if timeout is None else time.monotonic() + timeout

@@ -181,6 +181,33 @@ class CardQuery:
         if len(self.tables) > 1 and not self._is_connected():
             raise SchemaError("join graph is not connected (cross joins unsupported)")
 
+    def __hash__(self) -> int:
+        # Hashed once per object: a bound query keys the plan memo, and a
+        # repeated text binds to the same object.  The cached value stays
+        # out of pickles (see __getstate__): ``str`` hashes are per process.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                (
+                    self.tables,
+                    self.joins,
+                    self.predicates,
+                    self.or_groups,
+                    self.group_by,
+                    self.agg,
+                    self.name,
+                )
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_hash" in state:
+            state = dict(state)
+            del state["_hash"]
+        return state
+
     def _is_connected(self) -> bool:
         adjacency: dict[str, set[str]] = {t: set() for t in self.tables}
         for join in self.joins:

@@ -330,12 +330,12 @@ def test_group_ndv_calibration_reaches_served_answers(aeolus_card):
     with aeolus_card.serve(SERVING) as service:
         universal = service.group_ndv(SESSION_GROUPS)
         assert universal == aeolus_card.group_ndv(SESSION_GROUPS)
-        served = service.core.serve_group_ndv(SESSION_GROUPS)
+        served = service.group_ndv_detail(SESSION_GROUPS)
         assert served.source == "cache" and served.value == universal
         aeolus_card._calibrate_column("impressions", "session_id")
         calibrated = aeolus_card.group_ndv(SESSION_GROUPS)
         assert calibrated != universal
-        served = service.core.serve_group_ndv(SESSION_GROUPS)
+        served = service.group_ndv_detail(SESSION_GROUPS)
         assert served.source == "model" and served.value == calibrated
 
 
@@ -361,7 +361,7 @@ def test_ndv_answers_follow_appends():
         double(bundle.catalog.table("impressions"))
         served = (
             service.estimate_ndv_detail(SESSIONS),
-            service.core.serve_group_ndv(SESSION_GROUPS),
+            service.group_ndv_detail(SESSION_GROUPS),
         )
         direct = (card.estimate_ndv(SESSIONS), card.group_ndv(SESSION_GROUPS))
     assert [answer.source for answer in served] == ["model", "model"]
@@ -381,6 +381,25 @@ def test_join_count_follows_appends():
     direct = card.estimate_count(HOURLY)
     assert served.source == "model" and served.value == direct
     assert direct != before
+
+
+def test_single_table_count_follows_appends():
+    """A single-table COUNT is the BN's selectivity times the live row
+    count, as a join's is: doubling a table doubles it, served or direct."""
+    bundle = make_aeolus(scale=0.05)  # private: the append mutates it
+    card = ByteCard.build(bundle, config=CONFIG, run_monitor=False)
+    everything = CardQuery(tables=("impressions",))
+    morning = CardQuery(tables=("impressions",), predicates=HOURLY.predicates)
+    queries = (everything, morning)
+    with card.serve(SERVING) as service:
+        before = [service.estimate_count(query) for query in queries]
+        double(bundle.catalog.table("impressions"))
+        served = [service.estimate_count_detail(query) for query in queries]
+    direct = [card.estimate_count(query) for query in queries]
+    assert before[0] == len(bundle.catalog.table("impressions")) / 2
+    assert [answer.source for answer in served] == ["model", "model"]
+    assert [answer.value for answer in served] == direct
+    assert direct == [2 * value for value in before]
 
 
 # ---------------------------------------------------------------------------

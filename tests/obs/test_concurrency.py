@@ -99,10 +99,10 @@ class TestStatsCollectorConcurrency:
         def worker(index: int) -> None:
             path = LATENCY_PATHS[index % len(LATENCY_PATHS)]
             for i in range(PER_THREAD):
-                collector.increment("requests")
-                collector.record_latency(0.001 * (i % 10 + 1), path=path)
+                collector.requests["count"].inc()
+                collector.path_histograms[path].observe(0.001 * (i % 10 + 1))
                 if i % 10 == 0:
-                    collector.record_fallback("errors")
+                    collector.fallbacks["error"].inc()
 
         hammer(NUM_THREADS, worker)
         stats = collector.snapshot()
@@ -123,8 +123,8 @@ class TestStatsCollectorConcurrency:
 
         def writer(index: int) -> None:
             for _ in range(PER_THREAD):
-                collector.increment("requests")
-                collector.record_fallback("timeouts")
+                collector.requests["count"].inc()
+                collector.fallbacks["timeout"].inc()
 
         def reader() -> None:
             while not stop.is_set():
@@ -139,8 +139,8 @@ class TestStatsCollectorConcurrency:
         hammer(NUM_THREADS, writer)
         stop.set()
         observer.join()
-        # record_fallback bumps both counters under one lock: a snapshot
-        # must never see them out of sync.
+        # The total is the sum of the reason counters the snapshot read: a
+        # snapshot must never see them out of sync.
         assert not violations, violations[:3]
 
 

@@ -101,7 +101,7 @@ def test_request_fingerprint_separates_tasks_and_scopes():
 
 def test_scope_is_the_estimator_name():
     with make_service(Constant("only", 50.0)) as service:
-        assert service.core.scope == "only"
+        assert service.scope == "only"
 
 
 def test_same_estimator_still_caches():

@@ -258,7 +258,7 @@ class TestGroupNdv:
         model = Grouper()
         with group_service(model, Constant(FALLBACK)) as service:
             assert service.group_ndv(GROUPED) == 21.0
-            served = service.core.serve_group_ndv(GROUPED)
+            served = service.group_ndv_detail(GROUPED)
         assert (served.source, served.value, model.calls) == ("cache", 21.0, 1)
 
     def test_key_order_keys_distinct_answers(self):
@@ -281,9 +281,9 @@ class TestGroupNdv:
     def test_learned_error_degrades_to_the_fallback(self, error):
         fallback = Grouper()
         with group_service(Grouper(error), fallback) as service:
-            served = service.core.serve_group_ndv(GROUPED)
+            served = service.group_ndv_detail(GROUPED)
             assert (served.source, served.value) == ("fallback-error", 21.0)
-            assert service.core.serve_group_ndv(GROUPED).source == "fallback-error"
+            assert service.group_ndv_detail(GROUPED).source == "fallback-error"
         assert service.stats().errors == 2 and fallback.calls == 2
 
     def test_unsupported_fallback_still_raises_estimation_error(self):

@@ -75,29 +75,20 @@ class TestWorkerPool:
         assert queued.cancelled()
         hang.set()  # release the daemon thread
 
-    def test_run_inline_runs_here_and_holds_a_slot_meanwhile(self):
+    def test_an_admitted_caller_holds_a_slot_until_release(self):
         pool = WorkerPool(num_workers=1, queue_capacity=0)
-        seen: list[object] = []
-
-        def task():
-            seen.append(threading.get_ident())
-            # The only slot is ours: nothing else is admitted meanwhile,
-            # and a drain sees the inline task as in flight.
-            seen.append(pool.try_submit(lambda: 1))
-            seen.append(pool.run_inline(lambda: 1))
-            seen.append(pool.drain(timeout=0))
-            return 42
-
-        future = pool.run_inline(task)
-        assert future is not None and future.done() and future.result() == 42
-        assert seen == [threading.get_ident(), None, None, False]
-        # ... and it was given back, on success and on failure alike.
-        failed = pool.run_inline(lambda: 1 / 0)
-        assert failed is not None
-        assert isinstance(failed.exception(), ZeroDivisionError)
+        assert pool.admit()
+        # The only slot is the caller's: nothing else is admitted meanwhile,
+        # and a drain sees the caller's task as in flight.
+        assert pool.try_submit(lambda: 1) is None
+        assert not pool.admit()
+        assert not pool.drain(timeout=0)
+        pool.release()
         assert pool.drain(timeout=0)
+        future = pool.try_submit(lambda: 1)
+        assert future is not None and future.result(timeout=5) == 1
         pool.refuse_new()
-        assert pool.run_inline(lambda: 1) is None
+        assert not pool.admit()
         assert pool.close(timeout=5)
 
     def test_shutdown_idempotent(self):

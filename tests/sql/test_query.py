@@ -137,3 +137,36 @@ class TestCardQueryAccessors:
     def test_to_sql_emits_join_chain(self):
         sql = self._query().to_sql()
         assert "JOIN" in sql and "WHERE" in sql and "OR" in sql
+
+
+class TestCardQueryHash:
+    def _query(self):
+        return CardQuery(
+            tables=("a", "b"),
+            joins=(JoinCondition("a", "id", "b", "a_id"),),
+            predicates=(_pred("a", "x"),),
+            group_by=(("b", "y"),),
+            name="q",
+        )
+
+    def test_equal_queries_hash_equal(self):
+        assert hash(self._query()) == hash(self._query())
+        assert self._query() == self._query()
+        assert hash(self._query()) != hash(self._query().with_predicates([]))
+
+    def test_hash_is_computed_once_per_object(self):
+        query = self._query()
+        first = hash(query)
+        assert query.__dict__["_hash"] == first == hash(query)
+
+    def test_a_pickled_query_carries_no_cached_hash(self):
+        import copy
+        import pickle
+
+        query = self._query()
+        hash(query)
+        for copied in (pickle.loads(pickle.dumps(query)), copy.copy(query)):
+            assert "_hash" not in copied.__dict__
+            assert copied == query
+            assert hash(copied) == hash(query)
+            assert repr(copied) == repr(query)
