@@ -21,9 +21,10 @@ A repeated query is planned once per model snapshot and table state: each
 optimizer memoizes its plans (:attr:`Optimizer.memo`), keyed by the bound
 query, the catalog's :meth:`~repro.storage.catalog.Catalog.table_state` of
 every table it touches and its estimators' ``cache_key`` tokens, all read
-before planning.  An estimator whose tokens are ``None`` (the fleet) is
-never memoized, and neither is a plan that any decision consulted a
-fallback for.
+before planning.  An estimator whose tokens are ``None`` is never
+memoized, and neither is a plan that any decision consulted a fallback
+for.  The fleet's token is its workers' incarnation, which every worker
+restart bumps.
 """
 
 from __future__ import annotations

@@ -25,6 +25,12 @@ What the router adds is *fault tolerance around processes*:
   and the heartbeat are the only restart triggers: a hedge or an ``err``
   frame degrades that one request and never touches the worker.
 
+Plans over the fleet are memoized per worker **incarnation**, which every
+supervised restart bumps (:meth:`FleetRouter.cache_key`).  Each routed
+request is counted once, in the router's own always-on ``fleet_*_total``
+counters, which an enabled registry adopts for export and
+:meth:`FleetRouter.stats` reads.
+
 Fleet-wide observability: every worker ships its registry snapshot over
 IPC; :meth:`metrics_registry` merges them with the router's own registry
 under per-process ``worker`` labels (see :mod:`repro.obs.merge`).
@@ -47,7 +53,7 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.sharding import ShardMap
 from repro.fleet.worker import WorkerSpec
 from repro.obs import export_json, export_text, merged_registry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serving.config import ServingConfig
 from repro.sql.query import CardQuery
 
@@ -57,6 +63,12 @@ __all__ = ["FleetRouter", "FleetEstimate", "FleetStats"]
 #: before hedging: a worker answers within its own deadline (it degrades
 #: internally), so a hedge fires only on transport/process trouble
 HEDGE_FRACTION = 0.5
+
+#: the tasks a router dispatches (``fleet_*_total{task}``)
+TASKS = ("count", "ndv")
+#: why a request failed over (``fleet_failovers_total{reason}``): the owner
+#: was down, refused the submit, or died with the request in flight
+FAILOVER_REASONS = ("worker-down", "submit", "died")
 
 
 @dataclass(frozen=True)
@@ -136,17 +148,26 @@ class FleetRouter(CountEstimator, NdvEstimator):
         self.shard_map = ShardMap(
             worker_ids, virtual_nodes=self.config.virtual_nodes
         )
-        self._counts_lock = threading.Lock()
-        self._counts = {
-            "requests": 0,
-            "hedges": 0,
-            "failovers": 0,
-            "worker_errors": 0,
-            "restarts": 0,
-        }
+        self._requests = self._owned(Counter, "fleet_requests_total", "task", TASKS)
+        self._hedges = self._owned(Counter, "fleet_hedges_total", "task", TASKS)
+        self._worker_errors = self._owned(
+            Counter, "fleet_worker_errors_total", "task", TASKS
+        )
+        self._failovers = self._owned(
+            Counter, "fleet_failovers_total", "reason", FAILOVER_REASONS
+        )
+        self._restarts = self._owned(
+            Counter, "fleet_worker_restarts_total", "worker", worker_ids
+        )
+        self._latency = self._owned(
+            Histogram, "fleet_latency_seconds", "task", TASKS
+        )
         self._clients_lock = threading.Lock()
         self._clients: dict[int, WorkerClient] = {}
         self._restart_counts = {wid: 0 for wid in worker_ids}
+        #: bumped by every supervised restart; names the models the
+        #: workers hold (see :meth:`cache_key`)
+        self._incarnation = 0
         self._closed = threading.Event()
         # Spawn everyone first (warm-starts overlap), then await readiness.
         for wid in worker_ids:
@@ -164,6 +185,14 @@ class FleetRouter(CountEstimator, NdvEstimator):
             target=self._supervise, daemon=True, name="fleet-supervisor"
         )
         self._supervisor.start()
+
+    def _owned(self, cls, name: str, label: str, values) -> dict:
+        """One always-on metric per label value, keyed by the value and
+        adopted by the registry for export."""
+        metrics = {value: cls(name, ((label, str(value)),)) for value in values}
+        for metric in metrics.values():
+            self.registry.adopt(metric)
+        return metrics
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -191,7 +220,13 @@ class FleetRouter(CountEstimator, NdvEstimator):
             return self._clients.get(worker_id)
 
     def _restart(self, worker_id: int) -> bool:
-        """Supervised restart with store re-warm; bounded by max_restarts."""
+        """Supervised restart with store re-warm; bounded by max_restarts.
+
+        The new worker re-reads the store, so the router's incarnation is
+        bumped in the same ``_clients_lock`` section that installs it: no
+        :meth:`_client` caller sees the new worker under the old
+        :meth:`cache_key`.
+        """
         with self._clients_lock:
             if self._closed.is_set():
                 return False
@@ -217,11 +252,9 @@ class FleetRouter(CountEstimator, NdvEstimator):
             if self._closed.is_set():
                 client.kill()
                 return False
+            self._incarnation += 1
             self._clients[worker_id] = client
-        self._bump("restarts")
-        self.registry.counter(
-            "fleet_worker_restarts_total", worker=worker_id
-        ).inc()
+        self._restarts[worker_id].inc()
         return True
 
     def _supervise(self) -> None:
@@ -251,10 +284,6 @@ class FleetRouter(CountEstimator, NdvEstimator):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _bump(self, key: str, amount: int = 1) -> None:
-        with self._counts_lock:
-            self._counts[key] += amount
-
     def _hedge_wait_s(self) -> float:
         deadline = self.serving_config.deadline_ms
         if deadline is None:
@@ -281,9 +310,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
         start: float,
     ) -> FleetEstimate:
         latency = time.perf_counter() - start
-        self.registry.histogram("fleet_latency_seconds", task=task).observe(
-            latency
-        )
+        self._latency[task].observe(latency)
         return FleetEstimate(
             value=float(value),
             source=source,
@@ -300,15 +327,13 @@ class FleetRouter(CountEstimator, NdvEstimator):
         reason: str,
     ) -> FleetEstimate:
         """The owner is unusable (``reason``): answer locally."""
-        self._bump("failovers")
-        self.registry.counter("fleet_failovers_total", reason=reason).inc()
+        self._failovers[reason].inc()
         value = self._fallback_fn(task)(query)
         return self._finish(task, value, "fallback-failover", owner, start)
 
     def _dispatch(self, task: str, query: CardQuery) -> FleetEstimate:
         start = time.perf_counter()
-        self._bump("requests")
-        self.registry.counter("fleet_requests_total", task=task).inc()
+        self._requests[task].inc()
         owner = self.shard_map.owner_for_tables(query.tables)
         client = self._client(owner)
         if client is None or not client.alive:
@@ -324,8 +349,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
             # Slow is not dead: only this request degrades; the client
             # drops the late reply.
             client.abandon(req_id)
-            self._bump("hedges")
-            self.registry.counter("fleet_hedges_total", task=task).inc()
+            self._hedges[task].inc()
             return self._finish(
                 task, fallback(query), "fallback-hedge", owner, start
             )
@@ -333,10 +357,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
             return self._failover(task, query, owner, start, "died")
         except FleetError:
             # Worker-side estimation error ("err" frame): degrade locally.
-            self._bump("worker_errors")
-            self.registry.counter(
-                "fleet_worker_errors_total", task=task
-            ).inc()
+            self._worker_errors[task].inc()
             return self._finish(
                 task, fallback(query), "fallback-error", owner, start
             )
@@ -358,10 +379,17 @@ class FleetRouter(CountEstimator, NdvEstimator):
     def estimate_ndv(self, query: CardQuery) -> float:
         return self._dispatch("ndv", query).value
 
-    def cache_key(self, task: str, query: CardQuery) -> None:
-        """No tokens: a restarted worker re-reads the store, so an answer
-        can change with nothing here to name it."""
-        return None
+    def cache_key(self, task: str, query: CardQuery) -> tuple:
+        """The workers' incarnation, for every task.
+
+        A worker loads its models from the store once, at spawn, so its
+        answers change only when a restart hands its shard to a new
+        process, and every restart bumps the incarnation first.  A plan
+        memoized under one incarnation is therefore never served after a
+        restart; while a worker is down, a hit serves what the last
+        incarnation planned (a miss fails over and is never stored).
+        """
+        return (self._incarnation,)
 
     def owner_of(self, query: CardQuery) -> int:
         """The shard owner this query routes to (diagnostics and tests)."""
@@ -371,8 +399,16 @@ class FleetRouter(CountEstimator, NdvEstimator):
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> FleetStats:
-        with self._counts_lock:
-            return FleetStats(**self._counts)
+        def total(counters: dict) -> int:
+            return int(sum(counter.value for counter in counters.values()))
+
+        return FleetStats(
+            requests=total(self._requests),
+            hedges=total(self._hedges),
+            failovers=total(self._failovers),
+            worker_errors=total(self._worker_errors),
+            restarts=total(self._restarts),
+        )
 
     def worker_infos(self) -> dict[int, dict | None]:
         """Per-worker ready announcements (pid, model count)."""

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.fleet import FleetConfig
+from repro.fleet import FleetConfig, FleetRouter
+from repro.forge.store import ArtifactStore
+from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.usefixtures("fleet_card")
 
@@ -75,6 +77,23 @@ class TestFleetServing:
         fleet.estimate_count(fleet_workload.queries[0])
         after = fleet.stats()
         assert after.requests == before + 1
+
+    def test_stats_count_without_observability(
+        self, fleet_card, fleet_serving_config, fleet_workload, tmp_path
+    ):
+        ArtifactStore(tmp_path).persist_registry(fleet_card.registry)
+        with FleetRouter(
+            fleet_card.bundle,
+            tmp_path,
+            fleet_card._traditional_count,
+            serving_config=fleet_serving_config,
+            fleet_config=FleetConfig(n_workers=1),
+            registry=MetricsRegistry(enabled=False),
+        ) as router:
+            for query in fleet_workload.queries[:3]:
+                router.estimate_count(query)
+            assert router.stats().requests == 3
+            assert len(router.registry) == 0
 
     def test_merged_metrics_cover_router_and_every_worker(self, fleet):
         states = fleet.metrics_states()

@@ -17,15 +17,17 @@ cached answer by that snapshot's tokens, so:
   generation it was bound at;
 * an optimizer serves a memoized plan only while the tables it touches
   keep their state and its estimators keep their tokens, never stores a
-  plan that consulted a fallback, never memoizes the fleet, and hands
-  every caller a plan of its own.
+  plan that consulted a fallback, memoizes a fleet's plans only until a
+  worker restart, and hands every caller a plan of its own.
 
 Served answers are checked against the facade's direct answer: both sweep
 at width one, so they agree bit for bit.
 """
 
 import copy
+import os
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -45,6 +47,7 @@ from repro.engine.session import EstimatorSuite
 from repro.errors import BindError, EstimationError, ParseError
 from repro.estimators.base import CountEstimator
 from repro.estimators.traditional.selinger import SelingerEstimator
+from repro.fleet import FleetConfig
 from repro.serving import EstimationService, ServingConfig
 from repro.sql import Binder, bind_sql, parser
 from repro.sql.parser import parse_sql
@@ -59,6 +62,7 @@ from repro.sql.query import (
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
+from tests.fleet.test_fleet_faults import RESTART_WAIT_S, wait_for
 
 REPUTATION = TablePredicate("users", "Reputation", PredicateOp.GE, 10.0)
 SCORE = TablePredicate("posts", "Score", PredicateOp.LE, 40.0)
@@ -861,17 +865,109 @@ def test_editing_a_returned_plan_never_reaches_the_next_hit(bytecard):
     assert (decisions(hit), hit.decision_provenance) == expected
 
 
-def test_fleet_plans_are_never_memoized(bytecard, tmp_path):
-    """A fleet worker re-reads the store on restart, so its answers carry no
-    tokens and its plans are planned every time."""
-    with bytecard.fleet(n_workers=1, store_dir=tmp_path, serving_config=SERVING) as fleet:
-        optimizer = EngineSession(
-            bytecard.catalog, suite=EstimatorSuite("fleet", fleet, fleet)
-        ).optimizer
+def fleet_of(card: ByteCard, store_dir, **overrides):
+    """A one-worker fleet whose supervisor notices a death within ~0.1 s
+    and whose router never hedges a slow answer on a loaded host."""
+    config = FleetConfig(
+        n_workers=1,
+        hedge_timeout_ms=5000.0,
+        heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=0.5,
+        **overrides,
+    )
+    return card.fleet(store_dir=store_dir, serving_config=SERVING, fleet_config=config)
+
+
+def fleet_optimizer(card: ByteCard, fleet) -> Optimizer:
+    suite = EstimatorSuite("fleet", fleet, fleet)
+    return EngineSession(card.catalog, suite=suite).optimizer
+
+
+def kill_worker(fleet) -> int:
+    """SIGKILL worker 0 and return its pid."""
+    pid = fleet._client(0).ready_info["pid"]
+    os.kill(pid, signal.SIGKILL)
+    return pid
+
+
+def restarted(fleet, old_pid: int) -> bool:
+    client = fleet._client(0)
+    return (
+        client is not None
+        and client.alive
+        and client.ready_info is not None
+        and client.ready_info["pid"] != old_pid
+    )
+
+
+def test_fleet_plans_are_memoized_per_incarnation(bytecard, tmp_path):
+    """A fleet worker loads its models once, at spawn: until a restart, a
+    repeat is a memo hit with the first plan's decisions."""
+    with fleet_of(bytecard, tmp_path) as fleet:
+        optimizer = fleet_optimizer(bytecard, fleet)
         plans = [optimizer.plan(JOIN) for _ in range(2)]
+    assert not memo_hit(plans[0]) and memo_hit(plans[1])
+    assert len(optimizer.memo) == 1
+    assert decisions(plans[0]) == decisions(plans[1])
+
+
+def test_a_worker_restart_between_two_plans_replans(bytecard, tmp_path):
+    """A restarted worker re-reads the store: the next identical plan is
+    planned again, against the new worker."""
+    with fleet_of(bytecard, tmp_path) as fleet:
+        optimizer = fleet_optimizer(bytecard, fleet)
+        optimizer.plan(JOIN)
+        assert memo_hit(optimizer.plan(JOIN))
+        old_pid = kill_worker(fleet)
+        assert wait_for(lambda: restarted(fleet, old_pid), RESTART_WAIT_S)
+        after = optimizer.plan(JOIN)
+        fresh = fleet_optimizer(bytecard, fleet).plan(JOIN)
+    assert not after.degraded
+    assert_replanned(after, fresh)
+
+
+def test_failover_plans_are_never_stored(bytecard, tmp_path):
+    """With no restart budget a dead worker's shard fails over for good,
+    and a plan that failed over is planned again every time."""
+    with fleet_of(bytecard, tmp_path, max_restarts=0) as fleet:
+        client = fleet._client(0)
+        kill_worker(fleet)
+        assert wait_for(lambda: not client.alive, RESTART_WAIT_S)
+        optimizer = fleet_optimizer(bytecard, fleet)
+        plans = [optimizer.plan(JOIN) for _ in range(2)]
+        assert fleet.stats().failovers >= 2
+    assert all(plan.degraded for plan in plans)
     assert not any(memo_hit(plan) for plan in plans)
     assert len(optimizer.memo) == 0
-    assert decisions(plans[0]) == decisions(plans[1])
+
+
+class InstallProbe(dict):
+    """A router's client table that records the fleet's cache key at the
+    moment each client is installed, before ``_client()`` can return it."""
+
+    def __init__(self, fleet):
+        super().__init__(fleet._clients)
+        self.fleet = fleet
+        self.keys = []
+
+    def __setitem__(self, worker_id, client) -> None:
+        self.keys.append(self.fleet.cache_key("count", JOIN))
+        super().__setitem__(worker_id, client)
+
+
+def test_the_incarnation_moves_before_a_restarted_worker_is_visible(
+    bytecard, tmp_path
+):
+    with fleet_of(bytecard, tmp_path) as fleet:
+        before = fleet.cache_key("count", JOIN)
+        with fleet._clients_lock:
+            probe = fleet._clients = InstallProbe(fleet)
+        old_pid = kill_worker(fleet)
+        assert wait_for(lambda: restarted(fleet, old_pid), RESTART_WAIT_S)
+        after = fleet.cache_key("count", JOIN)
+    assert after != before
+    assert probe.keys == [after]
+    assert fleet.cache_key("group_ndv", JOIN) == after
 
 
 class Tokenless(SelingerEstimator):
