@@ -19,9 +19,8 @@ execution -- no synthetic monitor probes anywhere in this script:
 4. the forge retrains in the background and hot-swaps the model; the
    monitor's next pass (or the in-job revalidation, when its random
    draw cooperates) lifts the fallback;
-5. scrape the loop's own metrics: records captured, evidence consumed,
-   and the ``adaptive_replan_total`` counter fed by mid-plan join
-   re-ranking.
+5. scrape the loop's own metrics: records captured and evidence
+   consumed.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ def main(store_dir: str) -> None:
     session = EngineSession(
         bundle.catalog,
         suite=bytecard.as_suite(),
-        config=EngineConfig(
-            enable_feedback=True, adaptive_replan_factor=4.0
-        ),
+        config=EngineConfig(enable_feedback=True),
         registry=bytecard.obs,
     )
     assert session.feedback is log
@@ -79,18 +76,14 @@ def main(store_dir: str) -> None:
         )
 
     # Multi-join traffic over the drifted table: each join step's actual
-    # intermediate cardinality is captured too, and a step whose actual
-    # deviates > 4x from the stale plan estimate re-ranks the remaining
-    # joins mid-flight.
+    # intermediate cardinality is captured too.
     from repro.workloads import aeolus_online
 
     workload = aeolus_online(bundle, num_queries=20, seed=5)
-    replans = 0
     for query in [q for q in workload.queries if len(q.joins) >= 2][:4]:
-        replans += session.run(query).adaptive_replans
+        session.run(query)
     joins = sum(1 for r in log.snapshot() if r.kind == "join")
-    print(f"  + {joins} join-step records from multi-join traffic "
-          f"({replans} adaptive replans)")
+    print(f"  + {joins} join-step records from multi-join traffic")
 
     print("== 3. gate the model on runtime evidence alone ==")
     with bytecard.forge(store_dir) as manager:
@@ -122,7 +115,7 @@ def main(store_dir: str) -> None:
     print("== 5. the loop's own metrics ==")
     for line in bytecard.metrics_text().splitlines():
         if line.startswith(
-            ("feedback_", "monitor_feedback", "adaptive_replan", "forge_jobs")
+            ("feedback_", "monitor_feedback", "forge_jobs")
         ):
             print(f"  {line}")
 

@@ -19,7 +19,7 @@ The most useful entry points::
 
 from repro.core.bytecard import ByteCard
 from repro.core.config import ByteCardConfig
-from repro.datasets import make_aeolus, make_imdb, make_stats, scale_bundle
+from repro.datasets import make_aeolus, make_imdb, make_stats
 from repro.engine import EngineSession, EstimatorSuite
 from repro.sql import bind_sql, parse_sql
 
@@ -31,7 +31,6 @@ __all__ = [
     "make_imdb",
     "make_stats",
     "make_aeolus",
-    "scale_bundle",
     "EngineSession",
     "EstimatorSuite",
     "bind_sql",

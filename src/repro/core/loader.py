@@ -236,11 +236,6 @@ class ModelLoader:
             entry.last_used = self._tick
             return entry.engine
 
-    def peek_last_used(self, kind: str, name: str) -> int | None:
-        """The recency tick of a loaded model, without touching it."""
-        entry = self._loaded.get((kind, name))
-        return None if entry is None else entry.last_used
-
     def loaded_keys(self) -> list[tuple[str, str]]:
         with self._lock:
             return sorted(self._loaded)

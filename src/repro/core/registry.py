@@ -59,18 +59,5 @@ class ModelRegistry:
             return None
         return versions[-1]
 
-    def versions(self, kind: str, name: str) -> list[ModelRecord]:
-        return list(self._records.get((kind, name), []))
-
     def keys(self) -> list[tuple[str, str]]:
         return sorted(self._records)
-
-    def purge_older_than(self, keep_latest: int = 2) -> int:
-        """Drop stale versions (the paper's automatic training-data purge
-        applied to model artifacts); returns how many were removed."""
-        removed = 0
-        for key, versions in self._records.items():
-            if len(versions) > keep_latest:
-                removed += len(versions) - keep_latest
-                self._records[key] = versions[-keep_latest:]
-        return removed

@@ -13,12 +13,10 @@ from repro.datasets.base import DatasetBundle
 from repro.datasets.imdb import make_imdb
 from repro.datasets.stats import make_stats
 from repro.datasets.aeolus import make_aeolus
-from repro.datasets.scaling import scale_bundle
 
 __all__ = [
     "DatasetBundle",
     "make_imdb",
     "make_stats",
     "make_aeolus",
-    "scale_bundle",
 ]

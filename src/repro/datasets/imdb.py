@@ -31,7 +31,7 @@ from repro.storage.table import Table
 from repro.utils.rng import derive_rng
 
 #: Base row counts at ``scale=1.0`` -- deliberately laptop-sized; the paper's
-#: 1 TB scale is reached in experiments via ``scale_bundle``.
+#: 1 TB scale is out of reach in process (see DESIGN.md's substitutions).
 BASE_ROWS = {
     "title": 6000,
     "movie_companies": 15000,

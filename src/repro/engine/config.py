@@ -2,22 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _default_scan_parallelism() -> int:
-    """Default worker count for partition fan-out.
-
-    ``REPRO_SCAN_PARALLELISM`` overrides the default of 1 (sequential, the
-    pre-partitioning behaviour); CI's engine-parallel-smoke job uses it to
-    run the whole engine suite at parallelism 4.
-    """
-    raw = os.environ.get("REPRO_SCAN_PARALLELISM", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -49,10 +34,6 @@ class EngineConfig:
     #: (exact left-deep dynamic programming over connected subsets --
     #: affordable for the <= 8-way joins of the paper's workloads)
     join_order_strategy: str = "greedy"
-    #: worker threads for scanning surviving partitions concurrently;
-    #: 1 (the default) scans sequentially and is bit-identical to the
-    #: pre-partitioning engine.  Overridable via REPRO_SCAN_PARALLELISM.
-    scan_parallelism: int = field(default_factory=_default_scan_parallelism)
     #: consult zone maps to skip partitions before any block I/O
     partition_pruning: bool = True
     #: capture (fingerprint, estimated, actual) pairs into the session's
@@ -63,11 +44,6 @@ class EngineConfig:
     enable_feedback: bool = False
     #: ring capacity of an auto-created feedback log
     feedback_capacity: int = 4096
-    #: mid-plan adaptivity: when a join step's actual cardinality deviates
-    #: from its estimate by more than this factor (Q-Error-style ratio),
-    #: re-rank the remaining join order on observed scan cardinalities and
-    #: count ``adaptive_replan_total``.  ``0`` disables replanning.
-    adaptive_replan_factor: float = 0.0
 
     # cost-model weights (abstract units)
     io_block_cost: float = 1.0

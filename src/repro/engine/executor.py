@@ -1,11 +1,12 @@
 """Physical-plan execution and the cost model.
 
 Executes a :class:`PhysicalPlan`: scans each table with its chosen reader
-(charging block I/O), runs the hash joins in the chosen order, and -- for
-GROUP BY queries -- hash-aggregates with the plan's NDV-driven initial
-capacity.  The result carries the full cost breakdown the benchmarks plot:
-blocks read (Figure 6a), resize counts (Figure 6b), and total latency in
-cost units (Figure 5).
+(charging block I/O), runs the hash joins one step at a time in the plan's
+order, and -- for GROUP BY queries -- hash-aggregates with the plan's
+NDV-driven initial capacity.  With feedback capture on, every scan and
+join step records its actual cardinality beside its estimate.  The result
+carries the full cost breakdown the benchmarks plot: blocks read (Figure
+6a), resize counts (Figure 6b), and total latency in cost units (Figure 5).
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class QueryResult:
     #: optimizer's estimates were produced, incl. actual vs. saved BN
     #: inference pass counts from shared-belief plans)
     estimate_provenance: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: mid-plan join-order re-rankings triggered by observed cardinalities
-    adaptive_replans: int = 0
 
     @property
     def total_cost(self) -> float:
@@ -108,7 +107,6 @@ class Executor:
                 io,
                 reader=plan.readers.get(table_name, ReaderKind.SINGLE_STAGE),
                 column_order=plan.column_orders.get(table_name),
-                parallelism=self.config.scan_parallelism,
                 prune=self.config.partition_pruning,
                 registry=self.registry,
             )
@@ -120,9 +118,7 @@ class Executor:
 
         scanned_rows = {name: scan.row_indices for name, scan in scans.items()}
         stage_start = time.perf_counter()
-        join_exec, adaptive_replans = self._execute_joins(
-            query, plan, scanned_rows, capture
-        )
+        join_exec = self._execute_joins(query, plan, scanned_rows, capture)
         stage_timings["join"] = time.perf_counter() - stage_start
 
         aggregation: AggregationResult | None = None
@@ -171,7 +167,6 @@ class Executor:
                 decision: dict(sources)
                 for decision, sources in plan.decision_provenance.items()
             },
-            adaptive_replans=adaptive_replans,
         )
 
     # ------------------------------------------------------------------
@@ -235,21 +230,17 @@ class Executor:
         plan: PhysicalPlan,
         scanned_rows: dict[str, np.ndarray],
         capture: bool,
-    ) -> tuple[JoinExecution, int]:
-        """Drive the joins one step at a time -- the only join driver.
+    ) -> JoinExecution:
+        """Drive the joins one step at a time, in the plan's order.
 
-        After every step the actual intermediate cardinality is known; it is
-        (a) recorded as join feedback when ``capture`` is on and (b) when
-        adaptivity is on, compared against the plan's per-step estimate --
-        when the deviation exceeds
-        ``config.adaptive_replan_factor`` the remaining order is re-ranked
-        on observed scan cardinalities (a valid linearization is preserved:
-        every re-ranked step still connects to the joined prefix).
+        After every step the actual intermediate cardinality is known; when
+        ``capture`` is on it is recorded as join feedback beside the plan's
+        per-step estimate.
         """
         if not query.joins:
             table = query.tables[0]
-            return JoinExecution(tuples={table: scanned_rows[table]}), 0
-        order = list(plan.join_order)
+            return JoinExecution(tuples={table: scanned_rows[table]})
+        order = plan.join_order
         if len(order) != len(query.joins):
             raise ExecutionError(
                 f"join order has {len(order)} steps for {len(query.joins)} joins"
@@ -259,12 +250,8 @@ class Executor:
             tuples={order[0].left_table: scanned_rows[order[0].left_table]}
         )
         executed: list[JoinCondition] = []
-        replans = 0
-        factor = self.config.adaptive_replan_factor
-        index = 0
-        while index < len(order):
-            join = order[index]
-            out_rows = hash_join_step(
+        for index, join in enumerate(order):
+            hash_join_step(
                 self.catalog,
                 execution,
                 join,
@@ -272,36 +259,14 @@ class Executor:
                 max_intermediate_rows=self.config.max_intermediate_rows,
             )
             executed.append(join)
-            # Plan-recorded estimates only line up with the original order;
-            # after a replan the executed prefix diverges from what the
-            # optimizer costed, so stop attributing its numbers.
-            estimate: float | None = None
-            if replans == 0 and index < len(estimates):
-                estimate = estimates[index]
-                if not math.isfinite(estimate):
-                    estimate = None
             if capture:
+                estimate: float | None = None
+                if index < len(estimates) and math.isfinite(estimates[index]):
+                    estimate = estimates[index]
                 self._record_join_feedback(
                     query, plan, execution, executed, estimate
                 )
-            if (
-                factor > 0
-                and replans == 0
-                and estimate is not None
-                and estimate > 0
-                and index + 1 < len(order)
-            ):
-                actual = max(float(out_rows), 1.0)
-                expected = max(estimate, 1.0)
-                deviation = max(actual / expected, expected / actual)
-                if deviation > factor:
-                    order = order[: index + 1] + self._rerank_remaining(
-                        set(execution.tuples), order[index + 1 :], scanned_rows
-                    )
-                    replans += 1
-                    self.registry.counter("adaptive_replan_total").inc()
-            index += 1
-        return execution, replans
+        return execution
 
     def _record_join_feedback(
         self,
@@ -342,43 +307,6 @@ class Executor:
             source=source,
             kind="join",
         )
-
-    def _rerank_remaining(
-        self,
-        joined: set[str],
-        remaining: list[JoinCondition],
-        scanned_rows: dict[str, np.ndarray],
-    ) -> list[JoinCondition]:
-        """Greedy smallest-observed-next ordering of the leftover joins.
-
-        Unlike planning-time ordering this ranks on *actual* scanned
-        cardinalities -- free information the plan's estimates got wrong
-        badly enough to trigger the replan.
-        """
-        joined = set(joined)
-        queue = list(remaining)
-        reordered: list[JoinCondition] = []
-        while queue:
-            candidates = [
-                j
-                for j in queue
-                if (j.left_table in joined) != (j.right_table in joined)
-            ]
-            if not candidates:
-                # Disconnected leftovers; keep their original relative order.
-                candidates = queue[:1]
-
-            def observed_size(condition: JoinCondition) -> int:
-                left, right = condition.tables()
-                new_table = right if left in joined else left
-                rows = scanned_rows.get(new_table)
-                return int(rows.size) if rows is not None else 0
-
-            best = min(candidates, key=observed_size)
-            reordered.append(best)
-            joined |= set(best.tables())
-            queue.remove(best)
-        return reordered
 
     # ------------------------------------------------------------------
     def _record_metrics(

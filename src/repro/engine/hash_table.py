@@ -83,13 +83,3 @@ class SimulatedHashTable:
         self._resident.update(fresh)
         self._grow_to(self.distinct + len(fresh))
         return self.distinct
-
-    def insert_distinct_total(self, total_distinct: int) -> None:
-        """Insert ``total_distinct`` brand-new (anonymous) keys.
-
-        The keys are assumed disjoint from everything inserted so far; use
-        :meth:`insert_stream` when re-inserted keys must be deduplicated.
-        """
-        if total_distinct < 0:
-            raise ValueError("distinct count cannot be negative")
-        self._grow_to(self.distinct + total_distinct)

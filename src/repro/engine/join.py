@@ -74,12 +74,11 @@ def hash_join_step(
     join: JoinCondition,
     scanned: dict[str, np.ndarray],
     max_intermediate_rows: int = 30_000_000,
-) -> int:
+) -> None:
     """Join one new table into the accumulated execution, **in place**.
 
     The executor drives joins step by step, observing each step's actual
-    cardinality (runtime feedback, adaptive replanning).  Returns the step's
-    output row count.
+    cardinality (runtime feedback).
     """
     joined_tables = set(execution.tuples)
     left, right = join.tables()
@@ -121,4 +120,3 @@ def hash_join_step(
     execution.build_rows += int(new_rows.size)
     execution.probe_rows += int(old_keys.size)
     execution.intermediate_sizes.append(out_rows)
-    return out_rows

@@ -1,22 +1,24 @@
-"""Partition pruning and the parallel partitioned-scan driver.
+"""Partition pruning and the partitioned-scan driver.
 
 The driver is the engine's partition-native entry point for table scans:
 
 1. **Prune** -- every partition's zone maps are tested against the query's
    predicates; partitions that provably contain no matching row are skipped
    before any block I/O (the counters below record how many).
-2. **Fan out** -- surviving partitions are scanned with the table's reader
-   (single- or multi-stage) and column order, either sequentially or over a
-   bounded ``ThreadPoolExecutor`` (``EngineConfig.scan_parallelism``).
-3. **Merge** -- per-partition :class:`ScanResult`s and private
-   :class:`IOCounter`s are folded back *in partition order*, so results and
-   I/O charges are bit-identical at any parallelism level.
+2. **Scan** -- surviving partitions are scanned in partition order with the
+   table's reader (single- or multi-stage) and column order, all charging
+   the query's one :class:`IOCounter` (a string dictionary is charged once
+   per column, however many partitions read it).
+3. **Merge** -- per-partition :class:`ScanResult`s are folded into one, in
+   partition order.
+
+Scan parallelism belongs to the production engine's MPP workers; the
+in-process reproduction scans one partition at a time.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -114,16 +116,13 @@ def partitioned_scan(
     *,
     reader: ReaderKind = ReaderKind.SINGLE_STAGE,
     column_order: list[str] | None = None,
-    parallelism: int = 1,
     prune: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> ScanResult:
-    """Prune, scan surviving partitions (possibly in parallel), and merge.
+    """Prune, scan surviving partitions in order, and merge.
 
     Every surviving partition is scanned with the optimizer's table-level
-    ``reader`` and ``column_order``.  The returned :class:`ScanResult` and
-    the charges applied to ``io`` are identical for any ``parallelism``
-    value.
+    ``reader`` and ``column_order``, charging ``io``.
     """
     registry = registry if registry is not None else MetricsRegistry(enabled=False)
     if prune:
@@ -134,20 +133,20 @@ def partitioned_scan(
         registry.counter("engine_partitions_scanned_total").inc(len(survivors))
         registry.counter("engine_partitions_pruned_total").inc(len(pruned))
 
-    def scan_one(partition: Partition, local_io: IOCounter) -> ScanResult:
+    def scan_one(partition: Partition) -> ScanResult:
         start = time.perf_counter()
         if reader is ReaderKind.MULTI_STAGE:
             result = multi_stage_scan(
                 table,
                 query,
                 payload_columns,
-                local_io,
+                io,
                 column_order=column_order,
                 partition=partition,
             )
         else:
             result = single_stage_scan(
-                table, query, payload_columns, local_io, partition=partition
+                table, query, payload_columns, io, partition=partition
             )
         if registry.enabled:
             registry.histogram(
@@ -155,24 +154,7 @@ def partitioned_scan(
             ).observe(time.perf_counter() - start)
         return result
 
-    results: list[ScanResult]
-    if parallelism <= 1 or len(survivors) <= 1:
-        results = [scan_one(partition, io) for partition in survivors]
-    else:
-        # Each worker charges a private counter; merging in partition order
-        # keeps totals deterministic and dictionary charges de-duplicated.
-        local_counters = [IOCounter() for _ in survivors]
-        workers = min(parallelism, len(survivors))
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-scan"
-        ) as pool:
-            futures = [
-                pool.submit(scan_one, partition, counter)
-                for partition, counter in zip(survivors, local_counters)
-            ]
-            results = [future.result() for future in futures]
-        for counter in local_counters:
-            io.merge(counter)
+    results = [scan_one(partition) for partition in survivors]
     return _merge_scan_results(
         table, reader, results, pruned, table.num_partitions
     )

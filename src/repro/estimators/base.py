@@ -109,8 +109,9 @@ class NdvEstimator(abc.ABC):
     def estimate_ndv(self, query: CardQuery) -> float:
         """Estimated number of distinct values of the aggregate target."""
 
+    @abc.abstractmethod
     def estimation_overhead(self, query: CardQuery) -> float:
-        return 0.01
+        """Cost-model units spent producing one NDV estimate for ``query``."""
 
     def cache_key(self, task: str, query: CardQuery) -> tuple | None:
         """See :meth:`CountEstimator.cache_key`."""

@@ -109,11 +109,6 @@ class BayesCardEstimator(CountEstimator):
         return float(np.dot(distribution, means))
 
     # ------------------------------------------------------------------
-    def selectivity(self, query: CardQuery) -> float:
-        if not query.is_single_table():
-            raise EstimationError("selectivity() is defined for single tables")
-        return self._local_selectivity(query, query.tables[0])
-
     def estimate_count(self, query: CardQuery) -> float:
         if query.is_single_table():
             table = query.tables[0]
@@ -159,9 +154,6 @@ class BayesCardEstimator(CountEstimator):
             # factor is evaluated over its unconditioned row distribution.
             factor *= conditional * self._subtree_factor(query, tree, child)
         return factor
-
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return 0.04 * len(query.tables) + 0.02 * len(query.joins)
 
     @property
     def nbytes(self) -> int:

@@ -138,10 +138,6 @@ class BNCountEstimator(CountEstimator):
         model = self.model_for(query.tables[0])
         return 0.03 + 0.005 * len(model.columns)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(model.nbytes for model in self.models.values())
-
 
 def _require_single_table(query: CardQuery) -> None:
     if not query.is_single_table():

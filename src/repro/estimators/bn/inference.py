@@ -147,10 +147,6 @@ class BNInferenceContext:
     def bin_count(self, node: int) -> int:
         return self.bins[node]
 
-    @property
-    def nbytes(self) -> int:
-        return int(sum(c.nbytes for c in self.cpds))
-
     def _check_evidence(self, evidence: Sequence[np.ndarray]) -> None:
         if len(evidence) != self.num_nodes:
             raise ModelError(

@@ -118,9 +118,6 @@ class DeepDBEstimator(CountEstimator):
                 estimate /= filtered_rows ** (count - 1)
         return max(estimate, 0.0)
 
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return 0.1 * (len(query.tables) + len(query.joins))
-
     @property
     def nbytes(self) -> int:
         total = sum(spn.nbytes for spn in self.table_spns.values())

@@ -15,10 +15,6 @@ from repro.estimators.factorjoin.estimator import (
     SELECTIVITY_FLOOR,
     FactorJoinEstimator,
 )
-from repro.estimators.factorjoin.dimension_reduction import (
-    join_key_tree,
-    pairwise_bucket_joint,
-)
 from repro.estimators.factorjoin.plans import (
     PassStats,
     PlanArtifactSource,
@@ -37,6 +33,4 @@ __all__ = [
     "PlanArtifactSource",
     "QueryInferencePlans",
     "TableInferencePlan",
-    "join_key_tree",
-    "pairwise_bucket_joint",
 ]

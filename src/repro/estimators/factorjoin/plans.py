@@ -48,11 +48,6 @@ class PassStats:
     def snapshot(self) -> "PassStats":
         return PassStats(self.requested, self.executed)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PassStats(requested={self.requested}, executed={self.executed})"
-        )
-
 
 class PlanArtifacts:
     """Fill-once results of one (table, base-predicates, OR-groups) scope.

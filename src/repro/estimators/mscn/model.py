@@ -32,9 +32,6 @@ class MSCNEstimator(CountEstimator):
     def selectivity(self, query: CardQuery) -> float:
         raise EstimationError("MSCN predicts cardinalities, not selectivities")
 
-    def estimation_overhead(self, query: CardQuery) -> float:
-        return 0.05  # featurization + one small forward pass
-
     @property
     def nbytes(self) -> int:
         return self.network.nbytes

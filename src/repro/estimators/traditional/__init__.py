@@ -5,7 +5,7 @@
   HyperLogLog sketches for NDV -- ByteHouse's original estimator;
 * **sample-based**: uniform row samples evaluated at query time (the
   AnalyticDB-style comparator), for both COUNT and NDV;
-* **heuristic NDV**: Chao, GEE, and linear scale-up sample extrapolators.
+* **heuristic NDV**: GEE and linear scale-up sample extrapolators.
 """
 
 from repro.estimators.traditional.histogram import EquiHeightHistogram
@@ -16,7 +16,6 @@ from repro.estimators.traditional.sampling import (
     SamplingNdvEstimator,
 )
 from repro.estimators.traditional.ndv_heuristics import (
-    chao_estimate,
     gee_estimate,
     linear_scaleup_estimate,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "SketchNdvEstimator",
     "SamplingCountEstimator",
     "SamplingNdvEstimator",
-    "chao_estimate",
     "gee_estimate",
     "linear_scaleup_estimate",
 ]

@@ -80,11 +80,6 @@ class EquiHeightHistogram:
         index = np.searchsorted(self.edges, values, side="right") - 1
         return np.clip(index, 0, self.num_buckets - 1)
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate serialized size (for model-size reporting)."""
-        return int(self.edges.nbytes + self.counts.nbytes + self.distincts.nbytes)
-
     # ------------------------------------------------------------------
     # Selectivities (fractions of rows)
     # ------------------------------------------------------------------
@@ -143,16 +138,3 @@ class EquiHeightHistogram:
             fraction = min(1.0, (overlap_hi - overlap_lo) / width)
             covered += fraction * self.counts[bucket]
         return float(min(1.0, covered / self.total_rows))
-
-    def ndv_in_range(self, low: float, high: float) -> float:
-        """Estimated distinct values within [low, high]."""
-        total = 0.0
-        for bucket in range(self.num_buckets):
-            b_lo = self.edges[bucket]
-            b_hi = self.edges[bucket + 1]
-            width = max(b_hi - b_lo, 1e-12)
-            overlap = min(high, b_hi) - max(low, b_lo)
-            if overlap <= 0 and not (low <= b_lo <= high):
-                continue
-            total += max(0.0, min(1.0, overlap / width)) * self.distincts[bucket]
-        return max(1.0, total)

@@ -71,15 +71,6 @@ class HyperLogLog:
             return m * float(np.log(m / zeros))  # linear counting
         return raw
 
-    def merge(self, other: "HyperLogLog") -> None:
-        if other.precision != self.precision:
-            raise ValueError("cannot merge sketches of different precision")
-        np.maximum(self.registers, other.registers, out=self.registers)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.registers.nbytes)
-
 
 class SketchNdvEstimator(NdvEstimator):
     """Precomputed per-column HLL sketches (ByteHouse's original NDV path).

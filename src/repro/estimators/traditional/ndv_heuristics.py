@@ -3,8 +3,6 @@
 These are the "sample-based estimators [that] often rely on specific
 heuristics or data assumptions" the paper contrasts RBX against:
 
-* **Chao (1984/1992)**: ``d + f1^2 / (2 f2)`` -- a lower-bound estimator
-  driven by singleton/doubleton counts;
 * **GEE** (Charikar et al. 2000, "Towards estimation error guarantees for
   distinct values"): ``sqrt(N/n) * f1 + sum_{j>=2} f_j`` -- the
   guaranteed-error estimator;
@@ -16,21 +14,6 @@ from __future__ import annotations
 import math
 
 from repro.estimators.frequency import FrequencyProfile
-
-
-def chao_estimate(profile: FrequencyProfile) -> float:
-    """Chao's estimator from a frequency profile."""
-    d = profile.sample_distinct
-    if d == 0:
-        return 0.0
-    f1 = float(profile.counts[0]) if profile.counts.size >= 1 else 0.0
-    f2 = float(profile.counts[1]) if profile.counts.size >= 2 else 0.0
-    if f2 > 0:
-        estimate = d + f1 * f1 / (2.0 * f2)
-    else:
-        # Chao's bias-corrected form when no doubletons were observed.
-        estimate = d + f1 * (f1 - 1.0) / 2.0
-    return min(estimate, float(profile.population_size))
 
 
 def gee_estimate(profile: FrequencyProfile) -> float:

@@ -52,10 +52,6 @@ class SamplingCountEstimator(CountEstimator):
         self._store = _SampleStore(catalog, rate, seed)
         self.catalog = catalog
 
-    @property
-    def rate(self) -> float:
-        return self._store.rate
-
     def selectivity(self, query: CardQuery) -> float:
         if not query.is_single_table():
             raise EstimationError("selectivity() is defined for single tables")

@@ -46,7 +46,7 @@ from typing import Callable
 
 from repro.core.config import ByteCardConfig
 from repro.datasets.base import DatasetBundle
-from repro.errors import EstimationError, FleetError, WorkerDied
+from repro.errors import FleetError, WorkerDied
 from repro.estimators.base import CountEstimator, NdvEstimator
 from repro.fleet.client import FRAME_DROP_REASONS, WorkerClient
 from repro.fleet.config import FleetConfig
@@ -119,7 +119,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
         bundle: DatasetBundle,
         store_dir,
         fallback_count: CountEstimator,
-        fallback_ndv: NdvEstimator | None = None,
+        fallback_ndv: NdvEstimator,
         bytecard_config: ByteCardConfig | None = None,
         serving_config: ServingConfig | None = None,
         fleet_config: FleetConfig | None = None,
@@ -293,13 +293,7 @@ class FleetRouter(CountEstimator, NdvEstimator):
     def _fallback_fn(self, task: str) -> Callable[[CardQuery], float]:
         if task == "count":
             return self.fallback_count.estimate_count
-        if self.fallback_ndv is not None:
-            return self.fallback_ndv.estimate_ndv
-
-        def no_ndv_fallback(_query: CardQuery) -> float:
-            raise EstimationError("fleet has no NDV fallback estimator")
-
-        return no_ndv_fallback
+        return self.fallback_ndv.estimate_ndv
 
     def _finish(
         self,

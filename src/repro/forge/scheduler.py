@@ -53,10 +53,6 @@ class JobState(enum.Enum):
     #: a retry found a newer pending job for the same key and yielded to it
     SUPERSEDED = "superseded"
 
-    @property
-    def terminal(self) -> bool:
-        return self not in (JobState.PENDING, JobState.RUNNING)
-
 
 @dataclass
 class ForgeJob:
@@ -244,10 +240,6 @@ class TrainingScheduler:
     def running_count(self) -> int:
         with self._cond:
             return self._running
-
-    def pending_keys(self) -> list[tuple[str, str]]:
-        with self._cond:
-            return sorted(self._pending)
 
     # ------------------------------------------------------------------
     # Worker loop

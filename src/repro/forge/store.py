@@ -51,10 +51,6 @@ class ArtifactRecord:
     #: the registry timestamp the blob was published under (0 if unknown)
     timestamp: int
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.kind, self.name)
-
 
 @dataclass
 class RecoveryReport:

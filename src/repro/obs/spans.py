@@ -33,9 +33,6 @@ class SpanRecord:
     name: str
     duration_s: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}={self.duration_s * 1e3:.3f}ms"
-
 
 class Tracer:
     """Times stages into a registry (and optionally a per-request sink)."""

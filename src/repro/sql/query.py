@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import SchemaError
 
@@ -296,10 +296,3 @@ class CardQuery:
         if self.group_by:
             parts.append("GROUP BY " + ", ".join(f"{t}.{c}" for t, c in self.group_by))
         return " ".join(parts)
-
-
-def predicate_signature(predicates: Sequence[TablePredicate]) -> tuple:
-    """Hashable signature of a predicate set (used for caches and dedup)."""
-    return tuple(
-        sorted((p.table, p.column, p.op.value, p.value) for p in predicates)
-    )

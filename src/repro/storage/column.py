@@ -87,9 +87,6 @@ class Column:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def __repr__(self) -> str:
-        return f"Column({self.name!r}, {self.ctype.value}, n={len(self)})"
-
     @property
     def nbytes(self) -> int:
         """Approximate storage footprint, used by the I/O cost model."""

@@ -5,14 +5,10 @@ ByteHouse charges I/O per column block read from the distributed file system.
 they touch, and Figure 6(a)'s "Reading I/Os" is the resulting
 :attr:`blocks_read` total.
 
-Two details matter for byte accounting:
-
-* a string column's dictionary is loaded **once per column**, not once per
-  block -- :meth:`IOCounter.record_dictionary` charges it exactly once per
-  (table, column) pair per counter;
-* parallel partition scans accumulate into private counters that are folded
-  back with :meth:`IOCounter.merge`, which de-duplicates dictionary charges
-  so the merged totals are identical to a sequential scan's.
+A string column's dictionary is loaded **once per column**, not once per
+block: :meth:`IOCounter.record_dictionary` charges it exactly once per
+(table, column) pair per counter, so a scan over many partitions charges it
+once.
 """
 
 from __future__ import annotations
@@ -54,40 +50,3 @@ class IOCounter:
         self.dict_charges[key] = nbytes
         self.bytes_read += nbytes
         return True
-
-    def merge(self, other: "IOCounter") -> None:
-        """Fold another counter into this one, de-duplicating dictionaries.
-
-        Used by the parallel partition-scan driver: each worker charges a
-        private counter, and merging in partition order yields byte/block
-        totals identical to a single-threaded scan over the same partitions.
-        """
-        self.blocks_read += other.blocks_read
-        self.rows_read += other.rows_read
-        self.bytes_read += other.bytes_read
-        for key, count in other.per_column.items():
-            self.per_column[key] = self.per_column.get(key, 0) + count
-        for key, nbytes in other.dict_charges.items():
-            if key in self.dict_charges:
-                # Both counters charged this dictionary; keep a single charge.
-                self.bytes_read -= nbytes
-            else:
-                self.dict_charges[key] = nbytes
-
-    def reset(self) -> None:
-        self.blocks_read = 0
-        self.rows_read = 0
-        self.bytes_read = 0
-        self.per_column.clear()
-        self.dict_charges.clear()
-
-    def snapshot(self) -> "IOCounter":
-        """Immutable-ish copy for before/after comparisons."""
-        copy = IOCounter(
-            blocks_read=self.blocks_read,
-            rows_read=self.rows_read,
-            bytes_read=self.bytes_read,
-        )
-        copy.per_column = dict(self.per_column)
-        copy.dict_charges = dict(self.dict_charges)
-        return copy

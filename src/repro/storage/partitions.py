@@ -104,9 +104,3 @@ class Partition:
             )
         start = self.row_start + block_index * self.block_size
         return start, min(start + self.block_size, self.row_stop)
-
-    def __repr__(self) -> str:
-        return (
-            f"Partition({self.table_name!r}, index={self.index}, "
-            f"rows=[{self.row_start}, {self.row_stop}))"
-        )

@@ -40,9 +40,6 @@ class TableSchema:
     name: str
     columns: tuple[ColumnSpec, ...]
 
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.columns)
-
     def spec(self, column: str) -> ColumnSpec:
         for item in self.columns:
             if item.name == column:
@@ -164,16 +161,6 @@ class Table:
 
     def __len__(self) -> int:
         return self.num_rows
-
-    def __repr__(self) -> str:
-        return (
-            f"Table({self.name!r}, rows={self.num_rows}, "
-            f"cols={len(self._order)}, partitions={self.num_partitions})"
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return sum(col.nbytes for col in self._columns.values())
 
     # ------------------------------------------------------------------
     # Partitions and zone maps

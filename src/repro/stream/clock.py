@@ -60,6 +60,3 @@ class SimClock:
         if delay is None:
             return None
         return self.poll_s
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now={self.now():.3f})"

@@ -49,9 +49,6 @@ class SystemClock:
     def wait_timeout(self, delay: float | None) -> float | None:
         return delay
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "SystemClock()"
-
 
 #: shared default instance; ``clock=None`` parameters resolve to this
 SYSTEM_CLOCK = SystemClock()

@@ -14,7 +14,6 @@ from repro.workloads.definitions import (
     aeolus_online,
 )
 from repro.workloads.statistics import WorkloadStatistics, compute_statistics
-from repro.workloads.serialization import save_workload, load_workload
 
 __all__ = [
     "true_count",
@@ -28,6 +27,4 @@ __all__ = [
     "aeolus_online",
     "WorkloadStatistics",
     "compute_statistics",
-    "save_workload",
-    "load_workload",
 ]

@@ -119,16 +119,6 @@ class TestRegistry:
         registry.publish("bn", "a", b"y")
         assert registry.keys() == [("bn", "a"), ("rbx", "universal")]
 
-    def test_purge_keeps_latest(self):
-        registry = ModelRegistry()
-        for i in range(5):
-            registry.publish("bn", "t", bytes([i]))
-        removed = registry.purge_older_than(keep_latest=2)
-        assert removed == 3
-        assert len(registry.versions("bn", "t")) == 2
-        latest = registry.latest("bn", "t")
-        assert latest is not None and latest.blob == bytes([4])
-
     def test_directory_backing(self, tmp_path):
         registry = ModelRegistry(directory=tmp_path)
         record = registry.publish("bn", "t", b"payload")

@@ -234,7 +234,7 @@ class TestLoaderBookkeeping:
             registry.publish("bn", name, blob)
         loader = self._loader(small_catalog, registry)
         loader.refresh()
-        ticks = [loader.peek_last_used("bn", n) for n in ("a", "b", "c")]
+        ticks = [loader._loaded[("bn", n)].last_used for n in ("a", "b", "c")]
         assert len(set(ticks)) == 3
 
     def test_get_strictly_increases_recency(self, small_catalog, bn_blob):
@@ -243,11 +243,11 @@ class TestLoaderBookkeeping:
         registry.publish("bn", "t", blob)
         loader = self._loader(small_catalog, registry)
         loader.refresh()
-        first = loader.peek_last_used("bn", "t")
+        first = loader._loaded[("bn", "t")].last_used
         loader.get("bn", "t")
-        second = loader.peek_last_used("bn", "t")
+        second = loader._loaded[("bn", "t")].last_used
         loader.get("bn", "t")
-        third = loader.peek_last_used("bn", "t")
+        third = loader._loaded[("bn", "t")].last_used
         assert first < second < third
 
     def test_eviction_tie_break_is_insertion_order(self, small_catalog, bn_blob):

@@ -17,25 +17,23 @@ class TestBasics:
             SimulatedHashTable(initial_capacity=0)
         with pytest.raises(ValueError):
             SimulatedHashTable(load_factor=0.0)
-        with pytest.raises(ValueError):
-            SimulatedHashTable(initial_capacity=4).insert_distinct_total(-1)
 
     def test_no_resize_when_presized(self):
         table = SimulatedHashTable(initial_capacity=4096, load_factor=0.5)
-        table.insert_distinct_total(2000)
+        table.insert_stream(np.arange(2000))
         assert table.resize_count == 0
         assert table.moved_entries == 0
 
     def test_resizes_double_capacity(self):
         table = SimulatedHashTable(initial_capacity=4, load_factor=0.5)
-        table.insert_distinct_total(100)
+        table.insert_stream(np.arange(100))
         # thresholds crossed: 2, 4, 8, 16, 32, 64 -> capacity 256.
         assert table.capacity == 256
         assert table.resize_count == 6
 
     def test_moved_entries_accumulate(self):
         table = SimulatedHashTable(initial_capacity=4, load_factor=0.5)
-        table.insert_distinct_total(9)
+        table.insert_stream(np.arange(9))
         # moves at thresholds 2, 4, 8: 2 + 4 + 8 = 14.
         assert table.moved_entries == 14
 
@@ -106,7 +104,7 @@ class TestOverlappingStreams:
             table.insert_stream(block)
             seen.update(block.tolist())
         reference = SimulatedHashTable(initial_capacity=4, load_factor=0.5)
-        reference.insert_distinct_total(len(seen))
+        reference.insert_stream(np.arange(len(seen)))
         assert table.distinct == len(seen)
         assert table.resize_count == reference.resize_count
         assert table.moved_entries == reference.moved_entries
@@ -139,7 +137,7 @@ class TestPreSizingEffect:
     @settings(max_examples=60, deadline=None)
     def test_final_capacity_accommodates_distinct(self, distinct, initial):
         table = SimulatedHashTable(initial_capacity=initial, load_factor=0.5)
-        table.insert_distinct_total(distinct)
+        table.insert_stream(np.arange(distinct))
         assert table.capacity * table.load_factor >= table.distinct or (
             table.distinct <= table.capacity * table.load_factor + 1
         )
@@ -149,5 +147,5 @@ class TestPreSizingEffect:
     @settings(max_examples=40, deadline=None)
     def test_resize_count_is_logarithmic(self, distinct):
         table = SimulatedHashTable(initial_capacity=256, load_factor=0.5)
-        table.insert_distinct_total(distinct)
+        table.insert_stream(np.arange(distinct))
         assert table.resize_count <= 32

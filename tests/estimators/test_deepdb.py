@@ -53,6 +53,8 @@ class TestSPNNodes:
             [LeafNode(0, np.array([1.0])), LeafNode(1, np.array([1.0]))]
         )
         assert node.node_count() == 3
+        mixture = SumNode([node, LeafNode(0, np.array([1.0]))], np.array([0.5, 0.5]))
+        assert mixture.node_count() == 5
 
 
 class TestLearnSPN:

@@ -1,4 +1,4 @@
-"""Tests for join buckets, FactorJoin inference, and dimension reduction."""
+"""Tests for join buckets and FactorJoin inference."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.errors import EstimationError
 from repro.estimators.factorjoin import (
     FactorJoinEstimator,
     JoinBucketizer,
-    join_key_tree,
-    pairwise_bucket_joint,
 )
 from repro.metrics import qerror
 from repro.sql.query import CardQuery, JoinCondition, PredicateOp, TablePredicate
@@ -135,26 +133,3 @@ class TestFactorJoinAccuracy:
     def test_missing_model(self, imdb, imdb_factorjoin):
         with pytest.raises(EstimationError):
             imdb_factorjoin.model_for("not_a_table")
-
-
-class TestDimensionReduction:
-    def test_join_key_tree_structure(self, stats):
-        table = stats.catalog.table("comments")
-        tree = join_key_tree(table, ["PostId", "UserId"])
-        assert set(tree) == {"PostId", "UserId"}
-        roots = [k for k, parent in tree.items() if parent is None]
-        assert len(roots) == 1
-
-    def test_single_key_tree(self, imdb):
-        table = imdb.catalog.table("cast_info")
-        assert join_key_tree(table, ["movie_id"]) == {"movie_id": None}
-
-    def test_empty_keys(self, imdb):
-        assert join_key_tree(imdb.catalog.table("title"), []) == {}
-
-    def test_pairwise_joint_consistent_with_marginals(self, imdb, imdb_factorjoin):
-        model = imdb_factorjoin.models["title"]
-        joint = pairwise_bucket_joint(model, "kind_id", "production_year")
-        marginal_a = model.distribution("kind_id", [])
-        assert np.allclose(joint.sum(axis=1), marginal_a, atol=1e-6)
-        assert joint.sum() == pytest.approx(1.0, abs=1e-6)

@@ -95,13 +95,3 @@ class TestSelectivity:
         hist = EquiHeightHistogram(values, num_buckets=32)
         sel = hist.selectivity(_pred(PredicateOp.EQ, 0.0))
         assert sel > 0.5
-
-
-class TestNdvInRange:
-    def test_full_range(self):
-        hist = EquiHeightHistogram(np.arange(100, dtype=np.float64), num_buckets=8)
-        assert hist.ndv_in_range(0, 99) == pytest.approx(100, rel=0.15)
-
-    def test_partial_range(self):
-        hist = EquiHeightHistogram(np.arange(100, dtype=np.float64), num_buckets=8)
-        assert hist.ndv_in_range(0, 49) == pytest.approx(50, rel=0.3)

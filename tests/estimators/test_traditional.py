@@ -11,7 +11,6 @@ from repro.estimators.traditional import (
     SamplingNdvEstimator,
     SelingerEstimator,
     SketchNdvEstimator,
-    chao_estimate,
     gee_estimate,
     linear_scaleup_estimate,
 )
@@ -118,17 +117,6 @@ class TestHyperLogLog:
             hll.add(np.arange(1000))
         assert qerror(hll.estimate(), 1000) < 1.1
 
-    def test_merge_equals_union(self):
-        a, b = HyperLogLog(10), HyperLogLog(10)
-        a.add(np.arange(0, 5000))
-        b.add(np.arange(2500, 7500))
-        a.merge(b)
-        assert qerror(a.estimate(), 7500) < 1.15
-
-    def test_merge_rejects_mismatched_precision(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(10).merge(HyperLogLog(12))
-
     def test_precision_bounds(self):
         with pytest.raises(ValueError):
             HyperLogLog(precision=2)
@@ -231,15 +219,6 @@ class TestNdvHeuristics:
     def _profile(self, sample, population):
         return frequency_profile(np.asarray(sample), population_size=population)
 
-    def test_chao_all_singletons(self):
-        profile = self._profile(list(range(100)), 10_000)
-        estimate = chao_estimate(profile)
-        assert estimate > 100  # extrapolates beyond the sample
-
-    def test_chao_capped_at_population(self):
-        profile = self._profile(list(range(100)), 150)
-        assert chao_estimate(profile) <= 150
-
     def test_gee_scaling(self):
         profile = self._profile(list(range(100)), 10_000)
         expected = np.sqrt(10_000 / 100) * 100
@@ -255,6 +234,5 @@ class TestNdvHeuristics:
 
     def test_empty_sample(self):
         profile = self._profile([], 100)
-        assert chao_estimate(profile) == 0.0
         assert gee_estimate(profile) == 0.0
         assert linear_scaleup_estimate(profile) == 0.0

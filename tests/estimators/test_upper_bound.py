@@ -113,6 +113,16 @@ def test_selectivity_is_single_table_only(imdb_upper):
     assert 0.0 < imdb_upper.selectivity(single) <= 1.0
 
 
+def test_estimation_overhead_grows_with_the_join_graph(imdb_upper):
+    single = CardQuery(tables=("title",))
+    join = CardQuery(
+        tables=("title", "cast_info"),
+        joins=(JoinCondition("title", "id", "cast_info", "movie_id"),),
+    )
+    assert 0.0 < imdb_upper.estimation_overhead(single)
+    assert imdb_upper.estimation_overhead(single) < imdb_upper.estimation_overhead(join)
+
+
 def test_max_frequency_exact(imdb, imdb_upper):
     values = imdb.catalog.table("title").column("kind_id").values
     expected = float(np.unique(values, return_counts=True)[1].max())

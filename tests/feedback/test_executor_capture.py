@@ -1,11 +1,10 @@
-"""Executor-side feedback capture and adaptive mid-plan replanning."""
+"""Executor-side feedback capture."""
 
 import pytest
 
 from repro.engine import EngineConfig, EngineSession, EstimatorSuite
 from repro.estimators.traditional import SelingerEstimator, SketchNdvEstimator
 from repro.feedback import FeedbackLog
-from repro.obs.metrics import MetricsRegistry
 from repro.serving.fingerprint import query_fingerprint
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
 
@@ -19,9 +18,9 @@ def suite(imdb):
     )
 
 
-def _session(imdb, suite, registry=None, **overrides):
-    config = EngineConfig(enable_feedback=True, **overrides)
-    return EngineSession(imdb.catalog, suite=suite, config=config, registry=registry)
+def _session(imdb, suite):
+    config = EngineConfig(enable_feedback=True)
+    return EngineSession(imdb.catalog, suite=suite, config=config)
 
 
 def _single_table_query():
@@ -87,9 +86,8 @@ class TestScanCapture:
 
     def test_disabled_by_default(self, imdb, suite):
         session = EngineSession(imdb.catalog, suite=suite)
-        result = session.run(_single_table_query())
+        session.run(_single_table_query())
         assert session.feedback is None
-        assert result.adaptive_replans == 0
 
 
 class TestJoinCapture:
@@ -113,41 +111,3 @@ class TestJoinCapture:
         assert captured.result_rows == plain.result_rows
         assert captured.aggregate_value == plain.aggregate_value
         assert captured.blocks_read == plain.blocks_read
-
-
-class TestAdaptiveReplan:
-    def test_deviation_triggers_replan_and_preserves_result(
-        self, imdb, suite, imdb_workload
-    ):
-        query = _join_query(imdb_workload, min_joins=3)
-        baseline = EngineSession(imdb.catalog, suite=suite).run(query)
-
-        registry = MetricsRegistry(enabled=True)
-        session = _session(
-            imdb, suite, registry=registry, adaptive_replan_factor=2.0
-        )
-        plan = session.optimizer.plan(query)
-        # Sabotage the plan's step estimates so the first observed actual
-        # deviates wildly -- the executor must re-rank and still be correct.
-        plan.join_step_estimates = [1e12] * len(plan.join_order)
-        result = session.executor.execute(plan)
-
-        assert result.adaptive_replans == 1
-        assert registry.counter("adaptive_replan_total").value == 1
-        assert result.result_rows == baseline.result_rows
-        assert result.aggregate_value == baseline.aggregate_value
-
-    def test_accurate_estimates_do_not_replan(self, imdb, suite, imdb_workload):
-        query = _join_query(imdb_workload, min_joins=2)
-        session = _session(imdb, suite, adaptive_replan_factor=1e9)
-        result = session.run(query)
-        assert result.adaptive_replans == 0
-
-    def test_replan_without_feedback_log(self, imdb, suite, imdb_workload):
-        """Adaptivity alone (feedback off) routes through the step driver."""
-        query = _join_query(imdb_workload, min_joins=2)
-        config = EngineConfig(adaptive_replan_factor=1e9)
-        session = EngineSession(imdb.catalog, suite=suite, config=config)
-        result = session.run(query)
-        assert session.feedback is None
-        assert result.adaptive_replans == 0

@@ -51,6 +51,7 @@ class TestFleetServing:
             expected = service.estimate_ndv_detail(query).value
             routed = fleet.estimate_ndv_detail(query)
             assert routed.value == expected
+            assert fleet.estimate_ndv(query) == expected
 
     def test_repeat_request_hits_the_owners_warm_cache(
         self, fleet, fleet_workload
@@ -86,6 +87,7 @@ class TestFleetServing:
             fleet_card.bundle,
             tmp_path,
             fleet_card._traditional_count,
+            fleet_card._traditional_ndv,
             serving_config=fleet_serving_config,
             fleet_config=FleetConfig(n_workers=1),
             registry=MetricsRegistry(enabled=False),

@@ -87,6 +87,8 @@ class TestRegistry:
         counter.append(1.0)
         counter.set(2.0)
         assert counter.value == 0.0
+        assert counter.snapshot().count == 0
+        assert counter.values() == []
         assert len(registry) == 0
         assert export_text(registry) == ""
         assert export_json(registry) == {

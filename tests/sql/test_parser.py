@@ -156,7 +156,8 @@ class TestRoundTrip:
     def test_statement_str_reparses(self):
         sql = (
             "SELECT COUNT(*) FROM a JOIN b ON a.id = b.a_id "
-            "WHERE a.x > 3 AND b.y IN (1, 2) GROUP BY a.x"
+            "WHERE a.x > 3 AND b.y IN (1, 2) AND a.z BETWEEN 1 AND 5 "
+            "AND NOT (a.w = 2) GROUP BY a.x"
         )
         stmt = parse_sql(sql)
         reparsed = parse_sql(str(stmt))

@@ -132,20 +132,3 @@ class TestByteAccounting:
         BlockReader(table, first).read_column_block("s", 0)
         BlockReader(table, second).read_column_block("s", 1)
         assert first.bytes_read == second.bytes_read
-
-
-class TestIOCounter:
-    def test_reset(self):
-        io = IOCounter()
-        io.record_block("t", "a", rows=10, nbytes=80)
-        io.reset()
-        assert io.blocks_read == 0
-        assert io.per_column == {}
-
-    def test_snapshot_is_independent(self):
-        io = IOCounter()
-        io.record_block("t", "a", rows=10, nbytes=80)
-        snap = io.snapshot()
-        io.record_block("t", "a", rows=10, nbytes=80)
-        assert snap.blocks_read == 1
-        assert io.blocks_read == 2

@@ -7,7 +7,7 @@ The load-bearing invariants:
   this API was grown around);
 * pruning stays correct-by-refutation through arbitrary mutation
   sequences: ``partitioned_scan`` over the mutated table returns exactly
-  the rows a fresh load of the same data returns, at any parallelism;
+  the rows a fresh load of the same data returns;
 * the tail-coalescing policy: small batches merge into the tail
   partition, large ones seal it and open a new one;
 * partition indices are stable: deletes shrink partitions in place, and
@@ -47,11 +47,8 @@ def _query(*predicates):
     return CardQuery(tables=("t",), predicates=tuple(predicates), name="q")
 
 
-def _scan_rows(table, query, parallelism=1):
-    result = partitioned_scan(
-        table, query, ["a"], IOCounter(), parallelism=parallelism
-    )
-    return result.row_indices
+def _scan_rows(table, query):
+    return partitioned_scan(table, query, ["a"], IOCounter()).row_indices
 
 
 class TestZoneMapInvalidation:
@@ -267,8 +264,7 @@ class TestFreshLoadEquivalence:
                     TablePredicate("t", "b", PredicateOp.EQ, float(rng.integers(0, 7))),
                 )
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_scan_matches_fresh_load(self, parallelism):
+    def test_scan_matches_fresh_load(self):
         rng = np.random.default_rng(7)
         table = _table()
         self._mutate(table, rng)
@@ -284,6 +280,6 @@ class TestFreshLoadEquivalence:
             _query(_eq("a", -5.0)),
         ]
         for query in queries:
-            mutated_rows = _scan_rows(table, query, parallelism)
-            fresh_rows = _scan_rows(fresh, query, 1)
+            mutated_rows = _scan_rows(table, query)
+            fresh_rows = _scan_rows(fresh, query)
             assert np.array_equal(mutated_rows, fresh_rows)

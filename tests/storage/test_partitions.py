@@ -199,43 +199,6 @@ class TestPartitionBlockReader:
         assert io.rows_read == 50
 
 
-class TestIOCounterMerge:
-    def test_merge_sums_totals(self):
-        a, b = IOCounter(), IOCounter()
-        a.record_block("t", "x", rows=10, nbytes=80)
-        b.record_block("t", "x", rows=20, nbytes=160)
-        b.record_block("t", "y", rows=20, nbytes=160)
-        a.merge(b)
-        assert a.blocks_read == 3
-        assert a.rows_read == 50
-        assert a.bytes_read == 400
-        assert a.per_column == {("t", "x"): 2, ("t", "y"): 1}
-
-    def test_merge_deduplicates_dictionary_charges(self):
-        a, b = IOCounter(), IOCounter()
-        assert a.record_dictionary("t", "s", 1000)
-        assert b.record_dictionary("t", "s", 1000)
-        assert not b.record_dictionary("t", "s", 1000)
-        a.merge(b)
-        assert a.bytes_read == 1000  # charged once, not twice
-
-    def test_merge_order_is_immaterial(self):
-        def worker(charge_dict: bool) -> IOCounter:
-            io = IOCounter()
-            io.record_block("t", "s", rows=5, nbytes=40)
-            if charge_dict:
-                io.record_dictionary("t", "s", 500)
-            return io
-
-        forward, backward = IOCounter(), IOCounter()
-        parts = [worker(True), worker(True), worker(False)]
-        for part in parts:
-            forward.merge(part)
-        for part in reversed(parts):
-            backward.merge(part)
-        assert forward.bytes_read == backward.bytes_read == 3 * 40 + 500
-
-
 class TestStringColumnPartitions:
     def test_zone_maps_over_dictionary_codes(self):
         column = Column.from_strings("s", ["b", "a", "c", "a"])

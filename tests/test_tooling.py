@@ -1,14 +1,12 @@
-"""Tests for the explain, evaluation, and workload-serialization tooling."""
+"""Tests for the explain and evaluation tooling."""
 
 import numpy as np
 import pytest
 
 from repro.engine import EngineSession, EstimatorSuite
 from repro.engine.explain import explain_plan, explain_result
-from repro.errors import ReproError
 from repro.evaluation import evaluate, evaluate_count, evaluate_ndv
 from repro.estimators.traditional import SelingerEstimator, SketchNdvEstimator
-from repro.workloads.serialization import load_workload, save_workload
 
 
 @pytest.fixture(scope="module")
@@ -68,40 +66,3 @@ class TestEvaluationHarness:
     def test_requires_an_estimator(self, imdb, imdb_workload):
         with pytest.raises(ValueError):
             evaluate(imdb.catalog, imdb_workload)
-
-
-class TestWorkloadSerialization:
-    def test_roundtrip(self, imdb, imdb_workload, tmp_path):
-        path = tmp_path / "workload.jsonl"
-        save_workload(imdb_workload, path)
-        loaded = load_workload(path, imdb.catalog)
-        assert loaded.name == imdb_workload.name
-        assert len(loaded.queries) == len(imdb_workload.queries)
-        assert len(loaded.ndv_queries) == len(imdb_workload.ndv_queries)
-        assert loaded.true_counts == imdb_workload.true_counts
-
-    def test_roundtripped_queries_are_equivalent(self, imdb, imdb_workload, tmp_path):
-        path = tmp_path / "workload.jsonl"
-        save_workload(imdb_workload, path)
-        loaded = load_workload(path, imdb.catalog)
-        from repro.workloads import true_count
-
-        for original, restored in zip(
-            imdb_workload.queries[:8], loaded.queries[:8]
-        ):
-            assert set(restored.tables) == set(original.tables)
-            assert true_count(imdb.catalog, restored) == imdb_workload.true_counts[
-                original.name
-            ]
-
-    def test_empty_file_rejected(self, imdb, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ReproError):
-            load_workload(path, imdb.catalog)
-
-    def test_bad_format_rejected(self, imdb, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": 99, "name": "x"}\n')
-        with pytest.raises(ReproError):
-            load_workload(path, imdb.catalog)
