@@ -132,3 +132,45 @@ class TestByteAccounting:
         BlockReader(table, first).read_column_block("s", 0)
         BlockReader(table, second).read_column_block("s", 1)
         assert first.bytes_read == second.bytes_read
+
+
+class TestIOCounter:
+    def test_record_block_tallies_totals(self):
+        io = IOCounter()
+        io.record_block("t", "a", rows=10, nbytes=80)
+        io.record_block("t", "a", rows=4, nbytes=32)
+        assert (io.blocks_read, io.rows_read, io.bytes_read) == (2, 14, 112)
+        assert io.per_column == {("t", "a"): 2}
+
+    def test_per_column_counts_are_keyed_by_table_and_column(self):
+        io = IOCounter()
+        io.record_block("t", "a", rows=1, nbytes=8)
+        io.record_block("t", "b", rows=1, nbytes=8)
+        io.record_block("u", "a", rows=1, nbytes=8)
+        assert io.per_column == {("t", "a"): 1, ("t", "b"): 1, ("u", "a"): 1}
+        assert io.blocks_read == 3
+
+    def test_dictionary_charged_once(self):
+        io = IOCounter()
+        assert io.record_dictionary("t", "s", 100) is True
+        assert io.record_dictionary("t", "s", 100) is False
+        assert io.bytes_read == 100
+        assert io.dict_charges == {("t", "s"): 100}
+        # A dictionary charge is bytes only, never a block.
+        assert io.blocks_read == 0
+
+    def test_each_column_dictionary_charged_separately(self):
+        io = IOCounter()
+        io.record_dictionary("t", "s", 100)
+        io.record_dictionary("t", "r", 40)
+        io.record_dictionary("u", "s", 7)
+        assert io.bytes_read == 147
+        assert len(io.dict_charges) == 3
+
+    def test_counters_do_not_share_state(self):
+        first, second = IOCounter(), IOCounter()
+        first.record_block("t", "a", rows=1, nbytes=8)
+        first.record_dictionary("t", "s", 10)
+        assert second.per_column == {}
+        assert second.dict_charges == {}
+        assert second.record_dictionary("t", "s", 10) is True
