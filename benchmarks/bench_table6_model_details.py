@@ -44,13 +44,14 @@ def _dataset_rows(lab, dataset: str, rbx_info) -> list[list[str]]:
         monitor = ModelMonitor(bundle, config)
         table, column = bundle.high_ndv_columns[0]
         samples = monitor.collect_column_samples(table, column)
-        info = forge.fine_tune_column(lab.rbx_network, table, column, samples)
+        with Stopwatch() as sw:
+            blob = forge.tune_column(lab.rbx_network, table, column, samples)
         rows.append(
             [
                 dataset,
                 "RBX (fine-tuned)",
-                f"{info.nbytes / 1e6:.2f} MB",
-                f"{info.seconds:.2f} s",
+                f"{len(blob) / 1e6:.2f} MB",
+                f"{sw.elapsed:.2f} s",
             ]
         )
     else:

@@ -13,12 +13,14 @@ Walks the production loop of the paper's Figure 2 on AEOLUS:
 3. the Model Loader refreshes, size-checks, health-validates, and
    initializes inference contexts;
 4. the Model Monitor gates model quality with auto-generated test queries;
-5. an ingestion signal (Kafka-style) marks a table dirty, the next training
-   cycle retrains it, and the loader picks up the new version;
+5. an ingestion signal (Kafka-style) reaches the forge, which retrains the
+   table in the background, stores the new version, and hot-swaps it in;
 6. a deliberately corrupted model blob is refused by the health detector.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 
@@ -65,18 +67,21 @@ def main() -> None:
             verdict, p90 = "GATED -> traditional fallback", f"{report.p90:8.2f}"
         print(f"  {report.name:<28} p90 Q-Error={p90} {verdict}")
 
-    print("\n== 5. ingestion signal -> retrain -> reload ==")
+    print("\n== 5. ingestion signal -> forge retrain -> hot swap ==")
     before = bytecard.registry.latest("bn", "impressions")
-    bytecard.forge_service.ingest_signal(
-        IngestionSignal(table="impressions", source="kafka",
-                        details={"topic": "ad_impressions", "offset": 123456})
-    )
-    retrained = bytecard.forge_service.run_training_cycle(bundle)
+    with tempfile.TemporaryDirectory() as store_dir:
+        with bytecard.forge(store_dir) as forge:
+            job = forge.submit_signal(
+                IngestionSignal(table="impressions", source="kafka",
+                                details={"topic": "ad_impressions",
+                                         "offset": 123456})
+            )
+            job.wait()
     after = bytecard.registry.latest("bn", "impressions")
     assert before is not None and after is not None
-    print(f"  retrained: {[i.name for i in retrained]}")
+    print(f"  job {job.kind}/{job.name}: {job.state.value}")
     print(f"  impressions model timestamp: {before.timestamp} -> {after.timestamp}")
-    bytecard.refresh()
+    print(f"  serving generation: {bytecard.snapshot().generation}")
 
     print("\n== 6. health detector refuses a corrupted model ==")
     record = bytecard.registry.latest("bn", "ads")

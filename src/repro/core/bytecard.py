@@ -493,34 +493,6 @@ class ByteCard(CountEstimator, NdvEstimator):
         self.monitor_reports.append(report)
         return report
 
-    def monitor_and_heal(self, max_cycles: int = 2) -> list[MonitorReport]:
-        """The self-healing loop around a data-distribution shift.
-
-        The paper's lifecycle when the Model Monitor "detects that the
-        performance of models is decreased due to the shift of data
-        distribution": the affected table falls back to the traditional
-        estimator immediately, an ingestion-style signal marks it dirty,
-        ModelForge retrains it on (fresh samples of) the current data, the
-        Model Loader picks up the newer timestamp, and the monitor
-        re-assesses -- lifting the fallback once the retrained model passes.
-        """
-        from repro.core.modelforge import IngestionSignal
-
-        reports = self.run_monitor(fine_tune=False)
-        for _cycle in range(max_cycles):
-            failing = sorted(self.fallback_tables)
-            if not failing:
-                break
-            for table in failing:
-                self.forge_service.ingest_signal(
-                    IngestionSignal(table=table, source="monitor-drift")
-                )
-            self.forge_service.run_training_cycle(self.bundle)
-            self.refresh()
-            reports = self.run_monitor(fine_tune=False)
-        self.monitor_reports = reports
-        return reports
-
     def _calibrate_column(self, table: str, column: str) -> None:
         """The calibration protocol: fine-tune, validate, then publish.
 

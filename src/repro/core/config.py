@@ -27,9 +27,6 @@ class ByteCardConfig:
     max_model_bytes: int = 16 * 1024 * 1024
     #: LRU-evict least-recently-used models beyond this total budget
     max_total_bytes: int = 256 * 1024 * 1024
-    #: logical refresh interval (ticks of the Daemon Manager's clock); the
-    #: production default is one hour
-    load_interval_ticks: int = 1
 
     # -- monitoring (Model Monitor) ------------------------------------
     #: test queries generated per table when assessing a COUNT model

@@ -10,40 +10,44 @@ Every learned model is integrated behind the same six-method interface:
   so ``estimate`` is lock-free under concurrency;
 * ``featurize_sql_query`` / ``featurize_ast`` -- turn a query into the
   model's input representation;
-* ``estimate``            -- the actual inference call on the query path.
+* ``estimate``            -- the actual inference call: the served
+  estimator (``BNCountEstimator`` / ``RBXNdvEstimator``) over the one
+  loaded model, so an engine answers what the serving path answers.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Callable
 
-from repro.errors import ModelError
+from repro.errors import EstimationError, ModelError
 from repro.core.serialization import deserialize_bn, deserialize_rbx
 from repro.core.validator import ModelValidator, ValidationReport
+from repro.estimators.bn.estimator import BNCountEstimator
 from repro.estimators.bn.model import TreeBayesNet
-from repro.estimators.frequency import frequency_profile
+from repro.estimators.rbx.estimator import RBXNdvEstimator
 from repro.estimators.rbx.network import MLP
-from repro.estimators.rbx.profile import (
-    RBX_FEATURE_DIM,
-    clamp_estimate,
-    rbx_features,
-    target_to_ndv,
-)
+from repro.estimators.rbx.profile import RBX_FEATURE_DIM
 from repro.sql.ast import SelectStatement
 from repro.sql.binder import Binder, bind_sql
 from repro.sql.query import CardQuery
 from repro.storage.catalog import Catalog
-from repro.workloads.predicates import table_mask
+from repro.storage.table import Table
 
 
 class CardEstInferenceEngine(abc.ABC):
-    """The high-level integration surface for one loaded model."""
+    """The high-level integration surface for one loaded model.
+
+    ``init_context`` builds the served estimator over the loaded model, so
+    ``estimate`` runs the same code as the serving path.
+    """
 
     def __init__(self, catalog: Catalog, validator: ModelValidator):
         self.catalog = catalog
         self.validator = validator
         self._binder = Binder(catalog)
-        self._context_ready = False
+        #: the served estimator's entry point, set by ``init_context``
+        self._served: Callable[[CardQuery], float] | None = None
 
     # -- model lifecycle -------------------------------------------------
     @abc.abstractmethod
@@ -74,16 +78,20 @@ class CardEstInferenceEngine(abc.ABC):
         return self._binder.bind(statement)
 
     # -- inference -----------------------------------------------------------
-    @abc.abstractmethod
     def estimate(self, query: CardQuery) -> float:
-        """Perform the estimation.  Requires ``init_context`` first."""
+        """Perform the estimation.  Requires ``init_context`` first.
 
-    def _require_context(self) -> None:
-        if not self._context_ready:
+        An estimate the model cannot give raises :class:`ModelError`.
+        """
+        if self._served is None:
             raise ModelError(
                 "estimate() called before init_context(); the inference "
                 "context must be frozen before serving query threads"
             )
+        try:
+            return self._served(query)
+        except EstimationError as exc:
+            raise ModelError(str(exc)) from exc
 
 
 class BNInferenceEngine(CardEstInferenceEngine):
@@ -99,7 +107,7 @@ class BNInferenceEngine(CardEstInferenceEngine):
         except ModelError:
             self.model = None
             return False
-        self._context_ready = False
+        self._served = None
         return True
 
     def validate(self) -> ValidationReport:
@@ -111,16 +119,9 @@ class BNInferenceEngine(CardEstInferenceEngine):
         if self.model is None:
             raise ModelError("cannot init_context without a loaded model")
         self.model.init_context()
-        self._context_ready = True
-
-    def estimate(self, query: CardQuery) -> float:
-        self._require_context()
-        assert self.model is not None
-        if not query.is_single_table() or query.tables[0] != self.model.table_name:
-            raise ModelError(
-                f"BN engine for {self.model.table_name!r} cannot estimate {query}"
-            )
-        return self.model.estimate_rows(list(query.predicates))
+        self._served = BNCountEstimator(
+            {self.model.table_name: self.model}, catalog=self.catalog
+        ).estimate_count
 
 
 class RBXInferenceEngine(CardEstInferenceEngine):
@@ -134,7 +135,7 @@ class RBXInferenceEngine(CardEstInferenceEngine):
         self,
         catalog: Catalog,
         validator: ModelValidator,
-        samples: dict[str, object],
+        samples: dict[str, Table],
     ):
         super().__init__(catalog, validator)
         self.network: MLP | None = None
@@ -146,7 +147,7 @@ class RBXInferenceEngine(CardEstInferenceEngine):
         except ModelError:
             self.network = None
             return False
-        self._context_ready = False
+        self._served = None
         return True
 
     def validate(self) -> ValidationReport:
@@ -159,24 +160,6 @@ class RBXInferenceEngine(CardEstInferenceEngine):
             raise ModelError("cannot init_context without a loaded model")
         for array in (*self.network.weights, *self.network.biases):
             array.setflags(write=False)
-        self._context_ready = True
-
-    def estimate(self, query: CardQuery) -> float:
-        self._require_context()
-        assert self.network is not None
-        table_name = query.agg.table
-        column = query.agg.column
-        if table_name is None or column is None:
-            raise ModelError("RBX engine requires a COUNT DISTINCT query")
-        sample = self._samples.get(table_name)
-        if sample is None:
-            raise ModelError(f"no sample loaded for table {table_name!r}")
-        mask = table_mask(sample, query)  # type: ignore[arg-type]
-        values = sample.column(column).values[mask]  # type: ignore[attr-defined]
-        matched = float(mask.sum()) / max(1, len(sample))  # type: ignore[arg-type]
-        population = max(1, int(len(self.catalog.table(table_name)) * matched))
-        profile = frequency_profile(values, population_size=population)
-        if profile.sample_size == 0:
-            return 1.0
-        raw = target_to_ndv(float(self.network.forward(rbx_features(profile))[0]))
-        return clamp_estimate(raw, profile)
+        self._served = RBXNdvEstimator(
+            self.catalog, self.network, samples=self._samples
+        ).estimate_ndv

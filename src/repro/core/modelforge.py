@@ -10,8 +10,9 @@ query path.  Responsibilities reproduced here:
   calibration fine-tuning of problematic columns from the established
   checkpoint;
 * **ingestion signals**: upstream sources (Hive/Kafka in the paper) notify
-  the service of data changes; the next training cycle retrains exactly the
-  dirty tables.
+  the service of data changes; a change to a join table rebuilds the
+  join-bucket grid at the next training call.  The retrain itself is
+  scheduled by :class:`repro.forge.ForgeManager`.
 
 Every trained model is serialized and published to the registry with a
 fresh timestamp; training times and sizes are recorded (they are the rows
@@ -82,7 +83,6 @@ class ModelForgeService:
     ):
         self.registry = registry
         self.config = config or ByteCardConfig()
-        self._dirty_tables: set[str] = set()
         self.history: list[TrainedModelInfo] = []
         # Preprocessor products (join bucketizer, training columns) are
         # catalog-wide and expensive; cache them across training cycles and
@@ -105,13 +105,10 @@ class ModelForgeService:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest_signal(self, signal: IngestionSignal) -> None:
-        """Record that a table's data changed upstream."""
-        self._dirty_tables.add(signal.table)
+        """Note that a table's data changed upstream: a join table's change
+        can move the join-bucket edges, so the cached grid is dropped."""
         if self._prepared is not None and signal.table in self._join_tables:
             self.invalidate_preprocessor_cache()
-
-    def dirty_tables(self) -> set[str]:
-        return set(self._dirty_tables)
 
     def invalidate_preprocessor_cache(self) -> None:
         """Force the next training call to rebuild the join buckets."""
@@ -223,14 +220,7 @@ class ModelForgeService:
             timestamp=record.timestamp,
         )
         self.history.append(info)
-        self._dirty_tables.discard(table_name)
         return info
-
-    def run_training_cycle(self, bundle: DatasetBundle) -> list[TrainedModelInfo]:
-        """Retrain exactly the tables flagged dirty by ingestion signals."""
-        if not self._dirty_tables:
-            return []
-        return self.train_count_models(bundle, tables=sorted(self._dirty_tables))
 
     # ------------------------------------------------------------------
     # RBX
@@ -269,25 +259,3 @@ class ModelForgeService:
         return serialize_rbx(
             tuned, meta={"scope": "column", "table": table, "column": column}
         )
-
-    def fine_tune_column(
-        self,
-        base_model: MLP,
-        table: str,
-        column: str,
-        column_samples: list[tuple[FrequencyProfile, int]],
-        seed: int = 10,
-    ) -> TrainedModelInfo:
-        """Calibration fine-tuning for one problematic column, published."""
-        with Stopwatch() as sw:
-            blob = self.tune_column(base_model, table, column, column_samples, seed)
-        record = self.registry.publish("rbx", f"{table}.{column}", blob)
-        info = TrainedModelInfo(
-            kind="rbx",
-            name=f"{table}.{column}",
-            seconds=sw.elapsed,
-            nbytes=len(blob),
-            timestamp=record.timestamp,
-        )
-        self.history.append(info)
-        return info

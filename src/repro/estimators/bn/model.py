@@ -132,9 +132,6 @@ class TreeBayesNet:
         """P(all predicates) under the model."""
         return float(self.selectivities([predicates])[0])
 
-    def estimate_rows(self, predicates: Sequence[TablePredicate]) -> float:
-        return self.selectivity(predicates) * self.total_rows
-
     def beliefs_for(
         self, predicates: Sequence[TablePredicate]
     ) -> tuple[list[np.ndarray], float]:

@@ -88,26 +88,35 @@ class RBXNdvEstimator(NdvEstimator):
     def model_for(self, table: str, column: str) -> MLP:
         return self.calibrated.get((table, column), self.model)
 
+    def _sample_ndv(
+        self, table: str, column: str, values: np.ndarray, mask: np.ndarray
+    ) -> float:
+        """RBX's NDV from ``values``, the sample rows ``mask`` keeps, on
+        ``column``'s weights: frequency profile -> forward pass -> clamp.
+
+        The profile's population is the live table scaled by the share of
+        sample rows kept.
+        """
+        matched_fraction = float(mask.sum()) / max(1, len(mask))
+        population = max(
+            1, int(round(len(self.catalog.table(table)) * matched_fraction))
+        )
+        profile = frequency_profile(values, population_size=population)
+        if profile.sample_size == 0:
+            return 1.0
+        network = self.model_for(table, column)
+        raw = target_to_ndv(float(network.forward(rbx_features(profile))[0]))
+        return clamp_estimate(raw, profile)
+
     # ------------------------------------------------------------------
     def estimate_ndv(self, query: CardQuery) -> float:
         if query.agg.kind is not AggKind.COUNT_DISTINCT:
             raise EstimationError("estimate_ndv requires COUNT DISTINCT")
         assert query.agg.table is not None and query.agg.column is not None
-        table_name = query.agg.table
-        column = query.agg.column
-        sample = self.sample_for(table_name)
+        table, column = query.agg.table, query.agg.column
+        sample = self.sample_for(table)
         mask = table_mask(sample, query)
-        values = sample.column(column).values[mask]
-        matched_fraction = float(mask.sum()) / max(1, len(sample))
-        population = max(
-            1, int(round(len(self.catalog.table(table_name)) * matched_fraction))
-        )
-        profile = frequency_profile(values, population_size=population)
-        if profile.sample_size == 0:
-            return 1.0
-        network = self.model_for(table_name, column)
-        raw = target_to_ndv(float(network.forward(rbx_features(profile))[0]))
-        return clamp_estimate(raw, profile)
+        return self._sample_ndv(table, column, sample.column(column).values[mask], mask)
 
     def estimation_overhead(self, query: CardQuery) -> float:
         # Filtering the in-memory sample plus one tiny forward pass.  The
@@ -144,18 +153,7 @@ class RBXNdvEstimator(NdvEstimator):
                     continue
                 _uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
                 values = inverse
-            matched_fraction = float(mask.sum()) / max(1, len(sample))
-            population = max(
-                1,
-                int(round(len(self.catalog.table(table_name)) * matched_fraction)),
-            )
-            profile = frequency_profile(values, population_size=population)
-            if profile.sample_size == 0:
-                estimates.append(1.0)
-                continue
-            network = self.model_for(table_name, columns[0])
-            raw = target_to_ndv(float(network.forward(rbx_features(profile))[0]))
-            estimates.append(clamp_estimate(raw, profile))
+            estimates.append(self._sample_ndv(table_name, columns[0], values, mask))
         # Keys on different tables multiply (bounded by the join size the
         # caller knows); same-table multi-key NDV was handled jointly above.
         result = 1.0

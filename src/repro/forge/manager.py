@@ -97,8 +97,8 @@ class ForgeManager:
         self, signal: IngestionSignal, priority: int = JobPriority.NORMAL
     ) -> ForgeJob:
         """An upstream data-change notification -> one (coalesced) job."""
-        # The forge service keeps its dirty-table set and join-bucket
-        # invalidation logic authoritative.
+        # The forge service drops its cached join-bucket grid when a join
+        # table changed; the job below retrains the table.
         self.bytecard.forge_service.ingest_signal(signal)
         return self.scheduler.submit(
             "bn",

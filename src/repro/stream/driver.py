@@ -397,15 +397,8 @@ class StreamDriver:
         log = self.bytecard.feedback_log
         if log is None:
             return []
-        tables = sorted(
-            {
-                record.table_scope[0]
-                for record in log.snapshot()
-                if len(record.table_scope) == 1
-            }
-        )
         failed = []
-        for table in tables:
+        for table in log.scoped_tables():
             report = self.bytecard.reassess_from_feedback(table)
             if report is not None and report.passed is False:
                 failed.append(table)

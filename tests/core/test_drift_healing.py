@@ -3,8 +3,8 @@
 Scenario from the paper's loading/monitoring design: the data distribution
 shifts after a model was trained; the Model Monitor's test queries expose
 the stale model, ByteCard falls back to the traditional estimator for the
-affected table, ModelForge retrains on the current data, the loader picks
-up the newer timestamp, and serving returns to the learned path.
+affected table, the forge retrains it on the current data, the loader
+picks up the newer timestamp, and serving returns to the learned path.
 """
 
 import numpy as np
@@ -61,15 +61,14 @@ class TestDriftDetection:
         before = built.run_monitor(fine_tune=False)
         _shift_distribution(fresh_aeolus, "impressions", "cost_millis", rng)
         _shift_distribution(fresh_aeolus, "impressions", "user_segment", rng)
-        try:
-            after = built.run_monitor(fine_tune=False)
-            degraded = {r.name: r for r in after}["impressions"]
-            baseline = {r.name: r for r in before}["impressions"]
-            assert degraded.p90 > baseline.p90
-        finally:
-            built.monitor_and_heal()  # restore serving state for other tests
+        after = built.run_monitor(fine_tune=False)
+        degraded = {r.name: r for r in after}["impressions"]
+        baseline = {r.name: r for r in before}["impressions"]
+        assert degraded.p90 > baseline.p90
 
-    def test_heal_restores_learned_serving(self, built, fresh_aeolus, rng):
+    def test_heal_restores_learned_serving(
+        self, built, fresh_aeolus, rng, tmp_path
+    ):
         _shift_distribution(fresh_aeolus, "conversions", "value_millis", rng)
         _shift_distribution(fresh_aeolus, "conversions", "conv_type", rng)
         reports = built.run_monitor(fine_tune=False)
@@ -78,9 +77,11 @@ class TestDriftDetection:
             pytest.skip("shift did not trip the gate at this seed")
         assert "conversions" in built.fallback_tables
 
-        healed = built.monitor_and_heal()
-        conversions_after = {r.name: r for r in healed}["conversions"]
-        assert conversions_after.passed
+        # The forge retrains the gated table, swaps it in and re-assesses
+        # it; a passing re-assessment lifts the gate.
+        with built.forge(tmp_path) as forge:
+            forge.run_monitor_cycle()
+            assert forge.drain(timeout=120.0)
         assert "conversions" not in built.fallback_tables
 
         # Retrained model estimates the *new* distribution well.

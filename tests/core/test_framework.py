@@ -83,16 +83,6 @@ class TestModelForge:
             assert info.nbytes > 0
             assert info.seconds >= 0
 
-    def test_ingestion_signals_drive_cycle(self, imdb, config):
-        registry = ModelRegistry()
-        forge = ModelForgeService(registry, config)
-        forge.ingest_signal(IngestionSignal(table="title", source="hive"))
-        assert forge.dirty_tables() == {"title"}
-        infos = forge.run_training_cycle(imdb)
-        assert [i.name for i in infos] == ["title"]
-        assert forge.dirty_tables() == set()
-        assert forge.run_training_cycle(imdb) == []
-
     def test_rbx_universal_published(self, config):
         registry = ModelRegistry()
         forge = ModelForgeService(registry, config)
@@ -136,7 +126,7 @@ class TestUniversalRBXMemo:
             (frequency_profile(rng.integers(0, ndv, 500), 50_000), ndv)
             for ndv in (300, 20_000)
         ]
-        forge.fine_tune_column(model, "t", "c", samples)
+        forge.tune_column(model, "t", "c", samples)
         _, second = self._publish()
         assert second == first
 
@@ -165,7 +155,6 @@ class TestPreprocessorCache:
         # a table outside the collected join patterns cannot move bucket
         # edges: the cache must survive its dirt
         forge.ingest_signal(IngestionSignal(table="not_joined", source="hive"))
-        assert forge.dirty_tables() == {"not_joined"}
         assert forge._prepare(imdb) is first
 
     def test_explicit_invalidation(self, imdb, config):
@@ -225,6 +214,61 @@ class TestInferenceEngineAPI:
         engine = BNInferenceEngine(imdb.catalog, ModelValidator(1 << 30))
         assert not engine.load_model(b"not a model")
         assert not engine.validate().ok
+
+    def test_engine_answers_what_serving_answers(self):
+        """An OR-group query through the loaded engine equals the served
+        estimate, before and after the table doubles."""
+        from repro.datasets import make_imdb
+        from repro.storage import Table
+
+        bundle = make_imdb(scale=0.05, seed=3)
+        config = ByteCardConfig(
+            training_sample_rows=3000,
+            rbx_corpus_size=100,
+            rbx_epochs=2,
+            join_bucket_count=30,
+            max_bins=32,
+        )
+        bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
+        engine = bytecard.loader.get("bn", "title")
+        sql = (
+            "SELECT COUNT(*) FROM title WHERE kind_id = 1 "
+            "AND (production_year < 1950 OR production_year > 2005)"
+        )
+        query = engine.featurize_sql_query(sql)
+        assert query.or_groups
+        served = bytecard.estimate_count(query)
+        assert engine.estimate(query) == served
+
+        title = bundle.catalog.table("title")
+        bundle.catalog.replace(
+            Table.from_arrays(
+                "title",
+                {
+                    name: np.concatenate([title.column(name).values] * 2)
+                    for name in title.column_names()
+                },
+                block_size=title.block_size,
+            )
+        )
+        doubled = engine.featurize_sql_query(sql)
+        assert bytecard.estimate_count(doubled) == pytest.approx(2 * served)
+        assert engine.estimate(doubled) == bytecard.estimate_count(doubled)
+
+    def test_engine_errors_are_model_errors(self, imdb, config):
+        registry = ModelRegistry()
+        ModelForgeService(registry, config).train_count_models(
+            imdb, tables=["title"]
+        )
+        engine = BNInferenceEngine(imdb.catalog, ModelValidator(1 << 30))
+        engine.load_model(registry.latest("bn", "title").blob)
+        engine.init_context()
+        with pytest.raises(ModelError):
+            engine.estimate(
+                engine.featurize_sql_query(
+                    "SELECT COUNT(*) FROM cast_info WHERE role_id = 1"
+                )
+            )
 
 
 class TestMonitor:

@@ -7,6 +7,7 @@ from repro.core.engine import RBXInferenceEngine
 from repro.core.serialization import serialize_rbx
 from repro.core.validator import ModelValidator
 from repro.errors import ModelError
+from repro.estimators.rbx.estimator import RBXNdvEstimator
 from repro.metrics import qerror
 from repro.utils.rng import derive_rng
 from repro.workloads import true_ndv
@@ -69,3 +70,24 @@ class TestRBXEngine:
         eng = RBXInferenceEngine(imdb.catalog, ModelValidator(1 << 30), {})
         assert not eng.load_model(b"junk")
         assert not eng.validate().ok
+
+    def test_estimates_equal_the_served_estimator(
+        self, imdb, imdb_workload, rbx_network
+    ):
+        """Over a workload's NDV queries, on samples smaller than their
+        tables, the engine returns exactly the served estimator's answer."""
+        samples = {
+            name: imdb.catalog.table(name).sample(700, derive_rng(4, "s", name))
+            for name in imdb.catalog.table_names()
+        }
+        queries = imdb_workload.ndv_queries
+        assert queries
+        for table in {query.agg.table for query in queries}:
+            assert len(samples[table]) < len(imdb.catalog.table(table))
+        eng = RBXInferenceEngine(imdb.catalog, ModelValidator(1 << 30), samples)
+        assert eng.load_model(serialize_rbx(rbx_network))
+        eng.init_context()
+        served = RBXNdvEstimator(imdb.catalog, rbx_network, samples=samples)
+        assert [eng.estimate(q) for q in queries] == [
+            served.estimate_ndv(q) for q in queries
+        ]

@@ -140,7 +140,7 @@ class TestByteCardLifecycle:
         bytecard = ByteCard.build(imdb, config=config, run_monitor=False)
         before = bytecard.registry.latest("bn", "title")
         bytecard.forge_service.ingest_signal(IngestionSignal(table="title"))
-        bytecard.forge_service.run_training_cycle(imdb)
+        bytecard.forge_service.train_count_models(imdb, tables=["title"])
         after = bytecard.registry.latest("bn", "title")
         assert after is not None and before is not None
         assert after.timestamp > before.timestamp
