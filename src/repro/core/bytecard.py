@@ -274,9 +274,9 @@ class ByteCard(CountEstimator, NdvEstimator):
         Model Monitor.  Current models are persisted on creation (unless
         the config says otherwise), so :meth:`from_store` can warm-start a
         future process from the same directory.  ``clock`` (see
-        :class:`repro.utils.clock.Clock`) puts the training scheduler on an
-        injected time source -- the streaming soak runs it on simulated
-        time.
+        :class:`repro.utils.clock.Clock`) puts a scheduler without workers
+        (``ForgeConfig(num_workers=0)``) on an injected time source -- the
+        streaming soak runs its jobs on simulated time.
         """
         from repro.forge import ArtifactStore, ForgeConfig, ForgeManager
 

@@ -4,7 +4,8 @@ Three pieces close the paper's training loop end to end:
 
 * :mod:`repro.forge.scheduler` -- a background training scheduler: priority
   job queue with per-``(kind, name)`` dedup/coalescing, a bounded worker
-  pool, retry with exponential backoff, cancellation, and graceful drain;
+  pool (or none: the owner runs due jobs with ``run_ready``), retry with
+  exponential backoff, cancellation, and graceful drain;
 * :mod:`repro.forge.store` -- a persistent artifact store: versioned
   on-disk model blobs written atomically with checksums, a JSON manifest,
   retention, rollback, and crash recovery that discards torn writes;

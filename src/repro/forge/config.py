@@ -11,7 +11,8 @@ class ForgeConfig:
 
     # -- scheduler ------------------------------------------------------
     #: background training workers (training is CPU-bound; keep this small
-    #: so it cannot starve the serving tier)
+    #: so it cannot starve the serving tier); 0 starts none, and the owner
+    #: runs due jobs with ``ForgeManager.run_ready`` (the stream soak)
     num_workers: int = 2
     #: attempts per job before it is marked FAILED (first run + retries)
     max_attempts: int = 3

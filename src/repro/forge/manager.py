@@ -59,9 +59,10 @@ class ForgeManager:
         clock=None,
     ):
         """``clock`` (a :class:`repro.utils.clock.Clock`) is handed to the
-        training scheduler so job timestamps and backoff deadlines can run
-        on simulated time during streaming soaks; ``None`` keeps the system
-        monotonic clock.
+        training scheduler, which takes one only with
+        ``ForgeConfig(num_workers=0)``: the streaming soak then runs due
+        jobs with :meth:`run_ready` on simulated time.  ``None`` keeps the
+        system monotonic clock.
         """
         self.bytecard = bytecard
         self.store = store
@@ -178,8 +179,12 @@ class ForgeManager:
         return self.bytecard.run_monitor(fine_tune=False)
 
     # ------------------------------------------------------------------
-    # Job execution (forge worker threads)
+    # Job execution (forge worker threads, or run_ready's caller)
     # ------------------------------------------------------------------
+    def run_ready(self) -> list[ForgeJob]:
+        """Run the jobs due now on the calling thread (no workers only)."""
+        return self.scheduler.run_ready()
+
     def _run_job(self, job: ForgeJob) -> ForgeJobResult:
         bytecard = self.bytecard
         with self._publish_lock:

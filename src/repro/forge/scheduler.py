@@ -16,6 +16,12 @@ bounded worker pool:
 * **graceful drain** -- shutdown stops admissions, finishes queued work,
   then joins the workers.
 
+Worker threads call the one job function, :meth:`TrainingScheduler._execute`,
+and read real time.  A scheduler with ``num_workers=0`` starts no thread:
+its owner calls :meth:`TrainingScheduler.run_ready` to execute the jobs due
+on an injected clock -- the stream soak driver runs retrains that way, at
+virtual times, between its events.
+
 Instrumented throughout: queue-depth/running gauges, submit/coalesce/
 retry/outcome counters, queue-to-done and per-attempt latency histograms,
 and a ``forge.job`` span per attempt.
@@ -24,9 +30,9 @@ and a ``forge.job`` span per attempt.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,13 +104,16 @@ class TrainingScheduler:
         metrics: MetricsRegistry | None = None,
         clock: Clock | None = None,
     ):
-        """``clock`` is the scheduler's only time source (job timestamps,
-        backoff deadlines, drain budgets); the default is the system
-        monotonic clock, and the stream soak driver passes a
-        :class:`repro.stream.SimClock` to run the forge on virtual time.
+        """``clock`` times jobs and backoff deadlines.  Only a scheduler
+        without workers (``num_workers=0``) takes one -- the stream soak
+        driver passes its :class:`repro.stream.SimClock`; worker threads
+        never wait on virtual time, so a threaded scheduler reads
+        ``time.monotonic``.
         """
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+        if num_workers < 0:
+            raise ValueError("num_workers must be >= 0")
+        if num_workers and clock is not None:
+            raise ValueError("only a scheduler without workers takes a clock")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.runner = runner
@@ -117,8 +126,8 @@ class TrainingScheduler:
         )
         self.tracer = Tracer(self.metrics)
         self._cond = threading.Condition()
-        #: (priority, ready_at, seq, job) -- stale entries skipped lazily
-        self._heap: list[tuple[int, float, int, ForgeJob]] = []
+        #: (priority, ready_at, seq, job) -- stale entries dropped lazily
+        self._queue: list[tuple[int, float, int, ForgeJob]] = []
         #: pending jobs by key, the dedup/coalesce index
         self._pending: dict[tuple[str, str], ForgeJob] = {}
         self._running = 0
@@ -175,9 +184,7 @@ class TrainingScheduler:
             return job
 
     def _push_locked(self, job: ForgeJob, ready_at: float) -> None:
-        heapq.heappush(
-            self._heap, (job.priority, ready_at, next(self._seq), job)
-        )
+        self._queue.append((job.priority, ready_at, next(self._seq), job))
         self._cond.notify()
 
     # ------------------------------------------------------------------
@@ -200,16 +207,23 @@ class TrainingScheduler:
         return sum(self.cancel(kind, name) for kind, name in keys)
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Block until every admitted job reaches a terminal state."""
-        deadline = None if timeout is None else self.clock.now() + timeout
+        """Block until every admitted job reaches a terminal state.
+
+        Without workers nothing else would run them: the due jobs run here,
+        and the call never blocks (False while a backoff is still pending).
+        """
+        if not self._threads:
+            self.run_ready()
+            return self.pending_count() == 0
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while self._pending or self._running:
                 remaining = None
                 if deadline is not None:
-                    remaining = deadline - self.clock.now()
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
-                self._cond.wait(self.clock.wait_timeout(remaining))
+                self._cond.wait(remaining)
         return True
 
     def shutdown(
@@ -241,42 +255,54 @@ class TrainingScheduler:
         with self._cond:
             return self._running
 
+    def next_ready_at(self) -> float | None:
+        """When the earliest pending job is due (None: nothing pending)."""
+        with self._cond:
+            self._drop_stale_locked()
+            return min((entry[1] for entry in self._queue), default=None)
+
     # ------------------------------------------------------------------
-    # Worker loop
+    # Job execution
     # ------------------------------------------------------------------
+    def run_ready(self) -> list[ForgeJob]:
+        """Execute, on the calling thread, every job due at ``clock.now()``.
+
+        Only a scheduler without workers is run this way.  Returns the
+        executed jobs in run order; a failed attempt requeues behind its
+        backoff, so it runs again only in a later call.
+        """
+        if self._threads:
+            raise RuntimeError("a threaded scheduler runs its own jobs")
+        ran = []
+        while True:
+            with self._cond:
+                job, _wait_s = self._next_job_locked()
+            if job is None:
+                return ran
+            self._execute(job)
+            ran.append(job)
+
+    def _drop_stale_locked(self) -> None:
+        # coalesced, escalated, cancelled or finished jobs leave entries
+        self._queue = [
+            (priority, ready_at, seq, job)
+            for priority, ready_at, seq, job in self._queue
+            if job.state is JobState.PENDING
+            and self._pending.get(job.key) is job
+            and priority == job.priority
+        ]
+
     def _next_job_locked(self) -> tuple[ForgeJob | None, float | None]:
-        """The next ready job, or how long to wait for one."""
+        """The most urgent due job, or how long until the next is due."""
+        self._drop_stale_locked()
         now = self.clock.now()
-        while self._heap:
-            priority, ready_at, seq, job = self._heap[0]
-            stale = (
-                job.state is not JobState.PENDING
-                or self._pending.get(job.key) is not job
-                or priority != job.priority
-            )
-            if stale:
-                heapq.heappop(self._heap)
-                continue
-            if ready_at > now:
-                # earliest entry not ready: sleep until it (a more urgent
-                # *ready* entry would have sorted... not necessarily, so
-                # scan for any ready entry first)
-                ready = [
-                    (p, r, s, j)
-                    for (p, r, s, j) in self._heap
-                    if r <= now
-                    and j.state is JobState.PENDING
-                    and self._pending.get(j.key) is j
-                    and p == j.priority
-                ]
-                if ready:
-                    best = min(ready)
-                    self._heap.remove(best)
-                    heapq.heapify(self._heap)
-                    return self._claim_locked(best[3]), None
-                return None, ready_at - now
-            heapq.heappop(self._heap)
-            return self._claim_locked(job), None
+        ready = [entry for entry in self._queue if entry[1] <= now]
+        if ready:
+            best = min(ready)
+            self._queue.remove(best)
+            return self._claim_locked(best[3]), None
+        if self._queue:
+            return None, min(entry[1] for entry in self._queue) - now
         return None, None
 
     def _claim_locked(self, job: ForgeJob) -> ForgeJob:
@@ -294,22 +320,22 @@ class TrainingScheduler:
                     job, wait_s = self._next_job_locked()
                     if job is not None:
                         break
-                    self._cond.wait(self.clock.wait_timeout(wait_s))
+                    self._cond.wait(wait_s)
                 if job is None:  # stopping
                     return
             self._execute(job)
 
     def _execute(self, job: ForgeJob) -> None:
         job.attempts += 1
-        started = self.clock.now()
+        started = time.perf_counter()
         try:
             with self.tracer.span("forge.job", kind=job.kind):
                 result = self.runner(job)
         except Exception as exc:  # noqa: BLE001 - any training failure retries
-            self._observe("forge_job_run_seconds", self.clock.now() - started)
+            self._observe("forge_job_run_seconds", time.perf_counter() - started)
             self._on_failure(job, exc)
         else:
-            self._observe("forge_job_run_seconds", self.clock.now() - started)
+            self._observe("forge_job_run_seconds", time.perf_counter() - started)
             with self._cond:
                 job.result = result
                 self._running -= 1

@@ -119,16 +119,7 @@ class EstimationService(CountEstimator, NdvEstimator):
         config: ServingConfig | None = None,
         registry: MetricsRegistry | None = None,
         feedback: FeedbackLog | None = None,
-        clock=None,
     ):
-        """``clock`` (a :class:`repro.utils.clock.Clock`) supplies the
-        request timestamps and deadline arithmetic; the default system
-        clock preserves ``time.perf_counter`` semantics.  Under a simulated
-        clock the configured deadline still bounds the *real* wait on the
-        worker future -- virtual time does not advance while blocking.
-        """
-        from repro.utils.clock import SYSTEM_CLOCK
-
         self.estimator = estimator
         #: cache scope of every answer: the one estimator's identity
         self.scope = estimator.name
@@ -148,7 +139,6 @@ class EstimationService(CountEstimator, NdvEstimator):
             "ndv": fallback_ndv,
             "group_ndv": fallback_ndv,
         }
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
         #: runtime feedback log; every served COUNT and selectivity (cache
         #: hits included -- they never reach the optimizer's provenance) is
         #: noted as pending so the executor can pair it with the actual
@@ -183,7 +173,7 @@ class EstimationService(CountEstimator, NdvEstimator):
         fallback = self._fallback_for[task]
         if fallback is None:
             raise EstimationError("service has no NDV estimator")
-        start = self.clock.now()
+        start = time.monotonic()
         self._requests[task].inc()
         stages: list[SpanRecord] = []
         fingerprint = query_fingerprint(query)
@@ -227,7 +217,7 @@ class EstimationService(CountEstimator, NdvEstimator):
             if future is None:
                 reason = "rejected"
             else:
-                remaining = max(0.0, deadline_ms / 1000.0 - (self.clock.now() - start))
+                remaining = max(0.0, deadline_ms / 1000.0 - (time.monotonic() - start))
                 began = time.perf_counter()
                 try:
                     value = float(future.result(timeout=remaining))
@@ -283,7 +273,7 @@ class EstimationService(CountEstimator, NdvEstimator):
         query: CardQuery,
         fingerprint,
     ) -> ServedEstimate:
-        latency = self.clock.now() - start
+        latency = time.monotonic() - start
         estimate = ServedEstimate(float(value), source, latency, tuple(stages))
         self._path_seconds[estimate.path].observe(latency)
         unit = _FEEDBACK_UNITS.get(task)

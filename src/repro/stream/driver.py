@@ -14,21 +14,25 @@ into one virtual-time event loop and plays it against the full stack:
 * at every window boundary the driver asks the monitor to re-assess each
   table *from runtime evidence alone*; a failed verdict gates the table
   and -- when a :class:`~repro.forge.ForgeManager` is attached -- submits
-  a prioritized background retrain that publishes mid-traffic;
+  a prioritized retrain that publishes mid-traffic;
 * the per-window timeline (Q-Error quantiles, P99 latency, cache hit
   rate, fallback shares, detections, retrain landings, stalls) is read
-  from the stack's own :mod:`repro.obs` surfaces
-  (:class:`~repro.serving.stats.ServiceStats` deltas and forge counters).
+  from :class:`~repro.serving.stats.ServiceStats` deltas and from the
+  retrain jobs the driver ran.
 
-The driver advances its :class:`~repro.stream.clock.SimClock` to each
-event's timestamp, so the timeline is deterministic in the seeds; only
-the *landing window* of a retrain depends on real thread scheduling
-(training runs on real background workers -- that is the point).
+There is one time axis.  The driver advances its
+:class:`~repro.stream.clock.SimClock` to each event's timestamp and then
+runs the forge jobs due by then on its own thread (the manager's
+scheduler has no workers), so a retrain lands at the first event after
+its submission -- Table 3 puts a BN + FactorJoin retrain far below one
+inter-arrival gap.  After the event horizon the driver advances the clock
+to each pending retry's backoff until no job is left.  The timeline is
+therefore a function of the seeds alone; only ``latency_p99_ms``, a
+wall-time measurement, varies between runs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -36,6 +40,7 @@ import numpy as np
 
 from repro.engine import EngineConfig, EngineSession
 from repro.errors import SchemaError
+from repro.forge.scheduler import JobState
 from repro.serving.config import ServingConfig
 from repro.stream.arrivals import ArrivalProcess, QueryEvent
 from repro.stream.clock import SimClock
@@ -58,11 +63,6 @@ class StreamConfig:
     #: extra windows of traffic replayed after the event horizon so
     #: post-retrain recovery is measured on live queries
     recovery_windows: int = 2
-    #: real-seconds budget for draining in-flight retrains post-horizon
-    drain_timeout_s: float = 120.0
-    #: virtual seconds the clock is advanced per drain poll (lets simulated
-    #: backoff deadlines expire while waiting on real training threads)
-    drain_tick_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
@@ -100,7 +100,7 @@ class WindowStats:
     timeouts: int
     #: tables whose feedback re-assessment failed in this window
     detections: tuple[str, ...]
-    #: background retrains that published during this window
+    #: retrains that published during this window
     retrains_landed: int
     #: tables gated to the traditional estimator at window close
     gated_tables: tuple[str, ...]
@@ -123,8 +123,6 @@ class SoakTimeline:
     detections: list[dict] = field(default_factory=list)
     #: retrain landings: {window, at_s, count}
     landings: list[dict] = field(default_factory=list)
-    #: True when every in-flight retrain finished within the drain budget
-    drained: bool = True
     #: virtual time of the first ingest event (None: no ingest)
     first_drift_at_s: float | None = None
 
@@ -167,7 +165,6 @@ class SoakTimeline:
             "windows": [w.summary() for w in self.windows],
             "detections": self.detections,
             "landings": self.landings,
-            "drained": self.drained,
             "first_drift_at_s": self.first_drift_at_s,
             "baseline_p90": self.baseline_p90(),
             "recovered_p90": self.recovered_p90(),
@@ -234,6 +231,13 @@ class StreamDriver:
             raise SchemaError(
                 "the soak driver requires EngineConfig(enable_feedback=True)"
             )
+        if manager is not None and manager.scheduler.clock is not self.clock:
+            raise SchemaError(
+                "the soak driver runs the forge on its own clock: attach "
+                "bytecard.forge(dir, ForgeConfig(num_workers=0), clock=clock)"
+            )
+        #: retrains that published since the last window closed
+        self._landed = 0
 
     # ------------------------------------------------------------------
     def merged_events(self) -> tuple:
@@ -264,7 +268,6 @@ class StreamDriver:
                 timeline, events, session, service,
                 t_start=0.0, t_stop=horizon, phase="traffic",
             )
-            timeline.drained = self._drain_forge()
             if self.config.recovery_windows > 0:
                 duration = self.config.recovery_windows * self.config.window_s
                 recovery = self.arrivals.extension(window_end, duration)
@@ -281,25 +284,25 @@ class StreamDriver:
     def _play(
         self, timeline, events, session, service, t_start, t_stop, phase
     ) -> float:
-        """Replay ``events`` over ``[t_start, t_stop)``; returns the final
-        window boundary (a multiple of ``window_s`` from ``t_start``)."""
+        """Replay ``events`` over ``[t_start, t_stop)``, then run the forge
+        until no job is left; returns the final window boundary (a multiple
+        of ``window_s`` from ``t_start``)."""
         window_s = self.config.window_s
         window_start = t_start
         window_end = t_start + window_s
         acc = _Accumulator()
         prev_stats = service.stats()
-        prev_landed = self._landed_total()
         for event in events:
             while event.at_s >= window_end:
-                prev_stats, prev_landed = self._close_window(
+                prev_stats = self._close_window(
                     timeline, acc, service, session,
-                    window_start, window_end, phase,
-                    prev_stats, prev_landed,
+                    window_start, window_end, phase, prev_stats,
                 )
                 acc = _Accumulator()
                 window_start = window_end
                 window_end += window_s
             self.clock.advance_to(event.at_s)
+            self._run_forge()
             if isinstance(event, IngestEvent):
                 summary = apply_ingest(session.catalog, event)
                 acc.ingest_events += 1
@@ -310,15 +313,15 @@ class StreamDriver:
             else:
                 self._serve_query(event, session, service, acc)
         while window_start < t_stop:
-            prev_stats, prev_landed = self._close_window(
+            prev_stats = self._close_window(
                 timeline, acc, service, session,
-                window_start, window_end, phase,
-                prev_stats, prev_landed,
+                window_start, window_end, phase, prev_stats,
             )
             acc = _Accumulator()
             window_start = window_end
             window_end += window_s
         self.clock.advance_to(window_start)
+        self._run_forge(drain=True)
         return window_start
 
     def _serve_query(self, event, session, service, acc) -> None:
@@ -334,7 +337,7 @@ class StreamDriver:
     # ------------------------------------------------------------------
     def _close_window(
         self, timeline, acc, service, session,
-        t_start, t_end, phase, prev_stats, prev_landed,
+        t_start, t_end, phase, prev_stats,
     ):
         detections: list[str] = []
         if self.config.reassess_each_window:
@@ -345,8 +348,7 @@ class StreamDriver:
         timeouts = stats.timeouts - prev_stats.timeouts
         hits = stats.cache_hits - prev_stats.cache_hits
         misses = stats.cache_misses - prev_stats.cache_misses
-        landed_total = self._landed_total()
-        landed = landed_total - prev_landed
+        landed, self._landed = self._landed, 0
         if landed > 0:
             timeline.landings.append(
                 {
@@ -390,7 +392,7 @@ class StreamDriver:
             qerrors=tuple(qerrors),
         )
         timeline.windows.append(window)
-        return stats, landed_total
+        return stats
 
     def _reassess(self, timeline, at_s) -> list[str]:
         """Ask the monitor for a runtime-evidence verdict per table."""
@@ -414,27 +416,18 @@ class StreamDriver:
         return failed
 
     # ------------------------------------------------------------------
-    def _landed_total(self) -> float:
-        try:
-            return self.bytecard.obs.counter(
-                "forge_jobs_succeeded_total", kind="bn"
-            ).value
-        except Exception:
-            return 0.0
+    def _run_forge(self, drain: bool = False) -> None:
+        """Run the retrains due at the clock's time; count the published.
 
-    def _drain_forge(self) -> bool:
-        """Wait (real time) for in-flight retrains, ticking virtual time.
-
-        Training runs on real threads, but their retry/backoff deadlines
-        live on the simulated clock -- each poll advances it a tick so a
-        failed attempt's backoff can expire while we wait.
+        With ``drain``, then advance the clock to each pending job's due
+        time (a retry's backoff) and run it, until no job is left.
         """
         if self.manager is None:
-            return True
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            if self.manager.drain(timeout=0.0):
-                return True
-            self.clock.advance(self.config.drain_tick_s)
-            time.sleep(0.01)
-        return self.manager.drain(timeout=0.0)
+            return
+        while True:
+            ran = self.manager.run_ready()
+            self._landed += sum(job.state is JobState.SUCCEEDED for job in ran)
+            ready_at = self.manager.scheduler.next_ready_at() if drain else None
+            if ready_at is None:
+                return
+            self.clock.advance_to(ready_at)

@@ -1,26 +1,18 @@
-"""Injectable time source shared by the forge, serving, and stream tiers.
+"""Injectable time source of the forge scheduler and the stream soak.
 
-Production code reads time through a :class:`Clock` so tests and the
-:mod:`repro.stream` soak driver can substitute a deterministic simulated
-clock (:class:`repro.stream.SimClock`) without monkeypatching
-``time.monotonic`` globally.  The protocol is deliberately tiny:
+A :class:`repro.forge.scheduler.TrainingScheduler` without workers reads
+time through a :class:`Clock`, so the :mod:`repro.stream` soak driver can
+run training jobs on its deterministic simulated clock
+(:class:`repro.stream.SimClock`) without monkeypatching
+``time.monotonic`` globally.  The protocol is one method:
 
 ``now()``
     A monotonically non-decreasing float of seconds.  Under the system
     clock this is ``time.monotonic()``; under a simulated clock it is
     virtual time that only moves when the driver advances it.
 
-``wait_timeout(delay)``
-    Translate a desired wait of ``delay`` clock-seconds into the *real*
-    timeout to pass to ``Condition.wait`` / ``Event.wait``.  The system
-    clock returns ``delay`` unchanged.  A simulated clock returns a short
-    real poll interval instead, because virtual time does not pass while a
-    thread sleeps -- waiters must wake periodically and re-read ``now()``.
-    ``None`` (wait until notified) passes through under every clock.
-
-Blocking waits must therefore always be written as a loop that re-checks
-the deadline against ``clock.now()`` -- which is exactly how a correct
-``Condition.wait`` loop is written anyway.
+Nothing ever blocks on a :class:`Clock`: threads wait in real seconds, and
+virtual time passes only between the events its owner plays.
 """
 
 from __future__ import annotations
@@ -37,17 +29,12 @@ class Clock(Protocol):
 
     def now(self) -> float: ...
 
-    def wait_timeout(self, delay: float | None) -> float | None: ...
-
 
 class SystemClock:
     """The real wall clock: ``time.monotonic`` semantics."""
 
     def now(self) -> float:
         return time.monotonic()
-
-    def wait_timeout(self, delay: float | None) -> float | None:
-        return delay
 
 
 #: shared default instance; ``clock=None`` parameters resolve to this

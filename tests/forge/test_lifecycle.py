@@ -231,3 +231,67 @@ class TestWarmStart:
     ):
         with pytest.raises(ModelError):
             ByteCard.from_store(bundle, tmp_path / "empty", config=config)
+
+
+class TestServingThroughAThreadedRetrain:
+    def test_requests_are_answered_while_a_worker_trains(
+        self, forge_env, bundle, monkeypatch
+    ):
+        """Training on a forge worker competes with a serving session: every
+        request is answered, the fallback share stays within the stream
+        soak's stall budget, and answers after the swap are the new
+        snapshot's, under its tokens."""
+        import math
+        import threading
+
+        from repro.engine import EngineSession
+        from repro.serving import ServingConfig
+        from repro.stream import StreamConfig
+        from repro.workloads import aeolus_online
+
+        bytecard, manager, _service = forge_env
+        table = "impressions"
+        queries = [
+            q
+            for q in aeolus_online(bundle, num_queries=12, seed=5).queries
+            if table in q.tables
+        ]
+        assert queries
+        first_request = threading.Event()
+        train = manager.scheduler.runner
+
+        def after_first_request(job):
+            assert first_request.wait(60.0)
+            return train(job)
+
+        monkeypatch.setattr(manager.scheduler, "runner", after_first_request)
+        before = bytecard.snapshot()
+        service = bytecard.serve(ServingConfig(deadline_ms=250.0))
+        session = EngineSession(bundle.catalog, service=service)
+        try:
+            job = manager.submit_retrain("bn", table)
+            while_training = 0
+            while not job.done:
+                for query in queries:
+                    assert session.run(query).result_rows >= 0
+                    served = service.estimate_count_detail(query)
+                    assert math.isfinite(served.value) and served.value >= 0
+                    while_training += 1
+                    first_request.set()
+            assert job.state is JobState.SUCCEEDED
+            assert while_training >= 1
+            stats = service.stats()
+            assert stats.requests >= while_training
+            degraded = (stats.rejected + stats.timeouts) / stats.requests
+            assert degraded <= StreamConfig().stall_fallback_budget
+
+            after = bytecard.snapshot()
+            assert after is not before
+            for query in queries:
+                assert after.cache_key("count", query) != before.cache_key(
+                    "count", query
+                )
+                served = service.estimate_count_detail(query, deadline_ms=None)
+                assert served.value == after.estimate_count(query)
+        finally:
+            service.close()

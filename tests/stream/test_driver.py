@@ -12,6 +12,7 @@ import pytest
 from repro.core import ByteCard, ByteCardConfig
 from repro.engine import EngineConfig, EngineSession, EstimatorSuite
 from repro.errors import SchemaError
+from repro.forge import ForgeConfig
 from repro.estimators.traditional import SelingerEstimator
 from repro.sql.query import CardQuery
 from repro.stream import (
@@ -125,10 +126,17 @@ class TestReplayDeterminism:
         assert results[0] == results[1]
 
 
-@pytest.fixture(scope="module")
-def soak():
-    """One tiny end-to-end soak: drift mid-stream, forge attached."""
+def run_soak(observability=True, retrain_delay_s=0.0):
+    """One tiny end-to-end soak: drift mid-stream, forge attached.
+
+    Returns the driver, its timeline and the forge jobs still pending or
+    running once ``run()`` returned.  ``retrain_delay_s`` makes each
+    retrain sleep that many real seconds before it trains.
+    """
     import tempfile
+    import time
+
+    from repro.workloads import aeolus_online
 
     bundle = fresh_bundle()
     bytecard = ByteCard.build(
@@ -141,11 +149,10 @@ def soak():
             join_bucket_count=20,
             max_bins=16,
             qerror_gate=8.0,
+            enable_observability=observability,
         ),
         run_monitor=False,
     )
-    from repro.workloads import aeolus_online
-
     workload = aeolus_online(bundle, num_queries=10, seed=5)
     ingest = IngestProcess(
         bundle.catalog,
@@ -165,24 +172,48 @@ def soak():
     )
     clock = SimClock()
     with tempfile.TemporaryDirectory() as tmp:
-        with bytecard.forge(tmp, clock=clock) as manager:
+        with bytecard.forge(
+            tmp, ForgeConfig(num_workers=0), clock=clock
+        ) as manager:
+            runner = manager.scheduler.runner
+
+            def slowed(job):
+                time.sleep(retrain_delay_s)
+                return runner(job)
+
+            manager.scheduler.runner = slowed
             driver = StreamDriver(
                 bytecard,
                 arrivals,
                 ingest,
                 clock=clock,
                 manager=manager,
-                config=StreamConfig(
-                    window_s=20.0, recovery_windows=1, drain_timeout_s=60.0
-                ),
+                config=StreamConfig(window_s=20.0, recovery_windows=1),
             )
             timeline = driver.run()
-    return driver, timeline
+            left = (
+                manager.scheduler.pending_count()
+                + manager.scheduler.running_count()
+            )
+    return driver, timeline, left
+
+
+def without_wall_time(timeline) -> dict:
+    """The timeline's JSON document minus its one wall-time field."""
+    doc = timeline.as_dict()
+    for window in doc["windows"]:
+        del window["latency_p99_ms"]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def soak():
+    return run_soak()
 
 
 class TestDriverRun:
     def test_window_layout(self, soak):
-        _, timeline = soak
+        _, timeline, _ = soak
         phases = [w.phase for w in timeline.windows]
         assert phases == ["traffic", "traffic", "traffic", "recovery"]
         bounds = [(w.t_start_s, w.t_end_s) for w in timeline.windows]
@@ -190,7 +221,7 @@ class TestDriverRun:
         assert [w.index for w in timeline.windows] == [0, 1, 2, 3]
 
     def test_every_event_is_accounted_for(self, soak):
-        driver, timeline = soak
+        driver, timeline, _ = soak
         queries = sum(1 for e in driver.arrivals.events())
         assert sum(w.queries for w in timeline.windows if w.phase == "traffic") == queries
         assert sum(w.ingest_events for w in timeline.windows) == len(
@@ -199,29 +230,64 @@ class TestDriverRun:
         assert sum(w.rows_appended for w in timeline.windows) > 0
 
     def test_drift_surfaces_in_the_timeline(self, soak):
-        _, timeline = soak
+        _, timeline, left = soak
         assert timeline.first_drift_at_s == 25.0
         # The stale model faces probe traffic over the shifted region; the
         # window re-assessment must catch it from runtime evidence alone.
         assert "impressions" in timeline.detected_tables()
-        assert timeline.drained
+        assert left == 0  # no forge job pending or running after run()
+        # The retrain runs at the first event after its submission.
+        assert [
+            timeline.windows[entry["window"]].phase
+            for entry in timeline.landings
+        ] == ["traffic"]
 
     def test_clock_ends_at_final_boundary(self, soak):
-        driver, _ = soak
+        driver, _, _ = soak
         assert driver.clock.now() >= 80.0
 
     def test_timeline_serializes_to_json(self, soak):
-        _, timeline = soak
+        _, timeline, _ = soak
         doc = json.loads(json.dumps(timeline.as_dict()))
         assert len(doc["windows"]) == 4
         assert "qerrors" not in doc["windows"][0]
         assert doc["windows"][0]["qerror_p90"] >= 1.0
 
     def test_feedback_loop_required(self, soak):
-        driver, _ = soak
+        driver, _, _ = soak
         with pytest.raises(SchemaError):
             StreamDriver(
                 driver.bytecard,
                 driver.arrivals,
                 engine_config=EngineConfig(enable_feedback=False),
             )
+
+
+class TestOneTimeAxis:
+    """Retrains run at virtual times, so machine speed cannot move them."""
+
+    def test_slow_retrains_leave_the_timeline_unchanged(self, soak):
+        _, timeline, _ = soak
+        _, slowed, left = run_soak(retrain_delay_s=0.5)
+        assert slowed.retrains_landed() >= 1
+        assert without_wall_time(slowed) == without_wall_time(timeline)
+        assert left == 0
+
+    def test_landings_counted_without_observability(self, soak):
+        """Landings come from the jobs the driver ran, not from a metrics
+        counter that a disabled registry reads as 0."""
+        _, timeline, _ = soak
+        _, dark, _ = run_soak(observability=False)
+        assert dark.retrains_landed() == timeline.retrains_landed() >= 1
+        assert dark.landings == timeline.landings
+
+    def test_forge_must_run_on_the_driver_clock(self, soak, tmp_path):
+        driver, _, _ = soak
+        with driver.bytecard.forge(tmp_path) as threaded:
+            with pytest.raises(SchemaError):
+                StreamDriver(
+                    driver.bytecard,
+                    driver.arrivals,
+                    clock=SimClock(),
+                    manager=threaded,
+                )
