@@ -72,7 +72,7 @@ def main(store_dir: str) -> None:
     for record in records:
         print(
             f"    est {record.estimated:12.1f}  actual {record.actual:12.1f}"
-            f"  q-error {record.qerror:10.1f}  [{record.source}]"
+            f"  q-error {record.qerror:10.1f}  [{record.kind}]"
         )
 
     # Multi-join traffic over the drifted table: each join step's actual

@@ -458,21 +458,20 @@ class ByteCard(CountEstimator, NdvEstimator):
                     tokens={**current.tokens, table: next(_TOKENS)},
                 )
 
-    def enable_feedback(self, capacity: int = 4096):
+    def enable_feedback(self):
         """Create (or return) the runtime cardinality feedback log.
 
         The returned :class:`repro.feedback.FeedbackLog` is attached to the
         Model Monitor (so COUNT assessments consume observed evidence in
-        place of a share of their synthetic test queries) and handed to any
-        service created by :meth:`serve` afterwards.  Wire it into an
+        place of a share of their synthetic test queries).  An
         :class:`~repro.engine.session.EngineSession` with
-        ``EngineConfig(enable_feedback=True)`` -- the session inherits it
-        through the service or this facade automatically.
+        ``EngineConfig(enable_feedback=True)`` over this facade, or over a
+        service from :meth:`serve`, records into it automatically.
         """
         if self.feedback_log is None:
             from repro.feedback import FeedbackLog
 
-            self.feedback_log = FeedbackLog(capacity=capacity, registry=self.obs)
+            self.feedback_log = FeedbackLog(registry=self.obs)
             self.monitor.attach_feedback(self.feedback_log)
         return self.feedback_log
 
@@ -609,7 +608,7 @@ class ByteCard(CountEstimator, NdvEstimator):
             registry=self.obs,
         )
 
-    def serve(self, config=None, feedback=None):
+    def serve(self, config=None):
         """Wrap this ByteCard in a concurrent :class:`EstimationService`.
 
         The service keeps the traditional estimators as its deadline/error
@@ -618,9 +617,6 @@ class ByteCard(CountEstimator, NdvEstimator):
         fallback gate that flips the affected estimates miss and are
         recomputed.  ``config`` is a
         :class:`repro.serving.ServingConfig`.
-        ``feedback`` defaults to this instance's :attr:`feedback_log` (see
-        :meth:`enable_feedback`): served estimates -- cache hits included --
-        are then noted as pending pairs for the executor to complete.
         """
         from repro.serving import EstimationService
 
@@ -630,7 +626,6 @@ class ByteCard(CountEstimator, NdvEstimator):
             fallback_ndv=self._traditional_ndv,
             config=config,
             registry=self.obs,
-            feedback=feedback if feedback is not None else self.feedback_log,
         )
 
     # ------------------------------------------------------------------

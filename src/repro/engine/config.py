@@ -42,8 +42,6 @@ class EngineConfig:
     #: and observed-error-mass retrain priorities (off by default: the
     #: capture must stay opt-in and under 2% executor overhead)
     enable_feedback: bool = False
-    #: ring capacity of an auto-created feedback log
-    feedback_capacity: int = 4096
 
     # cost-model weights (abstract units)
     io_block_cost: float = 1.0

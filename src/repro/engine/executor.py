@@ -21,14 +21,13 @@ from repro.engine.aggregation import AggregationResult, hash_aggregate
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.config import EngineConfig
 from repro.engine.join import JoinExecution, hash_join_step
-from repro.engine.optimizer import Optimizer, PhysicalPlan
+from repro.engine.optimizer import PhysicalPlan
 from repro.engine.partitioned import partitioned_scan
 from repro.engine.readers import ReaderKind, ScanResult
 from repro.errors import ExecutionError
 from repro.feedback import FeedbackLog
 from repro.metrics.latency import LatencyRecord
-from repro.serving.fingerprint import query_fingerprint
-from repro.sql.query import AggKind, CardQuery, JoinCondition
+from repro.sql.query import AggKind, CardQuery
 from repro.storage.catalog import Catalog
 from repro.storage.io_stats import IOCounter
 
@@ -178,49 +177,20 @@ class Executor:
         plan: PhysicalPlan,
         scans: dict[str, ScanResult],
     ) -> None:
-        """Pair each scan's actual cardinality with its estimate.
-
-        A pending served estimate (noted by the serving tier under the same
-        canonical fingerprint) wins over the plan-recorded one because it
-        carries provenance -- ``cache`` hits in particular never reach the
-        optimizer's provenance accounting.
-
-        Canonical fingerprints exist only to pair those pending estimates,
-        and computing one means building the single-table subquery and
-        serializing it -- the bulk of the capture cost.  When the pending
-        side table is empty (no serving tier attached, the common
-        engine-only deployment) a cheap positional key is recorded instead;
-        the monitor consumes evidence by table scope, never by fingerprint.
-        """
+        """Pair each scan's actual cardinality with the estimate its plan
+        used, under a positional key: the monitor consumes evidence by
+        table scope, never by fingerprint."""
         feedback = self.feedback
         assert feedback is not None
-        pair = feedback.pending_count > 0
         for table, scan in scans.items():
-            if pair:
-                fingerprint = query_fingerprint(
-                    query.single_table_subquery(table)
-                )
-                pending = feedback.take_estimate(fingerprint)
-            else:
-                fingerprint = f"scan:{query.name or 'q'}:{table}"
-                pending = None
-            source = "plan"
-            estimated: float | None
-            if pending is not None:
-                estimated = pending.value
-                if pending.unit == "fraction":
-                    estimated *= len(self.catalog.table(table))
-                source = pending.source
-            else:
-                estimated = plan.estimated_table_rows.get(table)
+            estimated = plan.estimated_table_rows.get(table)
             if estimated is None:
                 continue
             feedback.record(
-                fingerprint,
+                f"scan:{query.name or 'q'}:{table}",
                 (table,),
                 estimated,
                 float(scan.row_indices.size),
-                source=source,
                 kind="scan",
             )
 
@@ -249,7 +219,6 @@ class Executor:
         execution = JoinExecution(
             tuples={order[0].left_table: scanned_rows[order[0].left_table]}
         )
-        executed: list[JoinCondition] = []
         for index, join in enumerate(order):
             hash_join_step(
                 self.catalog,
@@ -258,53 +227,28 @@ class Executor:
                 scanned_rows,
                 max_intermediate_rows=self.config.max_intermediate_rows,
             )
-            executed.append(join)
-            if capture:
-                estimate: float | None = None
-                if index < len(estimates) and math.isfinite(estimates[index]):
-                    estimate = estimates[index]
-                self._record_join_feedback(
-                    query, plan, execution, executed, estimate
-                )
+            if (
+                capture
+                and index < len(estimates)
+                and math.isfinite(estimates[index])
+            ):
+                self._record_join_feedback(query, execution, estimates[index])
         return execution
 
     def _record_join_feedback(
         self,
         query: CardQuery,
-        plan: PhysicalPlan,
         execution: JoinExecution,
-        executed: list[JoinCondition],
-        plan_estimate: float | None,
+        estimated: float,
     ) -> None:
         feedback = self.feedback
         assert feedback is not None
         scope = tuple(sorted(execution.tuples))
-        pending = None
-        if feedback.pending_count > 0:
-            # Canonical fingerprinting (subquery reconstruction + canonical
-            # serialization) is only worth paying when a serving tier may
-            # have noted an estimate to pair; see _capture_scan_feedback.
-            subquery = Optimizer._connected_subquery(
-                query, set(execution.tuples), executed
-            )
-            fingerprint = query_fingerprint(subquery)
-            pending = feedback.take_estimate(fingerprint)
-        else:
-            fingerprint = f"join:{query.name or 'q'}:{'+'.join(scope)}"
-        if pending is not None and pending.unit == "rows":
-            estimated: float | None = pending.value
-            source = pending.source
-        else:
-            estimated = plan_estimate
-            source = "plan"
-        if estimated is None:
-            return
         feedback.record(
-            fingerprint,
+            f"join:{query.name or 'q'}:{'+'.join(scope)}",
             scope,
             estimated,
             float(execution.result_rows),
-            source=source,
             kind="join",
         )
 

@@ -58,11 +58,12 @@ class EngineSession:
         counters; when omitted, the session inherits the service's registry
         or the estimator's own (``ByteCard.metrics()``), if either exists.
 
-        ``feedback`` is the runtime :class:`repro.feedback.FeedbackLog`.
-        When ``config.enable_feedback`` is set and none is passed, the
-        session inherits the service's log (so served estimates pair with
-        executed actuals), then the estimator's (``ByteCard.feedback_log``),
-        and finally creates a private one.
+        ``feedback`` is the runtime :class:`repro.feedback.FeedbackLog`
+        the executor pairs each scan's and join step's actual with the
+        estimate its plan used into.  When ``config.enable_feedback`` is
+        set and none is passed, the session inherits the estimator's log
+        (``ByteCard.feedback_log``; ``service.estimator``'s when planning
+        through a service), else it creates a private one.
         """
         if (suite is None) == (service is None):
             raise ValueError("provide exactly one of suite= or service=")
@@ -81,13 +82,10 @@ class EngineSession:
         self.registry = registry
         self.config = config or EngineConfig()
         if feedback is None and self.config.enable_feedback:
-            feedback = getattr(service, "feedback", None)
+            estimator = getattr(service, "estimator", suite.count_estimator)
+            feedback = getattr(estimator, "feedback_log", None)
             if feedback is None:
-                feedback = getattr(suite.count_estimator, "feedback_log", None)
-            if feedback is None:
-                feedback = FeedbackLog(
-                    capacity=self.config.feedback_capacity, registry=registry
-                )
+                feedback = FeedbackLog(registry=registry)
         self.feedback = feedback
         self.optimizer = Optimizer(
             suite.count_estimator,

@@ -3,6 +3,6 @@
 See :mod:`repro.feedback.log` for the subsystem overview.
 """
 
-from repro.feedback.log import FeedbackLog, FeedbackRecord, PendingEstimate
+from repro.feedback.log import FeedbackLog, FeedbackRecord
 
-__all__ = ["FeedbackLog", "FeedbackRecord", "PendingEstimate"]
+__all__ = ["FeedbackLog", "FeedbackRecord"]

@@ -9,17 +9,9 @@ test queries, and the signal the forge uses to rank retrains by *observed*
 error mass rather than fixed priorities (the paper's Section 4.4.2
 monitor/fine-tune loop, driven by production queries instead of probes).
 
-Two write paths feed one ring:
-
-* **complete pairs** -- the executor knows both sides (the plan's estimate
-  and the scan/join's actual cardinality) and appends a finished
-  :class:`FeedbackRecord` via :meth:`FeedbackLog.record`;
-* **pending estimates** -- the serving tier answers estimates (including
-  cache hits, which never touch a model) before any actual exists.  It
-  *notes* them via :meth:`FeedbackLog.note_estimate`; when the executor
-  later observes the actual for the same fingerprint it pairs the two,
-  preserving the serving-side provenance (``cache`` / ``model`` /
-  ``fallback-*``) in the record's ``source``.
+One write path feeds the ring: the executor knows both sides -- the
+estimate its plan used and the scan/join's actual cardinality -- and
+appends a finished :class:`FeedbackRecord` via :meth:`FeedbackLog.record`.
 
 Non-finite estimates or actuals never enter the ring (counted in
 ``feedback_records_dropped_total{reason="non-finite"}``): a NaN here would
@@ -31,24 +23,25 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.metrics.qerror import qerror
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FeedbackLog", "FeedbackRecord", "PendingEstimate"]
+__all__ = ["FeedbackLog", "FeedbackRecord"]
 
 #: drop reasons pre-registered so exports show explicit zeros
-DROP_REASONS = ("non-finite", "pending-evicted")
+DROP_REASONS = ("non-finite",)
 
 
 @dataclass(frozen=True)
 class FeedbackRecord:
     """One observed (estimate, actual) cardinality pair."""
 
-    #: canonical query fingerprint (see :mod:`repro.serving.fingerprint`)
+    #: the positional key the executor writes (``scan:<query>:<table>`` or
+    #: ``join:<query>:<scope>``)
     fingerprint: Hashable
     #: tables the cardinality covers -- ``(table,)`` for scans, the sorted
     #: joined prefix for join steps
@@ -56,9 +49,6 @@ class FeedbackRecord:
     estimated: float
     actual: float
     timestamp: float
-    #: where the estimate came from: ``plan`` (optimizer-recorded), or the
-    #: serving tier's provenance (``cache`` / ``model`` / ``fallback-*``)
-    source: str = "plan"
     #: which execution step observed the actual: ``scan`` | ``join``
     kind: str = "scan"
 
@@ -72,44 +62,27 @@ class FeedbackRecord:
         return math.log(self.qerror)
 
 
-@dataclass(frozen=True)
-class PendingEstimate:
-    """A served estimate waiting for its runtime actual."""
-
-    value: float
-    source: str
-    #: ``rows`` (COUNT estimates) or ``fraction`` (selectivities, scaled by
-    #: the table's row count at pairing time)
-    unit: str = "rows"
-
-
 class FeedbackLog:
-    """Bounded, thread-safe runtime feedback ring plus a pending-estimate
-    side table.
+    """Bounded, thread-safe runtime feedback ring.
 
-    Appends are O(1) under one lock; :meth:`drain` / :meth:`take_for_table`
-    remove evidence atomically so a consumer (the monitor) never sees the
+    Appends are O(1) under one lock; :meth:`take_for_table` removes
+    evidence atomically so a consumer (the monitor) never sees the
     same record twice while executor threads keep appending.
     """
 
     def __init__(
         self,
         capacity: int = 4096,
-        pending_capacity: int = 1024,
         registry: MetricsRegistry | None = None,
     ):
         if capacity < 1:
             raise ValueError("feedback capacity must be >= 1")
-        if pending_capacity < 1:
-            raise ValueError("pending capacity must be >= 1")
         self.capacity = capacity
-        self.pending_capacity = pending_capacity
         self.registry = (
             registry if registry is not None else MetricsRegistry(enabled=False)
         )
         self._lock = threading.Lock()
         self._records: deque[FeedbackRecord] = deque(maxlen=capacity)
-        self._pending: OrderedDict[Hashable, PendingEstimate] = OrderedDict()
         if self.registry.enabled:
             self.registry.preregister(
                 "feedback_records_dropped_total", "reason", DROP_REASONS
@@ -119,7 +92,7 @@ class FeedbackLog:
             )
 
     # ------------------------------------------------------------------
-    # Write path (executor / serving tier)
+    # Write path (executor)
     # ------------------------------------------------------------------
     def record(
         self,
@@ -127,7 +100,6 @@ class FeedbackLog:
         table_scope: Iterable[str],
         estimated: float,
         actual: float,
-        source: str = "plan",
         kind: str = "scan",
         timestamp: float | None = None,
     ) -> FeedbackRecord | None:
@@ -146,52 +118,12 @@ class FeedbackLog:
             estimated=est,
             actual=act,
             timestamp=time.time() if timestamp is None else timestamp,
-            source=source,
             kind=kind,
         )
         with self._lock:
             self._records.append(rec)
         self.registry.counter("feedback_records_total", kind=kind).inc()
         return rec
-
-    def note_estimate(
-        self,
-        fingerprint: Hashable,
-        table_scope: Iterable[str],
-        value: float,
-        source: str = "model",
-        unit: str = "rows",
-    ) -> None:
-        """Register a served estimate awaiting its runtime actual.
-
-        ``table_scope`` is accepted (and ignored) so callers need not
-        special-case it; the scope is authoritative at pairing time, when
-        the executor knows exactly which scan/join produced the actual.
-        The side table is LRU-bounded: estimates that never execute are
-        evicted (counted), not accumulated.
-        """
-        value = float(value)
-        if not math.isfinite(value):
-            self.registry.counter(
-                "feedback_records_dropped_total", reason="non-finite"
-            ).inc()
-            return
-        evicted = 0
-        with self._lock:
-            self._pending[fingerprint] = PendingEstimate(value, source, unit)
-            self._pending.move_to_end(fingerprint)
-            while len(self._pending) > self.pending_capacity:
-                self._pending.popitem(last=False)
-                evicted += 1
-        if evicted:
-            self.registry.counter(
-                "feedback_records_dropped_total", reason="pending-evicted"
-            ).inc(evicted)
-
-    def take_estimate(self, fingerprint: Hashable) -> PendingEstimate | None:
-        """Claim (and remove) the pending estimate for one fingerprint."""
-        with self._lock:
-            return self._pending.pop(fingerprint, None)
 
     # ------------------------------------------------------------------
     # Read path (monitor / forge)
@@ -200,22 +132,10 @@ class FeedbackLog:
         with self._lock:
             return len(self._records)
 
-    @property
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def snapshot(self) -> list[FeedbackRecord]:
         """Every retained record, oldest first, without consuming."""
         with self._lock:
             return list(self._records)
-
-    def drain(self) -> list[FeedbackRecord]:
-        """Atomically remove and return every retained record."""
-        with self._lock:
-            records = list(self._records)
-            self._records.clear()
-        return records
 
     def records_for(self, table: str) -> list[FeedbackRecord]:
         """Single-table records for ``table`` (the COUNT-model evidence),

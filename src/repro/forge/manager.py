@@ -122,7 +122,10 @@ class ForgeManager:
     # Monitor listener: failing/drifting assessments become jobs
     # ------------------------------------------------------------------
     def _on_assessment(self, report: MonitorReport, kind: str) -> None:
-        if self._closed:
+        # Only a COUNT assessment schedules a retrain: an NDV miss is
+        # calibrated per column (ByteCard._calibrate_column), and a
+        # universal-RBX retrain would republish the same memoised network.
+        if self._closed or kind != "count":
             return
         with self._muted_lock:
             if report.name in self._muted:
@@ -136,14 +139,9 @@ class ForgeManager:
                 "forge_drift_triggers_total", kind=kind, reason=reason
             ).inc()
         try:
-            if kind == "count":
-                self.submit_retrain(
-                    "bn", report.name, priority=self._retrain_priority(report)
-                )
-            elif kind == "ndv":
-                # per-column RBX drift retrains the shared universal
-                # network; per-column jobs coalesce into one.
-                self.submit_retrain("rbx", "universal")
+            self.submit_retrain(
+                "bn", report.name, priority=self._retrain_priority(report)
+            )
         except RuntimeError:  # scheduler already shut down
             pass
 
@@ -188,18 +186,13 @@ class ForgeManager:
     def _run_job(self, job: ForgeJob) -> ForgeJobResult:
         bytecard = self.bytecard
         with self._publish_lock:
-            if job.kind == "bn":
-                infos = bytecard.forge_service.train_count_models(
-                    bytecard.bundle, tables=[job.name]
-                )
-                if not infos:
-                    raise TrainingError(
-                        f"no trainable columns for table {job.name!r}"
-                    )
-            elif job.kind == "rbx":
-                bytecard.forge_service.train_rbx_universal()
-            else:
+            if job.kind != "bn":
                 raise TrainingError(f"no trainer for model kind {job.kind!r}")
+            infos = bytecard.forge_service.train_count_models(
+                bytecard.bundle, tables=[job.name]
+            )
+            if not infos:
+                raise TrainingError(f"no trainable columns for table {job.name!r}")
             record = bytecard.registry.latest(job.kind, job.name)
             assert record is not None  # the trainer just published it
             artifact = self.store.put(
@@ -209,7 +202,7 @@ class ForgeManager:
             # retire the cached answers of the replaced model.
             bytecard.refresh()
             report = None
-            if job.kind == "bn" and self.config.revalidate:
+            if self.config.revalidate:
                 report = self._revalidate(job.name)
         return ForgeJobResult(artifact=artifact, report=report)
 

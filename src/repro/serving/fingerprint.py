@@ -142,9 +142,7 @@ def request_fingerprint(
     selectivity from answering a COUNT request for the same query.  ``scope`` is the
     serving estimator's ``name``: one core serves one estimator, so the
     scope is constant per cache and only names whose answers it holds.
-    ``fingerprint`` is the canonical :func:`query_fingerprint` (computed
-    once by the caller; it is also the pairing key of the runtime
-    feedback log).
+    ``fingerprint`` is the canonical :func:`query_fingerprint`.
     """
     return (task, scope, fingerprint)
 

@@ -54,7 +54,6 @@ from dataclasses import dataclass, replace
 
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
-from repro.feedback import FeedbackLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
 from repro.serving.config import ServingConfig
@@ -75,9 +74,6 @@ _METHODS = {
     "ndv": "estimate_ndv",
     "group_ndv": "group_ndv",
 }
-#: the tasks whose served answers are noted for runtime feedback, and the
-#: unit of each
-_FEEDBACK_UNITS = {"count": "rows", "selectivity": "fraction"}
 #: the stages a request is timed in
 _STAGES = ("serve.cache_lookup", "serve.model", "serve.fallback")
 
@@ -118,7 +114,6 @@ class EstimationService(CountEstimator, NdvEstimator):
         fallback_ndv: NdvEstimator | None = None,
         config: ServingConfig | None = None,
         registry: MetricsRegistry | None = None,
-        feedback: FeedbackLog | None = None,
     ):
         self.estimator = estimator
         #: cache scope of every answer: the one estimator's identity
@@ -139,10 +134,6 @@ class EstimationService(CountEstimator, NdvEstimator):
             "ndv": fallback_ndv,
             "group_ndv": fallback_ndv,
         }
-        #: runtime feedback log; every served COUNT and selectivity (cache
-        #: hits included -- they never reach the optimizer's provenance) is
-        #: noted as pending so the executor can pair it with the actual
-        self.feedback = feedback
         self.config = config or ServingConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
         self.stats_collector = StatsCollector(self.config.latency_window)
@@ -176,9 +167,8 @@ class EstimationService(CountEstimator, NdvEstimator):
         start = time.monotonic()
         self._requests[task].inc()
         stages: list[SpanRecord] = []
-        fingerprint = query_fingerprint(query)
         snapshot = self.estimator.snapshot()
-        request = request_fingerprint(task, self.scope, fingerprint)
+        request = request_fingerprint(task, self.scope, query_fingerprint(query))
         if task == "group_ndv":
             # The answer reads the keys in GROUP BY order (a table's first
             # key picks its RBX network); the fingerprint sorts them.
@@ -191,7 +181,7 @@ class EstimationService(CountEstimator, NdvEstimator):
             cached = self.cache.get(key)
             self._stage(stages, "serve.cache_lookup", began)
             if cached is not None:
-                return self._finish(cached, "cache", start, stages, task, query, fingerprint)
+                return self._finish(cached, "cache", start, stages)
         model = snapshot if task in self._learned_tasks else fallback
         compute = getattr(model, _METHODS[task])
         if deadline_ms is _UNSET:
@@ -238,12 +228,10 @@ class EstimationService(CountEstimator, NdvEstimator):
                 value = getattr(fallback, _METHODS[task])(query)
             finally:
                 self._stage(stages, "serve.fallback", began)
-            return self._finish(
-                value, "fallback-" + reason, start, stages, task, query, fingerprint
-            )
+            return self._finish(value, "fallback-" + reason, start, stages)
         if key is not None:
             self.cache.put(key, value)
-        return self._finish(value, "model", start, stages, task, query, fingerprint)
+        return self._finish(value, "model", start, stages)
 
     def _stage(self, stages: list[SpanRecord], name: str, began: float) -> None:
         seconds = time.perf_counter() - began
@@ -269,18 +257,10 @@ class EstimationService(CountEstimator, NdvEstimator):
         source: str,
         start: float,
         stages: list[SpanRecord],
-        task: str,
-        query: CardQuery,
-        fingerprint,
     ) -> ServedEstimate:
         latency = time.monotonic() - start
         estimate = ServedEstimate(float(value), source, latency, tuple(stages))
         self._path_seconds[estimate.path].observe(latency)
-        unit = _FEEDBACK_UNITS.get(task)
-        if self.feedback is not None and unit is not None:
-            self.feedback.note_estimate(
-                fingerprint, query.tables, estimate.value, source=source, unit=unit
-            )
         return estimate
 
     # ------------------------------------------------------------------

@@ -248,9 +248,7 @@ class StreamDriver:
     def run(self) -> SoakTimeline:
         bytecard = self.bytecard
         feedback = bytecard.enable_feedback()
-        service = bytecard.serve(
-            config=self.serving_config, feedback=feedback
-        )
+        service = bytecard.serve(config=self.serving_config)
         session = EngineSession(
             bytecard.bundle.catalog,
             service=service,

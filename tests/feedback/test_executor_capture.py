@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.core import ByteCard, ByteCardConfig
+from repro.datasets import make_aeolus
 from repro.engine import EngineConfig, EngineSession, EstimatorSuite
 from repro.estimators.traditional import SelingerEstimator, SketchNdvEstimator
-from repro.feedback import FeedbackLog
-from repro.serving.fingerprint import query_fingerprint
+from repro.serving import ServingConfig
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
+
+MORNING = CardQuery(
+    tables=("impressions",),
+    predicates=(TablePredicate("impressions", "hour", PredicateOp.LT, 12.0),),
+    name="morning",
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,46 +50,15 @@ def _join_query(imdb_workload, min_joins=1):
 class TestScanCapture:
     def test_scan_actuals_are_recorded(self, imdb, suite):
         session = _session(imdb, suite)
-        result = session.run(_single_table_query())
+        query = _single_table_query()
+        result = session.run(query)
         records = session.feedback.records_for("title")
         assert len(records) == 1
         record = records[0]
-        assert record.kind == "scan"
-        assert record.source == "plan"
+        assert (record.kind, record.fingerprint) == ("scan", "scan:feedback-scan:title")
         assert record.actual == float(result.scans["title"].row_indices.size)
-        assert record.estimated > 0
-
-    def test_pending_served_estimate_wins_over_plan(self, imdb, suite):
-        feedback = FeedbackLog(capacity=64)
-        config = EngineConfig(enable_feedback=True)
-        session = EngineSession(
-            imdb.catalog, suite=suite, config=config, feedback=feedback
-        )
-        query = _single_table_query()
-        fingerprint = query_fingerprint(query.single_table_subquery("title"))
-        feedback.note_estimate(fingerprint, ("title",), 12345.0, source="cache")
-        session.run(query)
-        (record,) = feedback.records_for("title")
-        assert record.source == "cache"
-        assert record.estimated == 12345.0
-        assert feedback.pending_count == 0
-
-    def test_fraction_pending_scaled_by_table_rows(self, imdb, suite):
-        feedback = FeedbackLog(capacity=64)
-        config = EngineConfig(enable_feedback=True)
-        session = EngineSession(
-            imdb.catalog, suite=suite, config=config, feedback=feedback
-        )
-        query = _single_table_query()
-        fingerprint = query_fingerprint(query.single_table_subquery("title"))
-        feedback.note_estimate(
-            fingerprint, ("title",), 0.5, source="model", unit="fraction"
-        )
-        session.run(query)
-        (record,) = feedback.records_for("title")
-        assert record.estimated == pytest.approx(
-            0.5 * len(imdb.catalog.table("title"))
-        )
+        plan = session.optimizer.plan(query)
+        assert record.estimated == plan.estimated_table_rows["title"] > 0
 
     def test_disabled_by_default(self, imdb, suite):
         session = EngineSession(imdb.catalog, suite=suite)
@@ -111,3 +87,63 @@ class TestJoinCapture:
         assert captured.result_rows == plain.result_rows
         assert captured.aggregate_value == plain.aggregate_value
         assert captured.blocks_read == plain.blocks_read
+
+
+def _double(table) -> None:
+    """Append a copy of every row of ``table``."""
+    table.append_rows(
+        {name: table.column(name).values.copy() for name in table.column_names()}
+    )
+
+
+def _bytecard():
+    bundle = make_aeolus(scale=0.05)  # private: a test may mutate it
+    config = ByteCardConfig(
+        training_sample_rows=4000, rbx_corpus_size=200, rbx_epochs=3
+    )
+    return ByteCard.build(bundle, config=config, run_monitor=False)
+
+
+class TestServedSessions:
+    def test_a_session_over_a_served_bytecard_records_into_its_log(self):
+        card = _bytecard()
+        log = card.enable_feedback()
+        with card.serve(ServingConfig(deadline_ms=None)) as service:
+            session = EngineSession(
+                card.bundle.catalog,
+                service=service,
+                config=EngineConfig(enable_feedback=True),
+            )
+            session.run(MORNING)
+        assert session.feedback is log
+        assert [r.kind for r in log.records_for("impressions")] == ["scan"]
+
+    def test_each_scan_records_the_estimate_its_plan_used(self, monkeypatch):
+        """The soak driver's shape: a served COUNT, a run, the same served
+        COUNT, a plan-memo-hit run.  A gated table's COUNT reads the
+        traditional estimator's build-time row count, so after an append
+        it differs from the plan's selectivity times the live rows; each
+        record must carry the plan's figure."""
+        card = _bytecard()
+        log = card.enable_feedback()
+        card.set_fallback("impressions", True)
+        _double(card.bundle.catalog.table("impressions"))
+        with card.serve(ServingConfig(deadline_ms=None)) as service:
+            session = EngineSession(
+                card.bundle.catalog,
+                service=service,
+                config=EngineConfig(enable_feedback=True),
+            )
+            plan, plans = session.optimizer.plan, []
+            monkeypatch.setattr(
+                session.optimizer, "plan", lambda q: plans.append(plan(q)) or plans[-1]
+            )
+            served = []
+            for _ in range(2):
+                served.append(service.estimate_count(MORNING))
+                session.run(MORNING)
+        assert list(plans[1].decision_timings) == ["plan_memo"]
+        estimates = [p.estimated_table_rows["impressions"] for p in plans]
+        assert served[1] != estimates[1]
+        records = log.records_for("impressions")
+        assert [r.estimated for r in records] == estimates

@@ -54,7 +54,7 @@ class TestFeedbackLog:
         with pytest.raises(ValueError):
             FeedbackLog(capacity=0)
         with pytest.raises(ValueError):
-            FeedbackLog(pending_capacity=0)
+            FeedbackLog(capacity=-1)
 
     def test_non_finite_pairs_are_dropped_and_counted(self):
         registry = MetricsRegistry(enabled=True)
@@ -70,31 +70,19 @@ class TestFeedbackLog:
         )
 
     def test_drop_reasons_preregistered_at_zero(self):
+        """The one drop reason and both record kinds are exported as zeros
+        before anything is recorded."""
         registry = MetricsRegistry(enabled=True)
         FeedbackLog(capacity=8, registry=registry)
-        assert (
-            _counter_value(
-                registry, "feedback_records_dropped_total", reason="non-finite"
-            )
-            == 0
-        )
-        assert (
-            _counter_value(
-                registry,
-                "feedback_records_dropped_total",
-                reason="pending-evicted",
-            )
-            == 0
-        )
-
-    def test_drain_empties_atomically(self):
-        log = FeedbackLog(capacity=8)
-        for i in range(5):
-            log.record(i, ("t",), 1, 2)
-        drained = log.drain()
-        assert len(drained) == 5
-        assert len(log) == 0
-        assert log.drain() == []
+        series = {
+            (metric.name, metric.labels): metric.value
+            for metric in registry.metrics()
+        }
+        assert series == {
+            ("feedback_records_dropped_total", (("reason", "non-finite"),)): 0,
+            ("feedback_records_total", (("kind", "join"),)): 0,
+            ("feedback_records_total", (("kind", "scan"),)): 0,
+        }
 
     def test_take_for_table_consumes_only_that_scope(self):
         log = FeedbackLog(capacity=16)
@@ -127,45 +115,6 @@ class TestFeedbackLog:
         log.record("b", ("a_table",), 1, 1)
         log.record("c", ("a_table", "b_table"), 1, 1, kind="join")
         assert log.scoped_tables() == ["a_table", "b_table"]
-
-
-class TestPendingEstimates:
-    def test_note_then_take(self):
-        log = FeedbackLog(capacity=8)
-        log.note_estimate("fp", ("t",), 123.0, source="cache")
-        pending = log.take_estimate("fp")
-        assert pending is not None
-        assert pending.value == 123.0
-        assert pending.source == "cache"
-        assert pending.unit == "rows"
-        assert log.take_estimate("fp") is None
-
-    def test_fraction_unit_round_trips(self):
-        log = FeedbackLog(capacity=8)
-        log.note_estimate("fp", ("t",), 0.25, source="model", unit="fraction")
-        assert log.take_estimate("fp").unit == "fraction"
-
-    def test_pending_lru_eviction_counted(self):
-        registry = MetricsRegistry(enabled=True)
-        log = FeedbackLog(capacity=8, pending_capacity=2, registry=registry)
-        log.note_estimate("a", ("t",), 1.0)
-        log.note_estimate("b", ("t",), 2.0)
-        log.note_estimate("c", ("t",), 3.0)
-        assert log.pending_count == 2
-        assert log.take_estimate("a") is None  # oldest evicted
-        assert (
-            _counter_value(
-                registry,
-                "feedback_records_dropped_total",
-                reason="pending-evicted",
-            )
-            == 1
-        )
-
-    def test_non_finite_pending_rejected(self):
-        log = FeedbackLog(capacity=8)
-        log.note_estimate("fp", ("t",), float("nan"))
-        assert log.pending_count == 0
 
 
 class TestConcurrency:
@@ -203,28 +152,3 @@ class TestConcurrency:
         assert len(fingerprints) == writers * per_writer
         assert len(set(fingerprints)) == writers * per_writer
         assert len(log) == 0
-
-    def test_parallel_note_and_take_never_duplicates(self):
-        log = FeedbackLog(capacity=16, pending_capacity=4_096)
-        n = 2_000
-        for i in range(n):
-            log.note_estimate(i, ("t",), float(i))
-        claimed: list = []
-        lock = threading.Lock()
-
-        def take(span) -> None:
-            got = [log.take_estimate(i) for i in span]
-            with lock:
-                claimed.extend(p for p in got if p is not None)
-
-        # Two racing claimants over the same fingerprints: each estimate
-        # must be claimed exactly once.
-        threads = [
-            threading.Thread(target=take, args=(range(n),)) for _ in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(claimed) == min(n, 4_096)
-        assert log.pending_count == 0

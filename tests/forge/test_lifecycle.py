@@ -10,6 +10,8 @@ warm-starts from the store directory and serves estimates with **zero**
 training calls.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,29 @@ class TestDriftTriggeredRetrain:
         # Everything passes now: no retrain got queued, so no key moved
         # beyond the versions minted so far.
         assert manager.store.current("bn", TABLE).version == 2
+
+
+class TestNdvAssessments:
+    def test_a_failing_ndv_assessment_schedules_no_retrain(
+        self, bundle, config, tmp_path
+    ):
+        """Retraining the universal RBX network would republish the same
+        memoised network and only retire every cached NDV answer: a failing
+        NDV assessment leaves the scheduler empty and the RBX token as it
+        was."""
+        bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
+        manager = bytecard.forge(tmp_path, ForgeConfig(num_workers=0))
+        token = bytecard.snapshot().rbx_token
+        table, column = bundle.high_ndv_columns[0]
+        wrong = SimpleNamespace(estimate_ndv=lambda query: 1e12)
+        try:
+            report = bytecard.monitor.assess_ndv_column(table, column, wrong)
+            assert report.passed is False
+            assert manager.scheduler.pending_count() == 0
+            assert manager.run_ready() == []
+            assert bytecard.snapshot().rbx_token == token
+        finally:
+            manager.close()
 
 
 class TestSignalPath:

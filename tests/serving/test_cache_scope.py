@@ -6,7 +6,6 @@ from repro.engine import EngineConfig
 from repro.engine.optimizer import Optimizer
 from repro.estimators import EstimateDetail
 from repro.estimators.base import CountEstimator
-from repro.feedback import FeedbackLog
 from repro.serving import EstimationService, ServedEstimate, ServingConfig
 from repro.serving.fingerprint import query_fingerprint, request_fingerprint
 from repro.sql.query import CardQuery, PredicateOp, TablePredicate
@@ -53,12 +52,11 @@ class Full(CountEstimator):
         return EstimateDetail(42.0, "model")
 
 
-def make_service(estimator, feedback=None):
+def make_service(estimator):
     return EstimationService(
         estimator=estimator,
         fallback_count=Constant("fallback", -1.0),
         config=ServingConfig(deadline_ms=10_000.0, cache_entries=64),
-        feedback=feedback,
     )
 
 
@@ -111,17 +109,6 @@ def test_same_estimator_still_caches():
         assert service.estimate_count_detail(query).source == "model"
         assert service.estimate_count_detail(query).source == "cache"
         assert estimator.calls == 1
-
-
-def test_served_estimates_carry_value_into_feedback():
-    feedback = FeedbackLog(capacity=16)
-    estimator = Constant("only", 50.0)
-    with make_service(estimator, feedback=feedback) as service:
-        query = make_query()
-        service.estimate_count_detail(query)
-        pending = feedback.take_estimate(query_fingerprint(query))
-        assert pending is not None
-        assert (pending.value, pending.source) == (50.0, "model")
 
 
 def test_selectivity_after_close_degrades_like_count():

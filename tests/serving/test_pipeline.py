@@ -1,15 +1,13 @@
 """One pipeline for all four tasks: COUNT, selectivity, NDV and group NDV
-each go through the same cache, admission, fallback ladder, drain and
-feedback rules of :class:`EstimationService`."""
+each go through the same cache, admission, fallback ladder and drain rules
+of :class:`EstimationService`."""
 
 import threading
 
 import pytest
 
 from repro.estimators.base import CountEstimator, NdvEstimator
-from repro.feedback import FeedbackLog
 from repro.serving import EstimationService, ServingConfig
-from repro.serving.fingerprint import query_fingerprint
 from repro.sql.query import AggKind, AggSpec, CardQuery, PredicateOp, TablePredicate
 
 FILTERED = CardQuery(
@@ -28,8 +26,6 @@ TASKS = {
         "group_ndv_detail",
     ),
 }
-#: the unit a served answer is noted in for runtime feedback (None: not noted)
-UNITS = {"count": "rows", "selectivity": "fraction", "ndv": None, "group_ndv": None}
 
 
 class Answers(CountEstimator, NdvEstimator):
@@ -71,7 +67,7 @@ class Answers(CountEstimator, NdvEstimator):
         return self._answer(9.0)
 
 
-def make_service(feedback=None):
+def make_service():
     model = Answers(0.0)
     fallback = Answers(1000.0)
     service = EstimationService(
@@ -79,7 +75,6 @@ def make_service(feedback=None):
         fallback,
         fallback,
         ServingConfig(deadline_ms=None, num_workers=1),
-        feedback=feedback,
     )
     return service, model, fallback
 
@@ -136,22 +131,6 @@ def test_after_close_a_request_is_answered_rejected(task):
     assert served.source == "fallback-rejected"
     assert (model.calls, fallback.calls) == (0, 1)
     assert service.stats().rejected == 1
-
-
-def test_feedback_is_noted_in_the_unit_of_the_task(task):
-    feedback = FeedbackLog(capacity=16)
-    service, _, _ = make_service(feedback)
-    with service:
-        served = serve(service, task)
-    pending = feedback.take_estimate(query_fingerprint(TASKS[task][0]))
-    if UNITS[task] is None:
-        assert pending is None
-    else:
-        assert (pending.value, pending.source, pending.unit) == (
-            served.value,
-            "model",
-            UNITS[task],
-        )
 
 
 def test_close_waits_for_an_in_flight_request(task):
