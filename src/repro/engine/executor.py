@@ -84,8 +84,8 @@ class Executor:
         self.catalog = catalog
         self.config = config or EngineConfig()
         self.registry = registry if registry is not None else MetricsRegistry(enabled=False)
-        #: runtime feedback ring; pairs the plan's (or the serving tier's)
-        #: estimates with the actual cardinalities this executor observes.
+        #: runtime feedback ring; pairs the plan's estimates with the
+        #: actual cardinalities this executor observes.
         #: Only consulted when ``config.enable_feedback`` is set.
         self.feedback = feedback
 

@@ -50,6 +50,26 @@ class TestFeedbackLog:
         assert len(log) == 4
         assert [r.fingerprint for r in log.snapshot()] == [6, 7, 8, 9]
 
+    def test_default_capacity(self):
+        log = FeedbackLog()
+        assert log.capacity == 4096
+        for i in range(4097):
+            log.record(i, ("t",), 1, 1)
+        assert len(log) == 4096
+        assert log.snapshot()[0].fingerprint == 1
+
+    def test_records_are_counted_by_kind(self):
+        registry = MetricsRegistry(enabled=True)
+        log = FeedbackLog(capacity=8, registry=registry)
+        log.record("a", ("t",), 1, 2)
+        log.record("b", ("t",), 1, 2)
+        log.record("c", ("t", "u"), 1, 2, kind="join")
+        counts = {
+            kind: _counter_value(registry, "feedback_records_total", kind=kind)
+            for kind in ("scan", "join")
+        }
+        assert counts == {"scan": 2, "join": 1}
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             FeedbackLog(capacity=0)

@@ -164,27 +164,41 @@ class TestDriftTriggeredRetrain:
         assert manager.store.current("bn", TABLE).version == 2
 
 
+@pytest.fixture
+def ndv_env(bundle, config, tmp_path):
+    """A built ByteCard whose forge runs jobs only on ``run_ready``."""
+    bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
+    manager = bytecard.forge(tmp_path, ForgeConfig(num_workers=0, max_attempts=1))
+    yield bytecard, manager
+    manager.close()
+
+
 class TestNdvAssessments:
-    def test_a_failing_ndv_assessment_schedules_no_retrain(
-        self, bundle, config, tmp_path
-    ):
+    def test_a_failing_ndv_assessment_schedules_no_retrain(self, bundle, ndv_env):
         """Retraining the universal RBX network would republish the same
         memoised network and only retire every cached NDV answer: a failing
         NDV assessment leaves the scheduler empty and the RBX token as it
         was."""
-        bytecard = ByteCard.build(bundle, config=config, run_monitor=False)
-        manager = bytecard.forge(tmp_path, ForgeConfig(num_workers=0))
+        bytecard, manager = ndv_env
         token = bytecard.snapshot().rbx_token
         table, column = bundle.high_ndv_columns[0]
         wrong = SimpleNamespace(estimate_ndv=lambda query: 1e12)
-        try:
-            report = bytecard.monitor.assess_ndv_column(table, column, wrong)
-            assert report.passed is False
-            assert manager.scheduler.pending_count() == 0
-            assert manager.run_ready() == []
-            assert bytecard.snapshot().rbx_token == token
-        finally:
-            manager.close()
+        report = bytecard.monitor.assess_ndv_column(table, column, wrong)
+        assert report.passed is False
+        assert manager.scheduler.pending_count() == 0
+        assert manager.run_ready() == []
+        assert bytecard.snapshot().rbx_token == token
+
+    def test_an_rbx_job_has_no_trainer(self, ndv_env):
+        """Only BN retrains exist: a directly submitted RBX job fails
+        without publishing anything."""
+        bytecard, manager = ndv_env
+        snapshot = bytecard.snapshot()
+        job = manager.submit_retrain("rbx", "universal")
+        assert manager.run_ready() == [job]
+        assert job.state is JobState.FAILED
+        assert "no trainer for model kind 'rbx'" in job.error
+        assert bytecard.snapshot() is snapshot
 
 
 class TestSignalPath:
