@@ -88,7 +88,9 @@ def _measure() -> dict[str, object]:
     blocks = {}
     for name, order in (("naive", naive_order), ("correlation-aware", aware_order)):
         io = IOCounter()
-        result = multi_stage_scan(table, query, [], io, column_order=list(order))
+        result = multi_stage_scan(
+            table, query, [], io, table.partition(0), column_order=list(order)
+        )
         blocks[name] = result.blocks_read
     return {
         "naive_order": naive_order,

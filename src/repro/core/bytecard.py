@@ -271,9 +271,9 @@ class ByteCard(CountEstimator, NdvEstimator):
         Returns a :class:`repro.forge.ForgeManager`: background training
         workers, a persistent versioned artifact store at ``store_dir``,
         and a drift-triggered retrain loop subscribed to this instance's
-        Model Monitor.  Current models are persisted on creation (unless
-        the config says otherwise), so :meth:`from_store` can warm-start a
-        future process from the same directory.  ``clock`` (see
+        Model Monitor.  Current models are persisted on creation, so
+        :meth:`from_store` can warm-start a future process from the same
+        directory.  ``clock`` (see
         :class:`repro.utils.clock.Clock`) puts a scheduler without workers
         (``ForgeConfig(num_workers=0)``) on an injected time source -- the
         streaming soak runs its jobs on simulated time.

@@ -2,15 +2,14 @@
 
 ModelForge publishes serialized model blobs here with monotonically
 increasing logical timestamps; the Model Loader polls for blobs newer than
-what it has loaded.  An optional directory backing makes the store
-persistent, which the lifecycle example uses.
+what it has loaded.  The registry lives in memory; the one persistence
+path is :class:`repro.forge.store.ArtifactStore`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,9 @@ class ModelRecord:
 class ModelRegistry:
     """Versioned blob store with logical timestamps."""
 
-    def __init__(self, directory: str | Path | None = None):
+    def __init__(self):
         self._records: dict[tuple[str, str], list[ModelRecord]] = {}
         self._clock = itertools.count(1)
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     def publish(self, kind: str, name: str, blob: bytes) -> ModelRecord:
@@ -48,9 +44,6 @@ class ModelRegistry:
             kind=kind, name=name, timestamp=next(self._clock), blob=blob
         )
         self._records.setdefault(record.key, []).append(record)
-        if self._directory is not None:
-            path = self._directory / f"{kind}__{name}__{record.timestamp}.bcm"
-            path.write_bytes(blob)
         return record
 
     def latest(self, kind: str, name: str) -> ModelRecord | None:

@@ -17,7 +17,7 @@ the paper's optimizations touch:
 from repro.engine.config import EngineConfig, CLUSTER_SETUP
 from repro.engine.hash_table import SimulatedHashTable
 from repro.engine.readers import ReaderKind, ScanResult, single_stage_scan, multi_stage_scan
-from repro.engine.partitioned import partition_refuted, partitioned_scan, prune_partitions
+from repro.engine.partitioned import partitioned_scan
 from repro.engine.aggregation import AggregationResult, hash_aggregate
 from repro.engine.optimizer import Optimizer, PhysicalPlan
 from repro.engine.executor import QueryResult, Executor
@@ -32,9 +32,7 @@ __all__ = [
     "ScanResult",
     "single_stage_scan",
     "multi_stage_scan",
-    "partition_refuted",
     "partitioned_scan",
-    "prune_partitions",
     "AggregationResult",
     "hash_aggregate",
     "Optimizer",

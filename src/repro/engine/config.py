@@ -34,8 +34,6 @@ class EngineConfig:
     #: (exact left-deep dynamic programming over connected subsets --
     #: affordable for the <= 8-way joins of the paper's workloads)
     join_order_strategy: str = "greedy"
-    #: consult zone maps to skip partitions before any block I/O
-    partition_pruning: bool = True
     #: capture (fingerprint, estimated, actual) pairs into the session's
     #: :class:`repro.feedback.FeedbackLog` as a by-product of every scan
     #: and join -- the runtime evidence behind feedback-driven monitoring

@@ -106,7 +106,6 @@ class Executor:
                 io,
                 reader=plan.readers.get(table_name, ReaderKind.SINGLE_STAGE),
                 column_order=plan.column_orders.get(table_name),
-                prune=self.config.partition_pruning,
                 registry=self.registry,
             )
         stage_timings["scan"] = time.perf_counter() - stage_start

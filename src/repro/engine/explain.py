@@ -29,14 +29,6 @@ def explain_plan(plan: PhysicalPlan) -> str:
         if order:
             parts.append("column_order=" + " -> ".join(order))
         lines.append("  ".join(parts))
-        total_partitions = plan.partition_counts.get(table)
-        if total_partitions is not None:
-            pruned = plan.pruned_partitions.get(table, ())
-            lines.append(
-                f"    partitions: {total_partitions - len(pruned)}/"
-                f"{total_partitions} survive zone-map pruning"
-                + (f" (pruned: {', '.join(map(str, pruned))})" if pruned else "")
-            )
     for index, join in enumerate(plan.join_order, start=1):
         lines.append(f"  join {index}: {join}")
     if query.group_by:
@@ -78,9 +70,12 @@ def explain_result(result: QueryResult) -> str:
         partitions = ""
         if scan.partitions_pruned or scan.partitions_scanned > 1:
             total = scan.partitions_scanned + scan.partitions_pruned
+            pruned = scan.pruned_partition_indices
             partitions = (
                 f", partitions {scan.partitions_scanned}/{total}"
-                f" ({scan.partitions_pruned} pruned)"
+                f" ({scan.partitions_pruned} pruned"
+                + (f": {', '.join(map(str, pruned))}" if pruned else "")
+                + ")"
             )
         lines.append(
             f"    {table}: {scan.reader.value}, {scan.blocks_read} blocks"

@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.engine.config import EngineConfig
-from repro.engine.partitioned import prune_partitions
 from repro.engine.readers import ReaderKind
 from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator, NdvEstimator
@@ -65,10 +64,6 @@ class PhysicalPlan:
     #: was produced (cache / model / fallback-* when planning through the
     #: serving tier, ``direct`` for bare estimators)
     decision_provenance: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: total partitions per planned table (only multi-partition tables)
-    partition_counts: dict[str, int] = field(default_factory=dict)
-    #: partitions refuted by zone maps at plan time, per table
-    pruned_partitions: dict[str, tuple[int, ...]] = field(default_factory=dict)
     #: estimated surviving rows per table (selectivity x row count) -- the
     #: executor pairs these with observed scan cardinalities for the
     #: runtime feedback log
@@ -91,8 +86,6 @@ class PhysicalPlan:
             decision_provenance={
                 d: dict(sources) for d, sources in self.decision_provenance.items()
             },
-            partition_counts=dict(self.partition_counts),
-            pruned_partitions=dict(self.pruned_partitions),
             estimated_table_rows=dict(self.estimated_table_rows),
             join_step_estimates=list(self.join_step_estimates),
         )
@@ -122,7 +115,7 @@ class Optimizer:
         model (``ByteCard``, ``SelingerEstimator``, ...), the serving tier
         or the fleet router.
 
-        ``catalog`` enables plan-time partition pruning (falls back to the
+        ``catalog`` supplies row counts and table states (falls back to the
         estimator's own catalog when omitted).
         """
         self.count_estimator = count_estimator
@@ -182,7 +175,6 @@ class Optimizer:
                     plan.column_orders[table] = self._choose_column_order(
                         query, table, plan
                     )
-            self._plan_partitions(query, table, plan)
             rows = self._table_rows(table)
             if rows:
                 plan.estimated_table_rows[table] = selectivity * rows
@@ -278,27 +270,6 @@ class Optimizer:
         if catalog is None:
             return 0
         return len(catalog.table(table))
-
-    # ------------------------------------------------------------------
-    # Partition-aware planning
-    # ------------------------------------------------------------------
-    def _catalog_table(self, table: str):
-        if self.catalog is None or not self.catalog.has_table(table):
-            return None
-        return self.catalog.table(table)
-
-    def _plan_partitions(
-        self, query: CardQuery, table: str, plan: PhysicalPlan
-    ) -> None:
-        """Record which partitions zone maps refute at plan time; every
-        survivor is scanned with the table's reader and column order."""
-        tbl = self._catalog_table(table)
-        if tbl is None or tbl.num_partitions <= 1 or not self.config.partition_pruning:
-            return
-        with self._decision(plan, f"partitions:{table}", "partition_plan"):
-            _survivors, pruned = prune_partitions(tbl, query)
-            plan.partition_counts[table] = tbl.num_partitions
-            plan.pruned_partitions[table] = tuple(pruned)
 
     def _choose_reader(self, selectivity: float) -> ReaderKind:
         if selectivity < self.config.reader_selectivity_threshold:

@@ -1,10 +1,13 @@
-"""Partition pruning and the partitioned-scan driver.
+"""The partitioned-scan driver: the engine's one table-scan path.
 
-The driver is the engine's partition-native entry point for table scans:
+Every table scan of the executor goes through :func:`partitioned_scan`, the
+only place the engine prunes:
 
 1. **Prune** -- every partition's zone maps are tested against the query's
-   predicates; partitions that provably contain no matching row are skipped
-   before any block I/O (the counters below record how many).
+   predicates by :func:`repro.storage.partitions.prune_partitions`;
+   partitions that provably contain no matching row are skipped before any
+   block I/O (the counters below record how many).  Refutation is
+   conservative, so pruning is always on.
 2. **Scan** -- surviving partitions are scanned in partition order with the
    table's reader (single- or multi-stage) and column order, all charging
    the query's one :class:`IOCounter` (a string dictionary is charged once
@@ -31,47 +34,8 @@ from repro.engine.readers import (
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery
 from repro.storage.io_stats import IOCounter
-from repro.storage.partitions import Partition
+from repro.storage.partitions import Partition, prune_partitions
 from repro.storage.table import Table
-
-
-def partition_refuted(table: Table, partition: Partition, query: CardQuery) -> bool:
-    """True when zone maps prove no row of ``partition`` can match.
-
-    A partition is refuted when any AND-ed predicate is refuted by its
-    column's zone map, or when every member of an OR-group local to this
-    table is refuted (the group then selects nothing in this partition).
-    """
-    if partition.num_rows == 0:
-        return True
-    for pred in query.predicates:
-        if pred.table != table.name:
-            continue
-        if table.zone_map(partition.index, pred.column).refutes(pred):
-            return True
-    for group in query.or_groups:
-        members = [p for p in group if p.table == table.name]
-        if not members:
-            continue
-        if all(
-            table.zone_map(partition.index, p.column).refutes(p) for p in members
-        ):
-            return True
-    return False
-
-
-def prune_partitions(
-    table: Table, query: CardQuery
-) -> tuple[list[Partition], list[int]]:
-    """Split partitions into (survivors, pruned partition indices)."""
-    survivors: list[Partition] = []
-    pruned: list[int] = []
-    for partition in table.partitions():
-        if partition_refuted(table, partition, query):
-            pruned.append(partition.index)
-        else:
-            survivors.append(partition)
-    return survivors, pruned
 
 
 def _merge_scan_results(
@@ -79,7 +43,6 @@ def _merge_scan_results(
     reader: ReaderKind,
     results: list[ScanResult],
     pruned: list[int],
-    total_partitions: int,
 ) -> ScanResult:
     """Fold per-partition results (already in partition order) into one."""
     indices = [r.row_indices for r in results if r.row_indices.size]
@@ -104,7 +67,6 @@ def _merge_scan_results(
         partitions_scanned=len(results),
         partitions_pruned=len(pruned),
         pruned_partition_indices=tuple(pruned),
-        partition_scans=list(results) if total_partitions > 1 else [],
     )
 
 
@@ -116,7 +78,6 @@ def partitioned_scan(
     *,
     reader: ReaderKind = ReaderKind.SINGLE_STAGE,
     column_order: list[str] | None = None,
-    prune: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> ScanResult:
     """Prune, scan surviving partitions in order, and merge.
@@ -125,10 +86,7 @@ def partitioned_scan(
     ``reader`` and ``column_order``, charging ``io``.
     """
     registry = registry if registry is not None else MetricsRegistry(enabled=False)
-    if prune:
-        survivors, pruned = prune_partitions(table, query)
-    else:
-        survivors, pruned = list(table.partitions()), []
+    survivors, pruned = prune_partitions(table, query)
     if registry.enabled:
         registry.counter("engine_partitions_scanned_total").inc(len(survivors))
         registry.counter("engine_partitions_pruned_total").inc(len(pruned))
@@ -141,13 +99,11 @@ def partitioned_scan(
                 query,
                 payload_columns,
                 io,
+                partition,
                 column_order=column_order,
-                partition=partition,
             )
         else:
-            result = single_stage_scan(
-                table, query, payload_columns, io, partition=partition
-            )
+            result = single_stage_scan(table, query, payload_columns, io, partition)
         if registry.enabled:
             registry.histogram(
                 "engine_partition_scan_seconds", table=table.name
@@ -155,6 +111,4 @@ def partitioned_scan(
         return result
 
     results = [scan_one(partition) for partition in survivors]
-    return _merge_scan_results(
-        table, reader, results, pruned, table.num_partitions
-    )
+    return _merge_scan_results(table, reader, results, pruned)

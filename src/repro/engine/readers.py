@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sql.query import CardQuery, TablePredicate
-from repro.storage.blocks import BlockReader, block_count
+from repro.storage.blocks import read_block
 from repro.storage.io_stats import IOCounter
 from repro.storage.partitions import Partition
 from repro.storage.table import Table
@@ -35,7 +35,7 @@ class ReaderKind(enum.Enum):
 
 @dataclass
 class ScanResult:
-    """Outcome of scanning one table (or one partition of it).
+    """Outcome of scanning one partition, or a table's merged partitions.
 
     ``row_indices`` are always *global* table row indices, so per-partition
     results concatenate into exactly what a whole-table scan would return.
@@ -53,16 +53,10 @@ class ScanResult:
     #: tuple-append cost: the incremental tuple construction the paper
     #: describes for the multi-stage reader)
     stage_survivors: list[int] = field(default_factory=list)
-    #: which partition this scan covered (None for whole-table scans and
-    #: for merged results from the partitioned driver)
-    partition_index: int | None = None
     #: partition accounting, filled by the partitioned scan driver
     partitions_scanned: int = 1
     partitions_pruned: int = 0
     pruned_partition_indices: tuple[int, ...] = ()
-    #: per-partition scan details when the partitioned driver merged
-    #: several partition scans (empty for plain whole-table scans)
-    partition_scans: list["ScanResult"] = field(default_factory=list)
 
 
 def _filter_columns_of(table: Table, query: CardQuery) -> list[str]:
@@ -107,27 +101,23 @@ def single_stage_scan(
     query: CardQuery,
     payload_columns: list[str],
     io: IOCounter,
-    partition: Partition | None = None,
+    partition: Partition,
 ) -> ScanResult:
-    """One-pass scan: read every needed column fully, filter once.
-
-    With ``partition`` the scan covers that partition's row range only
-    (partition-local blocks); the default covers the whole table.
-    """
-    reader = BlockReader(table, io, partition=partition)
+    """One-pass scan of one partition: read every needed column fully,
+    filter once."""
     filter_columns = _filter_columns_of(table, query)
     needed = list(dict.fromkeys(filter_columns + payload_columns))
-    total_blocks = reader.total_blocks()
     before = io.blocks_read
-    mask = np.ones(reader.num_rows, dtype=bool)
+    mask = np.ones(partition.num_rows, dtype=bool)
     for column in needed:
         pieces = [
-            reader.read_column_block(column, b) for b in range(total_blocks)
+            read_block(table, partition, column, b, io)
+            for b in range(partition.num_blocks)
         ]
         values = np.concatenate(pieces) if pieces else np.empty(0)
         if column in filter_columns:
             mask &= _mask_for_column(table, query, column, values)
-    row_indices = np.flatnonzero(mask) + reader.row_start
+    row_indices = np.flatnonzero(mask) + partition.row_start
     if query.or_groups:
         row_indices = row_indices[_or_group_mask(table, query, row_indices)]
     return ScanResult(
@@ -135,8 +125,7 @@ def single_stage_scan(
         reader=ReaderKind.SINGLE_STAGE,
         row_indices=row_indices,
         blocks_read=io.blocks_read - before,
-        rows_scanned=reader.num_rows * len(needed),
-        partition_index=partition.index if partition is not None else None,
+        rows_scanned=partition.num_rows * len(needed),
     )
 
 
@@ -145,34 +134,29 @@ def multi_stage_scan(
     query: CardQuery,
     payload_columns: list[str],
     io: IOCounter,
+    partition: Partition,
     column_order: list[str] | None = None,
-    partition: Partition | None = None,
 ) -> ScanResult:
-    """Staged scan: filter column by column, skipping exhausted blocks.
-
-    With ``partition`` the scan covers that partition's row range only
-    (partition-local blocks); the default covers the whole table.
-    """
-    reader = BlockReader(table, io, partition=partition)
+    """Staged scan of one partition: filter column by column, skipping
+    exhausted blocks."""
     filter_columns = column_order or _filter_columns_of(table, query)
-    total_blocks = reader.total_blocks()
     before = io.blocks_read
     rows_scanned = 0
     random_blocks = 0
     stage_survivors: list[int] = []
 
-    surviving_blocks = list(range(total_blocks))
+    surviving_blocks = list(range(partition.num_blocks))
     block_masks: dict[int, np.ndarray] = {}
     if not filter_columns:
         # No predicates: every row of every block survives.
         for block in surviving_blocks:
-            start, stop = reader.block_bounds(block)
+            start, stop = partition.block_bounds(block)
             block_masks[block] = np.ones(stop - start, dtype=bool)
     for stage, column in enumerate(filter_columns):
         next_surviving: list[int] = []
         survivors = 0
         for block in surviving_blocks:
-            values = reader.read_column_block(column, block)
+            values = read_block(table, partition, column, block, io)
             rows_scanned += values.shape[0]
             if stage > 0:
                 random_blocks += 1
@@ -196,13 +180,13 @@ def multi_stage_scan(
     ]
     for column in remaining_payload:
         for block in surviving_blocks:
-            values = reader.read_column_block(column, block)
+            values = read_block(table, partition, column, block, io)
             rows_scanned += values.shape[0]
             random_blocks += 1
 
     indices_pieces = []
     for block in surviving_blocks:
-        start, _stop = reader.block_bounds(block)
+        start, _stop = partition.block_bounds(block)
         local = np.flatnonzero(block_masks[block]) + start
         indices_pieces.append(local)
     row_indices = (
@@ -220,11 +204,11 @@ def multi_stage_scan(
             }
         )
         touched_blocks = np.unique(
-            (row_indices - reader.row_start) // table.block_size
+            (row_indices - partition.row_start) // table.block_size
         )
         for column in or_columns:
             for block in touched_blocks:
-                values = reader.read_column_block(column, int(block))
+                values = read_block(table, partition, column, int(block), io)
                 rows_scanned += values.shape[0]
                 random_blocks += 1
         row_indices = row_indices[_or_group_mask(table, query, row_indices)]
@@ -236,5 +220,4 @@ def multi_stage_scan(
         rows_scanned=rows_scanned,
         random_blocks=random_blocks,
         stage_survivors=stage_survivors,
-        partition_index=partition.index if partition is not None else None,
     )

@@ -36,6 +36,7 @@ from repro.errors import EstimationError
 from repro.estimators.base import CountEstimator
 from repro.sql.query import CardQuery, PredicateOp
 from repro.storage.catalog import Catalog
+from repro.storage.partitions import prune_partitions
 
 __all__ = ["UpperBoundEstimator"]
 
@@ -73,35 +74,10 @@ class UpperBoundEstimator(CountEstimator):
     # ------------------------------------------------------------------
     # Single-table bound
     # ------------------------------------------------------------------
-    def _partition_refuted(self, tbl, partition, query: CardQuery) -> bool:
-        """Zone-map refutation, mirroring the engine's pruning semantics
-        (any refuted AND predicate, or a fully-refuted table-local
-        OR-group, proves the partition empty)."""
-        if partition.num_rows == 0:
-            return True
-        for pred in query.predicates:
-            if pred.table != tbl.name:
-                continue
-            if tbl.zone_map(partition.index, pred.column).refutes(pred):
-                return True
-        for group in query.or_groups:
-            members = [p for p in group if p.table == tbl.name]
-            if not members:
-                continue
-            if all(
-                tbl.zone_map(partition.index, p.column).refutes(p)
-                for p in members
-            ):
-                return True
-        return False
-
     def table_bound(self, query: CardQuery, table: str) -> float:
         """Upper bound on the filtered cardinality of one table."""
-        tbl = self.catalog.table(table)
-        bound = 0.0
-        for partition in tbl.partitions():
-            if not self._partition_refuted(tbl, partition, query):
-                bound += partition.num_rows
+        survivors, _pruned = prune_partitions(self.catalog.table(table), query)
+        bound = float(sum(partition.num_rows for partition in survivors))
         # Equality-shaped predicates cap the bound at the column's max
         # value frequency; everything else (ranges, NE, OR-groups) can
         # only shrink the true result further, so leaving it uncapped

@@ -37,8 +37,3 @@ class ForgeConfig:
     #: over the previous assessment counts as *drifting* even if it still
     #: passes the gate, and schedules a proactive retrain
     drift_ratio: float = 4.0
-    #: re-assess a retrained COUNT model before lifting its fallback
-    revalidate: bool = True
-    #: persist every currently published model into the store when the
-    #: manager is created, so a warm restart can serve without retraining
-    persist_current: bool = True

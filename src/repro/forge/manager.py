@@ -39,8 +39,8 @@ class ForgeJobResult:
     """What one completed forge job produced."""
 
     artifact: ArtifactRecord
-    #: the post-swap re-assessment (None when revalidation is off or the
-    #: model kind is not monitorable per-table)
+    #: the post-swap re-assessment (None when no learned model serves the
+    #: table)
     report: MonitorReport | None = None
 
     @property
@@ -88,8 +88,7 @@ class ForgeManager:
         self._muted_lock = threading.Lock()
         self._closed = False
         bytecard.monitor.add_assessment_listener(self._on_assessment)
-        if self.config.persist_current:
-            self.persist_all()
+        self.persist_all()
 
     # ------------------------------------------------------------------
     # Signal intake
@@ -201,9 +200,7 @@ class ForgeManager:
             # Hot swap: loader pass + one new model snapshot, whose tokens
             # retire the cached answers of the replaced model.
             bytecard.refresh()
-            report = None
-            if self.config.revalidate:
-                report = self._revalidate(job.name)
+            report = self._revalidate(job.name)
         return ForgeJobResult(artifact=artifact, report=report)
 
     def _revalidate(self, table: str) -> MonitorReport | None:

@@ -7,10 +7,15 @@ which is what Figure 6(a) of the paper measures ("read I/Os").
 
 from repro.storage.types import ColumnType, MLType, ml_type_for
 from repro.storage.column import Column
-from repro.storage.partitions import Partition, ZoneMap
+from repro.storage.partitions import (
+    Partition,
+    ZoneMap,
+    partition_refuted,
+    prune_partitions,
+)
 from repro.storage.table import Table, TableSchema, ColumnSpec
 from repro.storage.io_stats import IOCounter
-from repro.storage.blocks import BlockReader, block_count, block_slices
+from repro.storage.blocks import read_block
 from repro.storage.catalog import Catalog, JoinSchema, JoinEdge
 
 __all__ = [
@@ -20,13 +25,13 @@ __all__ = [
     "Column",
     "Partition",
     "ZoneMap",
+    "partition_refuted",
+    "prune_partitions",
     "Table",
     "TableSchema",
     "ColumnSpec",
     "IOCounter",
-    "BlockReader",
-    "block_count",
-    "block_slices",
+    "read_block",
     "Catalog",
     "JoinSchema",
     "JoinEdge",

@@ -1,19 +1,17 @@
-"""Block iteration over columns, with I/O accounting.
+"""Block reads of one partition's columns, with I/O accounting.
 
 The engine never reads a column wholesale: it reads *blocks* (runs of
 ``table.block_size`` rows) and charges each block to an :class:`IOCounter`.
 Multi-stage readers exploit this by skipping blocks whose rows were already
 filtered out by earlier, more selective columns.
 
-A reader can be bound to one :class:`~repro.storage.partitions.Partition`,
-in which case block indices are partition-local and reads never cross the
-partition's row range.  An unbound reader addresses the whole table (the
-single-partition default), preserving the original global block addressing.
+Every read is addressed by a :class:`~repro.storage.partitions.Partition`
+and a partition-local block index, whose row bounds come from
+:meth:`Partition.block_bounds`; a read never crosses its partition's row
+range.  A single-partition table's one partition covers the whole table.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,92 +20,21 @@ from repro.storage.partitions import Partition
 from repro.storage.table import Table
 
 
-def block_count(num_rows: int, block_size: int) -> int:
-    """Number of blocks needed to store ``num_rows`` rows."""
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    return (num_rows + block_size - 1) // block_size
+def read_block(
+    table: Table, partition: Partition, column: str, block: int, io: IOCounter
+) -> np.ndarray:
+    """Read one partition-local block of one column, charging one block I/O.
 
-
-def block_slices(num_rows: int, block_size: int) -> Iterator[slice]:
-    """Yield the row slice of every block, in order."""
-    for start in range(0, num_rows, block_size):
-        yield slice(start, min(start + block_size, num_rows))
-
-
-class BlockReader:
-    """Reads column blocks from one table, charging an :class:`IOCounter`.
-
-    The reader is deliberately stateless between calls so that several query
-    threads can share one instance; only the counter is mutated, matching the
-    paper's "immutable data structures for lock-free inference" discipline.
-
-    When ``partition`` is given, ``block_index`` arguments are
-    partition-local and :meth:`total_blocks` counts the partition's blocks
-    only; otherwise the reader spans the whole table.
+    Bytes charged are the slice's actual dtype bytes; a string column's
+    dictionary is charged separately, once per (table, column) per
+    counter, instead of being smeared into every block read.  A block
+    outside the partition raises :class:`IndexError`.
     """
-
-    def __init__(
-        self,
-        table: Table,
-        io: IOCounter,
-        partition: Partition | None = None,
-    ):
-        self.table = table
-        self.io = io
-        self.partition = partition
-        if partition is None:
-            self._row_start, self._row_stop = 0, table.num_rows
-        else:
-            self._row_start, self._row_stop = partition.row_start, partition.row_stop
-
-    @property
-    def row_start(self) -> int:
-        return self._row_start
-
-    @property
-    def num_rows(self) -> int:
-        """Rows addressable by this reader (partition rows when bound)."""
-        return self._row_stop - self._row_start
-
-    def block_bounds(self, block_index: int) -> tuple[int, int]:
-        """Global ``(start, stop)`` row bounds of one (local) block."""
-        start = self._row_start + block_index * self.table.block_size
-        if block_index < 0 or start >= self._row_stop:
-            where = (
-                f"partition {self.partition.index} of " if self.partition else ""
-            )
-            raise IndexError(
-                f"block {block_index} out of range for {where}table "
-                f"{self.table.name!r}"
-            )
-        return start, min(start + self.table.block_size, self._row_stop)
-
-    def read_column_block(self, column: str, block_index: int) -> np.ndarray:
-        """Read one block of one column, charging exactly one block I/O.
-
-        Bytes charged are the slice's actual dtype bytes; a string column's
-        dictionary is charged separately, once per (table, column) per
-        counter, instead of being smeared into every block read.
-        """
-        col = self.table.column(column)
-        start, stop = self.block_bounds(block_index)
-        values = col.values[start:stop]
-        if col.dictionary is not None:
-            dict_nbytes = col.nbytes - int(col.values.nbytes)
-            self.io.record_dictionary(self.table.name, column, dict_nbytes)
-        self.io.record_block(
-            self.table.name, column, rows=stop - start, nbytes=int(values.nbytes)
-        )
-        return values
-
-    def read_column_blocks(
-        self, column: str, block_indices: Sequence[int]
-    ) -> dict[int, np.ndarray]:
-        """Read several blocks of one column (e.g. the surviving blocks)."""
-        return {
-            index: self.read_column_block(column, index) for index in block_indices
-        }
-
-    def total_blocks(self) -> int:
-        return block_count(self.num_rows, self.table.block_size)
+    col = table.column(column)
+    start, stop = partition.block_bounds(block)
+    values = col.values[start:stop]
+    if col.dictionary is not None:
+        dict_nbytes = col.nbytes - int(col.values.nbytes)
+        io.record_dictionary(table.name, column, dict_nbytes)
+    io.record_block(table.name, column, rows=stop - start, nbytes=int(values.nbytes))
+    return values

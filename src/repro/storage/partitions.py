@@ -1,22 +1,28 @@
-"""Partitions and zone maps: the pruning metadata of partition-native tables.
+"""Partitions, zone maps and the one zone-map refutation rule.
 
 ByteHouse shards tables across compute workers; the in-process equivalent is
 an ordered list of :class:`Partition` row ranges, each with its own block
 index.  Every partition carries a per-column min/max :class:`ZoneMap`,
 built once when the table is loaded into the catalog (lazily for tables that
-never reach the engine).  The engine's
-:func:`repro.engine.partitioned.partitioned_scan` consults the zone maps to
-refute partitions *before* any block I/O, and the optimizer applies the same
-refutation rule at plan time to report which partitions survive.
+never reach the engine).  :func:`prune_partitions` splits a table's
+partitions by :func:`partition_refuted`, the rule's one definition; it has
+two callers: the engine's :func:`repro.engine.partitioned.partitioned_scan`,
+which skips refuted partitions before any block I/O, and
+:meth:`repro.estimators.ues.UpperBoundEstimator.table_bound`, which sums
+the survivors' rows into a sound upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sql.query import PredicateOp, TablePredicate
+from repro.sql.query import CardQuery, PredicateOp, TablePredicate
+
+if TYPE_CHECKING:
+    from repro.storage.table import Table
 
 
 @dataclass(frozen=True)
@@ -91,16 +97,54 @@ class Partition:
 
     @property
     def num_blocks(self) -> int:
-        # Same math as :func:`repro.storage.blocks.block_count`, inlined to
-        # keep this module import-free of the reader stack.
         return (self.num_rows + self.block_size - 1) // self.block_size
 
     def block_bounds(self, block_index: int) -> tuple[int, int]:
         """Global ``(start, stop)`` row bounds of one partition-local block."""
-        if block_index < 0 or block_index >= self.num_blocks:
+        start = self.row_start + block_index * self.block_size
+        if block_index < 0 or start >= self.row_stop:
             raise IndexError(
                 f"block {block_index} out of range for partition "
                 f"{self.index} of table {self.table_name!r}"
             )
-        start = self.row_start + block_index * self.block_size
         return start, min(start + self.block_size, self.row_stop)
+
+
+def partition_refuted(table: Table, partition: Partition, query: CardQuery) -> bool:
+    """True when zone maps prove no row of ``partition`` can match.
+
+    A partition is refuted when it is empty, when any AND-ed predicate is
+    refuted by its column's zone map, or when every member of an OR-group
+    local to this table is refuted (the group then selects nothing in this
+    partition).
+    """
+    if partition.num_rows == 0:
+        return True
+    for pred in query.predicates:
+        if pred.table != table.name:
+            continue
+        if table.zone_map(partition.index, pred.column).refutes(pred):
+            return True
+    for group in query.or_groups:
+        members = [p for p in group if p.table == table.name]
+        if not members:
+            continue
+        if all(
+            table.zone_map(partition.index, p.column).refutes(p) for p in members
+        ):
+            return True
+    return False
+
+
+def prune_partitions(
+    table: Table, query: CardQuery
+) -> tuple[list[Partition], list[int]]:
+    """Split partitions into (survivors, pruned partition indices)."""
+    survivors: list[Partition] = []
+    pruned: list[int] = []
+    for partition in table.partitions():
+        if partition_refuted(table, partition, query):
+            pruned.append(partition.index)
+        else:
+            survivors.append(partition)
+    return survivors, pruned

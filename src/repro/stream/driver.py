@@ -58,8 +58,6 @@ class StreamConfig:
     #: a window "stalls" when (admission rejections + deadline timeouts)
     #: exceed this share of its requests
     stall_fallback_budget: float = 0.1
-    #: re-assess tables from feedback evidence at every window boundary
-    reassess_each_window: bool = True
     #: extra windows of traffic replayed after the event horizon so
     #: post-retrain recovery is measured on live queries
     recovery_windows: int = 2
@@ -337,9 +335,7 @@ class StreamDriver:
         self, timeline, acc, service, session,
         t_start, t_end, phase, prev_stats,
     ):
-        detections: list[str] = []
-        if self.config.reassess_each_window:
-            detections = self._reassess(timeline, t_end)
+        detections = self._reassess(timeline, t_end)
         stats = service.stats()
         requests = stats.requests - prev_stats.requests
         rejected = stats.rejected - prev_stats.rejected

@@ -118,11 +118,3 @@ class TestRegistry:
         registry.publish("rbx", "universal", b"x")
         registry.publish("bn", "a", b"y")
         assert registry.keys() == [("bn", "a"), ("rbx", "universal")]
-
-    def test_directory_backing(self, tmp_path):
-        registry = ModelRegistry(directory=tmp_path)
-        record = registry.publish("bn", "t", b"payload")
-        files = list(tmp_path.glob("*.bcm"))
-        assert len(files) == 1
-        assert files[0].read_bytes() == b"payload"
-        assert record.timestamp == 1

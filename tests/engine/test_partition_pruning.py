@@ -5,19 +5,25 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    Executor,
+    EngineSession,
+    EstimatorSuite,
     Optimizer,
     ReaderKind,
-    explain_plan,
     explain_result,
-    partition_refuted,
+    multi_stage_scan,
     partitioned_scan,
-    prune_partitions,
+    single_stage_scan,
 )
 from repro.estimators.traditional import SelingerEstimator, SketchNdvEstimator
 from repro.obs import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition, PredicateOp, TablePredicate
-from repro.storage import Catalog, IOCounter, Table
+from repro.storage import (
+    Catalog,
+    IOCounter,
+    Table,
+    partition_refuted,
+    prune_partitions,
+)
 from repro.workloads.predicates import table_mask
 
 
@@ -105,15 +111,14 @@ class TestPartitionedScan:
     def test_pruning_saves_block_io(self):
         table = _clustered_table()
         query = _query(TablePredicate("t", "key", PredicateOp.GE, 900.0))
-        pruned_io, full_io = IOCounter(), IOCounter()
-        pruned_result = partitioned_scan(table, query, ["payload"], pruned_io)
-        full_result = partitioned_scan(
-            table, query, ["payload"], full_io, prune=False
-        )
-        assert np.array_equal(pruned_result.row_indices, full_result.row_indices)
-        assert pruned_io.blocks_read < full_io.blocks_read
-        assert pruned_result.partitions_pruned >= 2
-        assert full_result.partitions_pruned == 0
+        io = IOCounter()
+        result = partitioned_scan(table, query, ["payload"], io)
+        expected = np.flatnonzero(table_mask(table, query))
+        assert np.array_equal(result.row_indices, expected)
+        # An unpruned single-stage scan reads every block of key and payload.
+        full_blocks = sum(p.num_blocks for p in table.partitions()) * 2
+        assert io.blocks_read < full_blocks
+        assert result.partitions_pruned >= 2
 
     def test_single_partition_table_unchanged(self):
         table = _clustered_table(partitions=1)
@@ -122,7 +127,6 @@ class TestPartitionedScan:
         result = partitioned_scan(table, query, ["payload"], io)
         assert result.partitions_scanned == 1
         assert result.partitions_pruned == 0
-        assert result.partition_scans == []
 
     def test_all_partitions_pruned_yields_empty_result(self):
         table = _clustered_table()
@@ -166,18 +170,9 @@ class TestPartitionedScan:
         assert result.stage_survivors[-1] == result.row_indices.size
 
 
-class TestPlanTimePruning:
-    """The optimizer prunes partitions at plan time and reports survivors;
-    every survivor is scanned with the table-level reader."""
-
-    @staticmethod
-    def _optimizer(catalog, **config):
-        return Optimizer(
-            SelingerEstimator(catalog),
-            SketchNdvEstimator(catalog),
-            EngineConfig(**config),
-            catalog=catalog,
-        )
+class TestExecutorPruning:
+    """The executor's scan is the one place that prunes; every surviving
+    partition is scanned with the plan's table-level reader."""
 
     @staticmethod
     def _catalog(*tables):
@@ -186,37 +181,32 @@ class TestPlanTimePruning:
             catalog.register(table)
         return catalog
 
+    @staticmethod
+    def _session(catalog, **config):
+        suite = EstimatorSuite(
+            "sketch", SelingerEstimator(catalog), SketchNdvEstimator(catalog)
+        )
+        return EngineSession(catalog, suite, EngineConfig(**config))
+
     @classmethod
-    def _plan(cls, query=None, catalog=None, **config):
+    def _plan_and_run(cls, query=None, catalog=None, **config):
         catalog = catalog if catalog is not None else cls._catalog()
         # Keys are sorted over [0, 1000): only partition 0 holds key <= 100.
         if query is None:
             query = _query(TablePredicate("t", "key", PredicateOp.LE, 100.0))
-        return cls._optimizer(catalog, **config).plan(query)
+        session = cls._session(catalog, **config)
+        plan = session.optimizer.plan(query)
+        return plan, session.executor.execute(plan)
 
-    def test_plan_records_partition_counts_and_pruned(self):
-        plan = self._plan()
-        assert plan.partition_counts["t"] == 4
-        assert plan.pruned_partitions["t"] == (1, 2, 3)
-        assert "partitions:t" in plan.decision_timings
+    @classmethod
+    def _run(cls, query=None, catalog=None, **config):
+        return cls._plan_and_run(query, catalog, **config)[1]
 
-    def test_pruning_disabled_skips_partition_planning(self):
-        plan = self._plan(partition_pruning=False)
-        assert "t" not in plan.partition_counts
-        assert "t" not in plan.pruned_partitions
-        assert "partitions:t" not in plan.decision_timings
-
-    def test_explain_plan_renders_partition_pruning(self):
-        rendered = explain_plan(self._plan())
-        assert "partitions: 1/4 survive zone-map pruning" in rendered
-        assert "(pruned: 1, 2, 3)" in rendered
-
-    def test_single_partition_table_skips_partition_planning(self):
-        plan = self._plan(catalog=self._catalog(_clustered_table(partitions=1)))
-        assert plan.partition_counts == {}
-        assert plan.pruned_partitions == {}
-        assert "partitions:t" not in plan.decision_timings
-        assert "partitions:" not in explain_plan(plan)
+    def test_single_partition_table_renders_no_partitions(self):
+        result = self._run(catalog=self._catalog(_clustered_table(partitions=1)))
+        scan = result.scans["t"]
+        assert (scan.partitions_scanned, scan.pruned_partition_indices) == (1, ())
+        assert "partitions" not in explain_result(result)
 
     def test_catalog_defaults_to_the_estimators(self):
         catalog = self._catalog()
@@ -227,20 +217,23 @@ class TestPlanTimePruning:
         plan = optimizer.plan(
             _query(TablePredicate("t", "key", PredicateOp.LE, 100.0))
         )
-        assert plan.pruned_partitions["t"] == (1, 2, 3)
+        assert plan.estimated_table_rows["t"] == pytest.approx(
+            plan.table_selectivities["t"] * len(catalog.table("t"))
+        )
 
     def test_predicate_off_the_clustering_column_prunes_nothing(self):
-        plan = self._plan(_query(TablePredicate("t", "noise", PredicateOp.LT, 50.0)))
-        assert plan.partition_counts["t"] == 4
-        assert plan.pruned_partitions["t"] == ()
-        rendered = explain_plan(plan)
-        assert "partitions: 4/4 survive zone-map pruning" in rendered
-        assert "(pruned:" not in rendered
+        result = self._run(_query(TablePredicate("t", "noise", PredicateOp.LT, 50.0)))
+        scan = result.scans["t"]
+        assert scan.pruned_partition_indices == ()
+        assert scan.partitions_scanned == 4
+        assert "partitions 4/4 (0 pruned)" in explain_result(result)
 
     def test_unsatisfiable_predicate_prunes_every_partition(self):
-        plan = self._plan(_query(TablePredicate("t", "key", PredicateOp.LT, 0.0)))
-        assert plan.pruned_partitions["t"] == (0, 1, 2, 3)
-        assert "partitions: 0/4 survive zone-map pruning" in explain_plan(plan)
+        result = self._run(_query(TablePredicate("t", "key", PredicateOp.LT, 0.0)))
+        scan = result.scans["t"]
+        assert scan.pruned_partition_indices == (0, 1, 2, 3)
+        assert scan.partitions_scanned == 0
+        assert result.blocks_read == 0
 
     def test_or_group_prunes_partitions_outside_both_arms(self):
         table = _clustered_table()
@@ -254,10 +247,11 @@ class TestPlanTimePruning:
                 "t", "key", PredicateOp.GE, table.zone_map(3, "key").max_value - 10
             ),
         )
-        plan = self._plan(
-            _query(or_groups=(group,)), catalog=self._catalog(table)
-        )
-        assert plan.pruned_partitions["t"] == (1, 2)
+        query = _query(or_groups=(group,))
+        result = self._run(query, catalog=self._catalog(table))
+        assert result.scans["t"].pruned_partition_indices == (1, 2)
+        expected = np.flatnonzero(table_mask(table, query))
+        assert np.array_equal(result.scans["t"].row_indices, expected)
 
     def test_join_prunes_each_table_from_its_own_predicates(self):
         rng = np.random.default_rng(5)
@@ -272,18 +266,18 @@ class TestPlanTimePruning:
             joins=(JoinCondition("t", "key", "u", "key"),),
             predicates=(TablePredicate("t", "key", PredicateOp.LE, 100.0),),
         )
-        plan = self._plan(query, catalog=self._catalog(_clustered_table(), other))
-        assert plan.pruned_partitions == {"t": (1, 2, 3), "u": ()}
-        assert plan.partition_counts == {"t": 4, "u": 2}
-        assert {"partitions:t", "partitions:u"} <= set(plan.decision_timings)
+        result = self._run(query, catalog=self._catalog(_clustered_table(), other))
+        assert result.scans["t"].pruned_partition_indices == (1, 2, 3)
+        assert result.scans["u"].pruned_partition_indices == ()
+        assert result.scans["u"].partitions_scanned == 2
 
     def test_partitioning_leaves_the_table_decisions_unchanged(self):
         query = _query(
             TablePredicate("t", "key", PredicateOp.LE, 100.0),
             TablePredicate("t", "noise", PredicateOp.LT, 50.0),
         )
-        partitioned = self._plan(query)
-        whole = self._plan(
+        partitioned, _ = self._plan_and_run(query)
+        whole, _ = self._plan_and_run(
             query, catalog=self._catalog(_clustered_table(partitions=1))
         )
         assert partitioned.readers == whole.readers
@@ -291,7 +285,7 @@ class TestPlanTimePruning:
         assert partitioned.table_selectivities == whole.table_selectivities
         assert partitioned.estimated_table_rows == whole.estimated_table_rows
 
-    def test_plan_sees_appended_partition(self):
+    def test_scan_prunes_against_appended_partition(self):
         table = _clustered_table()
         catalog = self._catalog(table)
         table.append_rows(
@@ -301,25 +295,27 @@ class TestPlanTimePruning:
                 "payload": np.zeros(500, dtype=np.int64),
             }
         )
-        plan = self._plan(
+        result = self._run(
             _query(TablePredicate("t", "key", PredicateOp.GE, 2000.0)),
             catalog=catalog,
         )
-        assert plan.partition_counts["t"] == 5
-        assert plan.pruned_partitions["t"] == (0, 1, 2, 3)
+        scan = result.scans["t"]
+        assert scan.pruned_partition_indices == (0, 1, 2, 3)
+        assert scan.partitions_scanned == 1
+        assert result.result_rows == 500
 
-    def test_plan_prunes_partition_emptied_by_delete(self):
+    def test_scan_prunes_partition_emptied_by_delete(self):
         table = _clustered_table()
         catalog = self._catalog(table)
         first_hi = table.zone_map(0, "key").max_value
         table.delete_where(TablePredicate("t", "key", PredicateOp.LE, first_hi))
         assert table.partition(0).num_rows == 0
-        plan = self._plan(
+        result = self._run(
             _query(TablePredicate("t", "noise", PredicateOp.LT, 50.0)),
             catalog=catalog,
         )
-        assert plan.partition_counts["t"] == 4
-        assert plan.pruned_partitions["t"] == (0,)
+        assert result.scans["t"].pruned_partition_indices == (0,)
+        assert result.scans["t"].partitions_scanned == 3
 
     @pytest.mark.parametrize(
         "predicate",
@@ -330,13 +326,13 @@ class TestPlanTimePruning:
         ],
         ids=["head", "middle", "unclustered"],
     )
-    def test_executor_prunes_what_the_plan_reports(self, predicate):
+    def test_executor_prunes_what_zone_maps_refute(self, predicate):
         catalog = self._catalog()
-        plan = self._plan(_query(predicate), catalog=catalog)
-        result = Executor(catalog, EngineConfig()).execute(plan)
-        scan = result.scans["t"]
-        assert scan.pruned_partition_indices == plan.pruned_partitions["t"]
-        assert scan.partitions_scanned == 4 - len(plan.pruned_partitions["t"])
+        query = _query(predicate)
+        _survivors, refuted = prune_partitions(catalog.table("t"), query)
+        scan = self._run(query, catalog=catalog).scans["t"]
+        assert scan.pruned_partition_indices == tuple(refuted)
+        assert scan.partitions_scanned == 4 - len(refuted)
 
     @pytest.mark.parametrize(
         "threshold, reader",
@@ -347,38 +343,56 @@ class TestPlanTimePruning:
         self, threshold, reader
     ):
         catalog = self._catalog()
+        table = catalog.table("t")
         query = _query(
             TablePredicate("t", "key", PredicateOp.GE, 300.0),
             TablePredicate("t", "noise", PredicateOp.LT, 50.0),
         )
-        plan = self._plan(
+        plan, result = self._plan_and_run(
             query, catalog=catalog, reader_selectivity_threshold=threshold
         )
         assert plan.readers["t"] is reader
-        result = Executor(catalog, EngineConfig()).execute(plan)
-        scans = result.scans["t"].partition_scans
-        assert len(scans) == 4 - len(plan.pruned_partitions["t"]) >= 2
-        assert all(scan.reader is reader for scan in scans)
-        expected = np.flatnonzero(table_mask(catalog.table("t"), query))
-        assert np.array_equal(result.scans["t"].row_indices, expected)
+        survivors, _pruned = prune_partitions(table, query)
+        assert len(survivors) >= 2
+        # Scanning each survivor with the table's reader by hand charges
+        # exactly the blocks the executor charged.
+        order = plan.column_orders.get("t")
+        direct = [
+            multi_stage_scan(table, query, [], IOCounter(), p, column_order=order)
+            if reader is ReaderKind.MULTI_STAGE
+            else single_stage_scan(table, query, [], IOCounter(), p)
+            for p in survivors
+        ]
+        scan = result.scans["t"]
+        assert scan.reader is reader
+        assert scan.blocks_read == sum(d.blocks_read for d in direct)
+        assert scan.random_blocks == sum(d.random_blocks for d in direct)
+        expected = np.flatnonzero(table_mask(table, query))
+        assert np.array_equal(scan.row_indices, expected)
 
     def test_pruning_saves_blocks_without_changing_results(self):
         catalog = self._catalog()
+        table = catalog.table("t")
         query = _query(TablePredicate("t", "key", PredicateOp.GE, 900.0))
-        results = {}
-        for pruning in (True, False):
-            config = {"partition_pruning": pruning}
-            plan = self._plan(query, catalog=catalog, **config)
-            results[pruning] = Executor(catalog, EngineConfig(**config)).execute(plan)
-        assert results[True].result_rows == results[False].result_rows
-        assert np.array_equal(
-            results[True].scans["t"].row_indices,
-            results[False].scans["t"].row_indices,
+        plan, result = self._plan_and_run(
+            query, catalog=catalog, reader_selectivity_threshold=0.0
         )
-        assert results[True].blocks_read < results[False].blocks_read
+        assert plan.readers["t"] is ReaderKind.SINGLE_STAGE
+        expected = np.flatnonzero(table_mask(table, query))
+        assert result.result_rows == expected.size
+        assert np.array_equal(result.scans["t"].row_indices, expected)
+        # An unpruned single-stage scan reads every block of its one column.
+        full_blocks = sum(p.num_blocks for p in table.partitions())
+        assert result.blocks_read < full_blocks
 
     def test_explain_result_renders_scanned_and_pruned_partitions(self):
-        catalog = self._catalog()
-        plan = self._plan(catalog=catalog)
-        rendered = explain_result(Executor(catalog, EngineConfig()).execute(plan))
-        assert "partitions 1/4 (3 pruned)" in rendered
+        rendered = explain_result(self._run())
+        assert "partitions 1/4 (3 pruned: 1, 2, 3)" in rendered
+
+    def test_explain_result_lists_pruned_indices_in_partition_order(self):
+        query = _query(TablePredicate("t", "key", PredicateOp.BETWEEN, (400.0, 600.0)))
+        result = self._run(query)
+        pruned = result.scans["t"].pruned_partition_indices
+        assert pruned and list(pruned) == sorted(pruned)
+        rendered = explain_result(result)
+        assert f"pruned: {', '.join(map(str, pruned))})" in rendered

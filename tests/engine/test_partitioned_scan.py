@@ -1,16 +1,29 @@
-"""The partitioned-scan driver: pruning, merging, accounting and the
-pruning switch."""
+"""The partitioned-scan driver: pruning, merging and accounting."""
 
 import numpy as np
 import pytest
 
-from repro.engine import EngineConfig, EngineSession, EstimatorSuite, partitioned_scan
-from repro.engine.partitioned import partition_refuted, prune_partitions
+from repro.engine import (
+    EngineConfig,
+    EngineSession,
+    EstimatorSuite,
+    multi_stage_scan,
+    partitioned_scan,
+    single_stage_scan,
+)
 from repro.engine.readers import ReaderKind
 from repro.estimators.traditional import SelingerEstimator, SketchNdvEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.query import CardQuery, JoinCondition, PredicateOp, TablePredicate
-from repro.storage import Catalog, Column, ColumnType, IOCounter, Table
+from repro.storage import (
+    Catalog,
+    Column,
+    ColumnType,
+    IOCounter,
+    Table,
+    partition_refuted,
+    prune_partitions,
+)
 from repro.workloads.predicates import predicate_mask
 
 
@@ -49,13 +62,13 @@ def _workload(seed=29, count=12):
     return queries
 
 
-def _session(table, config=None):
+def _session(table):
     catalog = Catalog()
     catalog.register(table)
     suite = EstimatorSuite(
         "sketch", SelingerEstimator(catalog), SketchNdvEstimator(catalog)
     )
-    return EngineSession(catalog, suite, config or EngineConfig())
+    return EngineSession(catalog, suite, EngineConfig())
 
 
 def _expected_rows(table, query):
@@ -103,18 +116,20 @@ class TestScanDeterminism:
     @pytest.mark.parametrize("reader", list(ReaderKind))
     def test_pruning_preserves_rows_and_saves_blocks(self, reader):
         table = _partitioned_table()
+        # An unpruned single-stage scan reads every block of ts, kind and
+        # value; a multi-stage scan never reads more.
+        full_blocks = sum(p.num_blocks for p in table.partitions()) * 3
         for query in _workload(count=4):
             pruned = partitioned_scan(
                 table, query, ["value"], IOCounter(), reader=reader
             )
-            full = partitioned_scan(
-                table, query, ["value"], IOCounter(), reader=reader, prune=False
-            )
-            assert np.array_equal(pruned.row_indices, full.row_indices)
+            assert np.array_equal(pruned.row_indices, _expected_rows(table, query))
             assert pruned.partitions_pruned > 0
-            assert full.partitions_pruned == 0
-            assert full.partitions_scanned == table.num_partitions
-            assert pruned.blocks_read < full.blocks_read
+            assert (
+                pruned.partitions_scanned + pruned.partitions_pruned
+                == table.num_partitions
+            )
+            assert pruned.blocks_read < full_blocks
 
 
 class TestPruning:
@@ -199,7 +214,13 @@ class TestMerge:
             reader=ReaderKind.MULTI_STAGE,
             column_order=["ts", "kind"],
         )
-        scans = result.partition_scans
+        survivors, _pruned = prune_partitions(table, query)
+        scans = [
+            multi_stage_scan(
+                table, query, ["value"], IOCounter(), p, column_order=["ts", "kind"]
+            )
+            for p in survivors
+        ]
         assert len(scans) == result.partitions_scanned
         assert result.blocks_read == sum(s.blocks_read for s in scans)
         assert result.rows_scanned == sum(s.rows_scanned for s in scans)
@@ -210,11 +231,18 @@ class TestMerge:
 
     def test_single_partition_lists_no_partition_scans(self):
         table = _partitioned_table(partitions=None)
-        result = partitioned_scan(
-            table, _workload(count=1)[0], ["value"], IOCounter()
+        query = _workload(count=1)[0]
+        result = partitioned_scan(table, query, ["value"], IOCounter())
+        direct = single_stage_scan(
+            table, query, ["value"], IOCounter(), table.partition(0)
         )
-        assert result.partition_scans == []
         assert result.partitions_scanned == 1
+        assert result.pruned_partition_indices == ()
+        assert np.array_equal(result.row_indices, direct.row_indices)
+        assert (result.blocks_read, result.rows_scanned) == (
+            direct.blocks_read,
+            direct.rows_scanned,
+        )
 
     def test_registry_counts_scanned_and_pruned_partitions(self):
         table = _partitioned_table()
@@ -283,17 +311,3 @@ class TestScanAccounting:
         # Same blocks and the same single dictionary charge as one partition.
         assert label_blocks == one_partition.per_column[("tagged", "label")]
         assert io.bytes_read == one_partition.bytes_read
-
-
-class TestConfigKnobs:
-    def test_pruning_can_be_disabled(self):
-        session = _session(
-            _partitioned_table(), EngineConfig(partition_pruning=False)
-        )
-        query = CardQuery(
-            tables=("events",),
-            predicates=(TablePredicate("events", "ts", PredicateOp.LT, 0.0),),
-        )
-        result = session.run(query)
-        assert result.scans["events"].partitions_pruned == 0
-        assert result.scans["events"].partitions_scanned == 8

@@ -1,4 +1,4 @@
-"""Tests for the single-stage and multi-stage readers."""
+"""Tests for the single-stage and multi-stage readers over one partition."""
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ class TestCorrectness:
             TablePredicate("t", "noise", PredicateOp.LT, 50.0),
         )
         io = IOCounter()
-        result = scan(table, query, ["payload"], io)
+        result = scan(table, query, ["payload"], io, table.partition(0))
         expected = np.flatnonzero(table_mask(table, query))
         assert np.array_equal(np.sort(result.row_indices), expected)
 
@@ -45,7 +45,8 @@ class TestCorrectness:
     def test_no_predicates_returns_everything(self, scan):
         table = _make_table()
         io = IOCounter()
-        result = scan(table, CardQuery(tables=("t",)), ["payload"], io)
+        query = CardQuery(tables=("t",))
+        result = scan(table, query, ["payload"], io, table.partition(0))
         assert result.row_indices.size == len(table)
 
     @pytest.mark.parametrize("scan", [single_stage_scan, multi_stage_scan])
@@ -61,9 +62,35 @@ class TestCorrectness:
             ),
         )
         io = IOCounter()
-        result = scan(table, query, [], io)
+        result = scan(table, query, [], io, table.partition(0))
         expected = np.flatnonzero(table_mask(table, query))
         assert np.array_equal(np.sort(result.row_indices), expected)
+
+
+class TestPartitionScans:
+    @pytest.mark.parametrize("scan", [single_stage_scan, multi_stage_scan])
+    def test_partitions_concatenate_to_the_whole_table_rows(self, scan):
+        source = _make_table()
+        table = Table.from_arrays(
+            "t",
+            {c: source.column(c).values for c in ("cluster", "noise", "payload")},
+            block_size=source.block_size,
+            partitions=[1000, 1500, source.num_rows - 2500],
+        )
+        query = _query(
+            TablePredicate("t", "cluster", PredicateOp.LE, 9.0),
+            TablePredicate("t", "noise", PredicateOp.LT, 50.0),
+        )
+        pieces = []
+        for partition in table.partitions():
+            result = scan(table, query, ["payload"], IOCounter(), partition)
+            inside = (result.row_indices >= partition.row_start) & (
+                result.row_indices < partition.row_stop
+            )
+            assert inside.all()
+            pieces.append(result.row_indices)
+        expected = np.flatnonzero(table_mask(table, query))
+        assert np.array_equal(np.concatenate(pieces), expected)
 
 
 class TestIOBehaviour:
@@ -71,7 +98,9 @@ class TestIOBehaviour:
         table = _make_table()
         query = _query(TablePredicate("t", "cluster", PredicateOp.EQ, 0.0))
         io = IOCounter()
-        result = single_stage_scan(table, query, ["payload"], io)
+        result = single_stage_scan(
+            table, query, ["payload"], io, table.partition(0)
+        )
         blocks = len(table) // table.block_size
         # cluster + payload, every block each.
         assert result.blocks_read == 2 * blocks
@@ -86,7 +115,12 @@ class TestIOBehaviour:
         )
         io = IOCounter()
         result = multi_stage_scan(
-            table, query, ["payload"], io, column_order=["cluster", "noise"]
+            table,
+            query,
+            ["payload"],
+            io,
+            table.partition(0),
+            column_order=["cluster", "noise"],
         )
         blocks = len(table) // table.block_size
         # stage 1 reads all cluster blocks; stages 2+ touch only the single
@@ -101,9 +135,16 @@ class TestIOBehaviour:
             TablePredicate("t", "noise", PredicateOp.LT, 50.0),
         )
         io_single, io_multi = IOCounter(), IOCounter()
-        single = single_stage_scan(table, query, ["payload"], io_single)
+        single = single_stage_scan(
+            table, query, ["payload"], io_single, table.partition(0)
+        )
         multi = multi_stage_scan(
-            table, query, ["payload"], io_multi, column_order=["cluster", "noise"]
+            table,
+            query,
+            ["payload"],
+            io_multi,
+            table.partition(0),
+            column_order=["cluster", "noise"],
         )
         assert multi.blocks_read < single.blocks_read
 
@@ -111,8 +152,12 @@ class TestIOBehaviour:
         table = _make_table()
         query = _query(TablePredicate("t", "noise", PredicateOp.GE, 0.0))
         io_single, io_multi = IOCounter(), IOCounter()
-        single = single_stage_scan(table, query, ["payload"], io_single)
-        multi = multi_stage_scan(table, query, ["payload"], io_multi)
+        single = single_stage_scan(
+            table, query, ["payload"], io_single, table.partition(0)
+        )
+        multi = multi_stage_scan(
+            table, query, ["payload"], io_multi, table.partition(0)
+        )
         # Nothing to skip: same blocks, but multi pays random-read penalties.
         assert multi.blocks_read == single.blocks_read
         assert multi.random_blocks > 0
@@ -127,10 +172,12 @@ class TestIOBehaviour:
         )
         io_good, io_bad = IOCounter(), IOCounter()
         good = multi_stage_scan(
-            table, query, [], io_good, column_order=["cluster", "noise"]
+            table, query, [], io_good, table.partition(0),
+            column_order=["cluster", "noise"],
         )
         bad = multi_stage_scan(
-            table, query, [], io_bad, column_order=["noise", "cluster"]
+            table, query, [], io_bad, table.partition(0),
+            column_order=["noise", "cluster"],
         )
         assert good.blocks_read < bad.blocks_read
         assert np.array_equal(
@@ -145,7 +192,8 @@ class TestIOBehaviour:
         )
         io = IOCounter()
         result = multi_stage_scan(
-            table, query, [], io, column_order=["cluster", "noise"]
+            table, query, [], io, table.partition(0),
+            column_order=["cluster", "noise"],
         )
         assert len(result.stage_survivors) == 2
         assert result.stage_survivors[0] >= result.stage_survivors[1]
@@ -158,7 +206,12 @@ class TestIOBehaviour:
         )
         io = IOCounter()
         result = multi_stage_scan(
-            table, query, ["payload"], io, column_order=["cluster", "noise"]
+            table,
+            query,
+            ["payload"],
+            io,
+            table.partition(0),
+            column_order=["cluster", "noise"],
         )
         blocks = len(table) // table.block_size
         assert result.row_indices.size == 0
@@ -181,7 +234,9 @@ class TestOrGroupIO:
             ),
         )
         io = IOCounter()
-        result = multi_stage_scan(table, query, [], io, column_order=["cluster"])
+        result = multi_stage_scan(
+            table, query, [], io, table.partition(0), column_order=["cluster"]
+        )
         # stage 1 reads all cluster blocks; the OR column is then read for
         # the single surviving block.
         blocks = len(table) // table.block_size
@@ -205,6 +260,8 @@ class TestOrGroupIO:
             ),
         )
         io = IOCounter()
-        result = multi_stage_scan(table, query, [], io, column_order=["noise"])
+        result = multi_stage_scan(
+            table, query, [], io, table.partition(0), column_order=["noise"]
+        )
         blocks = len(table) // table.block_size
         assert result.blocks_read == blocks  # one pass over 'noise' only

@@ -1,8 +1,13 @@
 """The UES upper bound's one contract: it NEVER underestimates."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.estimators
+from repro.engine import partitioned_scan
 from repro.estimators.ues import UpperBoundEstimator
 from repro.errors import EstimationError
 from repro.sql.query import (
@@ -11,6 +16,7 @@ from repro.sql.query import (
     PredicateOp,
     TablePredicate,
 )
+from repro.storage import Catalog, IOCounter, Table, prune_partitions
 from repro.workloads import job_hybrid, stats_hybrid
 from repro.workloads.truth import true_count
 
@@ -156,3 +162,70 @@ def test_empty_table_bounds_to_zero(imdb_upper, imdb):
     )
     truth = true_count(imdb.catalog, query)
     assert imdb_upper.estimate_count(query) >= truth
+
+
+# ----------------------------------------------------------------------
+# One zone-map refutation rule, shared with the engine's scan
+# ----------------------------------------------------------------------
+def _partitioned_catalog():
+    rng = np.random.default_rng(11)
+    table = Table.from_arrays(
+        "p",
+        {
+            "key": np.sort(rng.integers(0, 1000, 4000)),
+            "noise": rng.integers(0, 100, 4000),
+        },
+        block_size=100,
+        partitions=4,
+    )
+    catalog = Catalog()
+    catalog.register(table)
+    return catalog, table
+
+
+@pytest.mark.parametrize(
+    "predicates, or_groups",
+    [
+        ((TablePredicate("p", "key", PredicateOp.GE, 800.0),), ()),
+        ((TablePredicate("p", "key", PredicateOp.LT, 0.0),), ()),
+        ((TablePredicate("p", "noise", PredicateOp.LT, 50.0),), ()),
+        (
+            (),
+            (
+                (
+                    TablePredicate("p", "key", PredicateOp.LE, 50.0),
+                    TablePredicate("p", "key", PredicateOp.GE, 950.0),
+                ),
+            ),
+        ),
+    ],
+    ids=["tail", "unsatisfiable", "unclustered", "or_group"],
+)
+def test_single_table_bound_counts_the_scan_survivors(predicates, or_groups):
+    catalog, table = _partitioned_catalog()
+    query = CardQuery(tables=("p",), predicates=predicates, or_groups=or_groups)
+    survivors, pruned = prune_partitions(table, query)
+    assert UpperBoundEstimator(catalog).table_bound(query, "p") == sum(
+        p.num_rows for p in survivors
+    )
+    scan = partitioned_scan(table, query, [], IOCounter())
+    assert scan.pruned_partition_indices == tuple(pruned)
+    assert UpperBoundEstimator(catalog).table_bound(query, "p") >= true_count(
+        catalog, query
+    )
+
+
+def test_estimators_import_nothing_from_the_engine():
+    package = Path(repro.estimators.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n == "repro.engine" or n.startswith("repro.engine.") for n in names):
+                offenders.append(str(path.relative_to(package)))
+    assert offenders == []

@@ -673,8 +673,6 @@ def decisions(plan: PhysicalPlan) -> tuple:
         plan.estimated_group_ndv,
         plan.estimation_cost,
         plan.table_selectivities,
-        plan.partition_counts,
-        plan.pruned_partitions,
         plan.estimated_table_rows,
         plan.join_step_estimates,
     )

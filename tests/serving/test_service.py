@@ -513,7 +513,6 @@ def _plan_signature(plan):
         ],
         dict(plan.table_selectivities),
         dict(plan.estimated_table_rows),
-        {t: tuple(p) for t, p in plan.pruned_partitions.items()},
         plan.join_step_estimates,
     )
 

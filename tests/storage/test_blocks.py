@@ -1,83 +1,77 @@
-"""Tests for block iteration and I/O accounting."""
+"""Tests for partition-addressed block reads and I/O accounting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage import (
-    BlockReader,
     Column,
     IOCounter,
+    Partition,
     Table,
-    block_count,
-    block_slices,
+    read_block,
 )
+
+
+def _partition(rows: int, block_size: int) -> Partition:
+    return Partition("t", 0, 0, rows, block_size)
 
 
 class TestBlockMath:
     def test_exact_division(self):
-        assert block_count(100, 25) == 4
+        assert _partition(100, 25).num_blocks == 4
 
     def test_remainder_adds_block(self):
-        assert block_count(101, 25) == 5
+        assert _partition(101, 25).num_blocks == 5
 
     def test_zero_rows(self):
-        assert block_count(0, 25) == 0
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            block_count(10, 0)
+        assert _partition(0, 25).num_blocks == 0
 
     @given(st.integers(1, 100_000), st.integers(1, 5000))
-    def test_slices_cover_all_rows(self, rows, block_size):
-        slices = list(block_slices(rows, block_size))
-        assert len(slices) == block_count(rows, block_size)
-        covered = sum(s.stop - s.start for s in slices)
-        assert covered == rows
-        if slices:
-            assert slices[0].start == 0
-            assert slices[-1].stop == rows
+    def test_blocks_cover_all_rows(self, rows, block_size):
+        partition = _partition(rows, block_size)
+        bounds = [partition.block_bounds(b) for b in range(partition.num_blocks)]
+        assert sum(stop - start for start, stop in bounds) == rows
+        assert bounds[0][0] == 0
+        assert bounds[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
 
-class TestBlockReader:
+class TestReadBlock:
     def _setup(self, rows=100, block_size=32):
         table = Table.from_arrays("t", {"a": np.arange(rows)}, block_size=block_size)
-        io = IOCounter()
-        return table, io, BlockReader(table, io)
+        return table, table.partition(0), IOCounter()
 
     def test_reads_block_contents(self):
-        _table, _io, reader = self._setup()
-        block = reader.read_column_block("a", 1)
+        table, partition, io = self._setup()
+        block = read_block(table, partition, "a", 1, io)
         assert list(block) == list(range(32, 64))
 
     def test_last_block_is_short(self):
-        _table, _io, reader = self._setup(rows=100, block_size=32)
-        assert reader.read_column_block("a", 3).shape[0] == 4
+        table, partition, io = self._setup(rows=100, block_size=32)
+        assert read_block(table, partition, "a", 3, io).shape[0] == 4
 
     def test_out_of_range_block(self):
-        _table, _io, reader = self._setup()
+        table, partition, io = self._setup()
         with pytest.raises(IndexError):
-            reader.read_column_block("a", 99)
+            read_block(table, partition, "a", 99, io)
         with pytest.raises(IndexError):
-            reader.read_column_block("a", -1)
+            read_block(table, partition, "a", -1, io)
+        assert io.blocks_read == 0
 
     def test_io_accounting(self):
-        _table, io, reader = self._setup()
-        reader.read_column_block("a", 0)
-        reader.read_column_block("a", 1)
+        table, partition, io = self._setup()
+        read_block(table, partition, "a", 0, io)
+        read_block(table, partition, "a", 1, io)
         assert io.blocks_read == 2
         assert io.rows_read == 64
         assert io.per_column[("t", "a")] == 2
 
-    def test_read_many(self):
-        _table, io, reader = self._setup()
-        blocks = reader.read_column_blocks("a", [0, 2])
-        assert set(blocks) == {0, 2}
-        assert io.blocks_read == 2
-
-    def test_total_blocks(self):
-        _table, _io, reader = self._setup(rows=100, block_size=32)
-        assert reader.total_blocks() == 4
+    def test_each_call_charges_one_block(self):
+        table, partition, io = self._setup()
+        for expected, block in enumerate([2, 0, 2], start=1):
+            read_block(table, partition, "a", block, io)
+            assert io.blocks_read == expected
 
 
 class TestByteAccounting:
@@ -95,10 +89,9 @@ class TestByteAccounting:
             "t", {"a": np.arange(100, dtype=np.int64)}, block_size=32
         )
         io = IOCounter()
-        reader = BlockReader(table, io)
-        reader.read_column_block("a", 0)
+        read_block(table, table.partition(0), "a", 0, io)
         assert io.bytes_read == 32 * 8
-        reader.read_column_block("a", 3)  # short tail block: 4 rows
+        read_block(table, table.partition(0), "a", 3, io)  # short tail block: 4 rows
         assert io.bytes_read == 32 * 8 + 4 * 8
 
     def test_narrow_dtype_charges_actual_width(self):
@@ -107,7 +100,7 @@ class TestByteAccounting:
         values = np.arange(100, dtype=np.int16)
         table = Table("t", [Column("a", ColumnType.INT, values)], block_size=50)
         io = IOCounter()
-        BlockReader(table, io).read_column_block("a", 0)
+        read_block(table, table.partition(0), "a", 0, io)
         assert io.bytes_read == 50 * values.dtype.itemsize
 
     def test_string_dictionary_charged_once_per_column(self):
@@ -117,20 +110,20 @@ class TestByteAccounting:
         dict_nbytes = column.nbytes - int(column.values.nbytes)
         assert dict_nbytes > 0
         io = IOCounter()
-        reader = BlockReader(table, io)
-        reader.read_column_block("s", 0)
+        partition = table.partition(0)
+        read_block(table, partition, "s", 0, io)
         assert io.bytes_read == 20 * codes_itemsize + dict_nbytes
         # Subsequent blocks charge codes only: the dictionary is resident.
-        reader.read_column_block("s", 1)
-        reader.read_column_block("s", 2)
+        read_block(table, partition, "s", 1, io)
+        read_block(table, partition, "s", 2, io)
         assert io.bytes_read == 3 * 20 * codes_itemsize + dict_nbytes
 
     def test_distinct_counters_each_charge_the_dictionary(self):
         column = Column.from_strings("s", ["x", "y"] * 50)
         table = Table("t", [column], block_size=50)
         first, second = IOCounter(), IOCounter()
-        BlockReader(table, first).read_column_block("s", 0)
-        BlockReader(table, second).read_column_block("s", 1)
+        read_block(table, table.partition(0), "s", 0, first)
+        read_block(table, table.partition(0), "s", 1, second)
         assert first.bytes_read == second.bytes_read
 
 

@@ -6,12 +6,12 @@ import pytest
 from repro.errors import SchemaError
 from repro.sql.query import PredicateOp, TablePredicate
 from repro.storage import (
-    BlockReader,
     Catalog,
     Column,
     IOCounter,
     Table,
     ZoneMap,
+    read_block,
 )
 
 
@@ -177,24 +177,19 @@ class TestPartitionBlockReader:
     def test_partition_local_addressing(self):
         table = _table(rows=1000, partitions=[250, 750], block_size=100)
         io = IOCounter()
-        reader = BlockReader(table, io, partition=table.partition(1))
-        assert reader.total_blocks() == 8
-        block = reader.read_column_block("a", 0)
+        partition = table.partition(1)
+        assert partition.num_blocks == 8
+        block = read_block(table, partition, "a", 0, io)
         assert list(block[:3]) == [250, 251, 252]
         with pytest.raises(IndexError):
-            reader.read_column_block("a", 8)
-
-    def test_unbound_reader_spans_whole_table(self):
-        table = _table(rows=1000, partitions=[250, 750], block_size=100)
-        reader = BlockReader(table, IOCounter())
-        assert reader.total_blocks() == 10
-        assert reader.read_column_block("a", 9)[0] == 900
+            read_block(table, partition, "a", 8, io)
 
     def test_partition_reads_charge_io(self):
         table = _table(rows=1000, partitions=[250, 750], block_size=100)
         io = IOCounter()
-        reader = BlockReader(table, io, partition=table.partition(0))
-        reader.read_column_block("a", 2)  # the short 50-row tail block
+        # The short 50-row tail block stops at the partition's end.
+        block = read_block(table, table.partition(0), "a", 2, io)
+        assert (block[0], block[-1]) == (200, 249)
         assert io.blocks_read == 1
         assert io.rows_read == 50
 
